@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from deepagent.config import Agent1Config, Agent2Config
-from deepagent.errors import TrainingError, UsageError
+from deepagent.errors import IngestionError, TrainingError, UsageError
 from deepagent.nn import checkpoint as ckpt
 from deepagent.nn.layers import (
     BatchNorm,
@@ -46,6 +46,10 @@ class Agent1Model:
     seed: int
     dtype: type = np.float64
 
+    def state(self):
+        """(kind, array) per checkpoint record after the metadata."""
+        return self.net.state()
+
 
 @dataclass
 class Agent2Model:
@@ -68,6 +72,11 @@ class Agent2Model:
 
     def condition(self, X: np.ndarray) -> np.ndarray:
         return (X - self.input_mu) / self.input_sigma
+
+    def state(self):
+        """(kind, array) per checkpoint record after the metadata."""
+        return [(ckpt.KIND_STD_MU, self.input_mu),
+                (ckpt.KIND_STD_SIGMA, self.input_sigma)] + self.net.state()
 
 
 @dataclass
@@ -153,26 +162,16 @@ def build_agent2(seed: int, input_width: int = 14, hidden=(128, 64, 32),
     return Agent2Model(Sequential(layers), input_width, tuple(hidden), seed, dtype)
 
 
-def param_count(model) -> int:
-    return sum(p.value.size for p in model.net.params())
-
-
 # prediction ---------------------------------------------------------------
 
 def predict_frames(model: Agent1Model, frames: np.ndarray) -> np.ndarray:
     """Fake-class probability for a batch of normalized frames."""
     frames = np.asarray(frames, dtype=model.dtype)
-    if frames.ndim == 3:
-        frames = frames[None]
     expect = (model.input_size, model.input_size, 3)
     if frames.shape[1:] != expect:
         raise UsageError(f"frames must be {expect}, got {frames.shape[1:]}")
     probs = model.net.forward(frames, train=False)
     return probs[:, 1]
-
-
-def predict_frame(model: Agent1Model, frame: np.ndarray) -> float:
-    return float(predict_frames(model, frame)[0])
 
 
 def aggregate_video(frame_scores) -> float:
@@ -188,21 +187,12 @@ def score_video(model: Agent1Model, sample_id: str, frames: np.ndarray) -> Video
     return VideoScore(sample_id, [float(s) for s in scores], aggregate_video(scores))
 
 
-def predict_agent2(model: Agent2Model, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=model.dtype)
-    if x.ndim == 1:
-        x = x[None]
-    if x.shape[1] != model.input_width:
-        raise UsageError(
-            f"feature width {x.shape[1]} does not match model width {model.input_width}")
-    return float(model.net.forward(model.condition(x), train=False)[0, 0])
-
-
-def predict_agent2_batch(model: Agent2Model, X: np.ndarray) -> np.ndarray:
+def predict_agent2(model: Agent2Model, X: np.ndarray) -> np.ndarray:
+    """Fake-class probability for each row of an N x width feature matrix."""
     X = np.asarray(X, dtype=model.dtype)
-    if X.shape[1] != model.input_width:
+    if X.ndim != 2 or X.shape[1] != model.input_width:
         raise UsageError(
-            f"feature width {X.shape[1]} does not match model width {model.input_width}")
+            f"features must be N x {model.input_width}, got shape {X.shape}")
     return model.net.forward(model.condition(X), train=False)[:, 0]
 
 
@@ -246,12 +236,12 @@ def _check_two_classes(labels: np.ndarray) -> None:
 
 
 def _snapshot(net: Sequential):
-    return [p.value.copy() for p in net.params()]
+    return [arr.copy() for _, arr in net.state()]
 
 
 def _restore(net: Sequential, snap) -> None:
-    for p, v in zip(net.params(), snap):
-        p.value[...] = v
+    for (_, arr), saved in zip(net.state(), snap):
+        arr[...] = saved
 
 
 def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
@@ -383,7 +373,7 @@ def train_agent2(model: Agent2Model, X: np.ndarray, y: np.ndarray,
             "lr": opt.eta,
         }
         if val_X is not None and len(val_X):
-            vout = predict_agent2_batch(model, np.asarray(val_X, dtype=model.dtype))
+            vout = predict_agent2(model, val_X)
             vloss, _ = bce_batch(vout, np.asarray(val_y, dtype=model.dtype))
             vacc = float(((vout >= 0.5).astype(int) == np.asarray(val_y)).mean())
             row["val_loss"] = vloss
@@ -406,63 +396,31 @@ def train_agent2(model: Agent2Model, X: np.ndarray, y: np.ndarray,
 
 # checkpoints ---------------------------------------------------------------
 
-def _model_records(net: Sequential):
-    records = []
-    for layer in net.layers:
-        if isinstance(layer, Conv2D):
-            records.append((ckpt.KIND_CONV_KERNEL, layer.kernel.value))
-            records.append((ckpt.KIND_CONV_BIAS, layer.bias.value))
-        elif isinstance(layer, BatchNorm):
-            records.append((ckpt.KIND_BN_GAMMA, layer.gamma.value))
-            records.append((ckpt.KIND_BN_BETA, layer.beta.value))
-            records.append((ckpt.KIND_BN_MEAN, layer.running_mean))
-            records.append((ckpt.KIND_BN_VAR, layer.running_var))
-        elif isinstance(layer, Dense):
-            records.append((ckpt.KIND_DENSE_W, layer.weights.value))
-            records.append((ckpt.KIND_DENSE_B, layer.bias.value))
-    return records
-
-
-def _load_records(net: Sequential, records) -> None:
-    it = iter(records)
-
-    def take(expected_kind, target):
-        kind, arr = next(it)
-        if kind != expected_kind:
-            raise UsageError(
-                f"checkpoint record kind {kind} does not match expected {expected_kind}")
-        if arr.shape != target.shape:
-            raise UsageError(
-                f"checkpoint shape {arr.shape} does not match model {target.shape}")
-        target[...] = arr
-
-    for layer in net.layers:
-        if isinstance(layer, Conv2D):
-            take(ckpt.KIND_CONV_KERNEL, layer.kernel.value)
-            take(ckpt.KIND_CONV_BIAS, layer.bias.value)
-        elif isinstance(layer, BatchNorm):
-            take(ckpt.KIND_BN_GAMMA, layer.gamma.value)
-            take(ckpt.KIND_BN_BETA, layer.beta.value)
-            take(ckpt.KIND_BN_MEAN, layer.running_mean)
-            take(ckpt.KIND_BN_VAR, layer.running_var)
-        elif isinstance(layer, Dense):
-            take(ckpt.KIND_DENSE_W, layer.weights.value)
-            take(ckpt.KIND_DENSE_B, layer.bias.value)
-
-
 def save_agent(model, path) -> None:
     if isinstance(model, Agent1Model):
         kind, size = ckpt.MODEL_AGENT1, model.input_size
-        records = _model_records(model.net)
     else:
         kind, size = ckpt.MODEL_AGENT2, model.input_width
-        records = [
-            (ckpt.KIND_STD_MU, model.input_mu),
-            (ckpt.KIND_STD_SIGMA, model.input_sigma),
-        ] + _model_records(model.net)
     bits = 32 if model.dtype == np.float32 else 64
-    ckpt.save_checkpoint(path, records, model_kind=kind,
+    ckpt.save_checkpoint(path, model.state(), model_kind=kind,
                          input_size=size, dtype_bits=bits)
+
+
+def _load_state(state, records, path) -> None:
+    """Check every record against the model's state, then copy them in."""
+    if len(records) != len(state):
+        # record 0 is the metadata, so the first missing or extra one is
+        # numbered one past the shorter list
+        raise IngestionError(
+            f"{path}: record {min(len(records), len(state)) + 1}: expected "
+            f"{len(state)} records after the metadata, found {len(records)}")
+    for i, ((kind, target), (got_kind, arr)) in enumerate(zip(state, records), 1):
+        if got_kind != kind or arr.shape != target.shape:
+            raise IngestionError(
+                f"{path}: record {i}: expected kind {kind} shape {target.shape}, "
+                f"found kind {got_kind} shape {arr.shape}")
+    for (_, target), (_, arr) in zip(state, records):
+        target[...] = arr
 
 
 def load_agent(path):
@@ -473,13 +431,7 @@ def load_agent(path):
         model = build_agent1(seed=0, input_size=header["input_size"], dtype=dtype)
     elif header["model_kind"] == ckpt.MODEL_AGENT2:
         model = build_agent2(seed=0, input_width=header["input_size"], dtype=dtype)
-        (mu_kind, mu), (sg_kind, sg) = records[0], records[1]
-        if mu_kind != ckpt.KIND_STD_MU or sg_kind != ckpt.KIND_STD_SIGMA:
-            raise UsageError(f"{path}: missing input-conditioning records")
-        model.input_mu = mu
-        model.input_sigma = sg
-        records = records[2:]
     else:
         raise UsageError(f"unknown model kind {header['model_kind']} in {path}")
-    _load_records(model.net, records)
+    _load_state(model.state(), records, path)
     return model

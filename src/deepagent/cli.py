@@ -44,7 +44,7 @@ def _config_from(args) -> "pipeline.PipelineConfig":
             cfg.agent2.epochs = epochs
         else:
             cfg.agent1.epochs = epochs
-    return cfg
+    return cfg.validate()
 
 
 def build_parser() -> argparse.ArgumentParser:

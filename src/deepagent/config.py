@@ -75,10 +75,20 @@ class PipelineConfig:
                 f"frame_policy must be 'interval5' or 'even', got {self.frame_policy!r}")
         if self.meta_dims not in (2, 4):
             raise ConfigurationError(f"meta_dims must be 2 or 4, got {self.meta_dims}")
-        if self.m < 1:
-            raise ConfigurationError(f"m must be >= 1, got {self.m}")
-        if self.mel_filters < 1:
-            raise ConfigurationError(f"mel_filters must be >= 1, got {self.mel_filters}")
+        for key, value, low in (
+            ("m", self.m, 1),
+            ("mel_filters", self.mel_filters, 1),
+            ("frame_interval", self.frame_interval, 1),
+            ("folds", self.folds, 2),
+            ("forest_trees", self.forest_trees, 1),
+            ("agent1.epochs", self.agent1.epochs, 1),
+            # batch norm skips Agent-1 batches of fewer than two samples
+            ("agent1.batch_size", self.agent1.batch_size, 2),
+            ("agent2.epochs", self.agent2.epochs, 1),
+            ("agent2.batch_size", self.agent2.batch_size, 1),
+        ):
+            if value < low:
+                raise ConfigurationError(f"{key} must be >= {low}, got {value}")
         return self
 
 

@@ -1,15 +1,17 @@
 """CART decision trees, bagged forest, standardizer, stratified K-fold.
 
-Trees grow on Gini impurity with one randomly drawn candidate feature per
-node (falling back to the remaining features when the drawn one is constant
-within the node, so separable data is always grown to purity). Leaves hold
-a majority vote with ties going to class 1. The forest averages the T tree
-votes; the decision threshold maps 0.5 exactly to class 1.
+Trees grow on Gini impurity over labels in {0, 1} with one randomly drawn
+candidate feature per node (falling back to the remaining features when the
+drawn one is constant within the node, so separable data is always grown to
+purity). Each node sorts its candidate column once and scores every
+midpoint threshold from prefix class counts. Leaves hold a majority vote
+with ties going to class 1. The forest averages the tree votes; the
+decision threshold maps 0.5 exactly to class 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +34,13 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     root: TreeNode
-    seed: int = 0
-
-    def predict_one(self, x: np.ndarray) -> int:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.vote
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(x) for x in np.atleast_2d(X)], dtype=int)
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float((p * p).sum())
+def _gini(zeros: np.ndarray, ones: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Elementwise Gini impurity 1 - (p0^2 + p1^2) of class counts."""
+    p0 = zeros / total
+    p1 = ones / total
+    return 1.0 - (p0 * p0 + p1 * p1)
 
 
 def _majority(y: np.ndarray) -> int:
@@ -62,30 +53,30 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     ys = y[idx]
     if len(idx) < 2 or ys.min() == ys.max():
         return TreeNode(vote=_majority(ys))
+    n = len(idx)
     # mtry = 1: one uniformly drawn candidate feature; if it is constant
     # within the node, fall through to the remaining features in drawn order
-    order = rng.permutation(X.shape[1])
-    for f in order:
-        vals = np.unique(X[idx, f])
-        if len(vals) < 2:
-            continue
-        thresholds = (vals[:-1] + vals[1:]) / 2.0
+    for f in rng.permutation(X.shape[1]):
         col = X[idx, f]
-        best_cost, best_thr = np.inf, None
-        for thr in thresholds:
-            left = col <= thr
-            n_left = int(left.sum())
-            n_right = len(idx) - n_left
-            if n_left == 0 or n_right == 0:
-                continue
-            cl = np.bincount(ys[left], minlength=2)
-            cr = np.bincount(ys[~left], minlength=2)
-            cost = (n_left * _gini(cl) + n_right * _gini(cr)) / len(idx)
-            if cost < best_cost:
-                best_cost, best_thr = cost, thr
-        if best_thr is None:
+        order = np.argsort(col)
+        sorted_col = col[order]
+        edges = np.flatnonzero(sorted_col[1:] != sorted_col[:-1])
+        thresholds = (sorted_col[edges] + sorted_col[edges + 1]) / 2.0
+        # counting with side="right" keeps "col <= threshold" exact when a
+        # midpoint rounds onto the upper value
+        n_left = np.searchsorted(sorted_col, thresholds, side="right")
+        keep = (n_left > 0) & (n_left < n)
+        if not keep.any():
             continue
-        mask = X[idx, f] <= best_thr
+        thresholds, n_left = thresholds[keep], n_left[keep]
+        ones_prefix = np.concatenate(([0], np.cumsum(ys[order])))
+        ones_left = ones_prefix[n_left]
+        ones_right = ones_prefix[-1] - ones_left
+        n_right = n - n_left
+        cost = (n_left * _gini(n_left - ones_left, ones_left, n_left)
+                + n_right * _gini(n_right - ones_right, ones_right, n_right)) / n
+        best_thr = thresholds[np.argmin(cost)]  # first minimum, lowest threshold
+        mask = col <= best_thr
         node = TreeNode(feature=int(f), threshold=float(best_thr))
         node.left = _grow(X, y, idx[mask], rng)
         node.right = _grow(X, y, idx[~mask], rng)
@@ -94,14 +85,12 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     return TreeNode(vote=_majority(ys))
 
 
-def train_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
-               seed: int = 0) -> DecisionTree:
+def train_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> DecisionTree:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=int)
     if len(X) < 1:
         raise UsageError("cannot train a tree on an empty set")
-    root = _grow(X, y, np.arange(len(X)), rng)
-    return DecisionTree(root, seed)
+    return DecisionTree(_grow(X, y, np.arange(len(X)), rng))
 
 
 @dataclass
@@ -124,20 +113,10 @@ def fit_standardizer(Z: np.ndarray) -> Standardizer:
     return Standardizer(mu, sigma)
 
 
-def apply_standardizer(std: Standardizer, z: np.ndarray) -> np.ndarray:
-    return std.apply(z)
-
-
 @dataclass
 class ForestModel:
     trees: list[DecisionTree]
-    seeds: list[int]
     standardizer: Standardizer
-    n_trees: int = field(default=0)
-
-    def __post_init__(self):
-        if self.n_trees == 0:
-            self.n_trees = len(self.trees)
 
 
 def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
@@ -154,34 +133,36 @@ def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
     std = fit_standardizer(Z)
     Zs = std.apply(Z)
     n = len(Zs)
-    trees, seeds = [], []
+    trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         if bootstrap:
             idx = rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        trees.append(train_tree(Zs[idx], y[idx], rng, seed=t))
-        seeds.append(t)
-    return ForestModel(trees, seeds, std, n_trees)
-
-
-def predict_forest(model: ForestModel, z: np.ndarray) -> tuple[float, int]:
-    """(vote-fraction probability, label); label is 1 iff probability >= 0.5."""
-    if not model.trees:
-        raise UsageError("forest has no trained trees")
-    zs = model.standardizer.apply(np.atleast_2d(z))[0]
-    votes = sum(tree.predict_one(zs) for tree in model.trees)
-    prob = votes / model.n_trees
-    return prob, int(prob >= 0.5)
+        trees.append(train_tree(Zs[idx], y[idx], rng))
+    return ForestModel(trees, std)
 
 
 def predict_forest_batch(model: ForestModel, Z: np.ndarray):
-    probs = np.empty(len(Z))
-    labels = np.empty(len(Z), dtype=int)
-    for i, z in enumerate(np.atleast_2d(Z)):
-        probs[i], labels[i] = predict_forest(model, z)
-    return probs, labels
+    """(vote-fraction probabilities, labels) per row of Z; a label is 1 iff
+    its probability is >= 0.5. Each tree routes row-index sets down its
+    branches in one pass."""
+    if not model.trees:
+        raise UsageError("forest has no trained trees")
+    Zs = model.standardizer.apply(np.atleast_2d(Z))
+    votes = np.zeros(len(Zs), dtype=int)
+    for tree in model.trees:
+        stack = [(tree.root, np.arange(len(Zs)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                votes[rows] += node.vote
+                continue
+            left = Zs[rows, node.feature] <= node.threshold
+            stack += [(node.left, rows[left]), (node.right, rows[~left])]
+    probs = votes / len(model.trees)
+    return probs, (probs >= 0.5).astype(int)
 
 
 def stratified_kfold(labels, k: int = 5, seed: int = 0):

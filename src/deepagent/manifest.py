@@ -53,6 +53,9 @@ def load_manifest(path) -> list[SampleRecord]:
         return p
 
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            problems.append(f"record {i}: must be a JSON object")
+            continue
         rid = str(entry.get("id", f"<record {i}>"))
         if "id" not in entry:
             problems.append(f"record {i}: missing id")

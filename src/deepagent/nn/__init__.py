@@ -1,8 +1,8 @@
 """Minimal neural-network engine: layers, losses, Adam, gradient checking.
 
 Tensors are numpy ndarrays (float64 by default, float32 selectable at build
-time). Spatial data is channels-last: a single image is ``H x W x C``, a
-batch is ``N x H x W x C``.
+time). Every layer works on batches: spatial data is channels-last
+``N x H x W x C``, dense data is ``N x F``.
 """
 
 from deepagent.nn.layers import (
@@ -17,25 +17,16 @@ from deepagent.nn.layers import (
     Sequential,
     Sigmoid,
     SoftmaxLayer,
-    batchnorm_forward,
-    conv2d_backward,
-    conv2d_forward,
-    dense_forward,
-    dropout,
-    gap,
-    maxpool_forward,
-    relu,
     sigmoid,
     softmax,
 )
-from deepagent.nn.losses import bce_batch, bce_loss, cce_batch, cce_loss
-from deepagent.nn.optim import Adam, AdamState, adam_step
+from deepagent.nn.losses import bce_batch, cce_batch
+from deepagent.nn.optim import Adam
 from deepagent.nn.gradcheck import gradient_check
 from deepagent.nn.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Adam",
-    "AdamState",
     "BatchNorm",
     "Conv2D",
     "Dense",
@@ -47,21 +38,10 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "SoftmaxLayer",
-    "adam_step",
-    "batchnorm_forward",
     "bce_batch",
-    "bce_loss",
     "cce_batch",
-    "cce_loss",
-    "conv2d_backward",
-    "conv2d_forward",
-    "dense_forward",
-    "dropout",
-    "gap",
     "gradient_check",
     "load_checkpoint",
-    "maxpool_forward",
-    "relu",
     "save_checkpoint",
     "sigmoid",
     "softmax",

@@ -1,13 +1,13 @@
 """Layer forward/backward passes for the from-scratch network engine.
 
-Layer classes operate on batches (``N x H x W x C`` for spatial layers,
+Layers operate on batches only (``N x H x W x C`` for spatial layers,
 ``N x F`` for dense ones) and cache whatever backward needs, but only when
 ``train=True``; inference passes leave no state behind and are safe to run
 concurrently on frozen weights.
 
-The module-level functions (``conv2d_forward`` etc.) are the single-sample
-surface used throughout the tests; they accept one image ``H x W x C`` and
-delegate to the batch implementation.
+Each layer lists its persistent arrays once, in ``STATE``, paired with their
+checkpoint kind codes; trainable parameters, checkpoints and weight
+snapshots all read that list.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from deepagent.errors import ConfigurationError, UsageError
+from deepagent.nn import checkpoint as ckpt
 
 
 class Param:
@@ -29,8 +30,21 @@ class Param:
 
 
 class Layer:
+    # (attribute, checkpoint kind) per persistent array, in checkpoint order;
+    # Param attributes are trained, plain arrays are buffers
+    STATE: tuple = ()
+
     def params(self) -> list[Param]:
-        return []
+        values = (getattr(self, attr) for attr, _ in self.STATE)
+        return [v for v in values if isinstance(v, Param)]
+
+    def state(self) -> list[tuple[int, np.ndarray]]:
+        """(kind, array) per persistent array; loading writes them in place."""
+        out = []
+        for attr, kind in self.STATE:
+            value = getattr(self, attr)
+            out.append((kind, value.value if isinstance(value, Param) else value))
+        return out
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -66,7 +80,7 @@ class Conv2D(Layer):
     start at zero.
     """
 
-    KIND = "conv"
+    STATE = (("kernel", ckpt.KIND_CONV_KERNEL), ("bias", ckpt.KIND_CONV_BIAS))
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  padding="valid", *, rng=None, dtype=np.float64, name="conv"):
@@ -90,9 +104,6 @@ class Conv2D(Layer):
         self.kernel = Param(f"{name}.kernel", kernel.astype(dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
         self._cache = None
-
-    def params(self):
-        return [self.kernel, self.bias]
 
     def out_shape(self, shape):
         h, w, c = shape
@@ -123,9 +134,6 @@ class Conv2D(Layer):
         return view, x.shape, (pt, pl)
 
     def forward(self, x, train=False):
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
         if x.shape[3] != self.in_channels:
             raise ConfigurationError(
                 f"input depth {x.shape[3]} does not match kernel depth {self.in_channels}"
@@ -139,14 +147,11 @@ class Conv2D(Layer):
         out = out.reshape(n, oh, ow, self.out_channels)
         if train:
             self._cache = (cols, padded_shape, x.shape, (oh, ow))
-        return out[0] if squeeze else out
+        return out
 
     def backward(self, grad):
         if self._cache is None:
             raise UsageError("conv backward called without a cached forward pass")
-        squeeze = grad.ndim == 3
-        if squeeze:
-            grad = grad[None]
         cols, padded_shape, in_shape, (oh, ow) = self._cache
         n = in_shape[0]
         k, s, c = self.kernel_size, self.stride, self.in_channels
@@ -162,8 +167,7 @@ class Conv2D(Layer):
         ph = padded_shape[1] - in_shape[1]
         pw = padded_shape[2] - in_shape[2]
         pt, pl = ph // 2, pw // 2
-        dx = dx_pad[:, pt:pt + in_shape[1], pl:pl + in_shape[2], :]
-        return dx[0] if squeeze else dx
+        return dx_pad[:, pt:pt + in_shape[1], pl:pl + in_shape[2], :]
 
 
 class MaxPool2D(Layer):
@@ -185,9 +189,6 @@ class MaxPool2D(Layer):
         return ((h - p) // s + 1, (w - p) // s + 1, c)
 
     def forward(self, x, train=False):
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
         n, h, w, c = x.shape
         p, s = self.pool_size, self.stride
         if p > h or p > w:
@@ -207,14 +208,11 @@ class MaxPool2D(Layer):
         out = windows.max(axis=3)
         if train:
             self._cache = (idx, x.shape, (oh, ow))
-        return out[0] if squeeze else out
+        return out
 
     def backward(self, grad):
         if self._cache is None:
             raise UsageError("maxpool backward called without a cached forward pass")
-        squeeze = grad.ndim == 3
-        if squeeze:
-            grad = grad[None]
         idx, in_shape, (oh, ow) = self._cache
         p, s = self.pool_size, self.stride
         dx = np.zeros(in_shape, dtype=grad.dtype)
@@ -222,7 +220,7 @@ class MaxPool2D(Layer):
             for q in range(p):
                 sel = grad * (idx == m * p + q)
                 dx[:, m:m + oh * s:s, q:q + ow * s:s, :] += sel
-        return dx[0] if squeeze else dx
+        return dx
 
 
 class BatchNorm(Layer):
@@ -232,6 +230,9 @@ class BatchNorm(Layer):
     estimates with ``running = momentum * running + (1 - momentum) * batch``;
     inference always reads the running estimates.
     """
+
+    STATE = (("gamma", ckpt.KIND_BN_GAMMA), ("beta", ckpt.KIND_BN_BETA),
+             ("running_mean", ckpt.KIND_BN_MEAN), ("running_var", ckpt.KIND_BN_VAR))
 
     def __init__(self, channels, momentum=0.99, epsilon=1e-3, *,
                  dtype=np.float64, name="bn"):
@@ -245,9 +246,6 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
         self._cache = None
-
-    def params(self):
-        return [self.gamma, self.beta]
 
     def forward(self, x, train=False):
         axes = tuple(range(x.ndim - 1))
@@ -293,26 +291,19 @@ class GlobalAvgPool(Layer):
         return (shape[2],)
 
     def forward(self, x, train=False):
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
-        out = x.mean(axis=(1, 2))
         if train:
             self._cache = x.shape
-        return out[0] if squeeze else out
+        return x.mean(axis=(1, 2))
 
     def backward(self, grad):
-        squeeze = grad.ndim == 1
-        if squeeze:
-            grad = grad[None]
         n, h, w, c = self._cache
-        dx = np.broadcast_to(grad[:, None, None, :], (n, h, w, c)) / (h * w)
-        dx = np.array(dx)
-        return dx[0] if squeeze else dx
+        return np.broadcast_to(grad[:, None, None, :], (n, h, w, c)) / (h * w)
 
 
 class Dense(Layer):
     """Affine map ``x @ W + b`` with W of shape in x out."""
+
+    STATE = (("weights", ckpt.KIND_DENSE_W), ("bias", ckpt.KIND_DENSE_B))
 
     def __init__(self, in_width, out_width, *, rng=None, dtype=np.float64,
                  init="he", name="dense"):
@@ -330,16 +321,10 @@ class Dense(Layer):
         self.bias = Param(f"{name}.bias", np.zeros(out_width, dtype=dtype))
         self._cache = None
 
-    def params(self):
-        return [self.weights, self.bias]
-
     def out_shape(self, shape):
         return (self.out_width,)
 
     def forward(self, x, train=False):
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None]
         if x.shape[1] != self.in_width:
             raise ConfigurationError(
                 f"dense layer expects width {self.in_width}, got {x.shape[1]}"
@@ -347,17 +332,13 @@ class Dense(Layer):
         out = x @ self.weights.value + self.bias.value
         if train:
             self._cache = x
-        return out[0] if squeeze else out
+        return out
 
     def backward(self, grad):
-        squeeze = grad.ndim == 1
-        if squeeze:
-            grad = grad[None]
         x = self._cache
         self.weights.grad += x.T @ grad
         self.bias.grad += grad.sum(axis=0)
-        dx = grad @ self.weights.value.T
-        return dx[0] if squeeze else dx
+        return grad @ self.weights.value.T
 
 
 class ReLU(Layer):
@@ -391,12 +372,8 @@ class SoftmaxLayer(Layer):
 
     def backward(self, grad):
         p = self._cache
-        squeeze = grad.ndim == 1
-        if squeeze:
-            grad, p = grad[None], p[None]
         dot = (grad * p).sum(axis=1, keepdims=True)
-        dx = p * (grad - dot)
-        return dx[0] if squeeze else dx
+        return p * (grad - dot)
 
 
 class Dropout(Layer):
@@ -442,10 +419,10 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
+
+    def state(self):
+        return [s for layer in self.layers for s in layer.state()]
 
     def forward(self, x, train=False):
         for layer in self.layers:
@@ -474,46 +451,6 @@ class Sequential(Layer):
         return chain
 
 
-# single-sample functional surface ----------------------------------------
-
-def conv2d_forward(x: np.ndarray, layer: Conv2D, train: bool = True) -> np.ndarray:
-    """Convolve one image ``H x W x D_in`` and cache for backward."""
-    return layer.forward(x, train=train)
-
-
-def conv2d_backward(grad_out: np.ndarray, layer: Conv2D):
-    """Return (grad_input, grad_kernel, grad_bias) for the cached forward."""
-    layer.kernel.grad[...] = 0.0
-    layer.bias.grad[...] = 0.0
-    dx = layer.backward(grad_out)
-    return dx, layer.kernel.grad.copy(), layer.bias.grad.copy()
-
-
-def maxpool_forward(x: np.ndarray, pool_size: int, stride: int,
-                    layer: MaxPool2D | None = None) -> np.ndarray:
-    layer = layer if layer is not None else MaxPool2D(pool_size, stride)
-    return layer.forward(x, train=True)
-
-
-def batchnorm_forward(x: np.ndarray, layer: BatchNorm, mode: str = "train") -> np.ndarray:
-    if mode not in ("train", "infer"):
-        raise ConfigurationError(f"mode must be 'train' or 'infer', got {mode!r}")
-    return layer.forward(x, train=(mode == "train"))
-
-
-def gap(x: np.ndarray) -> np.ndarray:
-    """Spatial mean of each channel of an ``H x W x D`` map."""
-    return x.mean(axis=(0, 1))
-
-
-def dense_forward(x: np.ndarray, layer: Dense) -> np.ndarray:
-    return layer.forward(x, train=False)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
@@ -526,13 +463,3 @@ def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def dropout(x: np.ndarray, p: float, mode: str, rng) -> np.ndarray:
-    """Functional inverted dropout; ``mode`` is 'train' or 'infer'."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
-    if mode == "infer" or p == 0.0:
-        return x
-    mask = rng.random(x.shape) >= p
-    return x * mask / (1.0 - p)

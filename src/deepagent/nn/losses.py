@@ -1,40 +1,15 @@
-"""Classification losses.
+"""Classification losses over batches.
 
-Single-sample functions implement the contracts exactly (including the log
-clamps); the ``*_batch`` variants return the mean loss plus the gradient
-with respect to the predictions, which is what the training loops consume.
+Each returns the mean loss plus its gradient with respect to the
+predictions, which is what the training loops and the gradient checker
+consume. Log arguments are clamped at ``LOG_FLOOR``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from deepagent.errors import UsageError
-
 LOG_FLOOR = 1e-12
-
-
-def _check_one_hot(y_true: np.ndarray) -> None:
-    vals = np.unique(y_true)
-    if not np.all(np.isin(vals, (0.0, 1.0))) or not np.isclose(y_true.sum(), 1.0):
-        raise UsageError(f"y_true must be one-hot, got {np.asarray(y_true).tolist()}")
-
-
-def cce_loss(y_true, y_pred) -> float:
-    """Categorical cross-entropy of one prediction against a one-hot label."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    _check_one_hot(y_true)
-    p = np.clip(y_pred, LOG_FLOOR, 1.0)
-    return float(-(y_true * np.log(p)).sum())
-
-
-def bce_loss(y, y_hat) -> float:
-    """Binary cross-entropy; y must be 0 or 1, y_hat is clamped away from {0,1}."""
-    if y not in (0, 1):
-        raise UsageError(f"binary label must be 0 or 1, got {y!r}")
-    p = min(max(float(y_hat), LOG_FLOOR), 1.0 - LOG_FLOOR)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
 def cce_batch(probs: np.ndarray, onehot: np.ndarray):

@@ -8,68 +8,34 @@ from deepagent.errors import TrainingError
 from deepagent.nn.layers import Param
 
 
-class AdamState:
-    """Moment accumulators plus the step counter and hyperparameters."""
+class Adam:
+    """Adam over a list of Params; holds the moments, step counter and rate."""
 
-    def __init__(self, eta=0.0001, beta1=0.9, beta2=0.999, epsilon=1e-7):
+    def __init__(self, params: list[Param], eta=0.0001, beta1=0.9,
+                 beta2=0.999, epsilon=1e-7):
+        self.params = params
         self.eta = eta
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
-
-
-def adam_step(params, grads, state: AdamState, names=None) -> None:
-    """Apply one bias-corrected Adam update in place.
-
-    ``params`` and ``grads`` are parallel lists of arrays. A non-finite
-    gradient aborts the step, naming the offending parameter.
-    """
-    if state.m is None:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            name = names[i] if names else f"param[{i}]"
-            raise TrainingError(f"non-finite gradient for {name}")
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.eta * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-
-
-class Adam:
-    """Convenience wrapper binding an AdamState to a list of Params."""
-
-    def __init__(self, params: list[Param], eta=0.0001, beta1=0.9,
-                 beta2=0.999, epsilon=1e-7):
-        self.params = params
-        self.state = AdamState(eta, beta1, beta2, epsilon)
-
-    @property
-    def eta(self):
-        return self.state.eta
-
-    @eta.setter
-    def eta(self, value):
-        self.state.eta = value
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
 
     def step(self):
-        adam_step(
-            [p.value for p in self.params],
-            [p.grad for p in self.params],
-            self.state,
-            names=[p.name for p in self.params],
-        )
+        """Apply one update in place; a non-finite gradient aborts the step,
+        naming the offending parameter."""
+        for p in self.params:
+            if not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient for {p.name}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.value -= self.eta * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)

@@ -176,7 +176,8 @@ def score_samples(records, agent1_model, agent2_model, cache_entries,
         frames = load_sample_frames(record, config, size=agent1_model.input_size)
         video = agents.score_video(agent1_model, record.id, frames)
         feature = _cached_feature(cache_entries, record.id, cache_path)
-        s2 = agents.predict_agent2(agent2_model, feature)
+        # one row per call: a batched forward can differ in the last bits
+        s2 = float(agents.predict_agent2(agent2_model, feature[None])[0])
         rows.append({
             "id": record.id,
             "label": record.label,

@@ -59,9 +59,6 @@ class AugmentPolicy:
             raise ConfigurationError(f"brightness range outside [0.9, 1.1]: {self.brightness}")
 
 
-IDENTITY_POLICY = AugmentPolicy(0.0, 0.0, 0.0, (1.0, 1.0), False)
-
-
 def _read_header_token(blob: bytes, pos: int, path) -> tuple[bytes, int]:
     # skip whitespace and '#' comments between header tokens
     n = len(blob)
@@ -119,14 +116,6 @@ def save_frame(path, frame: Frame) -> None:
     header = b"%s\n%d %d\n255\n" % (magic, frame.width, frame.height)
     with open(path, "wb") as fh:
         fh.write(header + pixels.tobytes())
-
-
-def grayscale(frame: Frame) -> Frame:
-    """Luminance-weighted conversion; grayscale input passes through."""
-    if frame.channels == 1:
-        return Frame(frame.pixels.copy())
-    r, g, b = frame.pixels[..., 0], frame.pixels[..., 1], frame.pixels[..., 2]
-    return Frame((0.299 * r + 0.587 * g + 0.114 * b)[..., None])
 
 
 def resize_bilinear(frame: Frame, out_h: int, out_w: int) -> Frame:

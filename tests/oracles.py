@@ -149,3 +149,57 @@ def mfcc_double_loop(energies, n_coeffs=13):
                 acc += log_e[m - 1] * math.cos(math.pi * c * (m - 0.5) / n_filters)
             out[tau, c] = acc
     return out
+
+
+def _reference_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return 1.0 - float((p * p).sum())
+
+
+def reference_grow(X, y, idx, rng):
+    """CART grower scanning every midpoint threshold with one bincount each.
+
+    Same contract as the package grower (mtry = 1 with fall-through to the
+    remaining features, strict-< first minimum, majority leaves with ties
+    to class 1), but the search is the slow one. Returns nested tuples:
+    ``("leaf", vote)`` or ``(feature, threshold, left, right)``.
+    """
+    ys = y[idx]
+    ones = int(ys.sum())
+    vote = 1 if ones >= len(ys) - ones else 0
+    if len(idx) < 2 or ys.min() == ys.max():
+        return ("leaf", vote)
+    for f in rng.permutation(X.shape[1]):
+        vals = np.unique(X[idx, f])
+        if len(vals) < 2:
+            continue
+        col = X[idx, f]
+        best_cost, best_thr = np.inf, None
+        for thr in (vals[:-1] + vals[1:]) / 2.0:
+            left = col <= thr
+            n_left = int(left.sum())
+            n_right = len(idx) - n_left
+            if n_left == 0 or n_right == 0:
+                continue
+            cl = np.bincount(ys[left], minlength=2)
+            cr = np.bincount(ys[~left], minlength=2)
+            cost = (n_left * _reference_gini(cl) + n_right * _reference_gini(cr)) / len(idx)
+            if cost < best_cost:
+                best_cost, best_thr = cost, thr
+        if best_thr is None:
+            continue
+        mask = col <= best_thr
+        return (int(f), float(best_thr),
+                reference_grow(X, y, idx[mask], rng),
+                reference_grow(X, y, idx[~mask], rng))
+    return ("leaf", vote)
+
+
+def tree_vote(node, x):
+    """Walk one tree (nodes with feature/threshold/left/right/vote) for x."""
+    while node.vote < 0:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.vote

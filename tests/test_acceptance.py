@@ -15,7 +15,13 @@ import pytest
 from deepagent import agents, audio, metrics
 from deepagent.audio import AudioEmbedding
 from deepagent.cli import main
-from deepagent.forest import apply_standardizer, predict_forest, stratified_kfold, train_forest
+from deepagent.forest import (
+    DecisionTree,
+    TreeNode,
+    predict_forest_batch,
+    stratified_kfold,
+    train_forest,
+)
 from deepagent.nn import (
     BatchNorm,
     Conv2D,
@@ -32,7 +38,7 @@ from deepagent.nn import (
 from deepagent.nn.losses import bce_batch, cce_batch
 from deepagent.semantic import TokenSet, build_feature, lexical_similarity
 
-from oracles import pairwise_auc, reference_mfcc_mean
+from oracles import pairwise_auc, reference_mfcc_mean, tree_vote
 
 
 def report_line(number, name, ok):
@@ -155,19 +161,17 @@ def test_criterion_4_forest_vote_oracle():
     y[:2] = [0, 1]
     model = train_forest(Z, y, n_trees=100, seed=5)
     ok = True
-    for _ in range(50):
-        z = rng.normal(size=2)
-        prob, label = predict_forest(model, z)
-        zs = apply_standardizer(model.standardizer, z[None])[0]
-        votes = sum(t.predict_one(zs) for t in model.trees)
+    queries = rng.normal(size=(50, 2))
+    probs, labels = predict_forest_batch(model, queries)
+    for z, prob, label in zip(queries, probs, labels):
+        zs = model.standardizer.apply(z[None])[0]
+        votes = sum(tree_vote(t.root, zs) for t in model.trees)
         ok &= prob == votes / 100
         ok &= label == int(prob >= 0.5)
     # decision boundary: exactly half the votes means label 1
-    from deepagent.forest import DecisionTree, TreeNode
     model.trees = [DecisionTree(TreeNode(vote=v)) for v in (0, 1)]
-    model.n_trees = 2
-    prob, label = predict_forest(model, np.zeros(2))
-    ok &= prob == 0.5 and label == 1
+    probs, labels = predict_forest_batch(model, np.zeros((1, 2)))
+    ok &= probs[0] == 0.5 and labels[0] == 1
     report_line(4, "forest probability equals vote fraction", ok)
 
 

@@ -29,6 +29,14 @@ def separable_frames(rng, n_per_class, size=32):
     return np.clip(frames, 0, 1), labels
 
 
+def predict_frame(model, frame):
+    return float(agents.predict_frames(model, frame[None])[0])
+
+
+def predict_row(model, x):
+    return float(agents.predict_agent2(model, x[None])[0])
+
+
 def separable_features(rng, n):
     """Noise in the audio dims, the similarity coordinate separates."""
     labels = np.array([0, 1] * (n // 2))
@@ -73,13 +81,13 @@ class TestBuildAgent1:
 class TestBuildAgent2:
     def test_forward_in_unit_interval(self):
         model = agents.build_agent2(seed=2)
-        out = agents.predict_agent2(model, np.zeros(14))
+        out = predict_row(model, np.zeros(14))
         assert 0.0 < out < 1.0
 
     def test_parameter_count_from_layer_widths(self):
         # 14*128+128 + 128*64+64 + 64*32+32 + 32*1+1
         model = agents.build_agent2(seed=3)
-        assert agents.param_count(model) == 12289
+        assert sum(p.value.size for p in model.net.params()) == 12289
 
     def test_same_seed_identical_init(self):
         a = agents.build_agent2(seed=4)
@@ -156,8 +164,8 @@ class TestPredictAgent1:
         rng = np.random.default_rng(82)
         model = agents.build_agent1(seed=6, input_size=32)
         frame = rng.uniform(0, 1, size=(32, 32, 3))
-        p1 = agents.predict_frame(model, frame)
-        p2 = agents.predict_frame(model, frame)
+        p1 = predict_frame(model, frame)
+        p2 = predict_frame(model, frame)
         assert 0.0 <= p1 <= 1.0
         assert p1 == p2
 
@@ -170,25 +178,25 @@ class TestPredictAgent1:
     def test_wrong_shape_rejected(self):
         model = agents.build_agent1(seed=8, input_size=32)
         with pytest.raises(UsageError):
-            agents.predict_frame(model, np.zeros((16, 16, 3)))
+            agents.predict_frames(model, np.zeros((1, 16, 16, 3)))
 
     def test_inference_ignores_dropout_seed(self):
         rng = np.random.default_rng(97)
         model = agents.build_agent1(seed=3, input_size=32)
         frame = rng.uniform(size=(32, 32, 3))
-        before = agents.predict_frame(model, frame)
+        before = predict_frame(model, frame)
         from deepagent.nn.layers import Dropout
         for layer in model.net.layers:
             if isinstance(layer, Dropout):
                 layer.rng = np.random.default_rng(999)
-        assert agents.predict_frame(model, frame) == before
+        assert predict_frame(model, frame) == before
 
     def test_inference_leaves_no_layer_state(self):
         # frozen-weight prediction must not mutate layers, so concurrent
         # per-frame inference is safe
         rng = np.random.default_rng(98)
         model = agents.build_agent1(seed=4, input_size=32)
-        agents.predict_frame(model, rng.uniform(size=(32, 32, 3)))
+        predict_frame(model, rng.uniform(size=(32, 32, 3)))
         for layer in model.net.layers:
             assert getattr(layer, "_cache", None) is None
 
@@ -237,7 +245,7 @@ class TestTrainAgent2:
         model = agents.build_agent2(seed=2)
         history = agents.train_agent2(model, X, y, vX, vy, Agent2Config(epochs=30))
         best = max(h["val_acc"] for h in history)
-        preds = agents.predict_agent2_batch(model, vX)
+        preds = agents.predict_agent2(model, vX)
         acc = (((preds >= 0.5).astype(int)) == vy).mean()
         npt.assert_allclose(acc, best, atol=1e-12)
 
@@ -282,14 +290,14 @@ class TestPredictAgent2:
         rng = np.random.default_rng(87)
         model = agents.build_agent2(seed=5)
         x = rng.normal(size=14)
-        a = agents.predict_agent2(model, x)
-        b = agents.predict_agent2(model, x)
+        a = predict_row(model, x)
+        b = predict_row(model, x)
         assert 0.0 < a < 1.0 and a == b
 
     def test_wrong_width_rejected(self):
         model = agents.build_agent2(seed=5)
         with pytest.raises(UsageError):
-            agents.predict_agent2(model, np.zeros(13))
+            agents.predict_agent2(model, np.zeros((1, 13)))
 
     def test_hand_set_weights_match_manual_forward(self):
         # width-4 head with explicit weights, replayed by hand
@@ -300,7 +308,7 @@ class TestPredictAgent2:
         for p, m in zip(model.net.params(), mats):
             p.value[...] = m
         x = rng.uniform(-1, 1, size=4)
-        got = agents.predict_agent2(model, x)
+        got = predict_row(model, x)
 
         w1, b1, w2, b2, w3, b3, w4, b4 = mats
         h1 = relu(x @ w1 + b1)
@@ -325,7 +333,7 @@ class TestCheckpoints:
         for pa, pb in zip(model.net.params(), back.net.params()):
             npt.assert_array_equal(pa.value, pb.value)
         frame = rng.uniform(size=(32, 32, 3))
-        assert agents.predict_frame(model, frame) == agents.predict_frame(back, frame)
+        assert predict_frame(model, frame) == predict_frame(back, frame)
 
     def test_agent2_round_trip_preserves_conditioning(self, tmp_path):
         rng = np.random.default_rng(90)
@@ -338,7 +346,7 @@ class TestCheckpoints:
         npt.assert_array_equal(back.input_mu, model.input_mu)
         npt.assert_array_equal(back.input_sigma, model.input_sigma)
         x = rng.normal(size=14)
-        assert agents.predict_agent2(model, x) == agents.predict_agent2(back, x)
+        assert predict_row(model, x) == predict_row(back, x)
 
     def test_checkpoint_bytes_are_deterministic(self, tmp_path):
         model = agents.build_agent2(seed=13)
@@ -360,4 +368,4 @@ class TestCheckpoints:
         back = agents.load_agent(path)
         assert back.dtype == np.float32
         frame = rng.uniform(size=(32, 32, 3))
-        assert agents.predict_frame(model, frame) == agents.predict_frame(back, frame)
+        assert predict_frame(model, frame) == predict_frame(back, frame)

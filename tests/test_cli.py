@@ -7,6 +7,7 @@ import pytest
 
 from deepagent.cache import read_cache
 from deepagent.cli import main
+from deepagent.nn import checkpoint as ckpt
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,65 @@ class TestWorkflow:
         assert expected in table
 
 
+def rewrite_checkpoint(src, dst, edit):
+    """Copy a DAMC checkpoint, passing its records through ``edit``."""
+    header, records = ckpt.load_checkpoint(src)
+    ckpt.save_checkpoint(dst, edit(records), model_kind=header["model_kind"],
+                         input_size=header["input_size"],
+                         dtype_bits=header["dtype_bits"])
+
+
+def predict_error(workspace, agent2, capsys):
+    code = main(["predict", "--manifest", str(workspace["manifest"]),
+                 "--agent1", str(workspace["a1"]), "--agent2", str(agent2),
+                 "--cache", str(workspace["cache"]),
+                 "--out", str(workspace["root"] / "bad_scores.json")])
+    return code, json.loads(capsys.readouterr().err)["error"]
+
+
 class TestFailureModes:
+    # an Agent-2 checkpoint holds mu, sigma and four dense layers: 10 records
+    def test_checkpoint_missing_record_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "short.damc"
+        rewrite_checkpoint(workspace["a2"], bad, lambda records: records[:-1])
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "short.damc: record 10: expected 10 records" in error["message"]
+        assert "found 9" in error["message"]
+
+    def test_checkpoint_extra_record_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "long.damc"
+        rewrite_checkpoint(workspace["a2"], bad, lambda records: records + records[-1:])
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2
+        assert "long.damc: record 11: expected 10 records" in error["message"]
+        assert "found 11" in error["message"]
+
+    def test_checkpoint_wrong_kind_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "kind.damc"
+        rewrite_checkpoint(workspace["a2"], bad, lambda records: [
+            records[0], (ckpt.KIND_CONV_BIAS, records[1][1])] + records[2:])
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2
+        assert (f"kind.damc: record 2: expected kind {ckpt.KIND_STD_SIGMA} shape (14,), "
+                f"found kind {ckpt.KIND_CONV_BIAS} shape (14,)") in error["message"]
+
+    def test_non_object_manifest_entry_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[5]")
+        code = main(["extract", "--manifest", str(bad),
+                     "--out", str(tmp_path / "c.daft")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2
+        assert "record 0: must be a JSON object" in error["message"]
+
+    def test_zero_epochs_flag_exits_1(self, workspace, tmp_path, capsys):
+        code = main(["train", "agent1", "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "a1.damc"), "--epochs", "0"])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1
+        assert "agent1.epochs must be >= 1" in error["message"]
+
     def test_fuse_without_checkpoint_exits_1_with_message(self, workspace, capsys):
         code = main(["fuse", "--manifest", str(workspace["manifest"]),
                      "--agent1", str(workspace["root"] / "nope.damc"),

@@ -6,32 +6,47 @@ import pytest
 
 from deepagent.errors import UsageError
 from deepagent.forest import (
-    apply_standardizer,
+    DecisionTree,
+    ForestModel,
+    TreeNode,
     fit_standardizer,
-    predict_forest,
     predict_forest_batch,
     stratified_kfold,
     train_forest,
     train_tree,
 )
 
+from oracles import reference_grow, tree_vote
+
+
+def predict_one(model, z):
+    """(probability, label) of one sample through the batched predictor."""
+    probs, labels = predict_forest_batch(model, np.asarray(z)[None])
+    return probs[0], labels[0]
+
+
+def as_tuples(node):
+    if node.is_leaf:
+        return ("leaf", node.vote)
+    return (node.feature, node.threshold, as_tuples(node.left), as_tuples(node.right))
+
 
 class TestStandardizer:
     def test_simple_column(self):
         std = fit_standardizer(np.array([[1.0], [2.0], [3.0]]))
-        out = apply_standardizer(std, np.array([[1.0], [2.0], [3.0]]))
+        out = std.apply(np.array([[1.0], [2.0], [3.0]]))
         npt.assert_allclose(out[:, 0], [-1.22474, 0.0, 1.22474], atol=1e-5)
 
     def test_constant_column_guard(self):
         std = fit_standardizer(np.array([[5.0, 1.0], [5.0, 2.0]]))
-        out = apply_standardizer(std, np.array([[5.0, 1.5]]))
+        out = std.apply(np.array([[5.0, 1.5]]))
         assert out[0, 0] == 0.0
 
     def test_train_columns_centered(self):
         rng = np.random.default_rng(50)
         Z = rng.normal(loc=3.0, scale=2.0, size=(40, 2))
         std = fit_standardizer(Z)
-        out = apply_standardizer(std, Z)
+        out = std.apply(Z)
         assert np.abs(out.mean(axis=0)).max() < 1e-12
         npt.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
 
@@ -47,8 +62,8 @@ class TestDecisionTree:
                           np.random.default_rng(1))
         assert not tree.root.is_leaf
         assert tree.root.threshold == 0.5
-        assert tree.predict_one(np.array([0.2])) == 0
-        assert tree.predict_one(np.array([0.8])) == 1
+        assert tree_vote(tree.root, np.array([0.2])) == 0
+        assert tree_vote(tree.root, np.array([0.8])) == 1
 
     def test_separable_data_fit_to_purity(self):
         rng = np.random.default_rng(2)
@@ -56,7 +71,7 @@ class TestDecisionTree:
                        rng.normal(2, 0.3, size=(30, 2))])
         y = np.array([0] * 30 + [1] * 30)
         tree = train_tree(X, y, np.random.default_rng(3))
-        npt.assert_array_equal(tree.predict(X), y)
+        npt.assert_array_equal([tree_vote(tree.root, x) for x in X], y)
 
     def test_constant_feature_falls_through(self):
         # feature 0 constant, feature 1 separates; purity still reached
@@ -64,13 +79,55 @@ class TestDecisionTree:
         y = np.array([0, 0, 1, 1])
         for seed in range(10):
             tree = train_tree(X, y, np.random.default_rng(seed))
-            npt.assert_array_equal(tree.predict(X), y)
+            npt.assert_array_equal([tree_vote(tree.root, x) for x in X], y)
 
     def test_tie_votes_class_one(self):
         X = np.array([[1.0], [1.0]])
         y = np.array([0, 1])
         tree = train_tree(X, y, np.random.default_rng(4))
         assert tree.root.is_leaf and tree.root.vote == 1
+
+
+def random_split_set(rng):
+    """Small labeled set mixing the cases a threshold search can get wrong:
+    ties, duplicated rows, a constant column, adjacent-float pairs."""
+    n = int(rng.integers(2, 40))
+    d = int(rng.integers(1, 4))
+    X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    kind = rng.integers(4)
+    if kind == 1:
+        X[:, rng.integers(d)] = rng.normal()
+    elif kind == 2:
+        X[rng.integers(0, n, size=n // 2)] = X[rng.integers(0, n, size=n // 2)]
+    elif kind == 3:
+        col = rng.integers(d)
+        base = X[rng.integers(n), col]
+        pick = rng.random(n)
+        X[pick < 0.4, col] = base
+        X[pick > 0.6, col] = np.nextafter(base, np.inf)
+    y = rng.integers(0, 2, n)
+    return X, y
+
+
+class TestSplitSearchOracle:
+    def test_identical_trees_to_bincount_reference(self):
+        rng = np.random.default_rng(53)
+        for case in range(240):
+            X, y = random_split_set(rng)
+            got = train_tree(X, y, np.random.default_rng(case)).root
+            ref = reference_grow(X, y, np.arange(len(X)), np.random.default_rng(case))
+            assert as_tuples(got) == ref, f"case {case}"
+
+    def test_adjacent_float_midpoint_splits_like_reference(self):
+        # lo has an odd last mantissa bit, so (lo + hi) / 2 rounds onto hi
+        lo = np.nextafter(1.0, np.inf)
+        hi = np.nextafter(lo, np.inf)
+        assert (lo + hi) / 2.0 == hi
+        X = np.array([[lo], [hi], [hi], [lo], [2.0], [lo]])
+        y = np.array([0, 1, 1, 0, 1, 1])
+        got = train_tree(X, y, np.random.default_rng(0)).root
+        ref = reference_grow(X, y, np.arange(6), np.random.default_rng(0))
+        assert as_tuples(got) == ref
 
 
 class TestForest:
@@ -83,14 +140,14 @@ class TestForest:
         single = model.trees[0]
         std = model.standardizer
         for z, p in zip(Z, probs):
-            assert p == float(single.predict_one(apply_standardizer(std, z[None])[0]))
+            assert p == float(tree_vote(single.root, std.apply(z[None])[0]))
 
     def test_unanimous_vote_gives_probability_one(self):
         Z = np.vstack([np.full((10, 2), -1.0) + np.random.default_rng(6).normal(0, .01, (10,2)),
                        np.full((10, 2), 1.0) + np.random.default_rng(7).normal(0, .01, (10,2))])
         y = np.array([0] * 10 + [1] * 10)
         model = train_forest(Z, y, n_trees=25, seed=1)
-        prob, label = predict_forest(model, np.array([1.0, 1.0]))
+        prob, label = predict_one(model, np.array([1.0, 1.0]))
         assert prob == 1.0 and label == 1
 
     def test_probability_equals_vote_fraction(self):
@@ -101,9 +158,9 @@ class TestForest:
         model = train_forest(Z, y, n_trees=17, seed=3)
         for _ in range(50):
             z = rng.normal(size=2)
-            prob, label = predict_forest(model, z)
-            zs = apply_standardizer(model.standardizer, z[None])[0]
-            votes = [t.predict_one(zs) for t in model.trees]
+            prob, label = predict_one(model, z)
+            zs = model.standardizer.apply(z[None])[0]
+            votes = [tree_vote(t.root, zs) for t in model.trees]
             assert prob == sum(votes) / 17
             assert label == int(prob >= 0.5)
 
@@ -114,26 +171,22 @@ class TestForest:
         y = rng.integers(0, 2, 10)
         y[:2] = [0, 1]
         model = train_forest(Z, y, n_trees=2, seed=4)
-        from deepagent.forest import DecisionTree, TreeNode
         model.trees = [DecisionTree(TreeNode(vote=0)), DecisionTree(TreeNode(vote=1))]
-        prob, label = predict_forest(model, np.zeros(2))
+        prob, label = predict_one(model, np.zeros(2))
         assert prob == 0.5 and label == 1
         model.trees = [DecisionTree(TreeNode(vote=0)), DecisionTree(TreeNode(vote=0))]
         model.trees.append(DecisionTree(TreeNode(vote=1)))
-        model.n_trees = 3
-        prob, label = predict_forest(model, np.zeros(2))
+        prob, label = predict_one(model, np.zeros(2))
         assert prob < 0.5 and label == 0
 
     def test_adding_positive_tree_never_decreases_probability(self):
-        from deepagent.forest import DecisionTree, ForestModel, TreeNode
         std = fit_standardizer(np.array([[0.0, 0.0], [1.0, 1.0]]))
         rng = np.random.default_rng(10)
         votes = [TreeNode(vote=int(v)) for v in rng.integers(0, 2, 9)]
-        model = ForestModel([DecisionTree(n) for n in votes], list(range(9)), std)
-        before, _ = predict_forest(model, np.array([0.5, 0.5]))
+        model = ForestModel([DecisionTree(n) for n in votes], std)
+        before, _ = predict_one(model, np.array([0.5, 0.5]))
         model.trees.append(DecisionTree(TreeNode(vote=1)))
-        model.n_trees += 1
-        after, _ = predict_forest(model, np.array([0.5, 0.5]))
+        after, _ = predict_one(model, np.array([0.5, 0.5]))
         assert after >= before
 
     def test_single_class_rejected(self):
@@ -141,10 +194,9 @@ class TestForest:
             train_forest(np.zeros((4, 2)), np.ones(4, dtype=int), n_trees=2, seed=0)
 
     def test_empty_forest_rejected(self):
-        from deepagent.forest import ForestModel
-        model = ForestModel([], [], fit_standardizer(np.zeros((2, 2))))
+        model = ForestModel([], fit_standardizer(np.zeros((2, 2))))
         with pytest.raises(UsageError):
-            predict_forest(model, np.zeros(2))
+            predict_one(model, np.zeros(2))
 
 
 class TestStratifiedKfold:

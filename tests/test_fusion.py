@@ -6,7 +6,7 @@ import pytest
 
 from deepagent import fusion
 from deepagent.errors import UsageError
-from deepagent.forest import apply_standardizer, fit_standardizer, stratified_kfold
+from deepagent.forest import fit_standardizer, stratified_kfold
 
 
 def make_scores(n, rng, separable):
@@ -104,8 +104,8 @@ class TestCrossValidate:
         off_center = 0
         for train_idx, val_idx in stratified_kfold(y, 5, seed=9):
             std = fit_standardizer(Z[train_idx])
-            train_means = apply_standardizer(std, Z[train_idx]).mean(axis=0)
-            val_means = apply_standardizer(std, Z[val_idx]).mean(axis=0)
+            train_means = std.apply(Z[train_idx]).mean(axis=0)
+            val_means = std.apply(Z[val_idx]).mean(axis=0)
             assert np.abs(train_means).max() < 1e-12
             if np.abs(val_means).max() > 1e-6:
                 off_center += 1

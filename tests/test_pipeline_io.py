@@ -1,6 +1,7 @@
 """Manifests, split assignment, config resolution, cache, fixture generator."""
 
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -60,6 +61,15 @@ class TestManifest:
         path.write_text(json.dumps([e1, e2]))
         with pytest.raises(IngestionError, match="2 manifest violation"):
             load_manifest(path)
+
+    def test_non_object_entry_reported_with_other_violations(self, tmp_path):
+        entries = [write_sample_files(tmp_path, "a"), 5, {"id": "b", "label": 9,
+                                                           "frames": ["a.pgm"]}]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(IngestionError, match="2 manifest violation") as info:
+            load_manifest(path)
+        assert "record 1: must be a JSON object" in str(info.value)
 
     def test_record_needs_frames_or_audio(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -148,6 +158,21 @@ class TestConfig:
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             load_config(None, {"frame_policy": "odd"})
+
+    @pytest.mark.parametrize("data, key", [
+        ({"frame_interval": 0}, "frame_interval"),
+        ({"folds": 1}, "folds"),
+        ({"forest_trees": 0}, "forest_trees"),
+        ({"agent1": {"epochs": 0}}, "agent1.epochs"),
+        ({"agent1": {"batch_size": 1}}, "agent1.batch_size"),
+        ({"agent2": {"epochs": 0}}, "agent2.epochs"),
+        ({"agent2": {"batch_size": 0}}, "agent2.batch_size"),
+    ])
+    def test_out_of_range_value_names_key(self, tmp_path, data, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=re.escape(key) + " must be >="):
+            load_config(path, {})
 
 
 class TestCache:

@@ -1,4 +1,4 @@
-"""Frame ingestion, color/geometry transforms, sampling policies, augmentation."""
+"""Frame ingestion, geometry transforms, sampling policies, augmentation."""
 
 import numpy as np
 import numpy.testing as npt
@@ -54,31 +54,6 @@ class TestLoadFrame:
         vision.save_frame(tmp_path / "g.ppm", frame)
         back = vision.load_frame(tmp_path / "g.ppm")
         npt.assert_array_equal(back.pixels, frame.pixels)
-
-
-class TestGrayscale:
-    def test_white(self):
-        frame = Frame(np.full((1, 1, 3), 255.0))
-        npt.assert_allclose(vision.grayscale(frame).pixels, 255.0)
-
-    def test_pure_red(self):
-        frame = Frame(np.array([[[255.0, 0.0, 0.0]]]))
-        npt.assert_allclose(vision.grayscale(frame).pixels, 76.245)
-
-    def test_black(self):
-        frame = Frame(np.zeros((2, 2, 3)))
-        npt.assert_array_equal(vision.grayscale(frame).pixels, 0.0)
-
-    def test_gray_input_identity(self):
-        frame = Frame(np.arange(4.0).reshape(2, 2, 1))
-        npt.assert_array_equal(vision.grayscale(frame).pixels, frame.pixels)
-
-    def test_bounded_by_channel_extremes(self):
-        rng = np.random.default_rng(4)
-        pixels = rng.uniform(0, 255, size=(8, 8, 3))
-        out = vision.grayscale(Frame(pixels)).pixels[..., 0]
-        assert (out >= pixels.min(axis=2) - 1e-9).all()
-        assert (out <= pixels.max(axis=2) + 1e-9).all()
 
 
 class TestResize:
@@ -162,7 +137,8 @@ class TestAugment:
     def test_identity_policy_is_bitwise_identity(self):
         rng = np.random.default_rng(9)
         frame = Frame(rng.uniform(0, 1, size=(12, 12, 3)))
-        out = vision.augment(frame, vision.IDENTITY_POLICY, np.random.default_rng(0))
+        policy = AugmentPolicy(0.0, 0.0, 0.0, (1.0, 1.0), False)
+        out = vision.augment(frame, policy, np.random.default_rng(0))
         npt.assert_array_equal(out.pixels, frame.pixels)
 
     def test_flip_only_on_symmetric_image(self):
