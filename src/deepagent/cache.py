@@ -4,7 +4,8 @@ Layout: magic "DAFT", format version (u32 LE), entry count (u32 LE), then
 the entry table -- per entry: id length (u32) + UTF-8 id bytes, dtype code
 (u32, byte width), rank (u32), dims (u32 each), payload offset (u64 LE from
 file start) -- followed by the raw little-endian IEEE-754 payloads. Writes
-are sorted by id so identical content produces identical bytes.
+are sorted by id so identical content produces identical bytes, and replace
+the file in one step, so a failed write leaves the previous cache intact.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import struct
 
 import numpy as np
 
+from deepagent import atomic
 from deepagent.errors import IngestionError
 
 MAGIC = b"DAFT"
@@ -49,8 +51,7 @@ def write_cache(path, entries: dict[str, np.ndarray]) -> None:
         payload = arr.tobytes()
         payloads.append(payload)
         offset += len(payload)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks) + b"".join(payloads))
+    atomic.write_bytes(path, b"".join(chunks) + b"".join(payloads))
 
 
 def read_cache(path) -> dict[str, np.ndarray]:

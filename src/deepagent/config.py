@@ -92,6 +92,15 @@ class PipelineConfig:
         return self
 
 
+# JSON value types each field type accepts (booleans only for bool fields)
+_ACCEPTS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _apply(obj, data: dict, context: str):
     known = {f.name: f for f in fields(obj)}
     for key, value in data.items():
@@ -102,8 +111,13 @@ def _apply(obj, data: dict, context: str):
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config key {context}{key} must be an object")
             _apply(current, value, f"{context}{key}.")
-        else:
-            setattr(obj, key, value)
+            continue
+        kind = type(known[key].default)
+        types, what = _ACCEPTS[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+            raise ConfigurationError(
+                f"config key {context}{key} must be {what}, got {value!r}")
+        setattr(obj, key, kind(value))
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:

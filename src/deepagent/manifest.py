@@ -1,8 +1,9 @@
 """Dataset manifests: one JSON record per video sample.
 
-A record names the sample's frames (image files), its optional audio track,
-and the optional ASR/OCR sidecar text files. Validation happens up front
-and reports every violation at once, before any compute starts.
+A record names the sample's frames (at least one image file), its optional
+audio track, and the optional ASR/OCR sidecar text files. Validation
+happens up front and reports every violation at once, before any compute
+starts.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ def load_manifest(path) -> list[SampleRecord]:
             label = 0
         frames = [resolve(f, "frame", rid) for f in entry.get("frames", [])]
         audio = resolve(entry.get("audio"), "audio", rid)
-        if not frames and audio is None:
-            problems.append(f"{rid}: needs at least one of frames or audio")
+        if not frames:
+            # Agent-1 scores every sample, so a record without frames
+            # could not be scored
+            problems.append(f"{rid}: needs at least one frame")
         split = entry.get("split", "unassigned")
         if split not in SPLITS:
             problems.append(f"{rid}: unknown split {split!r}")

@@ -8,7 +8,8 @@ Layout (all integers unsigned 32-bit little-endian):
 Record kind 0 is a metadata record holding ``[model_kind, input_size,
 dtype_bits]`` as float64; it tells the loader how to rebuild the
 architecture and how wide the remaining payloads are. Round-trips are
-bit-exact.
+bit-exact. Saving replaces the file in one step, so a failed save leaves
+the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import struct
 
 import numpy as np
 
+from deepagent import atomic
 from deepagent.errors import IngestionError
 
 MAGIC = b"DAMC"
@@ -57,8 +59,7 @@ def save_checkpoint(path, records, *, model_kind: int, input_size: int,
     width = dtype_bits // 8
     for kind, arr in records:
         emit(kind, arr, width)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    atomic.write_bytes(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

@@ -3,11 +3,19 @@
 Layers operate on batches only (``N x H x W x C`` for spatial layers,
 ``N x F`` for dense ones) and cache whatever backward needs, but only when
 ``train=True``; inference passes leave no state behind and are safe to run
-concurrently on frozen weights.
+concurrently on frozen weights. Conv, pool, batch-norm and dense layers
+drop their cache in backward, so a training step's largest buffers (the
+im2col copies) are freed before the optimizer step and the next forward.
 
 Each layer lists its persistent arrays once, in ``STATE``, paired with their
 checkpoint kind codes; trainable parameters, checkpoints and weight
 snapshots all read that list.
+
+``backward(grad, input_grad=True)`` accumulates the parameter gradients and
+returns the gradient with respect to the layer input. With
+``input_grad=False`` a layer may skip forming it and return None;
+:class:`Sequential` asks this of its first layer, because nothing reads the
+gradient with respect to the network input.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
     def out_shape(self, shape: tuple) -> tuple:
@@ -143,21 +151,25 @@ class Conv2D(Layer):
         _, oh, ow, k, _, c = view.shape
         cols = view.reshape(n * oh * ow, k * k * c)
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
-        out = cols @ kmat + self.bias.value
+        out = cols @ kmat
+        out += self.bias.value
         out = out.reshape(n, oh, ow, self.out_channels)
         if train:
             self._cache = (cols, padded_shape, x.shape, (oh, ow))
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         if self._cache is None:
             raise UsageError("conv backward called without a cached forward pass")
         cols, padded_shape, in_shape, (oh, ow) = self._cache
+        self._cache = None
         n = in_shape[0]
         k, s, c = self.kernel_size, self.stride, self.in_channels
         gmat = grad.reshape(n * oh * ow, self.out_channels)
         self.kernel.grad += (cols.T @ gmat).reshape(self.kernel.value.shape)
         self.bias.grad += gmat.sum(axis=0)
+        if not input_grad:
+            return None
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
         dcols = (gmat @ kmat.T).reshape(n, oh, ow, k, k, c)
         dx_pad = np.zeros(padded_shape, dtype=grad.dtype)
@@ -171,7 +183,8 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over p x p windows; argmax positions cached for backward."""
+    """Max pooling over p x p windows; train mode caches the argmax positions
+    for backward, inference reduces the strided window view directly."""
 
     def __init__(self, pool_size, stride):
         if pool_size < 1 or stride < 1:
@@ -203,17 +216,18 @@ class MaxPool2D(Layer):
             strides=(sn, sh * s, sw * s, sh, sw, sc),
             writeable=False,
         )
+        if not train:
+            return view.max(axis=(3, 4))
         windows = view.reshape(n, oh, ow, p * p, c)
         idx = windows.argmax(axis=3)
-        out = windows.max(axis=3)
-        if train:
-            self._cache = (idx, x.shape, (oh, ow))
-        return out
+        self._cache = (idx, x.shape, (oh, ow))
+        return windows.max(axis=3)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         if self._cache is None:
             raise UsageError("maxpool backward called without a cached forward pass")
         idx, in_shape, (oh, ow) = self._cache
+        self._cache = None
         p, s = self.pool_size, self.stride
         dx = np.zeros(in_shape, dtype=grad.dtype)
         for m in range(p):
@@ -268,10 +282,11 @@ class BatchNorm(Layer):
         inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
         return self.gamma.value * (x - self.running_mean) * inv + self.beta.value
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         if self._cache is None:
             raise UsageError("batchnorm backward called without a cached forward pass")
         xhat, inv, axes, nred = self._cache
+        self._cache = None
         self.gamma.grad += (grad * xhat).sum(axis=axes)
         self.beta.grad += grad.sum(axis=axes)
         dxhat = grad * self.gamma.value
@@ -295,7 +310,7 @@ class GlobalAvgPool(Layer):
             self._cache = x.shape
         return x.mean(axis=(1, 2))
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         n, h, w, c = self._cache
         return np.broadcast_to(grad[:, None, None, :], (n, h, w, c)) / (h * w)
 
@@ -334,10 +349,15 @@ class Dense(Layer):
             self._cache = x
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        if self._cache is None:
+            raise UsageError("dense backward called without a cached forward pass")
         x = self._cache
+        self._cache = None
         self.weights.grad += x.T @ grad
         self.bias.grad += grad.sum(axis=0)
+        if not input_grad:
+            return None
         return grad @ self.weights.value.T
 
 
@@ -347,7 +367,7 @@ class ReLU(Layer):
             self._cache = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         return grad * self._cache
 
 
@@ -358,7 +378,7 @@ class Sigmoid(Layer):
             self._cache = out
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         s = self._cache
         return grad * s * (1.0 - s)
 
@@ -370,7 +390,7 @@ class SoftmaxLayer(Layer):
             self._cache = out
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         p = self._cache
         dot = (grad * p).sum(axis=1, keepdims=True)
         return p * (grad - dot)
@@ -407,7 +427,7 @@ class Dropout(Layer):
         self._cache = (mask, scale)
         return x * mask * scale
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         if self._cache is None:
             return grad
         mask, scale = self._cache
@@ -430,9 +450,11 @@ class Sequential(Layer):
         return x
 
     def backward(self, grad):
-        for layer in reversed(self.layers):
+        """Accumulate every parameter gradient; nothing reads the gradient
+        with respect to the network input, so it is not formed."""
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward(grad, input_grad=False)
 
     def zero_grad(self):
         for p in self.params():

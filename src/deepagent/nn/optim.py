@@ -7,6 +7,11 @@ import numpy as np
 from deepagent.errors import TrainingError
 from deepagent.nn.layers import Param
 
+# elements per update slice: the slices of a parameter, its gradient and
+# both moments stay in cache with the two scratch buffers across the whole
+# update; whole-array temporaries of a 2M-element parameter do not
+CHUNK = 16384
+
 
 class Adam:
     """Adam over a list of Params; holds the moments, step counter and rate."""
@@ -21,21 +26,49 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
+        width = min(max((p.value.size for p in params), default=0), CHUNK)
+        self._scratch = {dt: (np.empty(width, dt), np.empty(width, dt))
+                         for dt in {p.value.dtype for p in params}}
 
     def step(self):
         """Apply one update in place; a non-finite gradient aborts the step,
-        naming the offending parameter."""
+        naming the offending parameter, before any value changes.
+
+        Each parameter is updated in slices of at most ``CHUNK`` elements
+        with the same elementwise operations, in the same order, as the
+        whole-array formula ``m = m*b1 + (1-b1)*g``,
+        ``v = v*b2 + ((1-b2)*g)*g``,
+        ``value -= eta*(m/bc1) / (sqrt(v/bc2) + eps)``, so every bit of the
+        result is the same.
+        """
         for p in self.params:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient for {p.name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eta, eps = self.beta1, self.beta2, self.eta, self.epsilon
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.value -= self.eta * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        for p, m_all, v_all in zip(self.params, self.m, self.v):
+            value = p.value.reshape(-1, copy=False)
+            grad = p.grad.reshape(-1)
+            m_all = m_all.reshape(-1, copy=False)
+            v_all = v_all.reshape(-1, copy=False)
+            buf_a, buf_b = self._scratch[value.dtype]
+            for lo in range(0, value.size, CHUNK):
+                hi = min(lo + CHUNK, value.size)
+                g, m, v, w = grad[lo:hi], m_all[lo:hi], v_all[lo:hi], value[lo:hi]
+                a, b = buf_a[:hi - lo], buf_b[:hi - lo]
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1.0 - b1, out=a)
+                np.add(m, a, out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1.0 - b2, out=a)
+                np.multiply(a, g, out=a)
+                np.add(v, a, out=v)
+                np.divide(v, bc2, out=a)
+                np.sqrt(a, out=a)
+                np.add(a, eps, out=a)
+                np.divide(m, bc1, out=b)
+                np.multiply(b, eta, out=b)
+                np.divide(b, a, out=b)
+                np.subtract(w, b, out=w)

@@ -162,9 +162,10 @@ def sample_even(n_frames: int, m: int) -> list[int]:
 def _affine_sample(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Bilinear sampling of an inverse affine map with edge-replicate fill.
 
-    ``matrix`` is 2x3 mapping destination (x, y, 1) to source (x, y).
+    ``matrix`` is 2x3 mapping destination (x, y, 1) to source (x, y);
+    source coordinates are clipped to the image before interpolation.
     """
-    h, w = pixels.shape[:2]
+    h, w, c = pixels.shape
     ys, xs = np.mgrid[0:h, 0:w]
     src_x = matrix[0, 0] * xs + matrix[0, 1] * ys + matrix[0, 2]
     src_y = matrix[1, 0] * xs + matrix[1, 1] * ys + matrix[1, 2]
@@ -176,16 +177,26 @@ def _affine_sample(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (src_x - x0)[..., None]
     fy = (src_y - y0)[..., None]
-    top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
-    bottom = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
+    flat = pixels.reshape(h * w, c)
+    row0, row1 = y0 * w, y1 * w
+    top = flat.take(row0 + x0, axis=0) * (1 - fx) + flat.take(row0 + x1, axis=0) * fx
+    bottom = flat.take(row1 + x0, axis=0) * (1 - fx) + flat.take(row1 + x1, axis=0) * fx
     return top * (1 - fy) + bottom * fy
 
 
 def augment(frame: Frame, policy: AugmentPolicy, rng: np.random.Generator) -> Frame:
     """Apply rotation, shift, zoom, brightness, and flip, in that order.
 
-    The five draws are always consumed in the same order, so a fixed seed
-    reproduces the exact augmented frame. Works on normalized [0, 1] pixels.
+    The draws (rotation, x shift, y shift, zoom, brightness, then the flip
+    coin when flipping is enabled) are always consumed in the same order,
+    so a fixed seed reproduces the exact augmented frame. Works on
+    normalized [0, 1] pixels.
+
+    The three inverse maps compose into one matrix, rotation o shift o zoom
+    (each about the image center where it applies), and the frame is
+    resampled once, with edge-replicate fill, as Keras
+    ``ImageDataGenerator.apply_transform`` does; a draw whose product is the
+    identity skips the resample.
     """
     angle = rng.uniform(-policy.rotation_deg, policy.rotation_deg)
     dx = rng.uniform(-policy.shift_frac, policy.shift_frac) * frame.width
@@ -194,26 +205,25 @@ def augment(frame: Frame, policy: AugmentPolicy, rng: np.random.Generator) -> Fr
     bright = rng.uniform(policy.brightness[0], policy.brightness[1])
     flip = policy.horizontal_flip and rng.random() < 0.5
 
-    pixels = frame.pixels
     cx, cy = (frame.width - 1) / 2.0, (frame.height - 1) / 2.0
-    if angle != 0.0:
-        theta = np.deg2rad(angle)
-        c, s = np.cos(theta), np.sin(theta)
-        # inverse rotation about the image center
-        matrix = np.array([
-            [c, s, cx - c * cx - s * cy],
-            [-s, c, cy + s * cx - c * cy],
-        ])
-        pixels = _affine_sample(pixels, matrix)
-    if dx != 0.0 or dy != 0.0:
-        matrix = np.array([[1.0, 0.0, -dx], [0.0, 1.0, -dy]])
-        pixels = _affine_sample(pixels, matrix)
-    if zoom != 1.0:
-        inv = 1.0 / zoom
-        matrix = np.array([
-            [inv, 0.0, cx * (1.0 - inv)],
-            [0.0, inv, cy * (1.0 - inv)],
-        ])
+    theta = np.deg2rad(angle)
+    c, s = np.cos(theta), np.sin(theta)
+    inv = 1.0 / zoom
+    # inverse maps (destination -> source), rotation and zoom about the center
+    rotation = np.array([
+        [c, s, cx - c * cx - s * cy],
+        [-s, c, cy + s * cx - c * cy],
+        [0.0, 0.0, 1.0],
+    ])
+    shift = np.array([[1.0, 0.0, -dx], [0.0, 1.0, -dy], [0.0, 0.0, 1.0]])
+    scale = np.array([
+        [inv, 0.0, cx * (1.0 - inv)],
+        [0.0, inv, cy * (1.0 - inv)],
+        [0.0, 0.0, 1.0],
+    ])
+    matrix = rotation @ shift @ scale
+    pixels = frame.pixels
+    if not np.array_equal(matrix, np.eye(3)):
         pixels = _affine_sample(pixels, matrix)
     if bright != 1.0:
         pixels = np.clip(pixels * bright, 0.0, 1.0)

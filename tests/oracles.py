@@ -203,3 +203,44 @@ def tree_vote(node, x):
     while node.vote < 0:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.vote
+
+
+def reference_adam_step(value, grad, m, v, t, eta, beta1, beta2, epsilon):
+    """One whole-array Adam update in place; t is the step count after it."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    value -= eta * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+
+
+def naive_affine_sample(pixels, matrix):
+    """Per-pixel bilinear sampling of an inverse affine map, plain loops.
+
+    Destination (x, y) reads source ``matrix @ (x, y, 1)``, clipped to the
+    image (edge-replicate fill).
+    """
+    h, w, c = pixels.shape
+    out = np.zeros((h, w, c))
+    for y in range(h):
+        for x in range(w):
+            sx = matrix[0][0] * x + matrix[0][1] * y + matrix[0][2]
+            sy = matrix[1][0] * x + matrix[1][1] * y + matrix[1][2]
+            sx = min(max(sx, 0.0), w - 1.0)
+            sy = min(max(sy, 0.0), h - 1.0)
+            x0, y0 = int(math.floor(sx)), int(math.floor(sy))
+            x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+            fx, fy = sx - x0, sy - y0
+            for ch in range(c):
+                top = pixels[y0, x0, ch] * (1 - fx) + pixels[y0, x1, ch] * fx
+                bot = pixels[y1, x0, ch] * (1 - fx) + pixels[y1, x1, ch] * fx
+                out[y, x, ch] = top * (1 - fy) + bot * fy
+    return out
+
+
+def matmul3(a, b):
+    """Product of two 3x3 matrices given as nested lists."""
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]

@@ -96,6 +96,33 @@ class TestBuildAgent2:
             npt.assert_array_equal(pa.value, pb.value)
 
 
+class TestSequentialBackward:
+    """Skipping the network-input gradient leaves every parameter gradient
+    byte-equal to a full layer-by-layer backward."""
+
+    @staticmethod
+    def assert_same_param_grads(build, x):
+        # two same-seed models draw the same weights and dropout masks
+        manual, net = build().net, build().net
+        grad = np.random.default_rng(50).normal(size=manual.forward(x, train=True).shape)
+        net.forward(x, train=True)
+        g = grad
+        for layer in reversed(manual.layers):
+            g = layer.backward(g)
+        assert g.shape == x.shape
+        assert net.backward(grad) is None
+        for p, expected in zip(net.params(), manual.params()):
+            assert p.grad.tobytes() == expected.grad.tobytes(), p.name
+
+    def test_agent1_at_64(self):
+        x = np.random.default_rng(51).uniform(size=(4, 64, 64, 3))
+        self.assert_same_param_grads(lambda: agents.build_agent1(seed=3, input_size=64), x)
+
+    def test_agent2(self):
+        x = np.random.default_rng(52).normal(size=(16, 14))
+        self.assert_same_param_grads(lambda: agents.build_agent2(seed=3), x)
+
+
 class TestTrainAgent1:
     def test_separable_frames_fit(self):
         rng = np.random.default_rng(77)

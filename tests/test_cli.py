@@ -161,6 +161,26 @@ class TestFailureModes:
         assert code == 2
         assert "record 0: must be a JSON object" in error["message"]
 
+    def test_wrong_config_value_type_exits_1(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": "5"}))
+        code = main(["extract", "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "c.daft"), "--config", str(cfg)])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "ConfigurationError"
+        assert "config key folds must be an integer, got '5'" in error["message"]
+
+    def test_audio_only_manifest_record_exits_2(self, workspace, tmp_path, capsys):
+        records = json.loads(workspace["manifest"].read_text())
+        records[0]["frames"] = []
+        bad = workspace["manifest"].parent / "audio_only.json"
+        bad.write_text(json.dumps(records))
+        code = main(["extract", "--manifest", str(bad),
+                     "--out", str(tmp_path / "c.daft")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2
+        assert f"{records[0]['id']}: needs at least one frame" in error["message"]
+
     def test_zero_epochs_flag_exits_1(self, workspace, tmp_path, capsys):
         code = main(["train", "agent1", "--manifest", str(workspace["manifest"]),
                      "--out", str(tmp_path / "a1.damc"), "--epochs", "0"])

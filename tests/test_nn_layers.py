@@ -20,6 +20,9 @@ from deepagent.nn import (
     sigmoid,
     softmax,
 )
+from deepagent.nn.optim import CHUNK
+
+from oracles import reference_adam_step
 
 
 def conv_forward(layer, image):
@@ -153,6 +156,19 @@ class TestMaxPool:
     def test_window_larger_than_input_rejected(self):
         with pytest.raises(ConfigurationError):
             MaxPool2D(3, 1).forward(np.zeros((1, 2, 2, 1)), train=True)
+
+    @pytest.mark.parametrize("pool, stride", [(3, 2), (2, 2), (3, 1), (2, 3)])
+    def test_inference_output_equals_train_output_with_ties(self, pool, stride):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            # few distinct values, so most windows hold tied maxima
+            x = rng.integers(-2, 3, size=(3, 9, 11, 4)).astype(float)
+            x[0, :4, :4, :] = 0.5
+            layer = MaxPool2D(pool, stride)
+            infer = layer.forward(x, train=False)
+            train = layer.forward(x, train=True)
+            assert infer.shape == train.shape
+            assert infer.tobytes() == train.tobytes()
 
     def test_backward_routes_to_argmax_and_conserves_sum(self):
         rng = np.random.default_rng(3)
@@ -372,3 +388,53 @@ class TestAdam:
         opt = Adam([p])
         with pytest.raises(TrainingError, match="conv1.kernel"):
             opt.step()
+
+
+class TestAdamOracle:
+    """Chunked Adam against the whole-array formula, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_five_steps_match_whole_array_formula(self, dtype):
+        rng = np.random.default_rng(40)
+        # one parameter inside a single chunk, one spanning several with a
+        # partial last chunk
+        shapes = [(7, 5), (3, CHUNK // 2 + 11)]
+        params = [Param(f"p{i}", rng.normal(size=s).astype(dtype))
+                  for i, s in enumerate(shapes)]
+        ref_values = [p.value.copy() for p in params]
+        ref_m = [np.zeros_like(p.value) for p in params]
+        ref_v = [np.zeros_like(p.value) for p in params]
+        eta, b1, b2, eps = 0.001, 0.9, 0.999, 1e-7
+        opt = Adam(params, eta=eta, beta1=b1, beta2=b2, epsilon=eps)
+        for t in range(1, 6):
+            for i, p in enumerate(params):
+                p.grad[...] = rng.normal(size=p.value.shape).astype(dtype)
+                reference_adam_step(ref_values[i], p.grad, ref_m[i], ref_v[i], t,
+                                    eta, b1, b2, eps)
+            opt.step()
+            for i, p in enumerate(params):
+                assert p.value.dtype == dtype
+                assert p.value.tobytes() == ref_values[i].tobytes()
+                assert opt.m[i].tobytes() == ref_m[i].tobytes()
+                assert opt.v[i].tobytes() == ref_v[i].tobytes()
+
+    def test_non_finite_gradient_leaves_every_value_untouched(self):
+        rng = np.random.default_rng(41)
+        params = [Param("dense.weights", rng.normal(size=(4, 3))),
+                  Param("conv5.kernel", rng.normal(size=CHUNK + 5))]
+        opt = Adam(params, eta=0.01)
+        for p in params:
+            p.grad[...] = rng.normal(size=p.value.shape)
+        opt.step()
+        before = [(p.value.copy(), m.copy(), v.copy())
+                  for p, m, v in zip(params, opt.m, opt.v)]
+        for p in params:
+            p.grad[...] = 1.0
+        params[1].grad[CHUNK + 2] = np.inf
+        with pytest.raises(TrainingError, match="non-finite gradient for conv5.kernel"):
+            opt.step()
+        assert opt.t == 1
+        for (value, m, v), p, m_now, v_now in zip(before, params, opt.m, opt.v):
+            assert p.value.tobytes() == value.tobytes()
+            assert m_now.tobytes() == m.tobytes()
+            assert v_now.tobytes() == v.tobytes()

@@ -12,6 +12,7 @@ from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import CONFIG_ENV_VAR, load_config
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
 from deepagent.manifest import assign_splits, load_manifest
+from deepagent.nn.checkpoint import save_checkpoint
 
 
 def write_sample_files(root, sid):
@@ -76,6 +77,18 @@ class TestManifest:
         path.write_text(json.dumps([{"id": "x", "label": 0, "frames": []}]))
         with pytest.raises(IngestionError, match="at least one"):
             load_manifest(path)
+
+    def test_audio_only_record_reported_with_other_violations(self, tmp_path):
+        (tmp_path / "a.wav").write_bytes(b"RIFF")
+        entries = [{"id": "talk", "label": 0, "frames": [], "audio": "a.wav"},
+                   {"id": "mute", "label": 1, "audio": "a.wav"},
+                   {"id": "b", "label": 5, "frames": ["nope.pgm"]}]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(IngestionError, match="4 manifest violation") as info:
+            load_manifest(path)
+        assert "talk: needs at least one frame" in str(info.value)
+        assert "mute: needs at least one frame" in str(info.value)
 
 
 class FakeRecord:
@@ -174,6 +187,31 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(key) + " must be >="):
             load_config(path, {})
 
+    @pytest.mark.parametrize("data, key", [
+        ({"folds": "5"}, "folds"),
+        ({"seed": True}, "seed"),
+        ({"seed": 4.0}, "seed"),
+        ({"desk_scale": 1}, "desk_scale"),
+        ({"train_fraction": "0.7"}, "train_fraction"),
+        ({"frame_policy": 5}, "frame_policy"),
+        ({"m": None}, "m"),
+        ({"agent1": {"augment": "no"}}, "agent1.augment"),
+        ({"agent1": {"epochs": 2.5}}, "agent1.epochs"),
+        ({"agent1": {"learning_rate": False}}, "agent1.learning_rate"),
+        ({"agent2": {"lr_factor": [0.5]}}, "agent2.lr_factor"),
+    ])
+    def test_wrong_value_type_names_key(self, tmp_path, data, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=re.escape(key) + " must be "):
+            load_config(path, {})
+
+    def test_float_key_accepts_integer(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"agent2": {"learning_rate": 1}}))
+        value = load_config(path, {}).agent2.learning_rate
+        assert value == 1.0 and isinstance(value, float)
+
 
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -209,6 +247,26 @@ class TestCache:
         path = tmp_path / "cache.daft"
         write_cache(path, {"w": np.arange(4, dtype=np.float32)})
         assert read_cache(path)["w"].dtype == np.float32
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_cache(path, {"new": np.ones(3)}),
+        lambda path: update_cache(path, {"new": np.ones(3)}),
+        lambda path: save_checkpoint(path, [(7, np.ones((2, 2)))], model_kind=2,
+                                     input_size=14, dtype_bits=64),
+    ], ids=["write_cache", "update_cache", "save_checkpoint"])
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact.bin"
+        write_cache(path, {"old": np.zeros(2)})
+        old = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.daft"

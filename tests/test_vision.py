@@ -1,5 +1,7 @@
 """Frame ingestion, geometry transforms, sampling policies, augmentation."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,7 @@ from deepagent import vision
 from deepagent.errors import ConfigurationError, IngestionError
 from deepagent.vision import AugmentPolicy, Frame
 
-from oracles import naive_bilinear_resize
+from oracles import matmul3, naive_affine_sample, naive_bilinear_resize
 
 
 class TestLoadFrame:
@@ -167,3 +169,52 @@ class TestAugment:
             AugmentPolicy(rotation_deg=45.0)
         with pytest.raises(ConfigurationError):
             AugmentPolicy(brightness=(0.5, 1.0))
+
+
+class TestAugmentOracle:
+    """One resample through the composed map, against a per-pixel loop."""
+
+    @staticmethod
+    def expected(frame, policy, rng):
+        """Draw as augment does, compose rotation o shift o zoom by hand,
+        sample naively, then brightness and flip."""
+        h, w, _ = frame.pixels.shape
+        angle = rng.uniform(-policy.rotation_deg, policy.rotation_deg)
+        dx = rng.uniform(-policy.shift_frac, policy.shift_frac) * w
+        dy = rng.uniform(-policy.shift_frac, policy.shift_frac) * h
+        zoom = rng.uniform(1.0 - policy.zoom_frac, 1.0 + policy.zoom_frac)
+        bright = rng.uniform(*policy.brightness)
+        flip = rng.random() < 0.5
+        cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+        c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+        # each map sends a destination pixel to its source pixel
+        rotation = [[c, s, cx - c * cx - s * cy], [-s, c, cy + s * cx - c * cy],
+                    [0.0, 0.0, 1.0]]
+        shift = [[1.0, 0.0, -dx], [0.0, 1.0, -dy], [0.0, 0.0, 1.0]]
+        z = 1.0 / zoom
+        scale = [[z, 0.0, cx * (1.0 - z)], [0.0, z, cy * (1.0 - z)],
+                 [0.0, 0.0, 1.0]]
+        matrix = matmul3(rotation, matmul3(shift, scale))
+        pixels = np.clip(naive_affine_sample(frame.pixels, matrix) * bright, 0.0, 1.0)
+        return pixels[:, ::-1, :] if flip else pixels
+
+    @pytest.mark.parametrize("shape", [(9, 13, 3), (16, 16, 3), (7, 5, 1)])
+    def test_matches_naive_sampler_on_composed_matrix(self, shape):
+        policy = AugmentPolicy()
+        for seed in range(8):
+            frame = Frame(np.random.default_rng(seed).uniform(0, 1, size=shape))
+            rng = np.random.default_rng(100 + seed)
+            mirror = np.random.default_rng(100 + seed)
+            out = vision.augment(frame, policy, rng)
+            npt.assert_allclose(out.pixels, self.expected(frame, policy, mirror),
+                                rtol=0, atol=1e-12)
+            # six draws, no more and no fewer
+            assert rng.bit_generator.state == mirror.bit_generator.state
+
+    def test_draw_count_without_flip(self):
+        policy = AugmentPolicy(horizontal_flip=False)
+        rng = np.random.default_rng(7)
+        vision.augment(Frame(np.zeros((4, 4, 3))), policy, rng)
+        mirror = np.random.default_rng(7)
+        mirror.uniform(size=5)
+        assert rng.bit_generator.state == mirror.bit_generator.state
