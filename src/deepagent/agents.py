@@ -4,7 +4,9 @@ Agent-1 is a five-block convolutional stack (channels-last) ending in
 global average pooling and a two-way softmax head; its per-frame fake
 probability is the softmax component for class 1 and per-video scores are
 the plain mean over frames. Agent-2 is a 14 -> 128 -> 64 -> 32 -> 1
-sigmoid network over the multimodal feature vector.
+sigmoid network over the multimodal feature vector. ``score_video`` turns
+a video's frames into one float and ``predict_agent2`` scores a whole N x 14
+feature matrix in one forward.
 
 Training is single-threaded and fully seeded: batch shuffling, dropout,
 and augmentation all derive from the one seed, so identical runs produce
@@ -77,13 +79,6 @@ class Agent2Model:
         """(kind, array) per checkpoint record after the metadata."""
         return [(ckpt.KIND_STD_MU, self.input_mu),
                 (ckpt.KIND_STD_SIGMA, self.input_sigma)] + self.net.state()
-
-
-@dataclass
-class VideoScore:
-    sample_id: str
-    frame_scores: list[float]
-    aggregated: float
 
 
 def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent1Model:
@@ -174,17 +169,11 @@ def predict_frames(model: Agent1Model, frames: np.ndarray) -> np.ndarray:
     return probs[:, 1]
 
 
-def aggregate_video(frame_scores) -> float:
-    """Mean of the per-frame scores."""
-    scores = list(frame_scores)
-    if not scores:
-        raise UsageError("cannot aggregate an empty list of frame scores")
-    return float(np.mean(scores))
-
-
-def score_video(model: Agent1Model, sample_id: str, frames: np.ndarray) -> VideoScore:
-    scores = predict_frames(model, frames)
-    return VideoScore(sample_id, [float(s) for s in scores], aggregate_video(scores))
+def score_video(model: Agent1Model, frames: np.ndarray) -> float:
+    """Video score: the mean fake-class probability over its frames."""
+    if len(frames) == 0:
+        raise UsageError("cannot score a video with no frames")
+    return float(np.mean(predict_frames(model, frames)))
 
 
 def predict_agent2(model: Agent2Model, X: np.ndarray) -> np.ndarray:
@@ -306,8 +295,12 @@ def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
             "lr": opt.eta,
         }
         if val_frames is not None and len(val_frames):
-            vprobs = model.net.forward(np.asarray(val_frames, dtype=model.dtype),
-                                       train=False)
+            # in batch-size slices, so validation memory does not grow with
+            # the validation set
+            vprobs = np.concatenate([
+                model.net.forward(np.asarray(val_frames[i:i + cfg.batch_size],
+                                             dtype=model.dtype), train=False)
+                for i in range(0, len(val_frames), cfg.batch_size)])
             vloss, _ = cce_batch(vprobs, np.eye(2)[np.asarray(val_labels, dtype=int)])
             row["val_loss"] = vloss
             row["val_acc"] = float(
@@ -429,9 +422,7 @@ def load_agent(path):
     dtype = np.float32 if header["dtype_bits"] == 32 else np.float64
     if header["model_kind"] == ckpt.MODEL_AGENT1:
         model = build_agent1(seed=0, input_size=header["input_size"], dtype=dtype)
-    elif header["model_kind"] == ckpt.MODEL_AGENT2:
+    else:  # load_checkpoint admits only the two model kinds
         model = build_agent2(seed=0, input_width=header["input_size"], dtype=dtype)
-    else:
-        raise UsageError(f"unknown model kind {header['model_kind']} in {path}")
     _load_state(model.state(), records, path)
     return model

@@ -40,7 +40,6 @@ class Spectrogram:
     magnitudes: np.ndarray       # frames x bins, nonnegative
     frame_length: int
     hop: int
-    window: str = "hann"
 
     @property
     def bins(self) -> int:
@@ -153,11 +152,9 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(w: Waveform, frame_length: int = FRAME_LENGTH, hop: int = HOP,
-         window: str = "hann") -> Spectrogram:
+def stft(w: Waveform, frame_length: int = FRAME_LENGTH,
+         hop: int = HOP) -> Spectrogram:
     """Magnitude spectrogram over Hann-windowed frames (no padding)."""
-    if window != "hann":
-        raise ConfigurationError(f"only the hann window is supported, got {window!r}")
     x = np.asarray(w.samples, dtype=np.float64)
     if len(x) < frame_length:
         raise FeatureExtractionError(

@@ -6,6 +6,8 @@ the entry table -- per entry: id length (u32) + UTF-8 id bytes, dtype code
 file start) -- followed by the raw little-endian IEEE-754 payloads. Writes
 are sorted by id so identical content produces identical bytes, and replace
 the file in one step, so a failed write leaves the previous cache intact.
+Reading rejects a key that is not UTF-8 and a byte width other than 4 or 8,
+naming the byte offset.
 """
 
 from __future__ import annotations
@@ -76,9 +78,17 @@ def read_cache(path) -> dict[str, np.ndarray]:
     table = []
     for _ in range(count):
         klen = u32()
-        key = blob[pos:pos + klen].decode("utf-8")
+        try:
+            key = blob[pos:pos + klen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestionError(
+                f"{path}: key at byte {pos} is not valid UTF-8") from exc
         pos += klen
         width = u32()
+        if width not in (4, 8):
+            raise IngestionError(
+                f"{path}: entry {key!r}: byte width {width} at byte {pos - 4} "
+                "is not 4 or 8")
         rank = u32()
         dims = tuple(u32() for _ in range(rank))
         if pos + 8 > len(blob):

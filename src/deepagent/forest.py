@@ -120,7 +120,7 @@ class ForestModel:
 
 
 def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
-                 seed: int = 0, bootstrap: bool = True) -> ForestModel:
+                 seed: int = 0) -> ForestModel:
     """Fit the standardizer on Z, then bag ``n_trees`` CART trees.
 
     Each tree gets its own rng (derived from ``seed``) for the bootstrap
@@ -136,10 +136,7 @@ def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
+        idx = rng.integers(0, n, size=n)
         trees.append(train_tree(Zs[idx], y[idx], rng))
     return ForestModel(trees, std)
 

@@ -1,14 +1,14 @@
-"""Meta-feature assembly and cross-validated evaluation of the fused model.
+"""Cross-validated evaluation of the fused model on the N x 2 score matrix.
 
-Per video the two agents each contribute one score in [0, 1]; those pairs
-(or their four-component complement expansion when ``meta_dims=4``) feed a
-random forest evaluated under stratified K-fold cross-validation. The
-standardizer is fit on each fold's training split only.
+Per video the two agents each contribute one score in [0, 1]; row i of the
+score matrix holds ``[agent1, agent2]`` for video i. Those rows (or their
+four-component complement expansion when ``meta_dims=4``) feed a random
+forest evaluated under stratified K-fold cross-validation. The
+standardizer is fit on each fold's training split only. Each fold yields
+one JSON-ready row dict; ``fold_report`` appends their mean.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,123 +23,59 @@ from deepagent.metrics import (
     roc_auc,
 )
 
-
-@dataclass
-class MetaFeature:
-    sample_id: str
-    z: np.ndarray          # [agent1 score, agent2 score]
-    label: int
+# metric keys of a fold row, in report order; precision/recall are for the
+# fake class, the *_macro pair averages both classes
+_METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "auc",
+                "precision_macro", "recall_macro")
 
 
-@dataclass
-class FoldResult:
-    """Per-fold metrics as fractions; precision/recall are for the fake class."""
-
-    fold: int
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    auc: float
-    precision_macro: float
-    recall_macro: float
-    roc: list = field(default_factory=list)
-
-    def row(self) -> dict:
-        return {
-            "fold": self.fold,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "precision_macro": self.precision_macro,
-            "recall_macro": self.recall_macro,
-        }
-
-
-def build_meta_features(agent1_scores, agent2_scores, labels) -> list[MetaFeature]:
-    """Align the three (sample_id, value) sequences into meta-features.
-
-    Order follows ``agent1_scores``; any id missing from either other
-    sequence is an error listing every unmatched id.
-    """
-    a1 = list(agent1_scores)
-    a2 = dict(agent2_scores)
-    lab = dict(labels)
-    if len(a1) != len(a2) or len(a1) != len(lab):
-        raise UsageError(
-            f"score/label lengths differ: {len(a1)}, {len(a2)}, {len(lab)}")
-    missing = [sid for sid, _ in a1 if sid not in a2 or sid not in lab]
-    if missing:
-        raise UsageError(f"unmatched sample ids: {', '.join(sorted(missing))}")
-    return [
-        MetaFeature(sid, np.array([s1, a2[sid]], dtype=float), int(lab[sid]))
-        for sid, s1 in a1
-    ]
-
-
-def expand_meta(z: np.ndarray, meta_dims: int) -> np.ndarray:
-    """2-dim scores, or the redundant 4-component variant
+def expand_meta(scores: np.ndarray, meta_dims: int) -> np.ndarray:
+    """The N x 2 scores, or the redundant N x 4 variant
     [p1(real), p1(fake), p2(consistent), p2(inconsistent)]."""
     if meta_dims == 2:
-        return z
+        return scores
     if meta_dims == 4:
-        return np.array([1.0 - z[0], z[0], 1.0 - z[1], z[1]])
+        return np.column_stack([1.0 - scores[:, 0], scores[:, 0],
+                                1.0 - scores[:, 1], scores[:, 1]])
     raise UsageError(f"meta_dims must be 2 or 4, got {meta_dims}")
 
 
-def cross_validate_meta(meta: list[MetaFeature], *, folds: int = 5,
-                        n_trees: int = 100, seed: int = 42,
-                        meta_dims: int = 2) -> list[FoldResult]:
-    """Run the stratified-CV evaluation loop over assembled meta-features."""
-    Z = np.stack([expand_meta(m.z, meta_dims) for m in meta])
-    y = np.array([m.label for m in meta], dtype=int)
-    results = []
+def cross_validate_meta(scores, labels, *, folds: int = 5, n_trees: int = 100,
+                        seed: int = 42, meta_dims: int = 2) -> list[dict]:
+    """One row per fold: the metrics as fractions plus the fold's ROC points."""
+    scores = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    if scores.shape != (len(y), 2):
+        raise UsageError(
+            f"scores must be N x 2 for {len(y)} labels, got shape {scores.shape}")
+    Z = expand_meta(scores, meta_dims)
+    rows = []
     for f, (train_idx, val_idx) in enumerate(stratified_kfold(y, folds, seed)):
         model = train_forest(Z[train_idx], y[train_idx], n_trees=n_trees,
                              seed=seed + f)
         probs, preds = predict_forest_batch(model, Z[val_idx])
         cm = confusion(y[val_idx], preds)
         roc = roc_auc(y[val_idx], probs)
-        results.append(FoldResult(
-            fold=f + 1,
-            accuracy=accuracy(cm),
-            precision=precision(cm, 1)[0],
-            recall=recall(cm, 1)[0],
-            f1=macro_f1(cm),
-            auc=roc.auc,
-            precision_macro=(precision(cm, 0)[0] + precision(cm, 1)[0]) / 2.0,
-            recall_macro=(recall(cm, 0)[0] + recall(cm, 1)[0]) / 2.0,
-            roc=[list(p) for p in roc.points],
-        ))
-    return results
-
-
-def mean_row(results: list[FoldResult]) -> dict:
-    keys = ("accuracy", "precision", "recall", "f1", "auc",
-            "precision_macro", "recall_macro")
-    row = {"fold": "mean"}
-    for key in keys:
-        row[key] = float(np.mean([getattr(r, key) for r in results]))
-    return row
-
-
-def _json_threshold(value: float):
-    # strict JSON has no Infinity literal; sentinels become strings
-    if value == float("inf"):
-        return "inf"
-    if value == float("-inf"):
-        return "-inf"
-    return value
-
-
-def fold_report(results: list[FoldResult]) -> list[dict]:
-    """JSON-ready rows: one per fold (with ROC points) plus the mean row."""
-    rows = []
-    for r in results:
-        row = r.row()
-        row["roc"] = [[fpr, tpr, _json_threshold(thr)] for fpr, tpr, thr in r.roc]
-        rows.append(row)
-    rows.append(mean_row(results))
+        rows.append({
+            "fold": f + 1,
+            "accuracy": accuracy(cm),
+            "precision": precision(cm, 1)[0],
+            "recall": recall(cm, 1)[0],
+            "f1": macro_f1(cm),
+            "auc": roc.auc,
+            "precision_macro": (precision(cm, 0)[0] + precision(cm, 1)[0]) / 2.0,
+            "recall_macro": (recall(cm, 0)[0] + recall(cm, 1)[0]) / 2.0,
+            # strict JSON has no Infinity literal: the end-point sentinel
+            # thresholds become the strings "inf" and "-inf"
+            "roc": [[fpr, tpr, thr if np.isfinite(thr) else str(thr)]
+                    for fpr, tpr, thr in roc.points],
+        })
     return rows
+
+
+def fold_report(rows: list[dict]) -> list[dict]:
+    """The fold rows followed by their mean row (no ROC)."""
+    mean = {"fold": "mean"}
+    for key in _METRIC_KEYS:
+        mean[key] = float(np.mean([r[key] for r in rows]))
+    return rows + [mean]

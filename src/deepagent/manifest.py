@@ -1,9 +1,9 @@
 """Dataset manifests: one JSON record per video sample.
 
-A record names the sample's frames (at least one image file), its optional
-audio track, and the optional ASR/OCR sidecar text files. Validation
-happens up front and reports every violation at once, before any compute
-starts.
+A record names the sample's frames (a non-empty list of image file paths),
+its optional audio track, and the optional ASR/OCR sidecar text files (each
+a path string when present). Validation happens up front and reports every
+violation at once, before any compute starts.
 """
 
 from __future__ import annotations
@@ -46,12 +46,19 @@ def load_manifest(path) -> list[SampleRecord]:
     records: list[SampleRecord] = []
 
     def resolve(rel, what, rid):
-        if rel is None:
-            return None
         p = base / rel
         if not p.is_file():
             problems.append(f"{rid}: missing {what} file {p}")
         return p
+
+    def optional(entry, key, what, rid):
+        rel = entry.get(key)
+        if rel is None:
+            return None
+        if not isinstance(rel, str):
+            problems.append(f"{rid}: {key} must be a string")
+            return None
+        return resolve(rel, what, rid)
 
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -67,12 +74,15 @@ def load_manifest(path) -> list[SampleRecord]:
         if label not in (0, 1):
             problems.append(f"{rid}: label must be 0 or 1, got {label!r}")
             label = 0
-        frames = [resolve(f, "frame", rid) for f in entry.get("frames", [])]
-        audio = resolve(entry.get("audio"), "audio", rid)
-        if not frames:
+        frames = entry.get("frames", [])
+        if not isinstance(frames, list) or not all(isinstance(f, str) for f in frames):
+            problems.append(f"{rid}: frames must be a list of strings")
+            frames = []
+        elif not frames:
             # Agent-1 scores every sample, so a record without frames
             # could not be scored
             problems.append(f"{rid}: needs at least one frame")
+        frames = [resolve(f, "frame", rid) for f in frames]
         split = entry.get("split", "unassigned")
         if split not in SPLITS:
             problems.append(f"{rid}: unknown split {split!r}")
@@ -80,10 +90,10 @@ def load_manifest(path) -> list[SampleRecord]:
         records.append(SampleRecord(
             id=rid,
             label=int(label),
-            frames=[f for f in frames if f is not None],
-            audio=audio,
-            asr_text=resolve(entry.get("asr_text"), "asr sidecar", rid),
-            ocr_text=resolve(entry.get("ocr_text"), "ocr sidecar", rid),
+            frames=frames,
+            audio=optional(entry, "audio", "audio", rid),
+            asr_text=optional(entry, "asr_text", "asr sidecar", rid),
+            ocr_text=optional(entry, "ocr_text", "ocr sidecar", rid),
             split=split,
         ))
 

@@ -7,9 +7,11 @@ Layout (all integers unsigned 32-bit little-endian):
 
 Record kind 0 is a metadata record holding ``[model_kind, input_size,
 dtype_bits]`` as float64; it tells the loader how to rebuild the
-architecture and how wide the remaining payloads are. Round-trips are
-bit-exact. Saving replaces the file in one step, so a failed save leaves
-the previous checkpoint intact.
+architecture and how wide the remaining payloads are. A model kind other
+than Agent-1/Agent-2 or a width other than 32/64 bits is an ingestion
+fault naming the file and record 0. Round-trips are bit-exact. Saving
+replaces the file in one step, so a failed save leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ def load_checkpoint(path):
                 "input_size": int(arr[1]),
                 "dtype_bits": int(arr[2]),
             }
+            if header["model_kind"] not in (MODEL_AGENT1, MODEL_AGENT2):
+                raise IngestionError(
+                    f"{path}: record 0: unknown model kind {header['model_kind']}")
+            if header["dtype_bits"] not in (32, 64):
+                raise IngestionError(
+                    f"{path}: record 0: dtype_bits must be 32 or 64, "
+                    f"got {header['dtype_bits']}")
             width = header["dtype_bits"] // 8
         else:
             records.append((kind, arr))

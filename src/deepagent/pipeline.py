@@ -14,7 +14,7 @@ import numpy as np
 from deepagent import agents, audio, fusion, metrics, semantic, vision
 from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import PipelineConfig
-from deepagent.errors import ConfigurationError, UsageError
+from deepagent.errors import ConfigurationError, IngestionError, UsageError
 from deepagent.manifest import SampleRecord, assign_splits, by_split
 
 
@@ -152,6 +152,10 @@ def _cached_feature(entries, sample_id, cache_path) -> np.ndarray:
     if key not in entries:
         raise ConfigurationError(
             f"missing feature for sample {sample_id} in {cache_path} (rerun extract)")
+    if entries[key].shape != (semantic.FEATURE_DIM,):
+        raise IngestionError(
+            f"{cache_path}: entry {key!r} has shape {entries[key].shape}, "
+            f"expected ({semantic.FEATURE_DIM},)")
     return entries[key]
 
 
@@ -165,75 +169,57 @@ def require_checkpoint(path) -> Path:
 # scoring and fusion ---------------------------------------------------------
 
 def score_samples(records, agent1_model, agent2_model, cache_entries,
-                  config: PipelineConfig, cache_path="cache") -> list[dict]:
-    """Per-video scores from both agents, manifest order preserved.
+                  config: PipelineConfig, cache_path="cache") -> np.ndarray:
+    """N x 2 matrix of per-video scores, row i ``[agent1, agent2]`` for
+    ``records[i]``.
 
-    Frames are resized to the checkpoint's own input geometry, so a model
-    trained at desk scale scores correctly without repeating the flag.
+    Agent-1 scores each video from its frames, resized to the checkpoint's
+    own input geometry, so a model trained at desk scale scores correctly
+    without repeating the flag. Agent-2 scores the stacked N x 14 cached
+    features in one forward.
     """
-    rows = []
-    for record in records:
-        frames = load_sample_frames(record, config, size=agent1_model.input_size)
-        video = agents.score_video(agent1_model, record.id, frames)
-        feature = _cached_feature(cache_entries, record.id, cache_path)
-        # one row per call: a batched forward can differ in the last bits
-        s2 = float(agents.predict_agent2(agent2_model, feature[None])[0])
-        rows.append({
-            "id": record.id,
-            "label": record.label,
-            "split": record.split,
-            "agent1": video.aggregated,
-            "agent2": s2,
-        })
-    return rows
+    features = [_cached_feature(cache_entries, r.id, cache_path) for r in records]
+    X = np.stack(features) if features else np.zeros((0, agent2_model.input_width))
+    agent1 = [agents.score_video(agent1_model, load_sample_frames(
+        record, config, size=agent1_model.input_size)) for record in records]
+    return np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
+
+
+def _score(records, config, agent1_path, agent2_path, cache_path) -> np.ndarray:
+    """Load both checkpoints and the cache, then score every record."""
+    agent1_model = agents.load_agent(require_checkpoint(agent1_path))
+    agent2_model = agents.load_agent(require_checkpoint(agent2_path))
+    entries = _require_cache(cache_path)
+    return score_samples(records, agent1_model, agent2_model, entries,
+                         config, cache_path)
 
 
 def run_predict(records, config, agent1_path, agent2_path, cache_path,
                 out_path) -> list[dict]:
-    agent1_model = agents.load_agent(require_checkpoint(agent1_path))
-    agent2_model = agents.load_agent(require_checkpoint(agent2_path))
-    entries = _require_cache(cache_path)
+    scores = _score(records, config, agent1_path, agent2_path, cache_path)
     _ensure_splits(records, config)
-    rows = score_samples(records, agent1_model, agent2_model, entries,
-                         config, cache_path)
+    rows = [{"id": r.id, "label": r.label, "split": r.split,
+             "agent1": float(s1), "agent2": float(s2)}
+            for r, (s1, s2) in zip(records, scores)]
     Path(out_path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     return rows
 
 
-def run_fusion_pipeline(records, agent1_model, agent2_model, cache_entries,
-                        config: PipelineConfig, cache_path="cache"):
-    """Score every video with both agents, then cross-validate the fused model.
-
-    Returns (mean macro F1, fold results, score rows).
-    """
-    rows = score_samples(records, agent1_model, agent2_model, cache_entries,
-                         config, cache_path)
-    meta = fusion.build_meta_features(
-        [(r["id"], r["agent1"]) for r in rows],
-        [(r["id"], r["agent2"]) for r in rows],
-        [(r["id"], r["label"]) for r in rows],
-    )
-    results = fusion.cross_validate_meta(
-        meta, folds=config.folds, n_trees=config.forest_trees,
-        seed=config.seed, meta_dims=config.meta_dims)
-    mean_f1 = float(np.mean([r.f1 for r in results]))
-    return mean_f1, results, rows
-
-
 def run_fuse(records, config, agent1_path, agent2_path, cache_path,
              report_path) -> float:
-    agent1_model = agents.load_agent(require_checkpoint(agent1_path))
-    agent2_model = agents.load_agent(require_checkpoint(agent2_path))
-    entries = _require_cache(cache_path)
-    mean_f1, results, rows = run_fusion_pipeline(
-        records, agent1_model, agent2_model, entries, config, cache_path)
+    """Score every video with both agents, cross-validate the fused model,
+    store the scores in the cache and write the fold report; returns the
+    mean macro F1."""
+    scores = _score(records, config, agent1_path, agent2_path, cache_path)
+    report = fusion.fold_report(fusion.cross_validate_meta(
+        scores, [r.label for r in records], folds=config.folds,
+        n_trees=config.forest_trees, seed=config.seed,
+        meta_dims=config.meta_dims))
     update_cache(cache_path, {
-        f"{r['id']}/scores": np.array([r["agent1"], r["agent2"]]) for r in rows
-    })
-    report = fusion.fold_report(results)
+        f"{r.id}/scores": row for r, row in zip(records, scores)})
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n",
                                  encoding="utf-8")
-    return mean_f1
+    return report[-1]["f1"]
 
 
 # evaluation and reporting ----------------------------------------------------

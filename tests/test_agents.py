@@ -9,6 +9,7 @@ from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import UsageError
 from deepagent.nn.layers import sigmoid
+from deepagent.nn.losses import cce_batch
 
 
 def relu(x):
@@ -173,6 +174,29 @@ class TestTrainAgent1:
                             "val_acc", "lr"}
         assert row["val_acc"] is not None
 
+    def test_chunked_validation_matches_single_forward(self):
+        # 10 validation frames in slices of 4, 4 and 2
+        rng = np.random.default_rng(97)
+        frames, labels = separable_frames(rng, 8)
+        val_frames, val_labels = separable_frames(rng, 5)
+        model = agents.build_agent1(seed=3, input_size=32)
+        forward, sizes = model.net.forward, []
+
+        def recording_forward(x, train=False):
+            sizes.append(len(x))
+            return forward(x, train=train)
+
+        model.net.forward = recording_forward
+        history = agents.train_agent1(
+            model, frames, labels, val_frames, val_labels,
+            Agent1Config(epochs=1, batch_size=4, augment=False))
+        assert sizes == [4, 4, 2]
+        probs = forward(val_frames, train=False)
+        loss, _ = cce_batch(probs, np.eye(2)[val_labels])
+        assert history[0]["val_loss"] == loss
+        accuracy = float((probs.argmax(axis=1) == val_labels).mean())
+        assert history[0]["val_acc"] == accuracy
+
     def test_training_loss_non_increasing_on_separable_fixture(self):
         # end-of-epoch loss on the training set (inference mode), allowing
         # single-epoch noise of 5 percent
@@ -228,27 +252,46 @@ class TestPredictAgent1:
             assert getattr(layer, "_cache", None) is None
 
 
+@pytest.fixture
+def frames_are_scores(monkeypatch):
+    """Agent-1 returns each "frame" as its own score, so ``score_video``'s
+    reduction is checked on exact values."""
+    monkeypatch.setattr(agents, "predict_frames",
+                        lambda model, frames: np.asarray(frames, dtype=float))
+
+
+@pytest.mark.usefixtures("frames_are_scores")
 class TestAggregateVideo:
     def test_mean(self):
-        assert agents.aggregate_video([0.2, 0.4, 0.6]) == pytest.approx(0.4)
+        assert agents.score_video(None, [0.2, 0.4, 0.6]) == pytest.approx(0.4)
 
     def test_single_frame(self):
-        assert agents.aggregate_video([0.9]) == 0.9
+        assert agents.score_video(None, [0.9]) == 0.9
 
     def test_all_ones(self):
-        assert agents.aggregate_video([1.0, 1.0, 1.0]) == 1.0
+        assert agents.score_video(None, [1.0, 1.0, 1.0]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            agents.aggregate_video([])
+            agents.score_video(None, [])
 
     def test_permutation_invariant_and_bounded(self):
         rng = np.random.default_rng(84)
         scores = list(rng.uniform(size=9))
-        a = agents.aggregate_video(scores)
-        b = agents.aggregate_video(list(reversed(scores)))
+        a = agents.score_video(None, scores)
+        b = agents.score_video(None, list(reversed(scores)))
         assert a == b
         assert min(scores) <= a <= max(scores)
+
+
+class TestScoreVideo:
+    def test_mean_of_predicted_frame_scores(self):
+        rng = np.random.default_rng(87)
+        frames, _ = separable_frames(rng, 3)
+        model = agents.build_agent1(seed=4, input_size=32)
+        score = agents.score_video(model, frames)
+        assert isinstance(score, float)
+        assert score == float(np.mean(agents.predict_frames(model, frames)))
 
 
 class TestTrainAgent2:

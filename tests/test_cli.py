@@ -1,11 +1,12 @@
 """Command-line behavior: workflow order, artifacts, exit codes, error JSON."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from deepagent.cache import read_cache
+from deepagent.cache import read_cache, write_cache
 from deepagent.cli import main
 from deepagent.nn import checkpoint as ckpt
 
@@ -117,12 +118,26 @@ def rewrite_checkpoint(src, dst, edit):
                          dtype_bits=header["dtype_bits"])
 
 
-def predict_error(workspace, agent2, capsys):
+def predict_error(workspace, agent2, capsys, cache=None):
     code = main(["predict", "--manifest", str(workspace["manifest"]),
                  "--agent1", str(workspace["a1"]), "--agent2", str(agent2),
-                 "--cache", str(workspace["cache"]),
+                 "--cache", str(cache or workspace["cache"]),
                  "--out", str(workspace["root"] / "bad_scores.json")])
     return code, json.loads(capsys.readouterr().err)["error"]
+
+
+def patched_copy(src, dst, patch):
+    """Copy a file, letting ``patch`` edit its bytes in place."""
+    blob = bytearray(src.read_bytes())
+    patch(blob)
+    dst.write_bytes(bytes(blob))
+    return dst
+
+
+# a DAFT file's first entry starts after magic, version and count; a DAMC
+# file's metadata payload after magic, version, count, kind, rank and dim
+DAFT_FIRST_KEY = 16
+DAMC_META = 24
 
 
 class TestFailureModes:
@@ -151,6 +166,74 @@ class TestFailureModes:
         assert code == 2
         assert (f"kind.damc: record 2: expected kind {ckpt.KIND_STD_SIGMA} shape (14,), "
                 f"found kind {ckpt.KIND_CONV_BIAS} shape (14,)") in error["message"]
+
+    def test_unknown_checkpoint_model_kind_exits_2(self, workspace, tmp_path, capsys):
+        bad = patched_copy(workspace["a2"], tmp_path / "model.damc",
+                           lambda b: struct.pack_into("<d", b, DAMC_META, 7.0))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "model.damc: record 0: unknown model kind 7" in error["message"]
+
+    def test_checkpoint_dtype_bits_not_32_or_64_exits_2(self, workspace, tmp_path,
+                                                       capsys):
+        bad = patched_copy(workspace["a2"], tmp_path / "bits.damc",
+                           lambda b: struct.pack_into("<d", b, DAMC_META + 16, 12.0))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert ("bits.damc: record 0: dtype_bits must be 32 or 64, got 12"
+                in error["message"])
+
+    def test_cache_byte_width_not_4_or_8_exits_2(self, workspace, tmp_path, capsys):
+        klen = struct.unpack_from("<I", workspace["cache"].read_bytes(), 12)[0]
+        at = DAFT_FIRST_KEY + klen
+        bad = patched_copy(workspace["cache"], tmp_path / "width.daft",
+                           lambda b: struct.pack_into("<I", b, at, 3))
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "width.daft: entry" in error["message"]
+        assert f"byte width 3 at byte {at} is not 4 or 8" in error["message"]
+
+    def test_cache_key_not_utf8_exits_2(self, workspace, tmp_path, capsys):
+        def patch(blob):
+            blob[DAFT_FIRST_KEY] = 0xFF
+        bad = patched_copy(workspace["cache"], tmp_path / "key.daft", patch)
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"key.daft: key at byte {DAFT_FIRST_KEY} is not valid UTF-8"
+                in error["message"])
+
+    def test_cached_feature_of_wrong_width_exits_2(self, workspace, tmp_path, capsys):
+        entries = read_cache(workspace["cache"])
+        key = sorted(k for k in entries if k.endswith("/feature"))[3]
+        entries[key] = entries[key][:13]
+        bad = tmp_path / "narrow.daft"
+        write_cache(bad, entries)
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"narrow.daft: entry {key!r} has shape (13,), expected (14,)"
+                in error["message"])
+
+    def test_wrongly_typed_manifest_fields_exit_2(self, workspace, tmp_path, capsys):
+        records = json.loads(workspace["manifest"].read_text())
+        records[0]["frames"] = None
+        records[1]["frames"] = records[1]["frames"][0]
+        records[2]["audio"] = 5
+        records[3]["asr_text"] = ["a.txt"]
+        records[4]["ocr_text"] = {"path": "b.txt"}
+        bad = workspace["manifest"].parent / "wrong_types.json"
+        bad.write_text(json.dumps(records))
+        code = main(["extract", "--manifest", str(bad),
+                     "--out", str(tmp_path / "c.daft")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        ids = [r["id"] for r in records]
+        assert "5 manifest violation(s)" in error["message"]
+        for rid, what in ((ids[0], "frames must be a list of strings"),
+                          (ids[1], "frames must be a list of strings"),
+                          (ids[2], "audio must be a string"),
+                          (ids[3], "asr_text must be a string"),
+                          (ids[4], "ocr_text must be a string")):
+            assert f"{rid}: {what}" in error["message"]
 
     def test_non_object_manifest_entry_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -131,14 +131,18 @@ class TestSplitSearchOracle:
 
 
 class TestForest:
-    def test_single_tree_no_bootstrap_matches_tree(self):
+    def test_single_tree_matches_tree_on_bootstrap_draw(self):
         rng = np.random.default_rng(5)
         Z = rng.normal(size=(20, 2))
         y = (Z[:, 0] > 0).astype(int)
-        model = train_forest(Z, y, n_trees=1, seed=9, bootstrap=False)
+        model = train_forest(Z, y, n_trees=1, seed=9)
         probs, labels = predict_forest_batch(model, Z)
-        single = model.trees[0]
         std = model.standardizer
+        # tree t draws its bootstrap rows, then grows, from SeedSequence([seed, t])
+        tree_rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
+        idx = tree_rng.integers(0, len(Z), size=len(Z))
+        single = train_tree(std.apply(Z)[idx], y[idx], tree_rng)
+        assert as_tuples(single.root) == as_tuples(model.trees[0].root)
         for z, p in zip(Z, probs):
             assert p == float(tree_vote(single.root, std.apply(z[None])[0]))
 

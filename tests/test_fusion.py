@@ -1,4 +1,4 @@
-"""Meta-feature assembly and the cross-validated fusion loop."""
+"""The cross-validated fusion loop over the N x 2 score matrix."""
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +10,7 @@ from deepagent.forest import fit_standardizer, stratified_kfold
 
 
 def make_scores(n, rng, separable):
+    """(N x 2 score matrix, labels)."""
     labels = np.array([0, 1] * (n // 2))
     if separable:
         a1 = labels + rng.uniform(-0.01, 0.01, n)
@@ -17,83 +18,56 @@ def make_scores(n, rng, separable):
     else:
         a1 = np.full(n, 0.5)
         a2 = np.full(n, 0.5)
-    ids = [f"s{i}" for i in range(n)]
-    return (list(zip(ids, np.clip(a1, 0, 1))),
-            list(zip(ids, np.clip(a2, 0, 1))),
-            list(zip(ids, labels)))
-
-
-class TestBuildMetaFeatures:
-    def test_assembly_order(self):
-        meta = fusion.build_meta_features(
-            [("a", 0.9), ("b", 0.2)], [("b", 0.4), ("a", 0.1)],
-            [("a", 1), ("b", 0)])
-        assert [m.sample_id for m in meta] == ["a", "b"]
-        npt.assert_array_equal(meta[0].z, [0.9, 0.1])
-        npt.assert_array_equal(meta[1].z, [0.2, 0.4])
-
-    def test_empty_inputs(self):
-        assert fusion.build_meta_features([], [], []) == []
-
-    def test_order_preserved_at_scale(self):
-        rng = np.random.default_rng(60)
-        a1, a2, labels = make_scores(40, rng, separable=True)
-        meta = fusion.build_meta_features(a1, a2, labels)
-        assert [m.sample_id for m in meta] == [sid for sid, _ in a1]
-
-    def test_unmatched_ids_listed(self):
-        with pytest.raises(UsageError, match="zz"):
-            fusion.build_meta_features([("zz", 0.5)], [("aa", 0.5)], [("zz", 1)])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            fusion.build_meta_features([("a", 1.0)], [], [("a", 1)])
+    return np.clip(np.column_stack([a1, a2]), 0, 1), labels
 
 
 class TestExpandMeta:
     def test_two_dims_passthrough(self):
-        z = np.array([0.7, 0.2])
+        z = np.array([[0.7, 0.2]])
         npt.assert_array_equal(fusion.expand_meta(z, 2), z)
 
     def test_four_dims_complements(self):
-        out = fusion.expand_meta(np.array([0.7, 0.2]), 4)
-        npt.assert_allclose(out, [0.3, 0.7, 0.8, 0.2])
+        out = fusion.expand_meta(np.array([[0.7, 0.2]]), 4)
+        npt.assert_allclose(out, [[0.3, 0.7, 0.8, 0.2]])
 
     def test_bad_dims_rejected(self):
         with pytest.raises(UsageError):
-            fusion.expand_meta(np.zeros(2), 3)
+            fusion.expand_meta(np.zeros((1, 2)), 3)
 
 
 class TestCrossValidate:
     def test_separable_scores_reach_perfect_f1(self):
         rng = np.random.default_rng(61)
-        meta = fusion.build_meta_features(*make_scores(60, rng, separable=True))
-        results = fusion.cross_validate_meta(meta, folds=5, n_trees=25, seed=42)
-        assert np.mean([r.f1 for r in results]) == 1.0
+        scores, labels = make_scores(60, rng, separable=True)
+        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=25, seed=42)
+        assert np.mean([r["f1"] for r in rows]) == 1.0
 
     def test_uninformative_scores_near_chance(self):
         rng = np.random.default_rng(62)
-        meta = fusion.build_meta_features(*make_scores(100, rng, separable=False))
-        results = fusion.cross_validate_meta(meta, folds=5, n_trees=25, seed=42)
-        acc = np.mean([r.accuracy for r in results])
+        scores, labels = make_scores(100, rng, separable=False)
+        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=25, seed=42)
+        acc = np.mean([r["accuracy"] for r in rows])
         assert 0.4 <= acc <= 0.6
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(63)
-        scores = make_scores(40, rng, separable=True)
-        a = fusion.cross_validate_meta(fusion.build_meta_features(*scores),
-                                       folds=5, n_trees=11, seed=5)
-        b = fusion.cross_validate_meta(fusion.build_meta_features(*scores),
-                                       folds=5, n_trees=11, seed=5)
-        for ra, rb in zip(a, b):
-            assert ra.row() == rb.row()
+        scores, labels = make_scores(40, rng, separable=True)
+        a = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=11, seed=5)
+        b = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=11, seed=5)
+        assert a == b
 
     def test_four_dim_variant_runs(self):
         rng = np.random.default_rng(64)
-        meta = fusion.build_meta_features(*make_scores(40, rng, separable=True))
-        results = fusion.cross_validate_meta(meta, folds=5, n_trees=9, seed=1,
-                                             meta_dims=4)
-        assert len(results) == 5
+        scores, labels = make_scores(40, rng, separable=True)
+        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=9, seed=1,
+                                          meta_dims=4)
+        assert len(rows) == 5
+
+    def test_scores_not_matching_labels_rejected(self):
+        labels = np.array([0, 1] * 5)
+        for scores in (np.zeros((9, 2)), np.zeros((10, 3)), np.zeros(10)):
+            with pytest.raises(UsageError, match="N x 2"):
+                fusion.cross_validate_meta(scores, labels, folds=2, n_trees=1)
 
     def test_standardizer_fit_on_training_split_only(self):
         # train columns center to ~0 under the fold's standardizer while the
@@ -115,9 +89,9 @@ class TestCrossValidate:
 class TestFoldReport:
     def test_rows_plus_mean(self):
         rng = np.random.default_rng(66)
-        meta = fusion.build_meta_features(*make_scores(40, rng, separable=True))
-        results = fusion.cross_validate_meta(meta, folds=5, n_trees=9, seed=2)
-        rows = fusion.fold_report(results)
+        scores, labels = make_scores(40, rng, separable=True)
+        rows = fusion.fold_report(
+            fusion.cross_validate_meta(scores, labels, folds=5, n_trees=9, seed=2))
         assert len(rows) == 6
         assert rows[-1]["fold"] == "mean"
         assert "roc" in rows[0] and "roc" not in rows[-1]
@@ -127,9 +101,9 @@ class TestFoldReport:
     def test_roc_sentinels_are_json_safe(self):
         import json
         rng = np.random.default_rng(67)
-        meta = fusion.build_meta_features(*make_scores(20, rng, separable=True))
-        results = fusion.cross_validate_meta(meta, folds=5, n_trees=5, seed=3)
-        rows = fusion.fold_report(results)
+        scores, labels = make_scores(20, rng, separable=True)
+        rows = fusion.fold_report(
+            fusion.cross_validate_meta(scores, labels, folds=5, n_trees=5, seed=3))
         text = json.dumps(rows)
         assert "Infinity" not in text
         parsed = json.loads(text)

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from deepagent import pipeline
+from deepagent import agents, pipeline
 from deepagent.config import load_config
 from deepagent.errors import UsageError
 from deepagent.manifest import SampleRecord
@@ -63,6 +63,35 @@ class TestLoadSampleFrames:
         cfg = load_config(None, {})
         with pytest.raises(UsageError):
             pipeline.load_sample_frames(SampleRecord("x", 0), cfg)
+
+
+class TestScoreSamples:
+    def setup_method(self):
+        self.agent1 = agents.build_agent1(seed=5, input_size=32)
+        self.agent2 = agents.build_agent2(seed=6)
+        self.cfg = load_config(None, {})
+
+    def test_agent2_column_is_one_batched_forward(self, tmp_path):
+        paths = write_frames(tmp_path, 3)
+        rng = np.random.default_rng(70)
+        records = [SampleRecord(f"s{i}", i % 2, frames=paths[i % 3:])
+                   for i in range(24)]
+        entries = {f"{r.id}/feature": rng.normal(size=14) for r in records}
+        scores = pipeline.score_samples(records, self.agent1, self.agent2,
+                                        entries, self.cfg)
+        assert scores.shape == (24, 2)
+        X = np.stack([entries[f"{r.id}/feature"] for r in records])
+        batched = agents.predict_agent2(self.agent2, X)
+        assert scores[:, 1].tobytes() == batched.tobytes()
+        per_row = [agents.predict_agent2(self.agent2, x[None])[0] for x in X]
+        npt.assert_allclose(scores[:, 1], per_row, rtol=0, atol=1e-12)
+        for record, s1 in zip(records, scores[:, 0]):
+            frames = pipeline.load_sample_frames(record, self.cfg, size=32)
+            assert s1 == agents.score_video(self.agent1, frames)
+
+    def test_no_records_gives_empty_matrix(self):
+        scores = pipeline.score_samples([], self.agent1, self.agent2, {}, self.cfg)
+        assert scores.shape == (0, 2)
 
 
 class TestRenderTable:
