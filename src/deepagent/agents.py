@@ -38,7 +38,12 @@ from deepagent.nn.layers import sigmoid as sigmoid_fn
 from deepagent.nn.layers import softmax as softmax_fn
 from deepagent.nn.losses import bce_batch, cce_batch
 from deepagent.nn.optim import Adam
-from deepagent.vision import AugmentPolicy, Frame, augment
+from deepagent.semantic import FEATURE_DIM
+from deepagent.vision import AugmentPolicy, augment
+
+# Agent-1 input sides a checkpoint may declare: conv1's 11-pixel valid
+# kernel needs at least 11, and 224 is the reference geometry
+AGENT1_SIZES = range(11, 225)
 
 
 @dataclass
@@ -57,7 +62,6 @@ class Agent1Model:
 class Agent2Model:
     net: Sequential
     input_width: int
-    hidden: tuple
     seed: int
     dtype: type = np.float64
     # per-feature input conditioning, fit on the training set; equivalent to
@@ -130,13 +134,7 @@ def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent1Mo
     return Agent1Model(Sequential(layers), input_size, seed, dtype)
 
 
-def agent1_shape_chain(model: Agent1Model) -> list[tuple]:
-    """Per-sample shape after every shape-changing layer, input included."""
-    size = model.input_size
-    return model.net.shape_chain((size, size, 3))
-
-
-def build_agent2(seed: int, input_width: int = 14, hidden=(128, 64, 32),
+def build_agent2(seed: int, input_width: int = FEATURE_DIM, hidden=(128, 64, 32),
                  dtype=np.float64) -> Agent2Model:
     """Dense stack with dropout 0.2 after the first two layers, sigmoid head."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
@@ -154,7 +152,7 @@ def build_agent2(seed: int, input_width: int = 14, hidden=(128, 64, 32),
         Dense(h3, 1, rng=rng, dtype=dtype, init="xavier", name="d4"),
         Sigmoid(),
     ]
-    return Agent2Model(Sequential(layers), input_width, tuple(hidden), seed, dtype)
+    return Agent2Model(Sequential(layers), input_width, seed, dtype)
 
 
 # prediction ---------------------------------------------------------------
@@ -271,10 +269,8 @@ def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
                 continue  # batch norm needs >= 2 samples
             batch = frames[idx]
             if augment_policy is not None:
-                batch = np.stack([
-                    augment(Frame(img), augment_policy, aug_rng).pixels
-                    for img in batch
-                ]).astype(model.dtype)
+                batch = np.stack([augment(img, augment_policy, aug_rng)
+                                  for img in batch]).astype(model.dtype)
             logits = body.forward(batch, train=True)
             probs = softmax_fn(logits)
             loss, _ = cce_batch(probs, onehot[idx])
@@ -420,9 +416,19 @@ def load_agent(path):
     """Rebuild an agent from a checkpoint; returns Agent1Model or Agent2Model."""
     header, records = ckpt.load_checkpoint(path)
     dtype = np.float32 if header["dtype_bits"] == 32 else np.float64
+    size = header["input_size"]
+    # checked before building, so a corrupt size cannot size the layers
     if header["model_kind"] == ckpt.MODEL_AGENT1:
-        model = build_agent1(seed=0, input_size=header["input_size"], dtype=dtype)
+        if size not in AGENT1_SIZES:
+            raise IngestionError(
+                f"{path}: record 0: Agent-1 input size must be within "
+                f"[{AGENT1_SIZES[0]}, {AGENT1_SIZES[-1]}], got {size}")
+        model = build_agent1(seed=0, input_size=size, dtype=dtype)
     else:  # load_checkpoint admits only the two model kinds
-        model = build_agent2(seed=0, input_width=header["input_size"], dtype=dtype)
+        if size != FEATURE_DIM:
+            raise IngestionError(
+                f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
+                f"got {size}")
+        model = build_agent2(seed=0, input_width=size, dtype=dtype)
     _load_state(model.state(), records, path)
     return model

@@ -3,15 +3,17 @@
 The chain is: PCM-16 RIFF/WAVE -> mono waveform in [-1, 1] -> linear
 resampling to 16 kHz -> short-time magnitude spectra (25 ms Hann window,
 10 ms hop) -> triangular mel filterbank energies -> log + cosine transform
--> temporal mean of the first 13 coefficients. Missing or too-short audio
-never raises from :func:`embed_audio`; it yields an all-zero embedding
-flagged ``present=False``.
+-> temporal mean of the first 13 coefficients. Spectrograms are plain
+``frames x bins`` magnitude matrices and the filterbank an ``M x bins``
+weight matrix. Missing or too-short audio never raises from
+:func:`embed_audio`; it returns None, and feature assembly zero-fills and
+flags it.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from deepagent.errors import (
 )
 
 TARGET_RATE = 16000
+MIN_RATE = 8000
 FRAME_LENGTH = 400  # 25 ms at 16 kHz
 HOP = 160           # 10 ms at 16 kHz
 N_COEFFS = 13
@@ -33,34 +36,6 @@ ENERGY_FLOOR = 1e-10
 class Waveform:
     samples: np.ndarray          # float64 in [-1, 1]
     sample_rate: int
-
-
-@dataclass
-class Spectrogram:
-    magnitudes: np.ndarray       # frames x bins, nonnegative
-    frame_length: int
-    hop: int
-
-    @property
-    def bins(self) -> int:
-        return self.frame_length // 2 + 1
-
-
-@dataclass
-class MelFilterbank:
-    weights: np.ndarray          # M x bins triangular weights
-    f_min: float
-    f_max: float
-
-    @property
-    def n_filters(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass
-class AudioEmbedding:
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(N_COEFFS))
-    present: bool = True
 
 
 def read_wav(path) -> Waveform:
@@ -101,6 +76,10 @@ def read_wav(path) -> Waveform:
                 raise IngestionError(
                     f"{path}: expected mono or stereo, got {channels} channels"
                     f" at byte {body_at + 2}")
+            if rate < MIN_RATE:
+                raise IngestionError(
+                    f"{path}: sample rate {rate} Hz is below {MIN_RATE} Hz"
+                    f" at byte {body_at + 4}")
             fmt = (channels, rate)
         elif cid == b"data":
             data = (body_at, size)
@@ -136,8 +115,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
 
 def resample(w: Waveform, target: int = TARGET_RATE) -> Waveform:
     """Linear-interpolation resampling to ``target`` Hz."""
-    if w.sample_rate < 8000:
-        raise UsageError(f"source rate must be >= 8000 Hz, got {w.sample_rate}")
+    if w.sample_rate < MIN_RATE:
+        raise UsageError(f"source rate must be >= {MIN_RATE} Hz, got {w.sample_rate}")
     if w.sample_rate == target:
         return Waveform(w.samples.copy(), target)
     n = len(w.samples)
@@ -153,8 +132,9 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def stft(w: Waveform, frame_length: int = FRAME_LENGTH,
-         hop: int = HOP) -> Spectrogram:
-    """Magnitude spectrogram over Hann-windowed frames (no padding)."""
+         hop: int = HOP) -> np.ndarray:
+    """``frames x (frame_length // 2 + 1)`` magnitude spectrogram over
+    Hann-windowed frames (no padding)."""
     x = np.asarray(w.samples, dtype=np.float64)
     if len(x) < frame_length:
         raise FeatureExtractionError(
@@ -162,9 +142,7 @@ def stft(w: Waveform, frame_length: int = FRAME_LENGTH,
     n_frames = (len(x) - frame_length) // hop + 1
     window = hann_window(frame_length)
     idx = np.arange(frame_length)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * window
-    mags = np.abs(np.fft.rfft(frames, axis=1))
-    return Spectrogram(mags, frame_length, hop)
+    return np.abs(np.fft.rfft(x[idx] * window, axis=1))
 
 
 def hz_to_mel(f):
@@ -177,8 +155,9 @@ def mel_to_hz(m):
 
 def mel_filterbank(n_filters: int = N_COEFFS, n_bins: int = FRAME_LENGTH // 2 + 1,
                    sample_rate: int = TARGET_RATE, f_min: float = 0.0,
-                   f_max: float | None = None) -> MelFilterbank:
-    """Triangular filters with peaks equally spaced on the mel scale."""
+                   f_max: float | None = None) -> np.ndarray:
+    """``n_filters x n_bins`` triangular weights with peaks equally spaced
+    on the mel scale."""
     if f_max is None:
         f_max = sample_rate / 2.0
     points = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
@@ -189,17 +168,16 @@ def mel_filterbank(n_filters: int = N_COEFFS, n_bins: int = FRAME_LENGTH // 2 + 
         rising = (bin_hz - left) / max(center - left, 1e-12)
         falling = (right - bin_hz) / max(right - center, 1e-12)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return MelFilterbank(weights, f_min, f_max)
+    return weights
 
 
-def mel_energies(spec: Spectrogram, fb: MelFilterbank) -> np.ndarray:
+def mel_energies(magnitudes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-frame filterbank energies: weighted sums of the power spectrum."""
-    if fb.weights.shape[1] != spec.magnitudes.shape[1]:
+    if weights.shape[1] != magnitudes.shape[1]:
         raise ConfigurationError(
-            f"filterbank has {fb.weights.shape[1]} bins, spectrogram has "
-            f"{spec.magnitudes.shape[1]}")
-    power = spec.magnitudes ** 2
-    return power @ fb.weights.T
+            f"filterbank has {weights.shape[1]} bins, spectrogram has "
+            f"{magnitudes.shape[1]}")
+    return magnitudes ** 2 @ weights.T
 
 
 def mfcc(energies: np.ndarray, n_coeffs: int = N_COEFFS) -> np.ndarray:
@@ -218,16 +196,16 @@ def mfcc(energies: np.ndarray, n_coeffs: int = N_COEFFS) -> np.ndarray:
     return log_e @ basis.T
 
 
-def embed_audio(w: Waveform | None, *, mel_filters: int = N_COEFFS) -> AudioEmbedding:
-    """Temporal mean of the MFCC matrix; zeros with present=False on failure."""
+def embed_audio(w: Waveform | None, *, mel_filters: int = N_COEFFS) -> np.ndarray | None:
+    """Temporal mean of the MFCC matrix (13 values); None when the audio is
+    absent or shorter than one analysis frame."""
     if w is None or len(w.samples) == 0:
-        return AudioEmbedding(np.zeros(N_COEFFS), present=False)
+        return None
     if w.sample_rate != TARGET_RATE:
         w = resample(w, TARGET_RATE)
     try:
-        spec = stft(w)
+        mags = stft(w)
     except FeatureExtractionError:
-        return AudioEmbedding(np.zeros(N_COEFFS), present=False)
-    fb = mel_filterbank(n_filters=mel_filters, n_bins=spec.bins)
-    coeffs = mfcc(mel_energies(spec, fb))
-    return AudioEmbedding(coeffs.mean(axis=0), present=True)
+        return None
+    weights = mel_filterbank(n_filters=mel_filters, n_bins=mags.shape[1])
+    return mfcc(mel_energies(mags, weights)).mean(axis=0)

@@ -7,11 +7,13 @@ file start) -- followed by the raw little-endian IEEE-754 payloads. Writes
 are sorted by id so identical content produces identical bytes, and replace
 the file in one step, so a failed write leaves the previous cache intact.
 Reading rejects a key that is not UTF-8 and a byte width other than 4 or 8,
-naming the byte offset.
+naming the byte offset. Element counts are Python integers, so dims too
+large for the file fail as a truncated payload.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -99,12 +101,16 @@ def read_cache(path) -> dict[str, np.ndarray]:
 
     out = {}
     for key, width, dims, offset in table:
-        n = int(np.prod(dims)) if dims else 1
-        end = offset + n * width
-        if end > len(blob):
-            raise IngestionError(f"{path}: payload for {key!r} truncated")
-        out[key] = np.frombuffer(blob, dtype=f"<f{width}", count=n,
-                                 offset=offset).reshape(dims).copy()
+        n = math.prod(dims)  # a Python int: huge dims cannot wrap around
+        if offset + n * width > len(blob):
+            raise IngestionError(
+                f"{path}: payload for {key!r} at byte {offset} truncated")
+        flat = np.frombuffer(blob, dtype=f"<f{width}", count=n, offset=offset)
+        try:
+            out[key] = flat.reshape(dims).copy()
+        except ValueError:  # an empty axis beside axes numpy cannot index
+            raise IngestionError(
+                f"{path}: entry {key!r}: dims {dims} describe no array") from None
     return out
 
 

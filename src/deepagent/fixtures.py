@@ -20,7 +20,7 @@ import numpy as np
 
 from deepagent.audio import write_wav
 from deepagent.errors import IngestionError, UsageError
-from deepagent.vision import Frame, save_frame
+from deepagent.vision import save_frame
 
 # two disjoint pools: sample words come from the first, fake-OCR
 # replacements from the second, so reduced overlap is exact
@@ -113,7 +113,7 @@ def gen_fixtures(out_dir, n_samples: int, artifact_strength: float,
         frame_paths = []
         for t in range(FRAMES_PER_SAMPLE):
             rel = f"frames/{sid}_f{t:02d}.ppm"
-            save_frame(out_dir / rel, Frame(frames[t]))
+            save_frame(out_dir / rel, frames[t])
             frame_paths.append(rel)
 
         freq = rng.uniform(200.0, 2000.0)

@@ -55,20 +55,20 @@ def cross_validate_meta(scores, labels, *, folds: int = 5, n_trees: int = 100,
                              seed=seed + f)
         probs, preds = predict_forest_batch(model, Z[val_idx])
         cm = confusion(y[val_idx], preds)
-        roc = roc_auc(y[val_idx], probs)
+        points, auc = roc_auc(y[val_idx], probs)
         rows.append({
             "fold": f + 1,
             "accuracy": accuracy(cm),
             "precision": precision(cm, 1)[0],
             "recall": recall(cm, 1)[0],
             "f1": macro_f1(cm),
-            "auc": roc.auc,
+            "auc": auc,
             "precision_macro": (precision(cm, 0)[0] + precision(cm, 1)[0]) / 2.0,
             "recall_macro": (recall(cm, 0)[0] + recall(cm, 1)[0]) / 2.0,
             # strict JSON has no Infinity literal: the end-point sentinel
             # thresholds become the strings "inf" and "-inf"
             "roc": [[fpr, tpr, thr if np.isfinite(thr) else str(thr)]
-                    for fpr, tpr, thr in roc.points],
+                    for fpr, tpr, thr in points.tolist()],
         })
     return rows
 

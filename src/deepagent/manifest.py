@@ -35,10 +35,13 @@ def load_manifest(path) -> list[SampleRecord]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
         raise IngestionError(f"{path}: cannot read manifest: {exc}") from exc
     if not isinstance(raw, list):
         raise IngestionError(f"{path}: manifest must be a JSON array")
+    if not raw:
+        # nothing to extract, score or cross-validate
+        raise IngestionError(f"{path}: manifest holds no records")
 
     base = path.parent
     problems: list[str] = []

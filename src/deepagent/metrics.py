@@ -1,46 +1,17 @@
 """Confusion counts, per-class precision/recall/F1, macro F1, ROC and AUC.
 
-All values are fractions in [0, 1]; report renderers multiply by 100.
+The confusion matrix is a plain 2 x 2 int array and a ROC curve a K x 3
+array of (fpr, tpr, threshold) rows. All values are fractions in [0, 1];
+report renderers multiply by 100.
 Undefined 0/0 ratios are reported as 0.0 and flagged rather than NaN so
 report files stay finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from deepagent.errors import UsageError
-
-
-@dataclass
-class ConfusionMatrix:
-    """counts[i][j] = samples with true class i predicted as class j."""
-
-    counts: np.ndarray
-
-    def tp(self, c: int) -> int:
-        return int(self.counts[c, c])
-
-    def fp(self, c: int) -> int:
-        return int(self.counts[1 - c, c])
-
-    def fn(self, c: int) -> int:
-        return int(self.counts[c, 1 - c])
-
-    def tn(self, c: int) -> int:
-        return int(self.counts[1 - c, 1 - c])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
-class RocCurve:
-    points: list  # (fpr, tpr, threshold), thresholds descending
-    auc: float
 
 
 def _check_binary(values, name):
@@ -50,54 +21,59 @@ def _check_binary(values, name):
     return arr.astype(int)
 
 
-def confusion(labels, predictions) -> ConfusionMatrix:
+def confusion(labels, predictions) -> np.ndarray:
+    """2 x 2 int counts: [i, j] = samples of true class i predicted as j."""
     y = _check_binary(labels, "labels")
     p = _check_binary(predictions, "predictions")
     if len(y) != len(p):
         raise UsageError(f"length mismatch: {len(y)} labels vs {len(p)} predictions")
-    counts = np.zeros((2, 2), dtype=int)
-    for yi, pi in zip(y, p):
-        counts[yi, pi] += 1
-    return ConfusionMatrix(counts)
+    return np.bincount(2 * y + p, minlength=4).reshape(2, 2)
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    return float(np.trace(cm.counts) / cm.total)
+def _counts(cm: np.ndarray, c: int) -> tuple[int, int, int]:
+    """(TP, FP, FN) for class c."""
+    return int(cm[c, c]), int(cm[1 - c, c]), int(cm[c, 1 - c])
 
 
-def precision(cm: ConfusionMatrix, c: int) -> tuple[float, bool]:
+def accuracy(cm: np.ndarray) -> float:
+    return float(np.trace(cm) / cm.sum())
+
+
+def precision(cm: np.ndarray, c: int) -> tuple[float, bool]:
     """(value, defined); 0/0 yields (0.0, False)."""
-    denom = cm.tp(c) + cm.fp(c)
-    if denom == 0:
+    tp, fp, _ = _counts(cm, c)
+    if tp + fp == 0:
         return 0.0, False
-    return cm.tp(c) / denom, True
+    return tp / (tp + fp), True
 
 
-def recall(cm: ConfusionMatrix, c: int) -> tuple[float, bool]:
-    denom = cm.tp(c) + cm.fn(c)
-    if denom == 0:
+def recall(cm: np.ndarray, c: int) -> tuple[float, bool]:
+    tp, _, fn = _counts(cm, c)
+    if tp + fn == 0:
         return 0.0, False
-    return cm.tp(c) / denom, True
+    return tp / (tp + fn), True
 
 
-def f1_per_class(cm: ConfusionMatrix, c: int) -> float:
+def f1_per_class(cm: np.ndarray, c: int) -> float:
     """2*TP / (2*TP + FP + FN); a zero denominator contributes 0."""
-    denom = 2 * cm.tp(c) + cm.fp(c) + cm.fn(c)
+    tp, fp, fn = _counts(cm, c)
+    denom = 2 * tp + fp + fn
     if denom == 0:
         return 0.0
-    return 2 * cm.tp(c) / denom
+    return 2 * tp / denom
 
 
-def macro_f1(cm: ConfusionMatrix) -> float:
+def macro_f1(cm: np.ndarray) -> float:
     return 0.5 * (f1_per_class(cm, 0) + f1_per_class(cm, 1))
 
 
-def roc_auc(labels, scores) -> RocCurve:
-    """ROC curve over thresholds at each distinct score; trapezoidal AUC.
+def roc_auc(labels, scores) -> tuple[np.ndarray, float]:
+    """ROC points and trapezoidal AUC over thresholds at each distinct score.
 
-    Tied scores enter the curve in a single step, so the curve (and AUC)
-    matches the pairwise-comparison definition including half credit for
-    ties.
+    The points are a K x 3 array of (fpr, tpr, threshold) rows, thresholds
+    descending from +inf to -inf. Tied scores enter the curve in a single
+    step, so the curve (and AUC) matches the pairwise-comparison definition
+    including half credit for ties.
     """
     y = _check_binary(labels, "labels")
     s = np.asarray(scores, dtype=float)
@@ -107,24 +83,21 @@ def roc_auc(labels, scores) -> RocCurve:
         raise UsageError("ROC needs both classes present")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    n = len(y)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            tp += int(y_sorted[j])
-            fp += 1 - int(y_sorted[j])
-            j += 1
-        points.append((fp / n_neg, tp / n_pos, float(s_sorted[i])))
-        i = j
-    points.append((1.0, 1.0, float("-inf")))
+    # cumulative class counts at the last sample of each run of tied scores
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    tp = np.cumsum(y[order])[ends]
+    fp = ends + 1 - tp
+    points = np.column_stack([
+        np.concatenate([[0.0], fp / n_neg, [1.0]]),
+        np.concatenate([[0.0], tp / n_pos, [1.0]]),
+        np.concatenate([[np.inf], s_sorted[ends], [-np.inf]]),
+    ])
+    fpr, tpr = points[:, 0], points[:, 1]
+    # left-to-right trapezoid accumulation
     auc = 0.0
-    for (f0, t0, _), (f1_, t1, _) in zip(points, points[1:]):
-        auc += (f1_ - f0) * (t0 + t1) / 2.0
-    return RocCurve(points, auc)
+    for area in np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0:
+        auc += area
+    return points, float(auc)
 
 
 def metric_report(labels, predictions, scores=None) -> dict:
@@ -148,9 +121,9 @@ def metric_report(labels, predictions, scores=None) -> dict:
         "f1_per_class": [f1_per_class(cm, 0), f1_per_class(cm, 1)],
         "macro_f1": macro_f1(cm),
         "auc": None,
-        "confusion": cm.counts.tolist(),
+        "confusion": cm.tolist(),
         "undefined": undefined,
     }
     if scores is not None:
-        report["auc"] = roc_auc(labels, scores).auc
+        report["auc"] = roc_auc(labels, scores)[1]
     return report

@@ -1,4 +1,4 @@
-"""Minimal neural-network engine: layers, losses, Adam, gradient checking.
+"""Minimal neural-network engine: layers, losses, Adam, DAMC checkpoints.
 
 Tensors are numpy ndarrays (float64 by default, float32 selectable at build
 time). Every layer works on batches: spatial data is channels-last
@@ -22,7 +22,6 @@ from deepagent.nn.layers import (
 )
 from deepagent.nn.losses import bce_batch, cce_batch
 from deepagent.nn.optim import Adam
-from deepagent.nn.gradcheck import gradient_check
 from deepagent.nn.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "SoftmaxLayer",
     "bce_batch",
     "cce_batch",
-    "gradient_check",
     "load_checkpoint",
     "save_checkpoint",
     "sigmoid",

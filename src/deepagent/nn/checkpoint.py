@@ -7,15 +7,17 @@ Layout (all integers unsigned 32-bit little-endian):
 
 Record kind 0 is a metadata record holding ``[model_kind, input_size,
 dtype_bits]`` as float64; it tells the loader how to rebuild the
-architecture and how wide the remaining payloads are. A model kind other
-than Agent-1/Agent-2 or a width other than 32/64 bits is an ingestion
-fault naming the file and record 0. Round-trips are bit-exact. Saving
-replaces the file in one step, so a failed save leaves the previous
-checkpoint intact.
+architecture and how wide the remaining payloads are. Metadata that is not
+three whole numbers, a model kind other than Agent-1/Agent-2 or a width
+other than 32/64 bits is an ingestion fault naming the file and record 0.
+Element counts are Python integers, so dims too large for the file fail as
+a truncated payload. Round-trips are bit-exact. Saving replaces the file in
+one step, so a failed save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -91,16 +93,24 @@ def load_checkpoint(path):
         kind = u32()
         rank = u32()
         dims = tuple(u32() for _ in range(rank))
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # a Python int: huge dims cannot wrap around
         size = n * (8 if idx == 0 else width)
         if pos + size > len(blob):
             raise IngestionError(f"{path}: truncated payload at byte {pos}")
-        arr = np.frombuffer(blob, dtype=f"<f{8 if idx == 0 else width}",
-                            count=n, offset=pos).reshape(dims).copy()
+        flat = np.frombuffer(blob, dtype=f"<f{8 if idx == 0 else width}",
+                             count=n, offset=pos)
+        try:
+            arr = flat.reshape(dims).copy()
+        except ValueError:  # an empty axis beside axes numpy cannot index
+            raise IngestionError(
+                f"{path}: record {idx}: dims {dims} at byte {pos} describe no array"
+            ) from None
         pos += size
         if idx == 0:
-            if kind != KIND_META or arr.shape != (3,):
-                raise IngestionError(f"{path}: malformed metadata record")
+            if (kind != KIND_META or arr.shape != (3,) or not np.isfinite(arr).all()
+                    or (arr != np.round(arr)).any()):
+                raise IngestionError(
+                    f"{path}: record 0: metadata must be three whole numbers")
             header = {
                 "model_kind": int(arr[0]),
                 "input_size": int(arr[1]),

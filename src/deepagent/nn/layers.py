@@ -398,31 +398,19 @@ class SoftmaxLayer(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: zero units with probability p at train time and
-    scale survivors by 1/(1-p); inference is the identity map.
-
-    Setting ``pin = True`` freezes the first mask drawn, so the gradient
-    checker can repeat forward passes against identical dropout noise.
-    """
+    scale survivors by 1/(1-p); inference is the identity map."""
 
     def __init__(self, p, *, rng=None, name="dropout"):
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
         self.p = p
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.pin = False
-        self._pinned_mask = None
         self._cache = None
 
     def forward(self, x, train=False):
         if not train or self.p == 0.0:
             return x
-        if self.pin:
-            if self._pinned_mask is None or self._pinned_mask.shape != x.shape:
-                self._pinned_mask = self.rng.random(x.shape) >= self.p
-            mask = self._pinned_mask
-        else:
-            self._pinned_mask = None
-            mask = self.rng.random(x.shape) >= self.p
+        mask = self.rng.random(x.shape) >= self.p
         scale = 1.0 / (1.0 - self.p)
         self._cache = (mask, scale)
         return x * mask * scale
@@ -459,18 +447,6 @@ class Sequential(Layer):
     def zero_grad(self):
         for p in self.params():
             p.grad[...] = 0.0
-
-    def shape_chain(self, in_shape):
-        """Per-sample shape after each stage layer (conv/pool/gap/dense),
-        input included; activations and regularizers are transparent."""
-        stages = (Conv2D, MaxPool2D, GlobalAvgPool, Dense)
-        chain = [in_shape]
-        shape = in_shape
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
-            if isinstance(layer, stages):
-                chain.append(shape)
-        return chain
 
 
 def sigmoid(x):

@@ -26,36 +26,33 @@ def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
 
 def load_sample_frames(record: SampleRecord, config: PipelineConfig,
                        size: int | None = None) -> np.ndarray:
-    """Load, resize, and normalize the policy-selected frames of one sample."""
+    """The policy-selected frames of one sample as an ``N x S x S x 3``
+    batch: each frame is resized, gray ones repeated to RGB, and the stack
+    rescaled from [0, 255] to [0, 1]."""
     if not record.frames:
         raise UsageError(f"{record.id}: sample has no frames")
     indices = select_frame_indices(len(record.frames), config)
     size = size if size is not None else config.input_size
     out = []
     for i in indices:
-        frame = vision.load_frame(record.frames[i])
-        if frame.channels == 1:
-            frame = vision.Frame(np.repeat(frame.pixels, 3, axis=2))
-        frame = vision.resize_bilinear(frame, size, size)
-        out.append(vision.normalize(frame).pixels)
-    return np.stack(out)
+        pixels = vision.load_frame(record.frames[i])
+        if pixels.shape[2] == 1:
+            pixels = np.repeat(pixels, 3, axis=2)
+        out.append(vision.resize_bilinear(pixels, size, size))
+    return np.stack(out) / 255.0
 
 
 # feature extraction --------------------------------------------------------
 
-def extract_sample_feature(record: SampleRecord,
-                           config: PipelineConfig) -> semantic.MultimodalFeature:
-    if record.audio is not None:
-        waveform = audio.read_wav(record.audio)
-        embedding = audio.embed_audio(waveform, mel_filters=config.mel_filters)
-    else:
-        embedding = audio.AudioEmbedding(np.zeros(audio.N_COEFFS), present=False)
-    asr = ocr = None
-    if record.asr_text is not None:
-        asr = semantic.tokenize(record.asr_text.read_text(encoding="utf-8"), "asr")
-    if record.ocr_text is not None:
-        ocr = semantic.tokenize(record.ocr_text.read_text(encoding="utf-8"), "ocr")
-    return semantic.build_feature(embedding, asr, ocr)
+def _tokens(path):
+    """Token set of a UTF-8 sidecar text file; None when there is none."""
+    if path is None:
+        return None
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return semantic.tokenize(text)
 
 
 def extract_features(records: list[SampleRecord],
@@ -63,10 +60,14 @@ def extract_features(records: list[SampleRecord],
     """Cache entries: ``<id>/feature`` (14 floats) and ``<id>/flags``."""
     entries: dict[str, np.ndarray] = {}
     for record in records:
-        feat = extract_sample_feature(record, config)
-        entries[f"{record.id}/feature"] = feat.x
-        entries[f"{record.id}/flags"] = np.array(
-            [float(feat.audio_present), float(feat.text_present)])
+        coeffs = None
+        if record.audio is not None:
+            coeffs = audio.embed_audio(audio.read_wav(record.audio),
+                                       mel_filters=config.mel_filters)
+        x, flags = semantic.build_feature(coeffs, _tokens(record.asr_text),
+                                          _tokens(record.ocr_text))
+        entries[f"{record.id}/feature"] = x
+        entries[f"{record.id}/flags"] = flags
     return entries
 
 
@@ -156,6 +157,9 @@ def _cached_feature(entries, sample_id, cache_path) -> np.ndarray:
         raise IngestionError(
             f"{cache_path}: entry {key!r} has shape {entries[key].shape}, "
             f"expected ({semantic.FEATURE_DIM},)")
+    if not np.isfinite(entries[key]).all():
+        # extract only writes finite features
+        raise IngestionError(f"{cache_path}: entry {key!r} holds non-finite values")
     return entries[key]
 
 

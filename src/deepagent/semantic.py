@@ -1,57 +1,46 @@
 """Cross-modal lexical similarity and the 14-dimensional feature vector.
 
-The similarity score measures how much of the spoken-word token set shows
-up in the frame-text token set; it is deliberately asymmetric (normalized
-by the spoken set's size only). The feature vector is the 13 audio
-coefficients followed by that score, with zero fills for absent modalities.
+A transcript or frame text becomes a ``frozenset`` of tokens. The
+similarity score measures how much of the spoken-word token set shows up
+in the frame-text token set; it is deliberately asymmetric (normalized by
+the spoken set's size only). The feature vector is the 13 audio
+coefficients followed by that score, with zero fills for absent
+modalities, and travels with a two-value presence-flag array.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from deepagent.audio import AudioEmbedding, N_COEFFS
+from deepagent.audio import N_COEFFS
 
 FEATURE_DIM = N_COEFFS + 1
 
 _SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 
 
-@dataclass
-class TokenSet:
-    tokens: set[str]
-    source: str = "asr"  # "asr" or "ocr"
-
-
-@dataclass
-class MultimodalFeature:
-    x: np.ndarray = field(default_factory=lambda: np.zeros(FEATURE_DIM))
-    audio_present: bool = False
-    text_present: bool = False
-
-
-def tokenize(text: str, source: str = "asr") -> TokenSet:
+def tokenize(text: str) -> frozenset[str]:
     """Lowercase and split on every non-alphanumeric codepoint."""
-    parts = _SPLIT.split(text.lower())
-    return TokenSet({p for p in parts if p}, source)
+    return frozenset(p for p in _SPLIT.split(text.lower()) if p)
 
 
-def lexical_similarity(audio_tokens: TokenSet, visual_tokens: TokenSet) -> float:
+def lexical_similarity(audio_tokens: frozenset[str],
+                       visual_tokens: frozenset[str]) -> float:
     """|intersection| / max(|audio tokens|, 1); always in [0, 1]."""
-    overlap = len(audio_tokens.tokens & visual_tokens.tokens)
-    return overlap / max(len(audio_tokens.tokens), 1)
+    return len(audio_tokens & visual_tokens) / max(len(audio_tokens), 1)
 
 
-def build_feature(audio: AudioEmbedding, audio_tokens: TokenSet | None,
-                  visual_tokens: TokenSet | None) -> MultimodalFeature:
-    """Assemble [audio coeffs, similarity]; absent modalities contribute zeros."""
+def build_feature(coeffs: np.ndarray | None, audio_tokens: frozenset[str] | None,
+                  visual_tokens: frozenset[str] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The 14-vector [audio coeffs, similarity] and the flags
+    [audio present, text present] as floats; absent modalities contribute
+    zeros (``coeffs`` None means no usable audio)."""
     x = np.zeros(FEATURE_DIM)
-    if audio.present:
-        x[:N_COEFFS] = audio.coeffs
+    if coeffs is not None:
+        x[:N_COEFFS] = coeffs
     text_present = audio_tokens is not None and visual_tokens is not None
     if text_present:
         x[N_COEFFS] = lexical_similarity(audio_tokens, visual_tokens)
-    return MultimodalFeature(x, audio.present, text_present)
+    return x, np.array([float(coeffs is not None), float(text_present)])

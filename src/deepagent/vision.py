@@ -1,8 +1,8 @@
-"""Frame ingestion, resizing, normalization, augmentation, and subsampling.
+"""Frame ingestion, resizing, augmentation, and subsampling.
 
-Frames live as float64 ``H x W x C`` arrays, channels 1 (gray) or 3 (RGB).
-Ingestion keeps raw byte values in [0, 255]; :func:`normalize` rescales to
-[0, 1], and augmentation operates on the normalized range.
+A frame is a plain float64 ``H x W x C`` ndarray, channels 1 (gray) or 3
+(RGB). Ingestion keeps raw byte values in [0, 255]; the pipeline rescales a
+stacked batch to [0, 1], and augmentation operates on that range.
 """
 
 from __future__ import annotations
@@ -12,23 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from deepagent.errors import ConfigurationError, IngestionError
-
-
-@dataclass
-class Frame:
-    pixels: np.ndarray  # H x W x C
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
 
 
 @dataclass
@@ -78,8 +61,9 @@ def _read_header_token(blob: bytes, pos: int, path) -> tuple[bytes, int]:
     return blob[start:pos], pos
 
 
-def load_frame(path) -> Frame:
-    """Load a binary PGM (P5) or PPM (P6) image with maxval 255."""
+def load_frame(path) -> np.ndarray:
+    """Load a binary PGM (P5) or PPM (P6) image with maxval 255 as an
+    ``H x W x C`` float64 array of the raw byte values."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:2]
@@ -106,40 +90,38 @@ def load_frame(path) -> Frame:
         raise IngestionError(
             f"{path}: expected {expected} pixel bytes, found {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    return Frame(pixels.reshape(height, width, channels))
+    return pixels.reshape(height, width, channels)
 
 
-def save_frame(path, frame: Frame) -> None:
-    """Write a frame (raw [0, 255] values) as binary PGM/PPM."""
-    pixels = np.clip(np.round(frame.pixels), 0, 255).astype(np.uint8)
-    magic = b"P5" if frame.channels == 1 else b"P6"
-    header = b"%s\n%d %d\n255\n" % (magic, frame.width, frame.height)
+def save_frame(path, pixels: np.ndarray) -> None:
+    """Write an ``H x W x C`` frame (raw [0, 255] values) as binary PGM/PPM."""
+    height, width, channels = pixels.shape
+    raw = np.clip(np.round(pixels), 0, 255).astype(np.uint8)
+    magic = b"P5" if channels == 1 else b"P6"
+    header = b"%s\n%d %d\n255\n" % (magic, width, height)
     with open(path, "wb") as fh:
-        fh.write(header + pixels.tobytes())
+        fh.write(header + raw.tobytes())
 
 
-def resize_bilinear(frame: Frame, out_h: int, out_w: int) -> Frame:
-    """Bilinear resize with half-pixel centers (corner-aligned false)."""
-    h, w = frame.height, frame.width
+def _bilinear_axis(n: int, out: int):
+    """Source neighbours and the upper weight per output index along one axis
+    (half-pixel centers, clamped to the edge)."""
+    src = np.clip((np.arange(out) + 0.5) * n / out - 0.5, 0.0, n - 1.0)
+    lo = np.floor(src).astype(int)
+    return lo, np.minimum(lo + 1, n - 1), src - lo
+
+
+def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize with half-pixel centers (corner-aligned false),
+    separable: rows are interpolated first, then columns."""
+    h, w = pixels.shape[:2]
     if h == out_h and w == out_w:
-        return Frame(frame.pixels.copy())
-    src_y = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
-    src_x = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(src_y).astype(int)
-    x0 = np.floor(src_x).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (src_y - y0)[:, None, None]
-    fx = (src_x - x0)[None, :, None]
-    p = frame.pixels
-    top = p[y0][:, x0] * (1 - fx) + p[y0][:, x1] * fx
-    bottom = p[y1][:, x0] * (1 - fx) + p[y1][:, x1] * fx
-    return Frame(top * (1 - fy) + bottom * fy)
-
-
-def normalize(frame: Frame) -> Frame:
-    """Rescale raw [0, 255] intensities to [0, 1]."""
-    return Frame(frame.pixels / 255.0)
+        return pixels.copy()
+    y0, y1, fy = _bilinear_axis(h, out_h)
+    x0, x1, fx = _bilinear_axis(w, out_w)
+    fy, fx = fy[:, None, None], fx[None, :, None]
+    rows = pixels[y0] * (1 - fy) + pixels[y1] * fy
+    return rows[:, x0] * (1 - fx) + rows[:, x1] * fx
 
 
 def sample_interval(n_frames: int, interval: int = 5) -> list[int]:
@@ -184,13 +166,14 @@ def _affine_sample(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bottom * fy
 
 
-def augment(frame: Frame, policy: AugmentPolicy, rng: np.random.Generator) -> Frame:
+def augment(pixels: np.ndarray, policy: AugmentPolicy,
+            rng: np.random.Generator) -> np.ndarray:
     """Apply rotation, shift, zoom, brightness, and flip, in that order.
 
     The draws (rotation, x shift, y shift, zoom, brightness, then the flip
     coin when flipping is enabled) are always consumed in the same order,
-    so a fixed seed reproduces the exact augmented frame. Works on
-    normalized [0, 1] pixels.
+    so a fixed seed reproduces the exact augmented frame. Works on an
+    ``H x W x C`` frame of normalized [0, 1] pixels and returns a new one.
 
     The three inverse maps compose into one matrix, rotation o shift o zoom
     (each about the image center where it applies), and the frame is
@@ -198,14 +181,15 @@ def augment(frame: Frame, policy: AugmentPolicy, rng: np.random.Generator) -> Fr
     ``ImageDataGenerator.apply_transform`` does; a draw whose product is the
     identity skips the resample.
     """
+    height, width = pixels.shape[:2]
     angle = rng.uniform(-policy.rotation_deg, policy.rotation_deg)
-    dx = rng.uniform(-policy.shift_frac, policy.shift_frac) * frame.width
-    dy = rng.uniform(-policy.shift_frac, policy.shift_frac) * frame.height
+    dx = rng.uniform(-policy.shift_frac, policy.shift_frac) * width
+    dy = rng.uniform(-policy.shift_frac, policy.shift_frac) * height
     zoom = rng.uniform(1.0 - policy.zoom_frac, 1.0 + policy.zoom_frac)
     bright = rng.uniform(policy.brightness[0], policy.brightness[1])
     flip = policy.horizontal_flip and rng.random() < 0.5
 
-    cx, cy = (frame.width - 1) / 2.0, (frame.height - 1) / 2.0
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     theta = np.deg2rad(angle)
     c, s = np.cos(theta), np.sin(theta)
     inv = 1.0 / zoom
@@ -222,13 +206,13 @@ def augment(frame: Frame, policy: AugmentPolicy, rng: np.random.Generator) -> Fr
         [0.0, 0.0, 1.0],
     ])
     matrix = rotation @ shift @ scale
-    pixels = frame.pixels
+    out = pixels
     if not np.array_equal(matrix, np.eye(3)):
-        pixels = _affine_sample(pixels, matrix)
+        out = _affine_sample(out, matrix)
     if bright != 1.0:
-        pixels = np.clip(pixels * bright, 0.0, 1.0)
+        out = np.clip(out * bright, 0.0, 1.0)
     if flip:
-        pixels = pixels[:, ::-1, :]
-    if pixels is frame.pixels:
-        pixels = pixels.copy()
-    return Frame(np.ascontiguousarray(pixels))
+        out = out[:, ::-1, :]
+    if out is pixels:
+        out = out.copy()
+    return np.ascontiguousarray(out)

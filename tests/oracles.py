@@ -1,13 +1,16 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations and test-only tools.
 
-Everything here is written the slow, obvious way (explicit loops, naive
-DFT sums) so it shares no code path with the package implementations it
-checks.
+The references are written the slow, obvious way (explicit loops, naive
+DFT sums) so they share no code path with the package implementations they
+check. The tools (finite-difference gradient check, layer shape chain)
+drive the package's own layers, which only tests need.
 """
 
 import math
 
 import numpy as np
+
+from deepagent.nn.layers import Conv2D, Dense, Dropout, GlobalAvgPool, MaxPool2D
 
 
 def naive_dft_magnitudes(signal):
@@ -244,3 +247,66 @@ def matmul3(a, b):
     """Product of two 3x3 matrices given as nested lists."""
     return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)]
+
+
+def gradient_check(model, loss_fn, x, y, h=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    Runs ``model`` (a ``Sequential``) in train mode, so batch statistics and
+    dropout paths are exercised. Every ``Dropout`` generator is rewound to
+    its starting state before each forward pass, so all passes draw the same
+    mask; otherwise the central differences would sample different noise on
+    every evaluation. Only meaningful in 64-bit precision.
+
+    ``loss_fn(prediction, y)`` must return ``(loss, dloss_dprediction)``.
+    The relative error per parameter entry is
+    ``|analytic - fd| / max(|analytic|, |fd|, 1e-8)``.
+    """
+    drops = [(layer, layer.rng.bit_generator.state)
+             for layer in model.layers if isinstance(layer, Dropout)]
+
+    def forward():
+        for layer, state in drops:
+            layer.rng.bit_generator.state = state
+        return model.forward(x, train=True)
+
+    _, dout = loss_fn(forward(), y)
+    model.zero_grad()
+    model.backward(dout)
+    analytic = [p.grad.copy() for p in model.params()]
+
+    worst = 0.0
+    for param, agrad in zip(model.params(), analytic):
+        flat = param.value.reshape(-1)
+        aflat = agrad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            lp, _ = loss_fn(forward(), y)
+            flat[i] = orig - h
+            lm, _ = loss_fn(forward(), y)
+            flat[i] = orig
+            fd = (lp - lm) / (2.0 * h)
+            denom = max(abs(aflat[i]), abs(fd), 1e-8)
+            worst = max(worst, abs(aflat[i] - fd) / denom)
+    return worst
+
+
+def shape_chain(net, in_shape):
+    """Per-sample shape after each stage layer (conv/pool/gap/dense) of a
+    ``Sequential``, input included; activations and regularizers are
+    transparent."""
+    chain = [in_shape]
+    shape = in_shape
+    for layer in net.layers:
+        shape = layer.out_shape(shape)
+        if isinstance(layer, (Conv2D, MaxPool2D, GlobalAvgPool, Dense)):
+            chain.append(shape)
+    return chain
+
+
+def agent1_shape_chain(model):
+    """Per-sample shape after every shape-changing Agent-1 layer, input
+    included."""
+    size = model.input_size
+    return shape_chain(model.net, (size, size, 3))

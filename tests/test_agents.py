@@ -11,6 +11,8 @@ from deepagent.errors import UsageError
 from deepagent.nn.layers import sigmoid
 from deepagent.nn.losses import cce_batch
 
+from oracles import agent1_shape_chain
+
 
 def relu(x):
     return np.maximum(x, 0.0)
@@ -54,7 +56,7 @@ class TestBuildAgent1:
 
     def test_shape_chain_at_reference_geometry(self):
         model = agents.build_agent1(seed=1, input_size=224)
-        chain = agents.agent1_shape_chain(model)
+        chain = agent1_shape_chain(model)
         assert chain == [
             (224, 224, 3), (54, 54, 64), (26, 26, 64), (26, 26, 128),
             (12, 12, 128), (12, 12, 256), (12, 12, 256), (12, 12, 128),

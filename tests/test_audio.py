@@ -68,6 +68,13 @@ class TestReadWav:
         with pytest.raises(IngestionError, match="byte"):
             audio.read_wav(path)
 
+    def test_rate_below_8khz_rejected_with_offset(self, tmp_path):
+        path = tmp_path / "slow.wav"
+        audio.write_wav(path, sine(440, 0.1, rate=4000), 4000)
+        with pytest.raises(IngestionError,
+                           match="slow.wav: sample rate 4000 Hz is below 8000 Hz at byte 24"):
+            audio.read_wav(path)
+
     def test_truncated_rejected_with_offset(self, tmp_path):
         path = tmp_path / "trunc.wav"
         audio.write_wav(path, sine(440, 0.1), 16000)
@@ -98,16 +105,16 @@ class TestResample:
 
 class TestStft:
     def test_zero_signal_zero_magnitudes(self):
-        spec = audio.stft(audio.Waveform(np.zeros(4000), 16000))
-        npt.assert_array_equal(spec.magnitudes, 0.0)
+        mags = audio.stft(audio.Waveform(np.zeros(4000), 16000))
+        npt.assert_array_equal(mags, 0.0)
 
     def test_one_second_gives_98_frames(self):
-        spec = audio.stft(audio.Waveform(np.zeros(16000), 16000))
-        assert spec.magnitudes.shape == (98, 201)
+        mags = audio.stft(audio.Waveform(np.zeros(16000), 16000))
+        assert mags.shape == (98, 201)
 
     def test_1khz_peak_bin(self):
-        spec = audio.stft(audio.Waveform(sine(1000), 16000))
-        peaks = spec.magnitudes.argmax(axis=1)
+        mags = audio.stft(audio.Waveform(sine(1000), 16000))
+        peaks = mags.argmax(axis=1)
         npt.assert_array_equal(peaks, 25)
 
     def test_short_signal_raises_feature_error(self):
@@ -117,37 +124,34 @@ class TestStft:
 
 class TestMelFilterbank:
     def test_zero_spectrum_zero_energies(self):
-        spec = audio.Spectrogram(np.zeros((5, 201)), 400, 160)
-        fb = audio.mel_filterbank()
-        npt.assert_array_equal(audio.mel_energies(spec, fb), 0.0)
+        weights = audio.mel_filterbank()
+        npt.assert_array_equal(audio.mel_energies(np.zeros((5, 201)), weights), 0.0)
 
     def test_unit_spectrum_collapses_to_weight_sums(self):
-        spec = audio.Spectrogram(np.ones((3, 201)), 400, 160)
-        fb = audio.mel_filterbank()
-        energies = audio.mel_energies(spec, fb)
+        weights = audio.mel_filterbank()
+        energies = audio.mel_energies(np.ones((3, 201)), weights)
         for row in energies:
-            npt.assert_allclose(row, fb.weights.sum(axis=1), rtol=1e-12)
+            npt.assert_allclose(row, weights.sum(axis=1), rtol=1e-12)
 
     def test_white_noise_matches_triple_loop(self):
         rng = np.random.default_rng(20)
-        spec = audio.Spectrogram(np.abs(rng.normal(size=(7, 201))), 400, 160)
-        fb = audio.mel_filterbank()
-        fast = audio.mel_energies(spec, fb)
-        slow = mel_energies_triple_loop(spec.magnitudes, fb.weights)
+        mags = np.abs(rng.normal(size=(7, 201)))
+        weights = audio.mel_filterbank()
+        fast = audio.mel_energies(mags, weights)
+        slow = mel_energies_triple_loop(mags, weights)
         npt.assert_allclose(fast, slow, atol=1e-9)
 
     def test_weights_nonnegative_and_unimodal(self):
-        fb = audio.mel_filterbank()
-        assert (fb.weights >= 0).all()
-        for row in fb.weights:
+        weights = audio.mel_filterbank()
+        assert (weights >= 0).all()
+        for row in weights:
             peak = row.argmax()
             assert (np.diff(row[:peak + 1]) >= 0).all()
             assert (np.diff(row[peak:]) <= 0).all()
 
     def test_bin_mismatch_rejected(self):
-        spec = audio.Spectrogram(np.ones((2, 101)), 200, 80)
         with pytest.raises(ConfigurationError):
-            audio.mel_energies(spec, audio.mel_filterbank(n_bins=201))
+            audio.mel_energies(np.ones((2, 101)), audio.mel_filterbank(n_bins=201))
 
 
 class TestMfcc:
@@ -176,34 +180,31 @@ class TestEmbedAudio:
         # and through the public op: a constant-amplitude signal yields the
         # frame-mean of its own coefficients
         w = audio.Waveform(sine(500, 0.5), 16000)
-        spec = audio.stft(w)
-        fb = audio.mel_filterbank()
-        coeffs = audio.mfcc(audio.mel_energies(spec, fb))
+        coeffs = audio.mfcc(audio.mel_energies(audio.stft(w), audio.mel_filterbank()))
         emb = audio.embed_audio(w)
-        npt.assert_allclose(emb.coeffs, coeffs.mean(axis=0), rtol=1e-12)
+        npt.assert_allclose(emb, coeffs.mean(axis=0), rtol=1e-12)
 
     def test_empty_audio_flagged_absent(self):
-        emb = audio.embed_audio(audio.Waveform(np.zeros(0), 16000))
-        assert not emb.present
-        npt.assert_array_equal(emb.coeffs, 0.0)
+        # absent audio is None; feature assembly zero-fills and flags it
+        assert audio.embed_audio(audio.Waveform(np.zeros(0), 16000)) is None
+        assert audio.embed_audio(None) is None
 
     def test_too_short_audio_flagged_absent(self):
-        emb = audio.embed_audio(audio.Waveform(np.zeros(100), 16000))
-        assert not emb.present
+        assert audio.embed_audio(audio.Waveform(np.zeros(100), 16000)) is None
 
     def test_length_always_13(self):
         for seconds in (0.05, 0.2, 1.0):
             emb = audio.embed_audio(audio.Waveform(sine(440, seconds), 16000))
-            assert emb.coeffs.shape == (13,)
+            assert emb.shape == (13,)
 
     def test_sine_matches_naive_dft_reference(self):
         samples = sine(440, 0.2)
         emb = audio.embed_audio(audio.Waveform(samples, 16000))
         ref = reference_mfcc_mean(samples)
-        npt.assert_allclose(emb.coeffs, ref, atol=1e-6)
+        npt.assert_allclose(emb, ref, atol=1e-6)
 
     def test_deterministic_across_runs(self):
         samples = sine(330, 0.3)
-        a = audio.embed_audio(audio.Waveform(samples.copy(), 16000)).coeffs
-        b = audio.embed_audio(audio.Waveform(samples.copy(), 16000)).coeffs
+        a = audio.embed_audio(audio.Waveform(samples.copy(), 16000))
+        b = audio.embed_audio(audio.Waveform(samples.copy(), 16000))
         npt.assert_array_equal(a, b)

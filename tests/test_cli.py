@@ -213,6 +213,74 @@ class TestFailureModes:
         assert (f"narrow.daft: entry {key!r} has shape (13,), expected (14,)"
                 in error["message"])
 
+    def test_cache_entry_dims_overflowing_int64_exit_2(self, workspace, tmp_path,
+                                                       capsys):
+        # (2**32 - 1)**2 elements wrap around in int64; the count must not
+        key = b"x/feature"
+        at = 12 + 4 + len(key) + 4 + 4 + 8 + 8
+        bad = tmp_path / "huge.daft"
+        bad.write_bytes(b"".join([
+            b"DAFT", struct.pack("<II", 1, 1), struct.pack("<I", len(key)), key,
+            struct.pack("<IIII", 8, 2, 2**32 - 1, 2**32 - 1), struct.pack("<Q", at),
+            bytes(16)]))
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"huge.daft: payload for 'x/feature' at byte {at} truncated"
+                in error["message"])
+
+    def test_checkpoint_record_dims_overflowing_int64_exit_2(self, workspace, tmp_path,
+                                                             capsys):
+        meta = struct.pack("<III", 0, 1, 3) + struct.pack("<3d", 2.0, 14.0, 64.0)
+        record = struct.pack("<IIII", ckpt.KIND_STD_MU, 2, 2**32 - 1, 2**32 - 1)
+        bad = tmp_path / "huge.damc"
+        bad.write_bytes(b"DAMC" + struct.pack("<II", 1, 2) + meta + record + bytes(16))
+        at = 12 + len(meta) + len(record)
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"huge.damc: truncated payload at byte {at}" in error["message"]
+
+    def test_checkpoint_metadata_not_whole_numbers_exits_2(self, workspace, tmp_path,
+                                                           capsys):
+        bad = patched_copy(workspace["a2"], tmp_path / "inf.damc",
+                           lambda b: struct.pack_into("<d", b, DAMC_META, np.inf))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert ("inf.damc: record 0: metadata must be three whole numbers"
+                in error["message"])
+
+    def test_checkpoint_agent2_width_not_14_exits_2(self, workspace, tmp_path, capsys):
+        # checked before the layers are built, so the width cannot size them
+        bad = patched_copy(workspace["a2"], tmp_path / "wide.damc",
+                           lambda b: struct.pack_into("<d", b, DAMC_META + 8, 14.0 * 2**40))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"wide.damc: record 0: Agent-2 input width must be 14, got {14 * 2**40}"
+                in error["message"])
+
+    def test_checkpoint_agent1_size_out_of_range_exits_2(self, workspace, tmp_path,
+                                                         capsys):
+        bad = patched_copy(workspace["a1"], tmp_path / "big.damc",
+                           lambda b: struct.pack_into("<d", b, DAMC_META + 8, 4096.0))
+        code = main(["predict", "--manifest", str(workspace["manifest"]),
+                     "--agent1", str(bad), "--agent2", str(workspace["a2"]),
+                     "--cache", str(workspace["cache"]),
+                     "--out", str(tmp_path / "scores.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert ("big.damc: record 0: Agent-1 input size must be within [11, 224], "
+                "got 4096") in error["message"]
+
+    def test_non_finite_cached_feature_exits_2(self, workspace, tmp_path, capsys):
+        entries = read_cache(workspace["cache"])
+        key = sorted(k for k in entries if k.endswith("/feature"))[2]
+        entries[key] = entries[key].copy()
+        entries[key][5] = np.nan
+        bad = tmp_path / "nan.daft"
+        write_cache(bad, entries)
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"nan.daft: entry {key!r} holds non-finite values" in error["message"]
+
     def test_wrongly_typed_manifest_fields_exit_2(self, workspace, tmp_path, capsys):
         records = json.loads(workspace["manifest"].read_text())
         records[0]["frames"] = None
@@ -243,6 +311,31 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2
         assert "record 0: must be a JSON object" in error["message"]
+
+    def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'[{"id": "caf\xe9"}]')
+        code = main(["extract", "--manifest", str(bad),
+                     "--out", str(tmp_path / "c.daft")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "latin1.json: cannot read manifest" in error["message"]
+
+    @pytest.mark.parametrize("command", ["extract", "fuse"])
+    def test_empty_manifest_exits_2(self, workspace, tmp_path, capsys, command):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        argv = {"extract": ["extract", "--manifest", str(empty),
+                            "--out", str(tmp_path / "c.daft")],
+                "fuse": ["fuse", "--manifest", str(empty),
+                         "--agent1", str(workspace["a1"]),
+                         "--agent2", str(workspace["a2"]),
+                         "--cache", str(workspace["cache"]),
+                         "--out", str(tmp_path / "r.json")]}[command]
+        code = main(argv)
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "empty.json: manifest holds no records" in error["message"]
 
     def test_wrong_config_value_type_exits_1(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -17,9 +17,10 @@ from deepagent.nn import (
     Sequential,
     Sigmoid,
     SoftmaxLayer,
-    gradient_check,
 )
 from deepagent.nn.losses import bce_batch, cce_batch
+
+from oracles import gradient_check
 
 TOL = 1e-4
 

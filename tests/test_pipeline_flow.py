@@ -8,7 +8,7 @@ from deepagent import agents, pipeline
 from deepagent.config import load_config
 from deepagent.errors import UsageError
 from deepagent.manifest import SampleRecord
-from deepagent.vision import Frame, save_frame
+from deepagent.vision import save_frame
 
 
 def write_frames(tmp_path, count, size=16, channels=3):
@@ -16,7 +16,7 @@ def write_frames(tmp_path, count, size=16, channels=3):
     paths = []
     for i in range(count):
         path = tmp_path / f"f{i:02d}.{'ppm' if channels == 3 else 'pgm'}"
-        save_frame(path, Frame(rng.uniform(0, 255, size=(size, size, channels))))
+        save_frame(path, rng.uniform(0, 255, size=(size, size, channels)))
         paths.append(path)
     return paths
 

@@ -6,6 +6,10 @@ second code path to keep in step with the real one; tests should drive the
 API the pipeline uses. References inside a name's own definition and the
 ``__init__`` re-exports do not count.
 
+Every field of a package dataclass is read as an attribute somewhere in the
+package: a field nothing reads is state every constructor must fill for no
+behaviour.
+
 Every callable the benchmark's tracer wraps exists, so a rename cannot
 quietly drop a layer from the traced benchmark.
 """
@@ -18,10 +22,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "deepagent"
-
-# test tools by design: the gradient checker and the shape-chain audit
-ALLOWED = {"gradient_check", "agent1_shape_chain"}
-
 
 def _public_definitions(tree):
     for node in tree.body:
@@ -38,9 +38,13 @@ def _public_definitions(tree):
                 yield name, node
 
 
+def _package_trees():
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
 def unreferenced_names():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.rglob("*.py"))}
+    trees = _package_trees()
     uses = []  # (path, node) for every Name or attribute access
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -58,10 +62,36 @@ def unreferenced_names():
     return unused
 
 
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_dataclass_fields():
+    trees = _package_trees()
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in reads):
+                    unread.append(f"{path.relative_to(SRC)}:{cls.name}.{stmt.target.id}")
+    return unread
+
+
 def test_every_public_name_is_used_in_the_package():
-    unused = [entry for entry in unreferenced_names()
-              if entry.rsplit(":", 1)[1] not in ALLOWED]
+    unused = unreferenced_names()
     assert unused == [], f"public names no package code uses: {unused}"
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    unread = unread_dataclass_fields()
+    assert unread == [], f"dataclass fields no package code reads: {unread}"
 
 
 def test_every_traced_benchmark_target_exists():
