@@ -1,16 +1,17 @@
 """The two detection agents: visual CNN and multimodal dense network.
 
 Agent-1 is a five-block convolutional stack (channels-last) ending in
-global average pooling and a two-way softmax head; its per-frame fake
-probability is the softmax component for class 1 and per-video scores are
-the plain mean over frames. Agent-2 is a 14 -> 128 -> 64 -> 32 -> 1
-sigmoid network over the multimodal feature vector. ``score_video`` turns
+global average pooling and two logits; its per-frame fake probability is
+the softmax component for class 1 and per-video scores are the plain mean
+over frames. Agent-2 is a 14 -> 128 -> 64 -> 32 -> 1 dense network over the
+multimodal feature vector, read through a sigmoid. ``score_video`` turns
 a video's frames into one float and ``predict_agent2`` scores a whole N x 14
 feature matrix in one forward.
 
-Training is single-threaded and fully seeded: batch shuffling, dropout,
-and augmentation all derive from the one seed, so identical runs produce
-identical weights.
+Both agents train in one Adam epoch loop, with the head's loss gradient
+taken at the logits. Training is single-threaded and fully seeded: batch
+shuffling, dropout, and augmentation all derive from the one seed, so
+identical runs produce identical weights.
 """
 
 from __future__ import annotations
@@ -31,12 +32,8 @@ from deepagent.nn.layers import (
     MaxPool2D,
     ReLU,
     Sequential,
-    Sigmoid,
-    SoftmaxLayer,
 )
-from deepagent.nn.layers import sigmoid as sigmoid_fn
-from deepagent.nn.layers import softmax as softmax_fn
-from deepagent.nn.losses import bce_batch, cce_batch
+from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
 from deepagent.semantic import FEATURE_DIM
 from deepagent.vision import AugmentPolicy, augment
@@ -86,7 +83,7 @@ class Agent2Model:
 
 
 def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent1Model:
-    """Five conv blocks -> GAP -> 1024 -> 512 -> 2-way softmax.
+    """Five conv blocks -> GAP -> 1024 -> 512 -> 2 logits.
 
     ``input_size`` 224 is the reference geometry; smaller inputs keep the
     same stack but clamp a pool window that no longer fits (desk-scale runs).
@@ -130,13 +127,12 @@ def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent1Mo
     add(ReLU())
     add(Dropout(0.5, rng=drop_rng(1)))
     add(Dense(512, 2, rng=rng, dtype=dtype, init="xavier", name="out"))
-    add(SoftmaxLayer())
     return Agent1Model(Sequential(layers), input_size, seed, dtype)
 
 
 def build_agent2(seed: int, input_width: int = FEATURE_DIM, hidden=(128, 64, 32),
                  dtype=np.float64) -> Agent2Model:
-    """Dense stack with dropout 0.2 after the first two layers, sigmoid head."""
+    """Dense stack with dropout 0.2 after the first two layers, one logit."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     drop_rng = lambda i: np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
     h1, h2, h3 = hidden
@@ -150,7 +146,6 @@ def build_agent2(seed: int, input_width: int = FEATURE_DIM, hidden=(128, 64, 32)
         Dense(h2, h3, rng=rng, dtype=dtype, name="d3"),
         ReLU(),
         Dense(h3, 1, rng=rng, dtype=dtype, init="xavier", name="d4"),
-        Sigmoid(),
     ]
     return Agent2Model(Sequential(layers), input_width, seed, dtype)
 
@@ -163,8 +158,7 @@ def predict_frames(model: Agent1Model, frames: np.ndarray) -> np.ndarray:
     expect = (model.input_size, model.input_size, 3)
     if frames.shape[1:] != expect:
         raise UsageError(f"frames must be {expect}, got {frames.shape[1:]}")
-    probs = model.net.forward(frames, train=False)
-    return probs[:, 1]
+    return softmax(model.net.forward(frames, train=False))[:, 1]
 
 
 def score_video(model: Agent1Model, frames: np.ndarray) -> float:
@@ -180,7 +174,7 @@ def predict_agent2(model: Agent2Model, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.input_width:
         raise UsageError(
             f"features must be N x {model.input_width}, got shape {X.shape}")
-    return model.net.forward(model.condition(X), train=False)[:, 0]
+    return sigmoid(model.net.forward(model.condition(X), train=False)[:, 0])
 
 
 # training -----------------------------------------------------------------
@@ -189,14 +183,13 @@ class TrainController:
     """Early stopping and learning-rate reduction driven by validation accuracy.
 
     Improvement resets both patience counters; ``lr_patience`` stagnant
-    epochs halve the rate (factor configurable), ``stop_patience`` stagnant
-    epochs stop training. The best-epoch weights are restored at exit.
+    epochs ask for a rate reduction, ``stop_patience`` stagnant epochs stop
+    training.
     """
 
-    def __init__(self, stop_patience: int, lr_patience: int, lr_factor: float):
+    def __init__(self, stop_patience: int, lr_patience: int):
         self.stop_patience = stop_patience
         self.lr_patience = lr_patience
-        self.lr_factor = lr_factor
         self.best = -np.inf
         self.stale = 0
         self.lr_stale = 0
@@ -222,65 +215,47 @@ def _check_two_classes(labels: np.ndarray) -> None:
         raise UsageError("training set must contain both classes")
 
 
-def _snapshot(net: Sequential):
-    return [arr.copy() for _, arr in net.state()]
+def _predicted_class(probs: np.ndarray) -> np.ndarray:
+    """argmax over K >= 2 class columns; a single column is P(class 1)."""
+    return probs.argmax(axis=1) if probs.shape[1] > 1 else probs[:, 0] >= 0.5
 
 
-def _restore(net: Sequential, snap) -> None:
-    for (_, arr), saved in zip(net.state(), snap):
-        arr[...] = saved
+def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
+         val_width=None, transform=None, controller=None) -> list[dict]:
+    """The Adam epoch loop both agents train with; returns per-epoch history.
 
-
-def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
-                 val_frames: np.ndarray | None = None,
-                 val_labels: np.ndarray | None = None,
-                 config: Agent1Config | None = None,
-                 augment_policy: AugmentPolicy | None = None) -> list[dict]:
-    """Minimize categorical cross-entropy with Adam; returns per-epoch history.
-
-    ``frames`` are normalized [0, 1] arrays shaped N x S x S x 3 with labels
-    in {0, 1}. Augmentation (when a policy is given) redraws every epoch
-    from the model seed.
+    Each batch of the ``stream``-seeded shuffle runs a train-mode forward to
+    the logits; ``head`` gives the loss and the logit gradient that is
+    backpropagated. ``transform`` rewrites each batch first (augmentation).
+    A net holding batch norm skips batches of fewer than two rows.
+    ``val = (inputs, targets, labels)`` is scored in inference mode after
+    every epoch, in slices of ``val_width`` rows (one forward when None).
+    A ``controller`` then stops early and reduces the rate by
+    ``cfg.lr_factor``, and the best-validation weights are restored.
     """
-    cfg = config or Agent1Config()
-    frames = np.asarray(frames, dtype=model.dtype)
-    labels = np.asarray(labels, dtype=int)
-    _check_two_classes(labels)
-    onehot = np.eye(2, dtype=model.dtype)[labels]
-
-    opt = Adam(model.net.params(), eta=cfg.learning_rate, beta1=cfg.beta1,
+    net = model.net
+    opt = Adam(net.params(), eta=cfg.learning_rate, beta1=cfg.beta1,
                beta2=cfg.beta2, epsilon=cfg.epsilon)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 5]))
-    aug_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 6]))
-    # train against the logits so the loss gradient (probs - onehot) stays
-    # exact even when the softmax saturates; the softmax layer itself holds
-    # no parameters
-    body = Sequential(model.net.layers[:-1])
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([model.seed, stream]))
+    min_batch = 2 if any(isinstance(layer, BatchNorm) for layer in net.layers) else 1
+    best = None
     history = []
-    n = len(frames)
     for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
-        losses = []
-        correct = 0
-        seen = 0
-        for start in range(0, n, cfg.batch_size):
+        perm = shuffle_rng.permutation(len(X))
+        losses, correct, seen = [], 0, 0
+        for start in range(0, len(X), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            if len(idx) < 2:
-                continue  # batch norm needs >= 2 samples
-            batch = frames[idx]
-            if augment_policy is not None:
-                batch = np.stack([augment(img, augment_policy, aug_rng)
-                                  for img in batch]).astype(model.dtype)
-            logits = body.forward(batch, train=True)
-            probs = softmax_fn(logits)
-            loss, _ = cce_batch(probs, onehot[idx])
+            if len(idx) < min_batch:
+                continue
+            batch = X[idx] if transform is None else transform(X[idx])
+            loss, probs, grad = head(net.forward(batch, train=True), targets[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            model.net.zero_grad()
-            body.backward((probs - onehot[idx]) / len(idx))
+            net.zero_grad()
+            net.backward(grad)
             opt.step()
             losses.append(loss)
-            correct += int((probs.argmax(axis=1) == labels[idx]).sum())
+            correct += int((_predicted_class(probs) == labels[idx]).sum())
             seen += len(idx)
         row = {
             "epoch": epoch + 1,
@@ -290,26 +265,65 @@ def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
             "val_acc": None,
             "lr": opt.eta,
         }
-        if val_frames is not None and len(val_frames):
-            # in batch-size slices, so validation memory does not grow with
-            # the validation set
-            vprobs = np.concatenate([
-                model.net.forward(np.asarray(val_frames[i:i + cfg.batch_size],
-                                             dtype=model.dtype), train=False)
-                for i in range(0, len(val_frames), cfg.batch_size)])
-            vloss, _ = cce_batch(vprobs, np.eye(2)[np.asarray(val_labels, dtype=int)])
-            row["val_loss"] = vloss
-            row["val_acc"] = float(
-                (vprobs.argmax(axis=1) == np.asarray(val_labels)).mean())
         history.append(row)
+        if val is None:
+            continue
+        val_X, val_targets, val_labels = val
+        width = val_width or len(val_X)
+        logits = np.concatenate([
+            net.forward(np.asarray(val_X[i:i + width], dtype=model.dtype), train=False)
+            for i in range(0, len(val_X), width)])
+        row["val_loss"], probs, _ = head(logits, val_targets)
+        row["val_acc"] = float((_predicted_class(probs) == val_labels).mean())
+        if controller is None:
+            continue
+        stop, reduce = controller.update(row["val_acc"])
+        if controller.stale == 0:
+            best = [arr.copy() for _, arr in net.state()]
+        if reduce:
+            opt.eta *= cfg.lr_factor
+        if stop:
+            break
+    if best is not None:
+        for (_, arr), saved in zip(net.state(), best):
+            arr[...] = saved
     return history
+
+
+def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
+                 val_frames: np.ndarray | None = None,
+                 val_labels: np.ndarray | None = None,
+                 config: Agent1Config | None = None,
+                 augment_policy: AugmentPolicy | None = None) -> list[dict]:
+    """Minimize softmax cross-entropy with Adam; returns per-epoch history.
+
+    ``frames`` are normalized [0, 1] arrays shaped N x S x S x 3 with labels
+    in {0, 1}. Augmentation (when a policy is given) redraws every epoch
+    from the model seed. Validation runs in ``batch_size`` slices, so its
+    memory does not grow with the validation set.
+    """
+    cfg = config or Agent1Config()
+    labels = np.asarray(labels, dtype=int)
+    _check_two_classes(labels)
+    onehot = np.eye(2, dtype=model.dtype)
+    transform = val = None
+    if augment_policy is not None:
+        aug_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 6]))
+        transform = lambda batch: np.stack(
+            [augment(img, augment_policy, aug_rng) for img in batch]).astype(model.dtype)
+    if val_frames is not None and len(val_frames):
+        val_labels = np.asarray(val_labels, dtype=int)
+        val = (val_frames, onehot[val_labels], val_labels)
+    return _fit(model, np.asarray(frames, dtype=model.dtype), onehot[labels], labels,
+                cfg, softmax_cce, stream=5, val=val, val_width=cfg.batch_size,
+                transform=transform)
 
 
 def train_agent2(model: Agent2Model, X: np.ndarray, y: np.ndarray,
                  val_X: np.ndarray | None = None,
                  val_y: np.ndarray | None = None,
                  config: Agent2Config | None = None) -> list[dict]:
-    """Minimize binary cross-entropy with Adam, early stopping, LR reduction.
+    """Minimize sigmoid cross-entropy with Adam, early stopping, LR reduction.
 
     Validation accuracy drives both schedules; the best-validation weights
     are restored before returning. Without a validation set the schedules
@@ -319,68 +333,17 @@ def train_agent2(model: Agent2Model, X: np.ndarray, y: np.ndarray,
     X = np.asarray(X, dtype=model.dtype)
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
-    yf = y.astype(model.dtype)
-
     model.input_mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     model.input_sigma = np.where(sigma == 0.0, 1.0, sigma)
-    X = model.condition(X)
-
-    opt = Adam(model.net.params(), eta=cfg.learning_rate, beta1=cfg.beta1,
-               beta2=cfg.beta2, epsilon=cfg.epsilon)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 7]))
-    controller = TrainController(cfg.early_stop_patience, cfg.lr_patience,
-                                 cfg.lr_factor)
-    best_weights = _snapshot(model.net)
-    # gradient taken at the logit, (probs - y), so a saturated sigmoid
-    # cannot zero out learning; the sigmoid layer holds no parameters
-    body = Sequential(model.net.layers[:-1])
-    history = []
-    n = len(X)
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
-        losses = []
-        correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            logits = body.forward(X[idx], train=True)[:, 0]
-            out = sigmoid_fn(logits)
-            loss, _ = bce_batch(out, yf[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            model.net.zero_grad()
-            body.backward(((out - yf[idx]) / len(idx))[:, None])
-            opt.step()
-            losses.append(loss)
-            correct += int(((out >= 0.5).astype(int) == y[idx]).sum())
-        row = {
-            "epoch": epoch + 1,
-            "train_loss": float(np.mean(losses)),
-            "train_acc": correct / n,
-            "val_loss": None,
-            "val_acc": None,
-            "lr": opt.eta,
-        }
-        if val_X is not None and len(val_X):
-            vout = predict_agent2(model, val_X)
-            vloss, _ = bce_batch(vout, np.asarray(val_y, dtype=model.dtype))
-            vacc = float(((vout >= 0.5).astype(int) == np.asarray(val_y)).mean())
-            row["val_loss"] = vloss
-            row["val_acc"] = vacc
-            improved = vacc > controller.best
-            stop, reduce = controller.update(vacc)
-            if improved:
-                best_weights = _snapshot(model.net)
-            if reduce:
-                opt.eta *= cfg.lr_factor
-            history.append(row)
-            if stop:
-                break
-        else:
-            history.append(row)
+    val = controller = None
     if val_X is not None and len(val_X):
-        _restore(model.net, best_weights)
-    return history
+        val_y = np.asarray(val_y, dtype=int)
+        val = (model.condition(np.asarray(val_X, dtype=model.dtype)),
+               val_y[:, None].astype(model.dtype), val_y)
+        controller = TrainController(cfg.early_stop_patience, cfg.lr_patience)
+    return _fit(model, model.condition(X), y[:, None].astype(model.dtype), y, cfg,
+                sigmoid_bce, stream=7, val=val, controller=controller)
 
 
 # checkpoints ---------------------------------------------------------------
@@ -396,7 +359,8 @@ def save_agent(model, path) -> None:
 
 
 def _load_state(state, records, path) -> None:
-    """Check every record against the model's state, then copy them in."""
+    """Check every record against the model's state (kind, shape, finite
+    values), then copy them in."""
     if len(records) != len(state):
         # record 0 is the metadata, so the first missing or extra one is
         # numbered one past the shorter list
@@ -408,6 +372,8 @@ def _load_state(state, records, path) -> None:
             raise IngestionError(
                 f"{path}: record {i}: expected kind {kind} shape {target.shape}, "
                 f"found kind {got_kind} shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise IngestionError(f"{path}: record {i}: non-finite value in kind {kind}")
     for (_, target), (_, arr) in zip(state, records):
         target[...] = arr
 

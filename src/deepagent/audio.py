@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deepagent.errors import (
-    ConfigurationError,
-    FeatureExtractionError,
-    IngestionError,
-    UsageError,
-)
+from deepagent.errors import ConfigurationError, IngestionError, UsageError
 
 TARGET_RATE = 16000
 MIN_RATE = 8000
@@ -137,7 +132,7 @@ def stft(w: Waveform, frame_length: int = FRAME_LENGTH,
     Hann-windowed frames (no padding)."""
     x = np.asarray(w.samples, dtype=np.float64)
     if len(x) < frame_length:
-        raise FeatureExtractionError(
+        raise UsageError(
             f"signal of {len(x)} samples is shorter than one {frame_length}-sample frame")
     n_frames = (len(x) - frame_length) // hop + 1
     window = hann_window(frame_length)
@@ -203,9 +198,8 @@ def embed_audio(w: Waveform | None, *, mel_filters: int = N_COEFFS) -> np.ndarra
         return None
     if w.sample_rate != TARGET_RATE:
         w = resample(w, TARGET_RATE)
-    try:
-        mags = stft(w)
-    except FeatureExtractionError:
+    if len(w.samples) < FRAME_LENGTH:
         return None
+    mags = stft(w)
     weights = mel_filterbank(n_filters=mel_filters, n_bins=mags.shape[1])
     return mfcc(mel_energies(mags, weights)).mean(axis=0)

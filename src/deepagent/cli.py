@@ -38,13 +38,9 @@ def _config_from(args) -> "pipeline.PipelineConfig":
                     "mel_filters")
     }
     epochs = getattr(args, "epochs", None)
-    cfg = load_config(getattr(args, "config", None), overrides)
     if epochs is not None:
-        if getattr(args, "agent", None) == "agent2":
-            cfg.agent2.epochs = epochs
-        else:
-            cfg.agent1.epochs = epochs
-    return cfg.validate()
+        overrides[args.agent] = {"epochs": epochs}
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@
 
 Each class carries the process exit code the CLI maps it to: 1 for
 usage/configuration problems, 2 for ingestion failures, 3 for numeric
-failures during feature extraction or training.
+failures (a non-finite loss or gradient in training).
 """
 
 
@@ -26,12 +26,6 @@ class IngestionError(DeepAgentError):
     """Malformed or missing input file."""
 
     exit_code = 2
-
-
-class FeatureExtractionError(DeepAgentError):
-    """Input unusable for feature extraction (e.g. audio shorter than one frame)."""
-
-    exit_code = 3
 
 
 class TrainingError(DeepAgentError):

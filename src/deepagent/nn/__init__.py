@@ -1,8 +1,10 @@
-"""Minimal neural-network engine: layers, losses, Adam, DAMC checkpoints.
+"""Minimal neural-network engine: layers, heads, Adam, DAMC checkpoints.
 
 Tensors are numpy ndarrays (float64 by default, float32 selectable at build
 time). Every layer works on batches: spatial data is channels-last
-``N x H x W x C``, dense data is ``N x F``.
+``N x H x W x C``, dense data is ``N x F``. Networks end at their logits;
+the softmax and sigmoid heads in ``losses`` turn them into probabilities,
+a loss and the logit gradient.
 """
 
 from deepagent.nn.layers import (
@@ -15,12 +17,8 @@ from deepagent.nn.layers import (
     Param,
     ReLU,
     Sequential,
-    Sigmoid,
-    SoftmaxLayer,
-    sigmoid,
-    softmax,
 )
-from deepagent.nn.losses import bce_batch, cce_batch
+from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
 from deepagent.nn.checkpoint import load_checkpoint, save_checkpoint
 
@@ -35,12 +33,10 @@ __all__ = [
     "Param",
     "ReLU",
     "Sequential",
-    "Sigmoid",
-    "SoftmaxLayer",
-    "bce_batch",
-    "cce_batch",
     "load_checkpoint",
     "save_checkpoint",
     "sigmoid",
+    "sigmoid_bce",
     "softmax",
+    "softmax_cce",
 ]

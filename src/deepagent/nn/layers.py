@@ -371,31 +371,6 @@ class ReLU(Layer):
         return grad * self._cache
 
 
-class Sigmoid(Layer):
-    def forward(self, x, train=False):
-        out = sigmoid(x)
-        if train:
-            self._cache = out
-        return out
-
-    def backward(self, grad, input_grad=True):
-        s = self._cache
-        return grad * s * (1.0 - s)
-
-
-class SoftmaxLayer(Layer):
-    def forward(self, x, train=False):
-        out = softmax(x)
-        if train:
-            self._cache = out
-        return out
-
-    def backward(self, grad, input_grad=True):
-        p = self._cache
-        dot = (grad * p).sum(axis=1, keepdims=True)
-        return p * (grad - dot)
-
-
 class Dropout(Layer):
     """Inverted dropout: zero units with probability p at train time and
     scale survivors by 1/(1-p); inference is the identity map."""
@@ -448,16 +423,3 @@ class Sequential(Layer):
         for p in self.params():
             p.grad[...] = 0.0
 
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; needs at least two classes."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] < 2:
-        raise ConfigurationError(f"softmax needs >= 2 classes, got {z.shape[-1]}")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)

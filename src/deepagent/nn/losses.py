@@ -1,31 +1,48 @@
-"""Classification losses over batches.
+"""Classification heads: softmax / sigmoid over a batch of logits.
 
-Each returns the mean loss plus its gradient with respect to the
-predictions, which is what the training loops and the gradient checker
-consume. Log arguments are clamped at ``LOG_FLOOR``.
+The networks end at their last dense layer. Each head maps ``(logits,
+targets)`` to ``(loss, probabilities, logit gradient)``: the mean
+cross-entropy, the head's probabilities, and the gradient of that mean
+loss with respect to the logits, ``(p - y) / n``. Taken at the logits, the
+gradient stays exact when the head saturates. Training, validation and the
+gradient checks all call these. Log arguments are clamped at ``LOG_FLOOR``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from deepagent.errors import ConfigurationError
+
 LOG_FLOOR = 1e-12
 
 
-def cce_batch(probs: np.ndarray, onehot: np.ndarray):
-    """Mean categorical cross-entropy over a batch and its gradient."""
-    p = np.clip(probs, LOG_FLOOR, 1.0)
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction; needs at least two classes."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] < 2:
+        raise ConfigurationError(f"softmax needs >= 2 classes, got {z.shape[-1]}")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_cce(logits: np.ndarray, onehot: np.ndarray):
+    """Softmax head, mean categorical cross-entropy: N x K logits, one-hot targets."""
+    probs = softmax(logits)
     n = probs.shape[0]
-    loss = float(-(onehot * np.log(p)).sum() / n)
-    grad = np.where(probs > LOG_FLOOR, -onehot / p, 0.0) / n
-    return loss, grad
+    loss = float(-(onehot * np.log(np.clip(probs, LOG_FLOOR, 1.0))).sum() / n)
+    return loss, probs, (probs - onehot) / n
 
 
-def bce_batch(y_hat: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy over a batch and its gradient."""
-    p = np.clip(y_hat, LOG_FLOOR, 1.0 - LOG_FLOOR)
-    n = y_hat.shape[0]
+def sigmoid_bce(logits: np.ndarray, y: np.ndarray):
+    """Sigmoid head, mean binary cross-entropy: logits and 0/1 targets share
+    one shape (N x 1 for a one-unit layer)."""
+    probs = sigmoid(logits)
+    p = np.clip(probs, LOG_FLOOR, 1.0 - LOG_FLOOR)
     loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-    inside = (y_hat > LOG_FLOOR) & (y_hat < 1.0 - LOG_FLOOR)
-    grad = np.where(inside, (p - y) / (p * (1.0 - p)), 0.0) / n
-    return loss, grad
+    return loss, probs, (probs - y) / probs.shape[0]

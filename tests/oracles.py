@@ -258,7 +258,9 @@ def gradient_check(model, loss_fn, x, y, h=1e-5):
     mask; otherwise the central differences would sample different noise on
     every evaluation. Only meaningful in 64-bit precision.
 
-    ``loss_fn(prediction, y)`` must return ``(loss, dloss_dprediction)``.
+    ``loss_fn(logits, y)`` returns ``(loss, probabilities, dloss_dlogits)``,
+    as the heads in ``deepagent.nn.losses`` do, so a head's logit gradient
+    is checked by the same finite differences as the layers below it.
     The relative error per parameter entry is
     ``|analytic - fd| / max(|analytic|, |fd|, 1e-8)``.
     """
@@ -270,7 +272,7 @@ def gradient_check(model, loss_fn, x, y, h=1e-5):
             layer.rng.bit_generator.state = state
         return model.forward(x, train=True)
 
-    _, dout = loss_fn(forward(), y)
+    _, _, dout = loss_fn(forward(), y)
     model.zero_grad()
     model.backward(dout)
     analytic = [p.grad.copy() for p in model.params()]
@@ -282,9 +284,9 @@ def gradient_check(model, loss_fn, x, y, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = loss_fn(forward(), y)
+            lp = loss_fn(forward(), y)[0]
             flat[i] = orig - h
-            lm, _ = loss_fn(forward(), y)
+            lm = loss_fn(forward(), y)[0]
             flat[i] = orig
             fd = (lp - lm) / (2.0 * h)
             denom = max(abs(aflat[i]), abs(fd), 1e-8)

@@ -30,10 +30,9 @@ from deepagent.nn import (
     MaxPool2D,
     ReLU,
     Sequential,
-    Sigmoid,
-    SoftmaxLayer,
+    sigmoid_bce,
+    softmax_cce,
 )
-from deepagent.nn.losses import bce_batch, cce_batch
 from deepagent.semantic import build_feature, lexical_similarity
 
 from oracles import (
@@ -52,22 +51,17 @@ def report_line(number, name, ok):
 
 # --- criterion 1: gradient suite -------------------------------------------
 
-def _cce_loss(out, y):
-    return cce_batch(out, y)
-
-
-def _bce_loss(out, y):
-    loss, grad = bce_batch(out[:, 0], y)
-    return loss, grad[:, None]
-
-
 def _weighted_sum(out, _):
     w = np.random.default_rng(99).normal(size=out.shape)
-    return float((w * out).sum()), w
+    return float((w * out).sum()), out, w
 
 
-def _gradient_suite():
-    """(name, net, x, y, loss) for every layer kind and both agent heads."""
+def gradient_suite():
+    """(name, net, x, y, loss) for every layer kind and both agent heads.
+
+    Head nets end at their logits; their loss is the production head
+    function, so its logit gradient is checked too.
+    """
     rng = np.random.default_rng(2024)
     suite = []
 
@@ -90,11 +84,10 @@ def _gradient_suite():
         rng.normal(size=(2, 5, 5, 2)))
     add("dropout", [Dense(6, 6, rng=rng), Dropout(0.4, rng=np.random.default_rng(1)),
                     Dense(6, 2, rng=rng)], rng.normal(size=(4, 6)))
-    add("softmax_cce", [Dense(5, 6, rng=rng), ReLU(), Dense(6, 3, rng=rng),
-                        SoftmaxLayer()],
-        rng.normal(size=(4, 5)), np.eye(3)[[0, 2, 1, 1]], _cce_loss)
-    add("sigmoid_bce", [Dense(3, 1, rng=rng), Sigmoid()],
-        rng.normal(size=(4, 3)), np.array([0.0, 1.0, 1.0, 0.0]), _bce_loss)
+    add("softmax_cce", [Dense(5, 6, rng=rng), ReLU(), Dense(6, 3, rng=rng)],
+        rng.normal(size=(4, 5)), np.eye(3)[[0, 2, 1, 1]], softmax_cce)
+    add("sigmoid_bce", [Dense(3, 1, rng=rng)],
+        rng.normal(size=(4, 3)), np.array([[0.0], [1.0], [1.0], [0.0]]), sigmoid_bce)
     add("agent1_head", [
         Conv2D(2, 3, 3, stride=2, rng=rng), ReLU(), BatchNorm(3),
         MaxPool2D(2, 1),
@@ -103,14 +96,15 @@ def _gradient_suite():
         Dense(4, 6, rng=rng), ReLU(),
         Dropout(0.5, rng=np.random.default_rng(2)), BatchNorm(6),
         Dense(6, 4, rng=rng), ReLU(), Dropout(0.5, rng=np.random.default_rng(3)),
-        Dense(4, 2, rng=rng, init="xavier"), SoftmaxLayer(),
-    ], rng.normal(size=(3, 9, 9, 2)), np.eye(2)[[0, 1, 0]], _cce_loss)
+        Dense(4, 2, rng=rng, init="xavier"),
+    ], rng.normal(size=(3, 9, 9, 2)), np.eye(2)[[0, 1, 0]], softmax_cce)
     add("agent2_head", [
         Dense(4, 4, rng=rng), ReLU(), Dropout(0.2, rng=np.random.default_rng(4)),
         Dense(4, 4, rng=rng), ReLU(), Dropout(0.2, rng=np.random.default_rng(5)),
         Dense(4, 4, rng=rng), ReLU(),
-        Dense(4, 1, rng=rng, init="xavier"), Sigmoid(),
-    ], rng.normal(size=(5, 4)), np.array([1.0, 0.0, 1.0, 0.0, 1.0]), _bce_loss)
+        Dense(4, 1, rng=rng, init="xavier"),
+    ], rng.normal(size=(5, 4)), np.array([[1.0], [0.0], [1.0], [0.0], [1.0]]),
+        sigmoid_bce)
     return suite
 
 
@@ -118,7 +112,7 @@ def test_criterion_1_gradient_suite():
     start = time.time()
     worst = 0.0
     nudge = np.random.default_rng(17)
-    for name, net, x, y, loss in _gradient_suite():
+    for name, net, x, y, loss in gradient_suite():
         for p in net.params():
             if not p.value.any():
                 p.value += nudge.uniform(-0.2, 0.2, size=p.value.shape)

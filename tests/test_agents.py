@@ -8,10 +8,9 @@ from deepagent import agents
 from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import UsageError
-from deepagent.nn.layers import sigmoid
-from deepagent.nn.losses import cce_batch
+from deepagent.nn import sigmoid, sigmoid_bce, softmax, softmax_cce
 
-from oracles import agent1_shape_chain
+from oracles import agent1_shape_chain, reference_adam_step
 
 
 def relu(x):
@@ -51,7 +50,7 @@ def separable_features(rng, n):
 class TestBuildAgent1:
     def test_zeros_input_softmax_sums_to_one(self):
         model = agents.build_agent1(seed=1, input_size=64)
-        out = model.net.forward(np.zeros((1, 64, 64, 3)), train=False)
+        out = softmax(model.net.forward(np.zeros((1, 64, 64, 3)), train=False))
         npt.assert_allclose(out.sum(), 1.0, atol=1e-9)
 
     def test_shape_chain_at_reference_geometry(self):
@@ -70,13 +69,12 @@ class TestBuildAgent1:
             npt.assert_array_equal(pa.value, pb.value)
 
     def test_full_scale_forward_backward_smoke(self):
-        from deepagent.nn.losses import cce_batch
         model = agents.build_agent1(seed=0, input_size=224)
         x = np.random.default_rng(0).uniform(size=(2, 224, 224, 3))
-        probs = model.net.forward(x, train=True)
-        loss, dprobs = cce_batch(probs, np.eye(2)[[0, 1]])
+        logits = model.net.forward(x, train=True)
+        loss, _, dlogits = softmax_cce(logits, np.eye(2)[[0, 1]])
         model.net.zero_grad()
-        model.net.backward(dprobs)
+        model.net.backward(dlogits)
         assert np.isfinite(loss)
         assert all(np.isfinite(p.grad).all() for p in model.net.params())
 
@@ -185,7 +183,8 @@ class TestTrainAgent1:
         forward, sizes = model.net.forward, []
 
         def recording_forward(x, train=False):
-            sizes.append(len(x))
+            if not train:  # training batches go through the same forward
+                sizes.append(len(x))
             return forward(x, train=train)
 
         model.net.forward = recording_forward
@@ -193,8 +192,8 @@ class TestTrainAgent1:
             model, frames, labels, val_frames, val_labels,
             Agent1Config(epochs=1, batch_size=4, augment=False))
         assert sizes == [4, 4, 2]
-        probs = forward(val_frames, train=False)
-        loss, _ = cce_batch(probs, np.eye(2)[val_labels])
+        loss, probs, _ = softmax_cce(forward(val_frames, train=False),
+                                     np.eye(2)[val_labels])
         assert history[0]["val_loss"] == loss
         accuracy = float((probs.argmax(axis=1) == val_labels).mean())
         assert history[0]["val_acc"] == accuracy
@@ -225,7 +224,7 @@ class TestPredictAgent1:
     def test_class_probabilities_sum_to_one(self):
         rng = np.random.default_rng(83)
         model = agents.build_agent1(seed=7, input_size=32)
-        probs = model.net.forward(rng.uniform(size=(3, 32, 32, 3)), train=False)
+        probs = softmax(model.net.forward(rng.uniform(size=(3, 32, 32, 3)), train=False))
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_wrong_shape_rejected(self):
@@ -335,13 +334,13 @@ class TestTrainAgent2:
 
 class TestTrainController:
     def test_strictly_improving_never_stops(self):
-        ctl = TrainController(stop_patience=10, lr_patience=5, lr_factor=0.5)
+        ctl = TrainController(stop_patience=10, lr_patience=5)
         for epoch in range(100):
             stop, reduce = ctl.update(epoch / 100.0)
             assert not stop and not reduce
 
     def test_two_reductions_quarter_the_rate(self):
-        ctl = TrainController(stop_patience=100, lr_patience=5, lr_factor=0.5)
+        ctl = TrainController(stop_patience=100, lr_patience=5)
         lr = 0.001
         ctl.update(0.9)
         for _ in range(10):
@@ -351,10 +350,69 @@ class TestTrainController:
         assert lr == pytest.approx(0.25 * 0.001)
 
     def test_stops_after_patience_stagnant_epochs(self):
-        ctl = TrainController(stop_patience=10, lr_patience=5, lr_factor=0.5)
+        ctl = TrainController(stop_patience=10, lr_patience=5)
         ctl.update(0.9)
         stops = [ctl.update(0.1)[0] for _ in range(10)]
         assert stops == [False] * 9 + [True]
+
+
+class TestOneEpochReplay:
+    """One epoch of either agent equals a hand replay of the loop: the
+    agent's shuffle stream, the head's logit gradient per batch and the
+    whole-array Adam formula. With ``n % batch_size == 1`` the last batch
+    holds one row; Agent-1 (batch norm) skips it, Agent-2 trains on it."""
+
+    @staticmethod
+    def replay(model, X, targets, cfg, head, stream, min_batch):
+        """Replay one epoch on ``model`` in place; returns the Adam steps taken."""
+        params = model.net.params()
+        m = [np.zeros_like(p.value) for p in params]
+        v = [np.zeros_like(p.value) for p in params]
+        seeds = np.random.SeedSequence([model.seed, stream])
+        perm = np.random.default_rng(seeds).permutation(len(X))
+        t = 0
+        for start in range(0, len(X), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            if len(idx) < min_batch:
+                continue
+            _, _, grad = head(model.net.forward(X[idx], train=True), targets[idx])
+            model.net.zero_grad()
+            model.net.backward(grad)
+            t += 1
+            for p, p_m, p_v in zip(params, m, v):
+                reference_adam_step(p.value, p.grad, p_m, p_v, t, cfg.learning_rate,
+                                    cfg.beta1, cfg.beta2, cfg.epsilon)
+        return t
+
+    @staticmethod
+    def assert_same_state(trained, replayed):
+        for (_, a), (_, b) in zip(trained.net.state(), replayed.net.state()):
+            assert np.array_equal(a, b)
+
+    def test_agent1_skips_the_one_row_batch(self):
+        frames, labels = separable_frames(np.random.default_rng(61), 3, size=11)
+        frames, labels = frames[:5], labels[:5]
+        cfg = Agent1Config(epochs=1, batch_size=2, augment=False)
+        trained = agents.build_agent1(seed=8, input_size=11)
+        agents.train_agent1(trained, frames, labels, config=cfg)
+        replayed = agents.build_agent1(seed=8, input_size=11)
+        steps = self.replay(replayed, frames, np.eye(2)[labels], cfg, softmax_cce,
+                            stream=5, min_batch=2)
+        assert steps == 2
+        self.assert_same_state(trained, replayed)
+
+    def test_agent2_trains_on_the_one_row_batch(self):
+        X, y = separable_features(np.random.default_rng(62), 10)
+        X, y = X[:9], y[:9]
+        cfg = Agent2Config(epochs=1, batch_size=4)
+        trained = agents.build_agent2(seed=8)
+        agents.train_agent2(trained, X, y, config=cfg)
+        replayed = agents.build_agent2(seed=8)
+        conditioned = (X - X.mean(axis=0)) / X.std(axis=0)
+        steps = self.replay(replayed, conditioned, y[:, None].astype(float), cfg,
+                            sigmoid_bce, stream=7, min_batch=1)
+        assert steps == 3
+        self.assert_same_state(trained, replayed)
 
 
 class TestPredictAgent2:

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from deepagent import audio
-from deepagent.errors import ConfigurationError, FeatureExtractionError, IngestionError
+from deepagent.errors import ConfigurationError, IngestionError, UsageError
 
 from oracles import (
     mel_energies_triple_loop,
@@ -117,8 +117,8 @@ class TestStft:
         peaks = mags.argmax(axis=1)
         npt.assert_array_equal(peaks, 25)
 
-    def test_short_signal_raises_feature_error(self):
-        with pytest.raises(FeatureExtractionError):
+    def test_short_signal_raises_usage_error(self):
+        with pytest.raises(UsageError):
             audio.stft(audio.Waveform(np.zeros(399), 16000))
 
 

@@ -167,6 +167,21 @@ class TestFailureModes:
         assert (f"kind.damc: record 2: expected kind {ckpt.KIND_STD_SIGMA} shape (14,), "
                 f"found kind {ckpt.KIND_CONV_BIAS} shape (14,)") in error["message"]
 
+    def test_checkpoint_non_finite_weight_exits_2(self, workspace, tmp_path, capsys):
+        # record 3 is d1.weights, after the conditioning mu and sigma
+        def poison(records):
+            kind, weights = records[2]
+            weights = weights.copy()
+            weights[0, 0] = np.nan
+            return records[:2] + [(kind, weights)] + records[3:]
+
+        bad = tmp_path / "nan.damc"
+        rewrite_checkpoint(workspace["a2"], bad, poison)
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"nan.damc: record 3: non-finite value in kind {ckpt.KIND_DENSE_W}"
+                in error["message"])
+
     def test_unknown_checkpoint_model_kind_exits_2(self, workspace, tmp_path, capsys):
         bad = patched_copy(workspace["a2"], tmp_path / "model.damc",
                            lambda b: struct.pack_into("<d", b, DAMC_META, 7.0))

@@ -1,7 +1,8 @@
 """Finite-difference gradient battery over layers and micro-networks.
 
 Everything runs in float64; the acceptance bound is a max relative error
-below 1e-4, checked per network.
+below 1e-4, checked per network. Networks with a head end at their logits
+and take the loss and logit gradient from the head functions training uses.
 """
 
 import numpy as np
@@ -15,25 +16,13 @@ from deepagent.nn import (
     MaxPool2D,
     ReLU,
     Sequential,
-    Sigmoid,
-    SoftmaxLayer,
+    sigmoid_bce,
+    softmax_cce,
 )
-from deepagent.nn.losses import bce_batch, cce_batch
 
 from oracles import gradient_check
 
 TOL = 1e-4
-
-
-def cce_loss_fn(out, y):
-    return cce_batch(out, y)
-
-
-def bce_loss_fn(out, y):
-    loss, grad = bce_batch(out[:, 0], y)
-    return loss, grad[:, None]
-
-
 RNG = np.random.default_rng(321)
 
 
@@ -41,10 +30,12 @@ def weighted_sum_loss(out, _):
     # random but fixed weights keep every parameter's gradient away from the
     # degenerate exact-zero case (a plain sum zeroes batch-norm gamma grads)
     w = np.random.default_rng(99).normal(size=out.shape)
-    return float((w * out).sum()), w
+    return float((w * out).sum()), out, w
 
 
 def check(net, x, y=None, loss_fn=weighted_sum_loss):
+    """``loss_fn`` is a production head (the net then ends at its logits)
+    or the weighted sum."""
     # zero-init biases can park ReLU pre-activations exactly on the kink,
     # where central differences straddle the non-differentiable point; any
     # trained network has nonzero biases, so the check does too
@@ -97,29 +88,29 @@ class TestSingleLayers:
         check(net, RNG.normal(size=(4, 6)))
 
     def test_sigmoid_head(self):
-        net = Sequential([Dense(3, 1, rng=RNG), Sigmoid()])
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        check(net, RNG.normal(size=(4, 3)), y, bce_loss_fn)
+        net = Sequential([Dense(3, 1, rng=RNG)])
+        y = np.array([[0.0], [1.0], [1.0], [0.0]])
+        check(net, RNG.normal(size=(4, 3)), y, sigmoid_bce)
 
 
 class TestMicroNetworks:
     def test_dense_relu_softmax_cce(self):
         net = Sequential([
             Dense(5, 6, rng=RNG), ReLU(),
-            Dense(6, 3, rng=RNG), SoftmaxLayer(),
+            Dense(6, 3, rng=RNG),
         ])
         y = np.eye(3)[[0, 2, 1, 1]]
-        check(net, RNG.normal(size=(4, 5)), y, cce_loss_fn)
+        check(net, RNG.normal(size=(4, 5)), y, softmax_cce)
 
     def test_conv_pool_gap_micro_net(self):
         net = Sequential([
             Conv2D(2, 4, 3, padding="same", rng=RNG), ReLU(),
             MaxPool2D(2, 2),
             GlobalAvgPool(),
-            Dense(4, 2, rng=RNG), SoftmaxLayer(),
+            Dense(4, 2, rng=RNG),
         ])
         y = np.eye(2)[[0, 1, 1]]
-        check(net, RNG.normal(size=(3, 6, 6, 2)), y, cce_loss_fn)
+        check(net, RNG.normal(size=(3, 6, 6, 2)), y, softmax_cce)
 
     def test_agent2_head_at_width_four(self):
         # same stack as the multimodal head, shrunk to width 4
@@ -127,10 +118,10 @@ class TestMicroNetworks:
             Dense(4, 4, rng=RNG), ReLU(), Dropout(0.2, rng=np.random.default_rng(6)),
             Dense(4, 4, rng=RNG), ReLU(), Dropout(0.2, rng=np.random.default_rng(7)),
             Dense(4, 4, rng=RNG), ReLU(),
-            Dense(4, 1, rng=RNG, init="xavier"), Sigmoid(),
+            Dense(4, 1, rng=RNG, init="xavier"),
         ])
-        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        check(net, RNG.normal(size=(5, 4)), y, bce_loss_fn)
+        y = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+        check(net, RNG.normal(size=(5, 4)), y, sigmoid_bce)
 
     def test_agent1_head_micro(self):
         # conv blocks with batch norm feeding the GAP + regularized dense head
@@ -143,7 +134,7 @@ class TestMicroNetworks:
             Dropout(0.5, rng=np.random.default_rng(8)), BatchNorm(6),
             Dense(6, 4, rng=RNG), ReLU(),
             Dropout(0.5, rng=np.random.default_rng(9)),
-            Dense(4, 2, rng=RNG, init="xavier"), SoftmaxLayer(),
+            Dense(4, 2, rng=RNG, init="xavier"),
         ])
         y = np.eye(2)[[0, 1, 0]]
-        check(net, RNG.normal(size=(3, 9, 9, 2)), y, cce_loss_fn)
+        check(net, RNG.normal(size=(3, 9, 9, 2)), y, softmax_cce)

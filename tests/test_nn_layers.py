@@ -1,4 +1,4 @@
-"""Forward/backward behavior of every layer, the losses, and Adam."""
+"""Forward/backward behavior of every layer, the heads, and Adam."""
 
 import numpy as np
 import numpy.testing as npt
@@ -15,10 +15,10 @@ from deepagent.nn import (
     MaxPool2D,
     Param,
     ReLU,
-    bce_batch,
-    cce_batch,
     sigmoid,
+    sigmoid_bce,
     softmax,
+    softmax_cce,
 )
 from deepagent.nn.optim import CHUNK
 
@@ -39,14 +39,18 @@ def conv_backward(layer, grad_out):
 
 
 def cce_loss(y_true, y_pred):
-    """Loss of one prediction: a one-row batch through cce_batch."""
-    return cce_batch(np.asarray(y_pred, dtype=float)[None],
-                     np.asarray(y_true, dtype=float)[None])[0]
+    """Loss of one prediction: its log-probabilities are logits whose
+    softmax is ``y_pred``, run as a one-row batch through softmax_cce."""
+    with np.errstate(divide="ignore"):  # log(0) = -inf has softmax weight 0
+        logits = np.log(np.asarray(y_pred, dtype=float))
+    return softmax_cce(logits[None], np.asarray(y_true, dtype=float)[None])[0]
 
 
 def bce_loss(y, y_hat):
-    """Loss of one prediction: a one-row batch through bce_batch."""
-    return bce_batch(np.array([float(y_hat)]), np.array([float(y)]))[0]
+    """Loss of one prediction: the logit of ``y_hat`` as a one-row batch
+    through sigmoid_bce."""
+    logit = np.log(y_hat) - np.log1p(-y_hat)
+    return sigmoid_bce(np.array([[logit]]), np.array([[float(y)]]))[0]
 
 
 class TestConv2D:

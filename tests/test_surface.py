@@ -12,13 +12,22 @@ behaviour.
 
 Every callable the benchmark's tracer wraps exists, so a rename cannot
 quietly drop a layer from the traced benchmark.
+
+Every layer with its own backward, and every head in ``nn/losses.py`` (a
+function of ``(logits, targets)``), is in the acceptance gradient suite, so
+no gradient that training runs goes unchecked by finite differences.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from deepagent.nn import layers, losses
+
+from test_acceptance import gradient_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "deepagent"
@@ -108,3 +117,23 @@ def test_every_traced_benchmark_target_exists():
             except AttributeError:
                 missing.append(f"{module_name}.{name}")
     assert missing == [], f"traced targets missing from deepagent: {missing}"
+
+
+def test_every_layer_backward_is_in_the_gradient_suite():
+    checked = {type(layer) for _, net, *_ in gradient_suite()
+               for layer in [net, *net.layers]}
+    with_backward = {cls for cls in vars(layers).values()
+                     if isinstance(cls, type) and issubclass(cls, layers.Layer)
+                     and cls is not layers.Layer and "backward" in vars(cls)}
+    missing = sorted(cls.__name__ for cls in with_backward - checked)
+    assert missing == [], f"layers the gradient suite never checks: {missing}"
+
+
+def test_every_head_is_in_the_gradient_suite():
+    heads = {f for f in vars(losses).values()
+             if inspect.isfunction(f) and f.__module__ == losses.__name__
+             and len(inspect.signature(f).parameters) == 2}
+    checked = {loss for *_, loss in gradient_suite()}
+    assert len(heads) == 2
+    missing = sorted(f.__name__ for f in heads - checked)
+    assert missing == [], f"heads the gradient suite never checks: {missing}"
