@@ -360,7 +360,8 @@ def save_agent(model, path) -> None:
 
 def _load_state(state, records, path) -> None:
     """Check every record against the model's state (kind, shape, finite
-    values), then copy them in."""
+    values, a non-negative BatchNorm variance and a positive input sigma),
+    then copy them in."""
     if len(records) != len(state):
         # record 0 is the metadata, so the first missing or extra one is
         # numbered one past the shorter list
@@ -374,6 +375,10 @@ def _load_state(state, records, path) -> None:
                 f"found kind {got_kind} shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise IngestionError(f"{path}: record {i}: non-finite value in kind {kind}")
+        if kind == ckpt.KIND_BN_VAR and (arr < 0).any():
+            raise IngestionError(f"{path}: record {i}: negative variance in kind {kind}")
+        if kind == ckpt.KIND_STD_SIGMA and (arr <= 0).any():
+            raise IngestionError(f"{path}: record {i}: non-positive sigma in kind {kind}")
     for (_, target), (_, arr) in zip(state, records):
         target[...] = arr
 

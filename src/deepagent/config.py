@@ -2,7 +2,8 @@
 
 Resolution order: built-in defaults, then the JSON config file (explicit
 ``--config`` path or the ``DEEPAGENT_CONFIG`` environment variable), then
-command-line flags.
+command-line flags. A config file must be valid on its own; its read, key,
+type and bound errors name the file.
 """
 
 from __future__ import annotations
@@ -131,11 +132,16 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         p = Path(path)
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {p}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"config {p} must be a JSON object")
-        _apply(cfg, data, "")
+        # the file must be valid on its own, so its faults can name it
+        try:
+            if not isinstance(data, dict):
+                raise ConfigurationError("must be a JSON object")
+            _apply(cfg, data, "")
+            cfg.validate()
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config {p}: {exc}") from exc
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -1,12 +1,21 @@
 """CART decision trees, bagged forest, standardizer, stratified K-fold.
 
 Trees grow on Gini impurity over labels in {0, 1} with one randomly drawn
-candidate feature per node (falling back to the remaining features when the
-drawn one is constant within the node, so separable data is always grown to
-purity). Each node sorts its candidate column once and scores every
-midpoint threshold from prefix class counts. Leaves hold a majority vote
-with ties going to class 1. The forest averages the tree votes; the
-decision threshold maps 0.5 exactly to class 1.
+candidate feature per node (falling back to the remaining features in drawn
+order when the drawn one has no split within the node, so separable data is
+always grown to purity). Leaves hold a majority vote with ties going to
+class 1. The forest averages the tree votes; the decision threshold maps 0.5
+exactly to class 1.
+
+All trees of a forest grow together, level by level. Each open node is a
+segment of (bootstrap row, node) entries, kept sorted by value for every
+feature: sorted once at the root and stably partitioned at each split. A
+level scores every midpoint threshold of every open node from segment
+prefix class counts and keeps the first minimum of each segment. Per level,
+each tree draws ``rng.random((k, d))`` for its ``k`` open nodes in level
+order (left child before right); a node's feature order is the stable
+argsort of its row. Tree ``t`` of a forest draws its bootstrap rows first,
+from ``SeedSequence([seed, t])``.
 """
 
 from __future__ import annotations
@@ -43,54 +52,128 @@ def _gini(zeros: np.ndarray, ones: np.ndarray, total: np.ndarray) -> np.ndarray:
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
-def _majority(y: np.ndarray) -> int:
-    ones = int(y.sum())
-    return 1 if ones >= len(y) - ones else 0
+def _best_splits(v, ys, seg, same, start, size, ones):
+    """(node, threshold) of the first cheapest split of every node that has
+    one, for one feature. ``v`` and ``ys`` are the entries' values and labels
+    sorted by (node, value); ``seg`` is each entry's node and ``same`` marks
+    adjacent entries of one node."""
+    cut = np.flatnonzero((v[1:] != v[:-1]) & same)
+    thr = (v[cut] + v[cut + 1]) / 2.0
+    # rows "<= thr" end after the cut, or after the whole upper run when the
+    # midpoint rounds onto the upper value
+    stop = cut + 1
+    up = thr == v[stop]
+    if up.any():
+        last = np.sort(np.concatenate((cut, start + size - 1)))
+        stop[up] = last[np.searchsorted(last, stop[up])] + 1
+    node = seg[cut]
+    n_left = stop - start[node]
+    keep = n_left < size[node]
+    node, thr, stop, n_left = node[keep], thr[keep], stop[keep], n_left[keep]
+    if not len(node):
+        return node, thr
+    ones_prefix = np.concatenate(([0], np.cumsum(ys)))
+    ones_left = ones_prefix[stop] - ones_prefix[start[node]]
+    n = size[node]
+    n_right = n - n_left
+    ones_right = ones[node] - ones_left
+    cost = (n_left * _gini(n_left - ones_left, ones_left, n_left)
+            + n_right * _gini(n_right - ones_right, ones_right, n_right)) / n
+    heads = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    lowest = np.empty(len(size))
+    lowest[node[heads]] = np.minimum.reduceat(cost, heads)
+    hit = np.flatnonzero(cost == lowest[node])
+    first = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]  # lowest threshold
+    return node[first], thr[first]
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-          rng: np.random.Generator) -> TreeNode:
-    ys = y[idx]
-    if len(idx) < 2 or ys.min() == ys.max():
-        return TreeNode(vote=_majority(ys))
-    n = len(idx)
-    # mtry = 1: one uniformly drawn candidate feature; if it is constant
-    # within the node, fall through to the remaining features in drawn order
-    for f in rng.permutation(X.shape[1]):
-        col = X[idx, f]
-        order = np.argsort(col)
-        sorted_col = col[order]
-        edges = np.flatnonzero(sorted_col[1:] != sorted_col[:-1])
-        thresholds = (sorted_col[edges] + sorted_col[edges + 1]) / 2.0
-        # counting with side="right" keeps "col <= threshold" exact when a
-        # midpoint rounds onto the upper value
-        n_left = np.searchsorted(sorted_col, thresholds, side="right")
-        keep = (n_left > 0) & (n_left < n)
-        if not keep.any():
-            continue
-        thresholds, n_left = thresholds[keep], n_left[keep]
-        ones_prefix = np.concatenate(([0], np.cumsum(ys[order])))
-        ones_left = ones_prefix[n_left]
-        ones_right = ones_prefix[-1] - ones_left
-        n_right = n - n_left
-        cost = (n_left * _gini(n_left - ones_left, ones_left, n_left)
-                + n_right * _gini(n_right - ones_right, ones_right, n_right)) / n
-        best_thr = thresholds[np.argmin(cost)]  # first minimum, lowest threshold
-        mask = col <= best_thr
-        node = TreeNode(feature=int(f), threshold=float(best_thr))
-        node.left = _grow(X, y, idx[mask], rng)
-        node.right = _grow(X, y, idx[~mask], rng)
-        return node
-    # every feature constant within the node but labels mixed
-    return TreeNode(vote=_majority(ys))
+def _grow(X: np.ndarray, y: np.ndarray, rows: np.ndarray, rngs: list):
+    """Grow tree ``t`` on rows ``rows[t]`` of (X, y) with generator
+    ``rngs[t]``, all trees level by level.
+
+    Returns flat node arrays (feature, threshold, vote, left, right): node
+    ``t`` is the root of tree ``t``, children are numbered after their
+    parent, and a leaf has vote >= 0 and no children.
+    """
+    n_trees, m = rows.shape
+    d = X.shape[1]
+    row = rows.ravel()
+    lab = y[row]
+    cap = n_trees * (2 * m - 1)  # a tree has at most m leaves
+    feature, vote = np.full(cap, -1), np.full(cap, -1)
+    left, right = np.full(cap, -1), np.full(cap, -1)
+    threshold = np.zeros(cap)
+    gid = np.arange(n_trees)  # the current level's nodes
+    tree = gid.copy()
+    count = n_trees
+    place = np.repeat(gid, m)  # each live entry's node within the level
+    ords = [np.lexsort((X[row, f], place)) for f in range(d)]
+    while len(gid):
+        seg = place[ords[0]]
+        size = np.bincount(seg, minlength=len(gid))
+        ones = np.bincount(seg[lab[ords[0]] == 1], minlength=len(gid))
+        majority = (2 * ones >= size).astype(int)
+        open_ = (size >= 2) & (ones > 0) & (ones < size)
+        vote[gid[~open_]] = majority[~open_]
+        if not open_.any():
+            break
+        key = np.cumsum(open_) - 1
+        key[~open_] = -1
+        place[ords[0]] = key[seg]
+        ords = [o[place[o] >= 0] for o in ords]
+        gid, tree, size, ones, majority = (
+            a[open_] for a in (gid, tree, size, ones, majority))
+        k = len(gid)
+
+        seg = place[ords[0]]
+        same = seg[1:] == seg[:-1]
+        start = np.cumsum(size) - size
+        has, best = np.zeros((k, d), dtype=bool), np.zeros((k, d))
+        for f, o in enumerate(ords):
+            node, thr = _best_splits(X[row[o], f], lab[o], seg, same, start, size, ones)
+            has[node, f] = True
+            best[node, f] = thr
+        # mtry = 1: each node takes the first feature in its drawn order that splits
+        per_tree = np.bincount(tree, minlength=n_trees).tolist()
+        draws = np.concatenate([rngs[t].random((c, d))
+                                for t, c in enumerate(per_tree) if c])
+        order = np.argsort(draws, axis=1, kind="stable")
+        ranked = np.take_along_axis(has, order, axis=1)
+        pick = ranked.argmax(axis=1)
+        split = ranked[np.arange(k), pick]
+        feat = order[np.arange(k), pick]
+        thr = best[np.arange(k), feat]
+        vote[gid[~split]] = majority[~split]  # every feature constant, labels mixed
+
+        n_split = int(split.sum())
+        sgid = gid[split]
+        feature[sgid], threshold[sgid] = feat[split], thr[split]
+        left[sgid] = count + 2 * np.arange(n_split)
+        right[sgid] = left[sgid] + 1
+        rank = np.cumsum(split) - 1
+        live = ords[0]
+        node = place[live]
+        goes_left = X[row[live], feat[node]] <= thr[node]
+        place[live] = np.where(split[node], 2 * rank[node] + 1 - goes_left, -1)
+        for f, o in enumerate(ords):
+            child = place[o]
+            o, child = o[child >= 0], child[child >= 0]
+            ords[f] = o[np.argsort(child, kind="stable")]
+        gid = count + np.arange(2 * n_split)
+        tree = np.repeat(tree[split], 2)
+        count += 2 * n_split
+    return (feature[:count], threshold[:count], vote[:count],
+            left[:count], right[:count])
 
 
-def train_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> DecisionTree:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=int)
-    if len(X) < 1:
-        raise UsageError("cannot train a tree on an empty set")
-    return DecisionTree(_grow(X, y, np.arange(len(X)), rng))
+def _link(feature, threshold, vote, left, right, n_trees: int) -> list[DecisionTree]:
+    """The ``n_trees`` trees of flat node arrays, as linked ``TreeNode``s."""
+    nodes = [TreeNode(f, t, None, None, v) for f, t, v in
+             zip(feature.tolist(), threshold.tolist(), vote.tolist())]
+    inner = np.flatnonzero(left >= 0)
+    for i, lo, hi in zip(inner.tolist(), left[inner].tolist(), right[inner].tolist()):
+        nodes[i].left, nodes[i].right = nodes[lo], nodes[hi]
+    return [DecisionTree(nodes[t]) for t in range(n_trees)]
 
 
 @dataclass
@@ -123,8 +206,8 @@ def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
                  seed: int = 0) -> ForestModel:
     """Fit the standardizer on Z, then bag ``n_trees`` CART trees.
 
-    Each tree gets its own rng (derived from ``seed``) for the bootstrap
-    draw and for the per-node feature choices.
+    Tree ``t`` gets its own rng, ``SeedSequence([seed, t])``, for its
+    bootstrap draw and then for its feature orders; the trees grow together.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.asarray(y, dtype=int)
@@ -133,12 +216,10 @@ def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
     std = fit_standardizer(Z)
     Zs = std.apply(Z)
     n = len(Zs)
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        idx = rng.integers(0, n, size=n)
-        trees.append(train_tree(Zs[idx], y[idx], rng))
-    return ForestModel(trees, std)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t]))
+            for t in range(n_trees)]
+    rows = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    return ForestModel(_link(*_grow(Zs, y, rows, rngs), n_trees), std)
 
 
 def predict_forest_batch(model: ForestModel, Z: np.ndarray):

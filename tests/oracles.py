@@ -7,6 +7,7 @@ drive the package's own layers, which only tests need.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -167,38 +168,51 @@ def reference_grow(X, y, idx, rng):
 
     Same contract as the package grower (mtry = 1 with fall-through to the
     remaining features, strict-< first minimum, majority leaves with ties
-    to class 1), but the search is the slow one. Returns nested tuples:
-    ``("leaf", vote)`` or ``(feature, threshold, left, right)``.
+    to class 1, one ``rng.random(d)`` per splittable node in breadth-first
+    order with the stable argsort as its feature order), but the search is
+    the slow one and nodes are grown one at a time from a queue. Returns
+    nested tuples: ``("leaf", vote)`` or ``(feature, threshold, left, right)``.
     """
-    ys = y[idx]
-    ones = int(ys.sum())
-    vote = 1 if ones >= len(ys) - ones else 0
-    if len(idx) < 2 or ys.min() == ys.max():
-        return ("leaf", vote)
-    for f in rng.permutation(X.shape[1]):
-        vals = np.unique(X[idx, f])
-        if len(vals) < 2:
+    # breadth-first: ("leaf", vote) or (feature, threshold, left id, right id)
+    specs = []
+    queue = deque([idx])
+    while queue:
+        idx = queue.popleft()
+        ys = y[idx]
+        ones = int(ys.sum())
+        specs.append(("leaf", 1 if ones >= len(ys) - ones else 0))
+        if len(idx) < 2 or ys.min() == ys.max():
             continue
-        col = X[idx, f]
-        best_cost, best_thr = np.inf, None
-        for thr in (vals[:-1] + vals[1:]) / 2.0:
-            left = col <= thr
-            n_left = int(left.sum())
-            n_right = len(idx) - n_left
-            if n_left == 0 or n_right == 0:
+        for f in np.argsort(rng.random(X.shape[1]), kind="stable"):
+            vals = np.unique(X[idx, f])
+            if len(vals) < 2:
                 continue
-            cl = np.bincount(ys[left], minlength=2)
-            cr = np.bincount(ys[~left], minlength=2)
-            cost = (n_left * _reference_gini(cl) + n_right * _reference_gini(cr)) / len(idx)
-            if cost < best_cost:
-                best_cost, best_thr = cost, thr
-        if best_thr is None:
-            continue
-        mask = col <= best_thr
-        return (int(f), float(best_thr),
-                reference_grow(X, y, idx[mask], rng),
-                reference_grow(X, y, idx[~mask], rng))
-    return ("leaf", vote)
+            col = X[idx, f]
+            best_cost, best_thr = np.inf, None
+            for thr in (vals[:-1] + vals[1:]) / 2.0:
+                left = col <= thr
+                n_left = int(left.sum())
+                n_right = len(idx) - n_left
+                if n_left == 0 or n_right == 0:
+                    continue
+                cl = np.bincount(ys[left], minlength=2)
+                cr = np.bincount(ys[~left], minlength=2)
+                cost = (n_left * _reference_gini(cl)
+                        + n_right * _reference_gini(cr)) / len(idx)
+                if cost < best_cost:
+                    best_cost, best_thr = cost, thr
+            if best_thr is None:
+                continue
+            mask = col <= best_thr
+            child = len(specs) + len(queue)
+            specs[-1] = (int(f), float(best_thr), child, child + 1)
+            queue += [idx[mask], idx[~mask]]
+            break
+    for i in reversed(range(len(specs))):  # children are numbered after parents
+        if specs[i][0] != "leaf":
+            f, thr, lo, hi = specs[i]
+            specs[i] = (f, thr, specs[lo], specs[hi])
+    return specs[0]
 
 
 def tree_vote(node, x):

@@ -118,9 +118,9 @@ def rewrite_checkpoint(src, dst, edit):
                          dtype_bits=header["dtype_bits"])
 
 
-def predict_error(workspace, agent2, capsys, cache=None):
+def predict_error(workspace, agent2, capsys, cache=None, agent1=None):
     code = main(["predict", "--manifest", str(workspace["manifest"]),
-                 "--agent1", str(workspace["a1"]), "--agent2", str(agent2),
+                 "--agent1", str(agent1 or workspace["a1"]), "--agent2", str(agent2),
                  "--cache", str(cache or workspace["cache"]),
                  "--out", str(workspace["root"] / "bad_scores.json")])
     return code, json.loads(capsys.readouterr().err)["error"]
@@ -180,6 +180,39 @@ class TestFailureModes:
         code, error = predict_error(workspace, bad, capsys)
         assert code == 2 and error["kind"] == "IngestionError"
         assert (f"nan.damc: record 3: non-finite value in kind {ckpt.KIND_DENSE_W}"
+                in error["message"])
+
+    def test_checkpoint_negative_running_variance_exits_2(self, workspace, tmp_path,
+                                                           capsys):
+        # a negative variance would make every Agent-1 score NaN
+        records = ckpt.load_checkpoint(workspace["a1"])[1]
+        at = next(i for i, (kind, _) in enumerate(records) if kind == ckpt.KIND_BN_VAR)
+
+        def poison(records):
+            var = records[at][1].copy()
+            var[0] = -5.0
+            return records[:at] + [(ckpt.KIND_BN_VAR, var)] + records[at + 1:]
+
+        bad = tmp_path / "var.damc"
+        rewrite_checkpoint(workspace["a1"], bad, poison)
+        code, error = predict_error(workspace, workspace["a2"], capsys, agent1=bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"var.damc: record {at + 1}: negative variance in kind "
+                f"{ckpt.KIND_BN_VAR}") in error["message"]
+
+    def test_checkpoint_non_positive_input_sigma_exits_2(self, workspace, tmp_path,
+                                                         capsys):
+        # record 2 is the Agent-2 conditioning sigma, the divisor of its input
+        def poison(records):
+            sigma = records[1][1].copy()
+            sigma[3] = 0.0
+            return records[:1] + [(ckpt.KIND_STD_SIGMA, sigma)] + records[2:]
+
+        bad = tmp_path / "sigma.damc"
+        rewrite_checkpoint(workspace["a2"], bad, poison)
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"sigma.damc: record 2: non-positive sigma in kind {ckpt.KIND_STD_SIGMA}"
                 in error["message"])
 
     def test_unknown_checkpoint_model_kind_exits_2(self, workspace, tmp_path, capsys):
@@ -360,6 +393,22 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "ConfigurationError"
         assert "config key folds must be an integer, got '5'" in error["message"]
+
+    @pytest.mark.parametrize("body, what", [
+        (b'{"folds": "5"}', "config key folds must be an integer, got '5'"),
+        (b'{"sed": 1}', "unknown config key sed"),
+        (b'{"agent2": {"epochs": 0}}', "agent2.epochs must be >= 1, got 0"),
+        (b'{"seed": 1\xff}', "can't decode byte 0xff"),
+    ])
+    def test_config_file_fault_exits_1_naming_file(self, workspace, tmp_path, capsys,
+                                                   body, what):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(body)
+        code = main(["extract", "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "c.daft"), "--config", str(cfg)])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "ConfigurationError"
+        assert f"config {cfg}: " in error["message"] and what in error["message"]
 
     def test_audio_only_manifest_record_exits_2(self, workspace, tmp_path, capsys):
         records = json.loads(workspace["manifest"].read_text())

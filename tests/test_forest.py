@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from deepagent import forest
 from deepagent.errors import UsageError
 from deepagent.forest import (
     DecisionTree,
@@ -13,10 +14,14 @@ from deepagent.forest import (
     predict_forest_batch,
     stratified_kfold,
     train_forest,
-    train_tree,
 )
 
 from oracles import reference_grow, tree_vote
+
+
+def grow_tree(X, y, rng):
+    """One tree through the forest grower, on every row of (X, y)."""
+    return forest._link(*forest._grow(X, y, np.arange(len(X))[None], [rng]), 1)[0]
 
 
 def predict_one(model, z):
@@ -53,13 +58,13 @@ class TestStandardizer:
 
 class TestDecisionTree:
     def test_pure_input_single_leaf(self):
-        tree = train_tree(np.array([[0.1], [0.2]]), np.array([1, 1]),
-                          np.random.default_rng(0))
+        tree = grow_tree(np.array([[0.1], [0.2]]), np.array([1, 1]),
+                         np.random.default_rng(0))
         assert tree.root.is_leaf and tree.root.vote == 1
 
     def test_two_point_split_at_midpoint(self):
-        tree = train_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
-                          np.random.default_rng(1))
+        tree = grow_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
+                         np.random.default_rng(1))
         assert not tree.root.is_leaf
         assert tree.root.threshold == 0.5
         assert tree_vote(tree.root, np.array([0.2])) == 0
@@ -70,7 +75,7 @@ class TestDecisionTree:
         X = np.vstack([rng.normal(-2, 0.3, size=(30, 2)),
                        rng.normal(2, 0.3, size=(30, 2))])
         y = np.array([0] * 30 + [1] * 30)
-        tree = train_tree(X, y, np.random.default_rng(3))
+        tree = grow_tree(X, y, np.random.default_rng(3))
         npt.assert_array_equal([tree_vote(tree.root, x) for x in X], y)
 
     def test_constant_feature_falls_through(self):
@@ -78,13 +83,13 @@ class TestDecisionTree:
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         y = np.array([0, 0, 1, 1])
         for seed in range(10):
-            tree = train_tree(X, y, np.random.default_rng(seed))
+            tree = grow_tree(X, y, np.random.default_rng(seed))
             npt.assert_array_equal([tree_vote(tree.root, x) for x in X], y)
 
     def test_tie_votes_class_one(self):
         X = np.array([[1.0], [1.0]])
         y = np.array([0, 1])
-        tree = train_tree(X, y, np.random.default_rng(4))
+        tree = grow_tree(X, y, np.random.default_rng(4))
         assert tree.root.is_leaf and tree.root.vote == 1
 
 
@@ -114,7 +119,7 @@ class TestSplitSearchOracle:
         rng = np.random.default_rng(53)
         for case in range(240):
             X, y = random_split_set(rng)
-            got = train_tree(X, y, np.random.default_rng(case)).root
+            got = grow_tree(X, y, np.random.default_rng(case)).root
             ref = reference_grow(X, y, np.arange(len(X)), np.random.default_rng(case))
             assert as_tuples(got) == ref, f"case {case}"
 
@@ -125,7 +130,7 @@ class TestSplitSearchOracle:
         assert (lo + hi) / 2.0 == hi
         X = np.array([[lo], [hi], [hi], [lo], [2.0], [lo]])
         y = np.array([0, 1, 1, 0, 1, 1])
-        got = train_tree(X, y, np.random.default_rng(0)).root
+        got = grow_tree(X, y, np.random.default_rng(0)).root
         ref = reference_grow(X, y, np.arange(6), np.random.default_rng(0))
         assert as_tuples(got) == ref
 
@@ -141,10 +146,27 @@ class TestForest:
         # tree t draws its bootstrap rows, then grows, from SeedSequence([seed, t])
         tree_rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
         idx = tree_rng.integers(0, len(Z), size=len(Z))
-        single = train_tree(std.apply(Z)[idx], y[idx], tree_rng)
+        single = grow_tree(std.apply(Z)[idx], y[idx], tree_rng)
         assert as_tuples(single.root) == as_tuples(model.trees[0].root)
         for z, p in zip(Z, probs):
             assert p == float(tree_vote(single.root, std.apply(z[None])[0]))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_every_tree_matches_tree_on_its_bootstrap_draw(self, d):
+        # ties and duplicated rows; at d = 4 nodes also fall back to later
+        # features. Growing the trees together must leak nothing between them.
+        rng = np.random.default_rng(11 + d)
+        Z = np.round(rng.normal(size=(60, d)), 1)
+        Z[rng.integers(0, 60, size=20)] = Z[rng.integers(0, 60, size=20)]
+        Z[:, -1] = np.round(Z[:, -1])
+        y = rng.integers(0, 2, 60)
+        model = train_forest(Z, y, n_trees=100, seed=13)
+        Zs = model.standardizer.apply(Z)
+        for t, tree in enumerate(model.trees):
+            tree_rng = np.random.default_rng(np.random.SeedSequence([13, t]))
+            idx = tree_rng.integers(0, len(Z), size=len(Z))
+            single = grow_tree(Zs[idx], y[idx], tree_rng)
+            assert as_tuples(single.root) == as_tuples(tree.root), f"tree {t}"
 
     def test_unanimous_vote_gives_probability_one(self):
         Z = np.vstack([np.full((10, 2), -1.0) + np.random.default_rng(6).normal(0, .01, (10,2)),

@@ -1,12 +1,13 @@
 """Fuzzed input files through the CLI: a fault never crashes a command.
 
 Each example copies one valid input (DAMC checkpoint, DAFT cache, WAV
-track, PPM frame, ASR sidecar text or manifest), truncates it or replaces one byte with a
-different value, and runs ``cli.main`` in-process on it. A fault can leave
-the file well-formed (a flipped pixel, weight or sample), and then the
-command may succeed. Otherwise it must exit 1 (usage or configuration) or
-2 (ingestion) with an error message naming the faulty file; exit 3 is for
-numeric failures, never for a bad input file.
+track, PPM frame, ASR sidecar text, manifest or config file), truncates it
+or replaces one byte with a different value, and runs ``cli.main``
+in-process on it. A fault can leave the file well-formed (a flipped pixel,
+weight, sample or config digit), and then the command may succeed.
+Otherwise it must exit 1 (usage or configuration) or 2 (ingestion) with an
+error message naming the faulty file; exit 3 is for numeric failures, never
+for a bad input file.
 
 The examples are derandomized, so every run replays the same faults.
 """
@@ -28,8 +29,8 @@ from deepagent.vision import save_frame
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Six tiny samples, their feature cache and two seeded checkpoints
-    (Agent-1 at a 16-pixel geometry, so frames need no resize)."""
+    """Six tiny samples, their feature cache, a config file and two seeded
+    checkpoints (Agent-1 at a 16-pixel geometry, so frames need no resize)."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     records = []
@@ -44,6 +45,8 @@ def inputs(tmp_path_factory):
                         "audio": f"{sid}.wav", "asr_text": f"{sid}.asr.txt",
                         "ocr_text": f"{sid}.ocr.txt"})
     (root / "manifest.json").write_text(json.dumps(records), encoding="utf-8")
+    (root / "config.json").write_text(
+        json.dumps({"seed": 1, "folds": 5, "agent2": {"epochs": 5}}), encoding="utf-8")
     assert run(["extract", "--manifest", str(root / "manifest.json"),
                 "--out", str(root / "cache.daft")])[0] == 0
     agents.save_agent(agents.build_agent1(0, input_size=16), root / "agent1.damc")
@@ -79,6 +82,8 @@ CASES = {
     "ppm": ("s0.ppm", "s0.ppm", predict),
     "manifest": ("manifest.json", "fuzzed.json",
                  lambda r: extract(r, manifest="fuzzed.json")),
+    "config": ("config.json", "fuzzed_config.json",
+               lambda r: extract(r) + ["--config", str(r / "fuzzed_config.json")]),
 }
 
 

@@ -11,7 +11,8 @@ package: a field nothing reads is state every constructor must fill for no
 behaviour.
 
 Every callable the benchmark's tracer wraps exists, so a rename cannot
-quietly drop a layer from the traced benchmark.
+quietly drop a layer from the traced benchmark, and the tracer's
+``forest.nodes`` count is the number of nodes the forest grower made.
 
 Every layer with its own backward, and every head in ``nn/losses.py`` (a
 function of ``(logits, targets)``), is in the acceptance gradient suite, so
@@ -25,6 +26,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from deepagent import forest
 from deepagent.nn import layers, losses
 
 from test_acceptance import gradient_suite
@@ -103,11 +107,16 @@ def test_every_dataclass_field_is_read_in_the_package():
     assert unread == [], f"dataclass fields no package code reads: {unread}"
 
 
-def test_every_traced_benchmark_target_exists():
+def _bench_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer",
                                                   ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_benchmark_target_exists():
+    tracer = _bench_tracer()
     missing = []
     for module_name, names in tracer.TARGETS.items():
         module = importlib.import_module(f"deepagent.{module_name}")
@@ -137,3 +146,19 @@ def test_every_head_is_in_the_gradient_suite():
     assert len(heads) == 2
     missing = sorted(f.__name__ for f in heads - checked)
     assert missing == [], f"heads the gradient suite never checks: {missing}"
+
+
+def test_traced_forest_node_count_is_the_growers():
+    # the tracer counts forest.nodes by walking each tree's root; the walk
+    # must see every node the grower made, each once
+    tracer = _bench_tracer()
+    rng = np.random.default_rng(3)
+    Z = rng.random((80, 2))
+    y = rng.integers(0, 2, 80)
+    model = forest.train_forest(Z, y, n_trees=20, seed=5)
+    rngs = [np.random.default_rng(np.random.SeedSequence([5, t])) for t in range(20)]
+    rows = np.stack([r.integers(0, 80, size=80) for r in rngs])
+    grown = forest._grow(model.standardizer.apply(Z), y, rows, rngs)
+    counters = {tracer.FOREST_NODES: 0}
+    tracer._forest_nodes(counters, (Z, y), model)
+    assert counters[tracer.FOREST_NODES] == len(grown[0]) > 20 * 2
