@@ -4,9 +4,11 @@ Agent-1 is a five-block convolutional stack (channels-last) ending in
 global average pooling and two logits; its per-frame fake probability is
 the softmax component for class 1 and per-video scores are the plain mean
 over frames. Agent-2 is a 14 -> 128 -> 64 -> 32 -> 1 dense network over the
-multimodal feature vector, read through a sigmoid. ``score_video`` turns
-a video's frames into one float and ``predict_agent2`` scores a whole N x 14
-feature matrix in one forward.
+multimodal feature vector, read through a sigmoid; its first layer is a
+``Standardize`` fit on the training features. ``score_video`` turns a
+video's frames into one float and ``predict_agent2`` scores a whole N x 14
+feature matrix of raw features in one forward. Both are one
+:class:`Agent` type; a checkpoint stores its net's ``state()``.
 
 Both agents train in one Adam epoch loop, with the head's loss gradient
 taken at the logits. Training is single-threaded and fully seeded: batch
@@ -16,7 +18,7 @@ identical runs produce identical weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from deepagent.nn.layers import (
     MaxPool2D,
     ReLU,
     Sequential,
+    Standardize,
 )
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
@@ -44,45 +47,18 @@ AGENT1_SIZES = range(11, 225)
 
 
 @dataclass
-class Agent1Model:
+class Agent:
+    """A net plus its checkpoint metadata: DAMC model kind, input side
+    (Agent-1) or width (Agent-2), and dtype."""
+
     net: Sequential
+    kind: int
     input_size: int
     seed: int
     dtype: type = np.float64
 
-    def state(self):
-        """(kind, array) per checkpoint record after the metadata."""
-        return self.net.state()
 
-
-@dataclass
-class Agent2Model:
-    net: Sequential
-    input_width: int
-    seed: int
-    dtype: type = np.float64
-    # per-feature input conditioning, fit on the training set; equivalent to
-    # reparameterizing the first dense layer, so the function family is the
-    # same dense stack
-    input_mu: np.ndarray = field(default=None)
-    input_sigma: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.input_mu is None:
-            self.input_mu = np.zeros(self.input_width, dtype=self.dtype)
-        if self.input_sigma is None:
-            self.input_sigma = np.ones(self.input_width, dtype=self.dtype)
-
-    def condition(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.input_mu) / self.input_sigma
-
-    def state(self):
-        """(kind, array) per checkpoint record after the metadata."""
-        return [(ckpt.KIND_STD_MU, self.input_mu),
-                (ckpt.KIND_STD_SIGMA, self.input_sigma)] + self.net.state()
-
-
-def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent1Model:
+def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent:
     """Five conv blocks -> GAP -> 1024 -> 512 -> 2 logits.
 
     ``input_size`` 224 is the reference geometry; smaller inputs keep the
@@ -127,16 +103,18 @@ def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent1Mo
     add(ReLU())
     add(Dropout(0.5, rng=drop_rng(1)))
     add(Dense(512, 2, rng=rng, dtype=dtype, init="xavier", name="out"))
-    return Agent1Model(Sequential(layers), input_size, seed, dtype)
+    return Agent(Sequential(layers), ckpt.MODEL_AGENT1, input_size, seed, dtype)
 
 
 def build_agent2(seed: int, input_width: int = FEATURE_DIM, hidden=(128, 64, 32),
-                 dtype=np.float64) -> Agent2Model:
-    """Dense stack with dropout 0.2 after the first two layers, one logit."""
+                 dtype=np.float64) -> Agent:
+    """Input standardization, then a dense stack with dropout 0.2 after the
+    first two layers and one logit."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     drop_rng = lambda i: np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
     h1, h2, h3 = hidden
     layers = [
+        Standardize(input_width, dtype=dtype),
         Dense(input_width, h1, rng=rng, dtype=dtype, name="d1"),
         ReLU(),
         Dropout(0.2, rng=drop_rng(0)),
@@ -147,12 +125,12 @@ def build_agent2(seed: int, input_width: int = FEATURE_DIM, hidden=(128, 64, 32)
         ReLU(),
         Dense(h3, 1, rng=rng, dtype=dtype, init="xavier", name="d4"),
     ]
-    return Agent2Model(Sequential(layers), input_width, seed, dtype)
+    return Agent(Sequential(layers), ckpt.MODEL_AGENT2, input_width, seed, dtype)
 
 
 # prediction ---------------------------------------------------------------
 
-def predict_frames(model: Agent1Model, frames: np.ndarray) -> np.ndarray:
+def predict_frames(model: Agent, frames: np.ndarray) -> np.ndarray:
     """Fake-class probability for a batch of normalized frames."""
     frames = np.asarray(frames, dtype=model.dtype)
     expect = (model.input_size, model.input_size, 3)
@@ -161,20 +139,20 @@ def predict_frames(model: Agent1Model, frames: np.ndarray) -> np.ndarray:
     return softmax(model.net.forward(frames, train=False))[:, 1]
 
 
-def score_video(model: Agent1Model, frames: np.ndarray) -> float:
+def score_video(model: Agent, frames: np.ndarray) -> float:
     """Video score: the mean fake-class probability over its frames."""
     if len(frames) == 0:
         raise UsageError("cannot score a video with no frames")
     return float(np.mean(predict_frames(model, frames)))
 
 
-def predict_agent2(model: Agent2Model, X: np.ndarray) -> np.ndarray:
+def predict_agent2(model: Agent, X: np.ndarray) -> np.ndarray:
     """Fake-class probability for each row of an N x width feature matrix."""
     X = np.asarray(X, dtype=model.dtype)
-    if X.ndim != 2 or X.shape[1] != model.input_width:
+    if X.ndim != 2 or X.shape[1] != model.input_size:
         raise UsageError(
-            f"features must be N x {model.input_width}, got shape {X.shape}")
-    return sigmoid(model.net.forward(model.condition(X), train=False)[:, 0])
+            f"features must be N x {model.input_size}, got shape {X.shape}")
+    return sigmoid(model.net.forward(X, train=False)[:, 0])
 
 
 # training -----------------------------------------------------------------
@@ -290,7 +268,7 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
     return history
 
 
-def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
+def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
                  val_frames: np.ndarray | None = None,
                  val_labels: np.ndarray | None = None,
                  config: Agent1Config | None = None,
@@ -319,43 +297,37 @@ def train_agent1(model: Agent1Model, frames: np.ndarray, labels: np.ndarray,
                 transform=transform)
 
 
-def train_agent2(model: Agent2Model, X: np.ndarray, y: np.ndarray,
+def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
                  val_X: np.ndarray | None = None,
                  val_y: np.ndarray | None = None,
                  config: Agent2Config | None = None) -> list[dict]:
     """Minimize sigmoid cross-entropy with Adam, early stopping, LR reduction.
 
-    Validation accuracy drives both schedules; the best-validation weights
-    are restored before returning. Without a validation set the schedules
-    are inactive and training runs the full epoch budget.
+    The net's input standardization is fit on ``X`` first. Validation
+    accuracy drives both schedules; the best-validation weights are restored
+    before returning. Without a validation set the schedules are inactive
+    and training runs the full epoch budget.
     """
     cfg = config or Agent2Config()
     X = np.asarray(X, dtype=model.dtype)
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
-    model.input_mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    model.input_sigma = np.where(sigma == 0.0, 1.0, sigma)
+    model.net.layers[0].fit(X)
     val = controller = None
     if val_X is not None and len(val_X):
         val_y = np.asarray(val_y, dtype=int)
-        val = (model.condition(np.asarray(val_X, dtype=model.dtype)),
-               val_y[:, None].astype(model.dtype), val_y)
+        val = (val_X, val_y[:, None].astype(model.dtype), val_y)
         controller = TrainController(cfg.early_stop_patience, cfg.lr_patience)
-    return _fit(model, model.condition(X), y[:, None].astype(model.dtype), y, cfg,
+    return _fit(model, X, y[:, None].astype(model.dtype), y, cfg,
                 sigmoid_bce, stream=7, val=val, controller=controller)
 
 
 # checkpoints ---------------------------------------------------------------
 
-def save_agent(model, path) -> None:
-    if isinstance(model, Agent1Model):
-        kind, size = ckpt.MODEL_AGENT1, model.input_size
-    else:
-        kind, size = ckpt.MODEL_AGENT2, model.input_width
+def save_agent(model: Agent, path) -> None:
     bits = 32 if model.dtype == np.float32 else 64
-    ckpt.save_checkpoint(path, model.state(), model_kind=kind,
-                         input_size=size, dtype_bits=bits)
+    ckpt.save_checkpoint(path, model.net.state(), model_kind=model.kind,
+                         input_size=model.input_size, dtype_bits=bits)
 
 
 def _load_state(state, records, path) -> None:
@@ -383,8 +355,8 @@ def _load_state(state, records, path) -> None:
         target[...] = arr
 
 
-def load_agent(path):
-    """Rebuild an agent from a checkpoint; returns Agent1Model or Agent2Model."""
+def load_agent(path) -> Agent:
+    """Rebuild Agent-1 or Agent-2 from a checkpoint."""
     header, records = ckpt.load_checkpoint(path)
     dtype = np.float32 if header["dtype_bits"] == 32 else np.float64
     size = header["input_size"]
@@ -401,5 +373,5 @@ def load_agent(path):
                 f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
                 f"got {size}")
         model = build_agent2(seed=0, input_width=size, dtype=dtype)
-    _load_state(model.state(), records, path)
+    _load_state(model.net.state(), records, path)
     return model

@@ -3,12 +3,16 @@
 Resolution order: built-in defaults, then the JSON config file (explicit
 ``--config`` path or the ``DEEPAGENT_CONFIG`` environment variable), then
 command-line flags. A config file must be valid on its own; its read, key,
-type and bound errors name the file.
+type and bound errors name the file. Every value numpy or the optimizer
+reads is bounded: a non-negative seed, split fractions in [0, 1], a
+finite non-negative learning rate, Adam betas in [0, 1), a positive
+epsilon, a rate factor in (0, 1] and patiences of at least one epoch.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -68,6 +72,18 @@ class PipelineConfig:
         return 64 if self.desk_scale else 224
 
     def validate(self) -> "PipelineConfig":
+        ranges = [("train_fraction", self.train_fraction, "in [0, 1]"),
+                  ("val_fraction", self.val_fraction, "in [0, 1]"),
+                  ("test_fraction", self.test_fraction, "in [0, 1]"),
+                  ("agent2.lr_factor", self.agent2.lr_factor, "in (0, 1]")]
+        for name, agent in (("agent1", self.agent1), ("agent2", self.agent2)):
+            ranges += [(f"{name}.learning_rate", agent.learning_rate, "finite and >= 0"),
+                       (f"{name}.beta1", agent.beta1, "in [0, 1)"),
+                       (f"{name}.beta2", agent.beta2, "in [0, 1)"),
+                       (f"{name}.epsilon", agent.epsilon, "finite and > 0")]
+        for key, value, bound in ranges:
+            if not _WITHIN[bound](value):
+                raise ConfigurationError(f"{key} must be {bound}, got {value}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"split fractions must sum to 1, got {self.fractions}")
@@ -77,6 +93,7 @@ class PipelineConfig:
         if self.meta_dims not in (2, 4):
             raise ConfigurationError(f"meta_dims must be 2 or 4, got {self.meta_dims}")
         for key, value, low in (
+            ("seed", self.seed, 0),
             ("m", self.m, 1),
             ("mel_filters", self.mel_filters, 1),
             ("frame_interval", self.frame_interval, 1),
@@ -87,10 +104,22 @@ class PipelineConfig:
             ("agent1.batch_size", self.agent1.batch_size, 2),
             ("agent2.epochs", self.agent2.epochs, 1),
             ("agent2.batch_size", self.agent2.batch_size, 1),
+            ("agent2.early_stop_patience", self.agent2.early_stop_patience, 1),
+            ("agent2.lr_patience", self.agent2.lr_patience, 1),
         ):
             if value < low:
                 raise ConfigurationError(f"{key} must be >= {low}, got {value}")
         return self
+
+
+# float bounds by the text their fault message shows; NaN is in none of them
+_WITHIN = {
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
+    "finite and > 0": lambda v: 0.0 < v < math.inf,
+}
 
 
 # JSON value types each field type accepts (booleans only for bool fields)

@@ -93,6 +93,8 @@ def gen_fixtures(out_dir, n_samples: int, artifact_strength: float,
         raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
     if not (0.0 <= artifact_strength <= 1.0 and 0.0 <= overlap_gap <= 1.0):
         raise UsageError("artifact_strength and overlap_gap must be in [0, 1]")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
 
     out_dir = Path(out_dir)
     try:

@@ -1,11 +1,12 @@
-"""CART decision trees, bagged forest, standardizer, stratified K-fold.
+"""CART decision trees, bagged forest, stratified K-fold.
 
 Trees grow on Gini impurity over labels in {0, 1} with one randomly drawn
 candidate feature per node (falling back to the remaining features in drawn
 order when the drawn one has no split within the node, so separable data is
 always grown to purity). Leaves hold a majority vote with ties going to
 class 1. The forest averages the tree votes; the decision threshold maps 0.5
-exactly to class 1.
+exactly to class 1. Inputs pass through an ``nn.layers.Standardize`` (the
+layer Agent-2's net starts with) fit on the forest's training rows.
 
 All trees of a forest grow together, level by level. Each open node is a
 segment of (bootstrap row, node) entries, kept sorted by value for every
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deepagent.errors import UsageError
+from deepagent.nn.layers import Standardize
 
 
 @dataclass
@@ -177,34 +179,14 @@ def _link(feature, threshold, vote, left, right, n_trees: int) -> list[DecisionT
 
 
 @dataclass
-class Standardizer:
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def apply(self, Z: np.ndarray) -> np.ndarray:
-        return (np.asarray(Z, dtype=float) - self.mu) / self.sigma
-
-
-def fit_standardizer(Z: np.ndarray) -> Standardizer:
-    """Per-column population mean/std; constant columns get sigma 1."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if len(Z) == 0:
-        raise UsageError("cannot fit a standardizer on an empty set")
-    mu = Z.mean(axis=0)
-    sigma = Z.std(axis=0)
-    sigma = np.where(sigma == 0.0, 1.0, sigma)
-    return Standardizer(mu, sigma)
-
-
-@dataclass
 class ForestModel:
     trees: list[DecisionTree]
-    standardizer: Standardizer
+    standardizer: Standardize
 
 
 def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
                  seed: int = 0) -> ForestModel:
-    """Fit the standardizer on Z, then bag ``n_trees`` CART trees.
+    """Fit a ``Standardize`` on Z, then bag ``n_trees`` CART trees.
 
     Tree ``t`` gets its own rng, ``SeedSequence([seed, t])``, for its
     bootstrap draw and then for its feature orders; the trees grow together.
@@ -213,8 +195,8 @@ def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
     y = np.asarray(y, dtype=int)
     if len(np.unique(y)) < 2:
         raise UsageError("forest training needs both classes present")
-    std = fit_standardizer(Z)
-    Zs = std.apply(Z)
+    std = Standardize(Z.shape[1]).fit(Z)
+    Zs = std.forward(Z)
     n = len(Zs)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t]))
             for t in range(n_trees)]
@@ -228,7 +210,7 @@ def predict_forest_batch(model: ForestModel, Z: np.ndarray):
     branches in one pass."""
     if not model.trees:
         raise UsageError("forest has no trained trees")
-    Zs = model.standardizer.apply(np.atleast_2d(Z))
+    Zs = model.standardizer.forward(np.atleast_2d(np.asarray(Z, dtype=float)))
     votes = np.zeros(len(Zs), dtype=int)
     for tree in model.trees:
         stack = [(tree.root, np.arange(len(Zs)))]

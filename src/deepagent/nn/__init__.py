@@ -2,9 +2,12 @@
 
 Tensors are numpy ndarrays (float64 by default, float32 selectable at build
 time). Every layer works on batches: spatial data is channels-last
-``N x H x W x C``, dense data is ``N x F``. Networks end at their logits;
-the softmax and sigmoid heads in ``losses`` turn them into probabilities,
-a loss and the logit gradient.
+``N x H x W x C``, dense data is ``N x F``. Each layer declares its
+persistent arrays once, in ``STATE``: trained parameters, batch-norm
+running statistics, a ``Standardize`` layer's fitted mean and sigma.
+Checkpoints, weight snapshots and the optimizer all read that list.
+Networks end at their logits; the softmax and sigmoid heads in ``losses``
+turn them into probabilities, a loss and the logit gradient.
 """
 
 from deepagent.nn.layers import (
@@ -17,6 +20,7 @@ from deepagent.nn.layers import (
     Param,
     ReLU,
     Sequential,
+    Standardize,
 )
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
@@ -33,6 +37,7 @@ __all__ = [
     "Param",
     "ReLU",
     "Sequential",
+    "Standardize",
     "load_checkpoint",
     "save_checkpoint",
     "sigmoid",

@@ -14,8 +14,9 @@ snapshots all read that list.
 ``backward(grad, input_grad=True)`` accumulates the parameter gradients and
 returns the gradient with respect to the layer input. With
 ``input_grad=False`` a layer may skip forming it and return None;
-:class:`Sequential` asks this of its first layer, because nothing reads the
-gradient with respect to the network input.
+:class:`Sequential` asks this of its first layer that holds parameters and
+runs no backward below it, because nothing reads the gradient with respect
+to the network input.
 """
 
 from __future__ import annotations
@@ -299,6 +300,33 @@ class BatchNorm(Layer):
         return dx
 
 
+class Standardize(Layer):
+    """Fixed per-feature input standardization ``(x - mean) / sigma``.
+
+    ``fit`` sets the population mean and standard deviation of each column
+    (a constant column keeps sigma 1); training never changes them, so the
+    layer has no parameters and no backward. Placed first, it is a
+    reparameterization of the layer after it.
+    """
+
+    STATE = (("mean", ckpt.KIND_STD_MU), ("sigma", ckpt.KIND_STD_SIGMA))
+
+    def __init__(self, width, *, dtype=np.float64):
+        self.mean = np.zeros(width, dtype=dtype)
+        self.sigma = np.ones(width, dtype=dtype)
+
+    def fit(self, x: np.ndarray) -> "Standardize":
+        if len(x) == 0:
+            raise UsageError("cannot fit a standardizer on an empty set")
+        self.mean = x.mean(axis=0)
+        sigma = x.std(axis=0)
+        self.sigma = np.where(sigma == 0.0, 1.0, sigma)
+        return self
+
+    def forward(self, x, train=False):
+        return (x - self.mean) / self.sigma
+
+
 class GlobalAvgPool(Layer):
     """Reduce each channel's feature map to its spatial mean."""
 
@@ -414,10 +442,12 @@ class Sequential(Layer):
 
     def backward(self, grad):
         """Accumulate every parameter gradient; nothing reads the gradient
-        with respect to the network input, so it is not formed."""
-        for layer in self.layers[:0:-1]:
+        with respect to the network input, so backward stops at the first
+        layer that holds parameters, without forming its input gradient."""
+        first = next(i for i, layer in enumerate(self.layers) if layer.params())
+        for layer in self.layers[:first:-1]:
             grad = layer.backward(grad)
-        self.layers[0].backward(grad, input_grad=False)
+        self.layers[first].backward(grad, input_grad=False)
 
     def zero_grad(self):
         for p in self.params():

@@ -7,6 +7,7 @@ together; the CLI is a thin argument-parsing layer over these functions.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from deepagent import agents, audio, fusion, metrics, semantic, vision
 from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import PipelineConfig
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
-from deepagent.manifest import SampleRecord, assign_splits, by_split
+from deepagent.manifest import SPLITS, SampleRecord, assign_splits, by_split
 
 
 def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
@@ -116,12 +117,9 @@ def run_train_agent2(records, config: PipelineConfig, cache_path, out_path,
     _ensure_splits(records, config)
 
     def dataset(split):
-        rows, labels = [], []
-        for record in by_split(records, split):
-            rows.append(_cached_feature(entries, record.id, cache_path))
-            labels.append(record.label)
-        return (np.array(rows) if rows else np.zeros((0, semantic.FEATURE_DIM)),
-                np.array(labels, dtype=int))
+        chosen = by_split(records, split)
+        return (_feature_matrix(entries, chosen, cache_path),
+                np.array([r.label for r in chosen], dtype=int))
 
     X, y = dataset("train")
     val_X, val_y = dataset("val")
@@ -148,19 +146,23 @@ def _require_cache(cache_path) -> dict:
     return read_cache(cache_path)
 
 
-def _cached_feature(entries, sample_id, cache_path) -> np.ndarray:
-    key = f"{sample_id}/feature"
-    if key not in entries:
-        raise ConfigurationError(
-            f"missing feature for sample {sample_id} in {cache_path} (rerun extract)")
-    if entries[key].shape != (semantic.FEATURE_DIM,):
-        raise IngestionError(
-            f"{cache_path}: entry {key!r} has shape {entries[key].shape}, "
-            f"expected ({semantic.FEATURE_DIM},)")
-    if not np.isfinite(entries[key]).all():
-        # extract only writes finite features
-        raise IngestionError(f"{cache_path}: entry {key!r} holds non-finite values")
-    return entries[key]
+def _feature_matrix(entries, records, cache_path) -> np.ndarray:
+    """N x 14 matrix of the records' cached features, row i for records[i]."""
+    rows = []
+    for record in records:
+        key = f"{record.id}/feature"
+        if key not in entries:
+            raise ConfigurationError(f"missing feature for sample {record.id} "
+                                     f"in {cache_path} (rerun extract)")
+        if entries[key].shape != (semantic.FEATURE_DIM,):
+            raise IngestionError(
+                f"{cache_path}: entry {key!r} has shape {entries[key].shape}, "
+                f"expected ({semantic.FEATURE_DIM},)")
+        if not np.isfinite(entries[key]).all():
+            # extract only writes finite features
+            raise IngestionError(f"{cache_path}: entry {key!r} holds non-finite values")
+        rows.append(entries[key])
+    return np.stack(rows) if rows else np.zeros((0, semantic.FEATURE_DIM))
 
 
 def require_checkpoint(path) -> Path:
@@ -182,8 +184,7 @@ def score_samples(records, agent1_model, agent2_model, cache_entries,
     without repeating the flag. Agent-2 scores the stacked N x 14 cached
     features in one forward.
     """
-    features = [_cached_feature(cache_entries, r.id, cache_path) for r in records]
-    X = np.stack(features) if features else np.zeros((0, agent2_model.input_width))
+    X = _feature_matrix(cache_entries, records, cache_path)
     agent1 = [agents.score_video(agent1_model, load_sample_frames(
         record, config, size=agent1_model.input_size)) for record in records]
     return np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
@@ -228,8 +229,44 @@ def run_fuse(records, config, agent1_path, agent2_path, cache_path,
 
 # evaluation and reporting ----------------------------------------------------
 
+def _number(value, low=-math.inf, high=math.inf) -> bool:
+    """True for a finite JSON number (not a boolean) within [low, high]."""
+    # compared, not converted: a JSON integer may be too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf and low <= value <= high)
+
+
+def _load_rows(path, problem) -> list[dict]:
+    """The JSON array of objects in ``path``; ``problem(row)`` names what is
+    wrong with one row, or returns None."""
+    try:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON
+        raise IngestionError(f"{path}: cannot read rows: {exc}") from None
+    if not isinstance(rows, list):
+        raise IngestionError(f"{path}: must be a JSON array of rows")
+    for i, row in enumerate(rows):
+        fault = problem(row) if isinstance(row, dict) else "must be a JSON object"
+        if fault:
+            raise IngestionError(f"{path}: row {i}: {fault}")
+    return rows
+
+
+def _score_row_problem(row):
+    if not isinstance(row.get("id"), str):
+        return "id must be a string"
+    if row.get("label") not in (0, 1):
+        return f"label must be 0 or 1, got {row.get('label')!r}"
+    if row.get("split") not in SPLITS:
+        return f"unknown split {row.get('split')!r}"
+    for key in ("agent1", "agent2"):
+        if not _number(row.get(key), 0.0, 1.0):
+            return f"{key} must be a finite score in [0, 1], got {row.get(key)!r}"
+    return None
+
+
 def run_evaluate(scores_path, split, out_path) -> dict:
-    rows = json.loads(Path(scores_path).read_text(encoding="utf-8"))
+    rows = _load_rows(scores_path, _score_row_problem)
     chosen = [r for r in rows if split in ("all", r["split"])]
     if not chosen:
         raise UsageError(f"no samples in split {split!r} within {scores_path}")
@@ -274,8 +311,25 @@ def write_roc_csvs(report_rows: list[dict], out_dir) -> list[Path]:
     return written
 
 
+def _fold_row_problem(row):
+    fold = row.get("fold")
+    if fold != "mean" and not (isinstance(fold, int) and not isinstance(fold, bool)):
+        return f"fold must be a whole number or 'mean', got {fold!r}"
+    for key in _REPORT_KEYS:
+        if not _number(row.get(key), 0.0, 1.0):
+            return f"{key} must be a fraction in [0, 1], got {row.get(key)!r}"
+    if not isinstance(row.get("roc", []), list):
+        return "roc must be a list of (fpr, tpr, threshold) triples"
+    for point in row.get("roc", []):
+        if not (isinstance(point, list) and len(point) == 3
+                and _number(point[0], 0.0, 1.0) and _number(point[1], 0.0, 1.0)
+                and (_number(point[2]) or point[2] in ("inf", "-inf"))):
+            return f"roc point {point!r} is not a (fpr, tpr, threshold) triple"
+    return None
+
+
 def run_report(fold_report_path, out_path=None, roc_dir=None) -> str:
-    report_rows = json.loads(Path(fold_report_path).read_text(encoding="utf-8"))
+    report_rows = _load_rows(fold_report_path, _fold_row_problem)
     table = render_fold_table(report_rows)
     if out_path is not None:
         Path(out_path).write_text(table, encoding="utf-8")

@@ -8,7 +8,7 @@ from deepagent import agents
 from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import UsageError
-from deepagent.nn import sigmoid, sigmoid_bce, softmax, softmax_cce
+from deepagent.nn import load_checkpoint, sigmoid, sigmoid_bce, softmax, softmax_cce
 
 from oracles import agent1_shape_chain, reference_adam_step
 
@@ -108,7 +108,9 @@ class TestSequentialBackward:
         grad = np.random.default_rng(50).normal(size=manual.forward(x, train=True).shape)
         net.forward(x, train=True)
         g = grad
-        for layer in reversed(manual.layers):
+        # layers before the first one with parameters need no gradient
+        first = next(i for i, layer in enumerate(manual.layers) if layer.params())
+        for layer in reversed(manual.layers[first:]):
             g = layer.backward(g)
         assert g.shape == x.shape
         assert net.backward(grad) is None
@@ -408,8 +410,9 @@ class TestOneEpochReplay:
         trained = agents.build_agent2(seed=8)
         agents.train_agent2(trained, X, y, config=cfg)
         replayed = agents.build_agent2(seed=8)
-        conditioned = (X - X.mean(axis=0)) / X.std(axis=0)
-        steps = self.replay(replayed, conditioned, y[:, None].astype(float), cfg,
+        standardize = replayed.net.layers[0]
+        standardize.mean, standardize.sigma = X.mean(axis=0), X.std(axis=0)
+        steps = self.replay(replayed, X, y[:, None].astype(float), cfg,
                             sigmoid_bce, stream=7, min_batch=1)
         assert steps == 3
         self.assert_same_state(trained, replayed)
@@ -473,10 +476,24 @@ class TestCheckpoints:
         path = tmp_path / "a2.damc"
         agents.save_agent(model, path)
         back = agents.load_agent(path)
-        npt.assert_array_equal(back.input_mu, model.input_mu)
-        npt.assert_array_equal(back.input_sigma, model.input_sigma)
+        npt.assert_array_equal(back.net.layers[0].mean, model.net.layers[0].mean)
+        npt.assert_array_equal(back.net.layers[0].sigma, model.net.layers[0].sigma)
         x = rng.normal(size=14)
         assert predict_row(model, x) == predict_row(back, x)
+
+    def test_agent2_records_in_state_order_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(92)
+        X, y = separable_features(rng, 40)
+        model = agents.build_agent2(seed=14)
+        agents.train_agent2(model, X, y, config=Agent2Config(epochs=2))
+        path = tmp_path / "a2.damc"
+        agents.save_agent(model, path)
+        # the standardization mean and sigma, then weights and bias of d1..d4
+        _, records = load_checkpoint(path)
+        assert [kind for kind, _ in records] == [9, 10, 7, 8, 7, 8, 7, 8, 7, 8]
+        back = agents.load_agent(path)
+        for (kind, a), (back_kind, b) in zip(model.net.state(), back.net.state()):
+            assert kind == back_kind and a.tobytes() == b.tobytes()
 
     def test_checkpoint_bytes_are_deterministic(self, tmp_path):
         model = agents.build_agent2(seed=13)

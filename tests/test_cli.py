@@ -168,7 +168,7 @@ class TestFailureModes:
                 f"found kind {ckpt.KIND_CONV_BIAS} shape (14,)") in error["message"]
 
     def test_checkpoint_non_finite_weight_exits_2(self, workspace, tmp_path, capsys):
-        # record 3 is d1.weights, after the conditioning mu and sigma
+        # record 3 is d1.weights, after the standardization mean and sigma
         def poison(records):
             kind, weights = records[2]
             weights = weights.copy()
@@ -202,7 +202,7 @@ class TestFailureModes:
 
     def test_checkpoint_non_positive_input_sigma_exits_2(self, workspace, tmp_path,
                                                          capsys):
-        # record 2 is the Agent-2 conditioning sigma, the divisor of its input
+        # record 2 is the Agent-2 standardization sigma, the divisor of its input
         def poison(records):
             sigma = records[1][1].copy()
             sigma[3] = 0.0
@@ -409,6 +409,80 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "ConfigurationError"
         assert f"config {cfg}: " in error["message"] and what in error["message"]
+
+    @pytest.mark.parametrize("flags, body, what", [
+        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], {"agent2": {"beta1": 1.0}}, "agent2.beta1 must be in [0, 1), got 1.0"),
+        ([], {"agent2": {"epsilon": 0.0}}, "agent2.epsilon must be finite and > 0, got 0.0"),
+        ([], {"agent2": {"learning_rate": -1.0}},
+         "agent2.learning_rate must be finite and >= 0, got -1.0"),
+        ([], {"train_fraction": 1.2, "val_fraction": -0.1, "test_fraction": -0.1},
+         "train_fraction must be in [0, 1], got 1.2"),
+    ])
+    def test_out_of_range_config_value_exits_1_naming_key(self, workspace, tmp_path,
+                                                          capsys, flags, body, what):
+        if body is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(body))
+            flags = flags + ["--config", str(cfg)]
+        code = main(["train", "agent2", "--manifest", str(workspace["manifest"]),
+                     "--cache", str(workspace["cache"]),
+                     "--out", str(tmp_path / "a2.damc"), *flags])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "ConfigurationError"
+        assert what in error["message"]
+
+    def test_gen_fixtures_negative_seed_exits_1(self, tmp_path, capsys):
+        code = main(["gen-fixtures", "--out", str(tmp_path / "fx"), "--n", "2",
+                     "--strength", "1", "--gap", "1", "--seed", "-1"])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "UsageError"
+        assert "seed must be >= 0, got -1" in error["message"]
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda rows: "not json", "cannot read rows"),
+        (lambda rows: {"rows": rows}, "must be a JSON array of rows"),
+        (lambda rows: [{k: v for k, v in r.items() if k != "split"} for r in rows],
+         "row 0: unknown split None"),
+        (lambda rows: [{**r, "agent1": "0.5"} for r in rows],
+         "row 0: agent1 must be a finite score in [0, 1], got '0.5'"),
+        (lambda rows: [{**r, "label": 2} for r in rows],
+         "row 0: label must be 0 or 1, got 2"),
+    ])
+    def test_faulty_scores_file_exits_2_naming_it(self, workspace, tmp_path, capsys,
+                                                  edit, what):
+        rows = json.loads((workspace["root"] / "scores.json").read_text())
+        bad = tmp_path / "bad_scores.json"
+        edited = edit(rows)
+        bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        code = main(["evaluate", "--scores", str(bad), "--split", "all",
+                     "--out", str(tmp_path / "m.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"{bad}: " in error["message"] and what in error["message"]
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda rows: "not json", "cannot read rows"),
+        (lambda rows: {"rows": rows}, "must be a JSON array of rows"),
+        (lambda rows: [{k: v for k, v in r.items() if k != "fold"} for r in rows],
+         "row 0: fold must be a whole number or 'mean', got None"),
+        (lambda rows: [{**r, "auc": "1.0"} for r in rows],
+         "row 0: auc must be a fraction in [0, 1], got '1.0'"),
+        (lambda rows: [{**r, "f1": 10 ** 400} for r in rows],
+         "row 0: f1 must be a fraction in [0, 1], got 1000"),
+        (lambda rows: [{**r, "roc": [[0.0, 1.0]]} for r in rows],
+         "row 0: roc point [0.0, 1.0] is not a (fpr, tpr, threshold) triple"),
+    ])
+    def test_faulty_fold_report_exits_2_naming_it(self, workspace, tmp_path, capsys,
+                                                  edit, what):
+        rows = json.loads((workspace["root"] / "fold_report.json").read_text())
+        bad = tmp_path / "bad_report.json"
+        edited = edit(rows)
+        bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        code = main(["report", "--fold-report", str(bad)])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"{bad}: " in error["message"] and what in error["message"]
 
     def test_audio_only_manifest_record_exits_2(self, workspace, tmp_path, capsys):
         records = json.loads(workspace["manifest"].read_text())

@@ -1,4 +1,4 @@
-"""CART trees, bagged forest, standardizer, and stratified K-fold."""
+"""CART trees, bagged forest, input standardization, stratified K-fold."""
 
 import numpy as np
 import numpy.testing as npt
@@ -10,11 +10,11 @@ from deepagent.forest import (
     DecisionTree,
     ForestModel,
     TreeNode,
-    fit_standardizer,
     predict_forest_batch,
     stratified_kfold,
     train_forest,
 )
+from deepagent.nn import Standardize
 
 from oracles import reference_grow, tree_vote
 
@@ -38,22 +38,26 @@ def as_tuples(node):
 
 class TestStandardizer:
     def test_simple_column(self):
-        std = fit_standardizer(np.array([[1.0], [2.0], [3.0]]))
-        out = std.apply(np.array([[1.0], [2.0], [3.0]]))
+        std = Standardize(1).fit(np.array([[1.0], [2.0], [3.0]]))
+        out = std.forward(np.array([[1.0], [2.0], [3.0]]))
         npt.assert_allclose(out[:, 0], [-1.22474, 0.0, 1.22474], atol=1e-5)
 
     def test_constant_column_guard(self):
-        std = fit_standardizer(np.array([[5.0, 1.0], [5.0, 2.0]]))
-        out = std.apply(np.array([[5.0, 1.5]]))
+        std = Standardize(2).fit(np.array([[5.0, 1.0], [5.0, 2.0]]))
+        out = std.forward(np.array([[5.0, 1.5]]))
         assert out[0, 0] == 0.0
 
     def test_train_columns_centered(self):
         rng = np.random.default_rng(50)
         Z = rng.normal(loc=3.0, scale=2.0, size=(40, 2))
-        std = fit_standardizer(Z)
-        out = std.apply(Z)
+        std = Standardize(Z.shape[1]).fit(Z)
+        out = std.forward(Z)
         assert np.abs(out.mean(axis=0)).max() < 1e-12
         npt.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(UsageError, match="empty"):
+            Standardize(2).fit(np.zeros((0, 2)))
 
 
 class TestDecisionTree:
@@ -146,10 +150,10 @@ class TestForest:
         # tree t draws its bootstrap rows, then grows, from SeedSequence([seed, t])
         tree_rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
         idx = tree_rng.integers(0, len(Z), size=len(Z))
-        single = grow_tree(std.apply(Z)[idx], y[idx], tree_rng)
+        single = grow_tree(std.forward(Z)[idx], y[idx], tree_rng)
         assert as_tuples(single.root) == as_tuples(model.trees[0].root)
         for z, p in zip(Z, probs):
-            assert p == float(tree_vote(single.root, std.apply(z[None])[0]))
+            assert p == float(tree_vote(single.root, std.forward(z[None])[0]))
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_every_tree_matches_tree_on_its_bootstrap_draw(self, d):
@@ -161,7 +165,7 @@ class TestForest:
         Z[:, -1] = np.round(Z[:, -1])
         y = rng.integers(0, 2, 60)
         model = train_forest(Z, y, n_trees=100, seed=13)
-        Zs = model.standardizer.apply(Z)
+        Zs = model.standardizer.forward(Z)
         for t, tree in enumerate(model.trees):
             tree_rng = np.random.default_rng(np.random.SeedSequence([13, t]))
             idx = tree_rng.integers(0, len(Z), size=len(Z))
@@ -185,7 +189,7 @@ class TestForest:
         for _ in range(50):
             z = rng.normal(size=2)
             prob, label = predict_one(model, z)
-            zs = model.standardizer.apply(z[None])[0]
+            zs = model.standardizer.forward(z[None])[0]
             votes = [tree_vote(t.root, zs) for t in model.trees]
             assert prob == sum(votes) / 17
             assert label == int(prob >= 0.5)
@@ -206,7 +210,7 @@ class TestForest:
         assert prob < 0.5 and label == 0
 
     def test_adding_positive_tree_never_decreases_probability(self):
-        std = fit_standardizer(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        std = Standardize(2).fit(np.array([[0.0, 0.0], [1.0, 1.0]]))
         rng = np.random.default_rng(10)
         votes = [TreeNode(vote=int(v)) for v in rng.integers(0, 2, 9)]
         model = ForestModel([DecisionTree(n) for n in votes], std)
@@ -220,7 +224,7 @@ class TestForest:
             train_forest(np.zeros((4, 2)), np.ones(4, dtype=int), n_trees=2, seed=0)
 
     def test_empty_forest_rejected(self):
-        model = ForestModel([], fit_standardizer(np.zeros((2, 2))))
+        model = ForestModel([], Standardize(2).fit(np.zeros((2, 2))))
         with pytest.raises(UsageError):
             predict_one(model, np.zeros(2))
 

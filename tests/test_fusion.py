@@ -6,7 +6,8 @@ import pytest
 
 from deepagent import fusion
 from deepagent.errors import UsageError
-from deepagent.forest import fit_standardizer, stratified_kfold
+from deepagent.forest import stratified_kfold
+from deepagent.nn import Standardize
 
 
 def make_scores(n, rng, separable):
@@ -77,9 +78,9 @@ class TestCrossValidate:
         y = np.array([0, 1] * 25)
         off_center = 0
         for train_idx, val_idx in stratified_kfold(y, 5, seed=9):
-            std = fit_standardizer(Z[train_idx])
-            train_means = std.apply(Z[train_idx]).mean(axis=0)
-            val_means = std.apply(Z[val_idx]).mean(axis=0)
+            std = Standardize(2).fit(Z[train_idx])
+            train_means = std.forward(Z[train_idx]).mean(axis=0)
+            val_means = std.forward(Z[val_idx]).mean(axis=0)
             assert np.abs(train_means).max() < 1e-12
             if np.abs(val_means).max() > 1e-6:
                 off_center += 1

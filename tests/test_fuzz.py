@@ -1,13 +1,13 @@
 """Fuzzed input files through the CLI: a fault never crashes a command.
 
 Each example copies one valid input (DAMC checkpoint, DAFT cache, WAV
-track, PPM frame, ASR sidecar text, manifest or config file), truncates it
-or replaces one byte with a different value, and runs ``cli.main``
-in-process on it. A fault can leave the file well-formed (a flipped pixel,
-weight, sample or config digit), and then the command may succeed.
-Otherwise it must exit 1 (usage or configuration) or 2 (ingestion) with an
-error message naming the faulty file; exit 3 is for numeric failures, never
-for a bad input file.
+track, PPM frame, ASR sidecar text, manifest, config file, scores file or
+fold report), truncates it or replaces one byte with a different value,
+and runs ``cli.main`` in-process on it. A fault can leave the file
+well-formed (a flipped pixel, weight, sample or config digit), and then
+the command may succeed. Otherwise it must exit 1 (usage or
+configuration) or 2 (ingestion) with an error message naming the faulty
+file; exit 3 is for numeric failures, never for a bad input file.
 
 The examples are derandomized, so every run replays the same faults.
 """
@@ -29,8 +29,9 @@ from deepagent.vision import save_frame
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Six tiny samples, their feature cache, a config file and two seeded
-    checkpoints (Agent-1 at a 16-pixel geometry, so frames need no resize)."""
+    """Six tiny samples, their feature cache, a config file, two seeded
+    checkpoints (Agent-1 at a 16-pixel geometry, so frames need no resize)
+    and the scores file and 3-fold report those checkpoints give."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     records = []
@@ -51,6 +52,12 @@ def inputs(tmp_path_factory):
                 "--out", str(root / "cache.daft")])[0] == 0
     agents.save_agent(agents.build_agent1(0, input_size=16), root / "agent1.damc")
     agents.save_agent(agents.build_agent2(0), root / "agent2.damc")
+    assert run(predict(root, out="valid_scores.json"))[0] == 0
+    (root / "fuse_config.json").write_text(
+        json.dumps({"folds": 3, "forest_trees": 5}), encoding="utf-8")
+    (root / "fuse_cache.daft").write_bytes((root / "cache.daft").read_bytes())
+    fuse = predict(root, cache="fuse_cache.daft", out="valid_report.json")
+    assert run(["fuse", *fuse[1:], "--config", str(root / "fuse_config.json")])[0] == 0
     return root
 
 
@@ -62,10 +69,10 @@ def run(argv):
     return code, err.getvalue()
 
 
-def predict(root, agent2="agent2.damc", cache="cache.daft"):
+def predict(root, agent2="agent2.damc", cache="cache.daft", out="scores.json"):
     return ["predict", "--manifest", str(root / "manifest.json"),
             "--agent1", str(root / "agent1.damc"), "--agent2", str(root / agent2),
-            "--cache", str(root / cache), "--out", str(root / "scores.json")]
+            "--cache", str(root / cache), "--out", str(root / out)]
 
 
 def extract(root, manifest="manifest.json"):
@@ -84,6 +91,12 @@ CASES = {
                  lambda r: extract(r, manifest="fuzzed.json")),
     "config": ("config.json", "fuzzed_config.json",
                lambda r: extract(r) + ["--config", str(r / "fuzzed_config.json")]),
+    "scores": ("valid_scores.json", "fuzzed_scores.json",
+               lambda r: ["evaluate", "--scores", str(r / "fuzzed_scores.json"),
+                          "--split", "all", "--out", str(r / "metrics.json")]),
+    "fold_report": ("valid_report.json", "fuzzed_report.json",
+                    lambda r: ["report", "--fold-report", str(r / "fuzzed_report.json"),
+                               "--out", str(r / "table.txt"), "--roc-dir", str(r / "roc")]),
 }
 
 

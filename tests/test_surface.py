@@ -14,6 +14,9 @@ Every callable the benchmark's tracer wraps exists, so a rename cannot
 quietly drop a layer from the traced benchmark, and the tracer's
 ``forest.nodes`` count is the number of nodes the forest grower made.
 
+Every DAMC record kind but the metadata is declared in exactly one layer's
+``STATE``, so checkpoints hold no state defined outside the layers.
+
 Every layer with its own backward, and every head in ``nn/losses.py`` (a
 function of ``(logits, targets)``), is in the acceptance gradient suite, so
 no gradient that training runs goes unchecked by finite differences.
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from deepagent import forest
-from deepagent.nn import layers, losses
+from deepagent.nn import checkpoint, layers, losses
 
 from test_acceptance import gradient_suite
 
@@ -158,7 +161,18 @@ def test_traced_forest_node_count_is_the_growers():
     model = forest.train_forest(Z, y, n_trees=20, seed=5)
     rngs = [np.random.default_rng(np.random.SeedSequence([5, t])) for t in range(20)]
     rows = np.stack([r.integers(0, 80, size=80) for r in rngs])
-    grown = forest._grow(model.standardizer.apply(Z), y, rows, rngs)
+    grown = forest._grow(model.standardizer.forward(Z), y, rows, rngs)
     counters = {tracer.FOREST_NODES: 0}
     tracer._forest_nodes(counters, (Z, y), model)
     assert counters[tracer.FOREST_NODES] == len(grown[0]) > 20 * 2
+
+
+def test_every_checkpoint_kind_is_declared_in_one_layer_state():
+    kinds = {name: code for name, code in vars(checkpoint).items()
+             if name.startswith("KIND_") and name != "KIND_META"}
+    declared = [kind for cls in vars(layers).values()
+                if isinstance(cls, type) and issubclass(cls, layers.Layer)
+                for _, kind in vars(cls).get("STATE", ())]
+    wrong = {name: declared.count(code) for name, code in kinds.items()
+             if declared.count(code) != 1}
+    assert wrong == {}, f"kinds not declared by exactly one layer STATE: {wrong}"
