@@ -106,26 +106,24 @@ def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent:
     return Agent(Sequential(layers), ckpt.MODEL_AGENT1, input_size, seed, dtype)
 
 
-def build_agent2(seed: int, input_width: int = FEATURE_DIM, hidden=(128, 64, 32),
-                 dtype=np.float64) -> Agent:
+def build_agent2(seed: int, dtype=np.float64) -> Agent:
     """Input standardization, then a dense stack with dropout 0.2 after the
     first two layers and one logit."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     drop_rng = lambda i: np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
-    h1, h2, h3 = hidden
     layers = [
-        Standardize(input_width, dtype=dtype),
-        Dense(input_width, h1, rng=rng, dtype=dtype, name="d1"),
+        Standardize(FEATURE_DIM, dtype=dtype),
+        Dense(FEATURE_DIM, 128, rng=rng, dtype=dtype, name="d1"),
         ReLU(),
         Dropout(0.2, rng=drop_rng(0)),
-        Dense(h1, h2, rng=rng, dtype=dtype, name="d2"),
+        Dense(128, 64, rng=rng, dtype=dtype, name="d2"),
         ReLU(),
         Dropout(0.2, rng=drop_rng(1)),
-        Dense(h2, h3, rng=rng, dtype=dtype, name="d3"),
+        Dense(64, 32, rng=rng, dtype=dtype, name="d3"),
         ReLU(),
-        Dense(h3, 1, rng=rng, dtype=dtype, init="xavier", name="d4"),
+        Dense(32, 1, rng=rng, dtype=dtype, init="xavier", name="d4"),
     ]
-    return Agent(Sequential(layers), ckpt.MODEL_AGENT2, input_width, seed, dtype)
+    return Agent(Sequential(layers), ckpt.MODEL_AGENT2, FEATURE_DIM, seed, dtype)
 
 
 # prediction ---------------------------------------------------------------
@@ -271,24 +269,25 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
 def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
                  val_frames: np.ndarray | None = None,
                  val_labels: np.ndarray | None = None,
-                 config: Agent1Config | None = None,
-                 augment_policy: AugmentPolicy | None = None) -> list[dict]:
+                 config: Agent1Config | None = None) -> list[dict]:
     """Minimize softmax cross-entropy with Adam; returns per-epoch history.
 
     ``frames`` are normalized [0, 1] arrays shaped N x S x S x 3 with labels
-    in {0, 1}. Augmentation (when a policy is given) redraws every epoch
-    from the model seed. Validation runs in ``batch_size`` slices, so its
-    memory does not grow with the validation set.
+    in {0, 1}. With ``config.augment``, every batch is augmented under the
+    default :class:`AugmentPolicy`, redrawn every epoch from the model seed.
+    Validation runs in ``batch_size`` slices, so its memory does not grow
+    with the validation set.
     """
     cfg = config or Agent1Config()
     labels = np.asarray(labels, dtype=int)
     _check_two_classes(labels)
     onehot = np.eye(2, dtype=model.dtype)
     transform = val = None
-    if augment_policy is not None:
+    if cfg.augment:
+        policy = AugmentPolicy()
         aug_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 6]))
         transform = lambda batch: np.stack(
-            [augment(img, augment_policy, aug_rng) for img in batch]).astype(model.dtype)
+            [augment(img, policy, aug_rng) for img in batch]).astype(model.dtype)
     if val_frames is not None and len(val_frames):
         val_labels = np.asarray(val_labels, dtype=int)
         val = (val_frames, onehot[val_labels], val_labels)
@@ -372,6 +371,6 @@ def load_agent(path) -> Agent:
             raise IngestionError(
                 f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
                 f"got {size}")
-        model = build_agent2(seed=0, input_width=size, dtype=dtype)
+        model = build_agent2(seed=0, dtype=dtype)
     _load_state(model.net.state(), records, path)
     return model

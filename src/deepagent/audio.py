@@ -3,11 +3,13 @@
 The chain is: PCM-16 RIFF/WAVE -> mono waveform in [-1, 1] -> linear
 resampling to 16 kHz -> short-time magnitude spectra (25 ms Hann window,
 10 ms hop) -> triangular mel filterbank energies -> log + cosine transform
--> temporal mean of the first 13 coefficients. Spectrograms are plain
-``frames x bins`` magnitude matrices and the filterbank an ``M x bins``
-weight matrix. Missing or too-short audio never raises from
-:func:`embed_audio`; it returns None, and feature assembly zero-fills and
-flags it.
+-> temporal mean of the first 13 coefficients. The analysis is fixed:
+``FRAME_LENGTH``/``HOP`` samples per frame and hop, filters spanning 0 Hz
+to the Nyquist frequency of ``TARGET_RATE``, and ``N_COEFFS`` coefficients.
+Spectrograms are plain ``frames x bins`` magnitude matrices and the
+filterbank an ``M x bins`` weight matrix. Missing or too-short audio never
+raises from :func:`embed_audio`; it returns None, and feature assembly
+zero-fills and flags it.
 """
 
 from __future__ import annotations
@@ -126,17 +128,16 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(w: Waveform, frame_length: int = FRAME_LENGTH,
-         hop: int = HOP) -> np.ndarray:
-    """``frames x (frame_length // 2 + 1)`` magnitude spectrogram over
+def stft(w: Waveform) -> np.ndarray:
+    """``frames x (FRAME_LENGTH // 2 + 1)`` magnitude spectrogram over
     Hann-windowed frames (no padding)."""
     x = np.asarray(w.samples, dtype=np.float64)
-    if len(x) < frame_length:
+    if len(x) < FRAME_LENGTH:
         raise UsageError(
-            f"signal of {len(x)} samples is shorter than one {frame_length}-sample frame")
-    n_frames = (len(x) - frame_length) // hop + 1
-    window = hann_window(frame_length)
-    idx = np.arange(frame_length)[None, :] + hop * np.arange(n_frames)[:, None]
+            f"signal of {len(x)} samples is shorter than one {FRAME_LENGTH}-sample frame")
+    n_frames = (len(x) - FRAME_LENGTH) // HOP + 1
+    window = hann_window(FRAME_LENGTH)
+    idx = np.arange(FRAME_LENGTH)[None, :] + HOP * np.arange(n_frames)[:, None]
     return np.abs(np.fft.rfft(x[idx] * window, axis=1))
 
 
@@ -148,15 +149,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_filters: int = N_COEFFS, n_bins: int = FRAME_LENGTH // 2 + 1,
-                   sample_rate: int = TARGET_RATE, f_min: float = 0.0,
-                   f_max: float | None = None) -> np.ndarray:
+def mel_filterbank(n_filters: int = N_COEFFS,
+                   n_bins: int = FRAME_LENGTH // 2 + 1) -> np.ndarray:
     """``n_filters x n_bins`` triangular weights with peaks equally spaced
-    on the mel scale."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    points = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
-    bin_hz = np.arange(n_bins) * sample_rate / ((n_bins - 1) * 2)
+    on the mel scale from 0 Hz to the Nyquist frequency of ``TARGET_RATE``."""
+    f_max = TARGET_RATE / 2.0
+    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), n_filters + 2))
+    bin_hz = np.arange(n_bins) * TARGET_RATE / ((n_bins - 1) * 2)
     weights = np.zeros((n_filters, n_bins))
     for m in range(n_filters):
         left, center, right = points[m], points[m + 1], points[m + 2]
@@ -175,18 +174,18 @@ def mel_energies(magnitudes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return magnitudes ** 2 @ weights.T
 
 
-def mfcc(energies: np.ndarray, n_coeffs: int = N_COEFFS) -> np.ndarray:
+def mfcc(energies: np.ndarray) -> np.ndarray:
     """Cosine-transform the log energies into cepstral coefficients.
 
     Coefficient c of a frame is sum_m log(E_m) * cos(pi * c * (m - 0.5) / M)
-    over the M filters, for c in 0..n_coeffs-1. Energies are floored at
+    over the M filters, for c in 0..N_COEFFS-1. Energies are floored at
     1e-10 so silent frames stay finite.
     """
     energies = np.asarray(energies, dtype=np.float64)
     log_e = np.log(np.maximum(energies, ENERGY_FLOOR))
     n_filters = energies.shape[1]
     m = np.arange(1, n_filters + 1)
-    c = np.arange(n_coeffs)
+    c = np.arange(N_COEFFS)
     basis = np.cos(np.pi * c[:, None] * (m[None, :] - 0.5) / n_filters)
     return log_e @ basis.T
 

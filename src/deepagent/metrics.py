@@ -4,7 +4,8 @@ The confusion matrix is a plain 2 x 2 int array and a ROC curve a K x 3
 array of (fpr, tpr, threshold) rows. All values are fractions in [0, 1];
 report renderers multiply by 100.
 Undefined 0/0 ratios are reported as 0.0 and flagged rather than NaN so
-report files stay finite.
+report files stay finite; the AUC of rows that hold one class is reported
+as None and flagged the same way.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def roc_auc(labels, scores) -> tuple[np.ndarray, float]:
     return points, float(auc)
 
 
-def metric_report(labels, predictions, scores=None) -> dict:
+def metric_report(labels, predictions, scores) -> dict:
     """Assemble the metric report dictionary (values as fractions)."""
     cm = confusion(labels, predictions)
     undefined = []
@@ -114,16 +115,16 @@ def metric_report(labels, predictions, scores=None) -> dict:
         rec.append(v)
         if not ok:
             undefined.append(f"recall_{c}")
-    report = {
+    auc = roc_auc(labels, scores)[1] if cm.sum(axis=1).all() else None
+    if auc is None:  # rows of one class have no ROC
+        undefined.append("auc")
+    return {
         "accuracy": accuracy(cm),
         "precision_per_class": prec,
         "recall_per_class": rec,
         "f1_per_class": [f1_per_class(cm, 0), f1_per_class(cm, 1)],
         "macro_f1": macro_f1(cm),
-        "auc": None,
+        "auc": auc,
         "confusion": cm.tolist(),
         "undefined": undefined,
     }
-    if scores is not None:
-        report["auc"] = roc_auc(labels, scores)[1]
-    return report

@@ -8,40 +8,7 @@ running statistics, a ``Standardize`` layer's fitted mean and sigma.
 Checkpoints, weight snapshots and the optimizer all read that list.
 Networks end at their logits; the softmax and sigmoid heads in ``losses``
 turn them into probabilities, a loss and the logit gradient.
+
+The package re-exports nothing: import names from ``layers``, ``losses``,
+``optim`` and ``checkpoint``.
 """
-
-from deepagent.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    GlobalAvgPool,
-    MaxPool2D,
-    Param,
-    ReLU,
-    Sequential,
-    Standardize,
-)
-from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
-from deepagent.nn.optim import Adam
-from deepagent.nn.checkpoint import load_checkpoint, save_checkpoint
-
-__all__ = [
-    "Adam",
-    "BatchNorm",
-    "Conv2D",
-    "Dense",
-    "Dropout",
-    "GlobalAvgPool",
-    "MaxPool2D",
-    "Param",
-    "ReLU",
-    "Sequential",
-    "Standardize",
-    "load_checkpoint",
-    "save_checkpoint",
-    "sigmoid",
-    "sigmoid_bce",
-    "softmax",
-    "softmax_cce",
-]

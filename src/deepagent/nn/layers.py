@@ -92,7 +92,7 @@ class Conv2D(Layer):
     STATE = (("kernel", ckpt.KIND_CONV_KERNEL), ("bias", ckpt.KIND_CONV_BIAS))
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 padding="valid", *, rng=None, dtype=np.float64, name="conv"):
+                 padding="valid", *, rng, dtype=np.float64, name="conv"):
         if kernel_size < 1:
             raise ConfigurationError(f"kernel size must be >= 1, got {kernel_size}")
         if stride < 1:
@@ -105,11 +105,8 @@ class Conv2D(Layer):
         self.stride = stride
         self.padding = padding
         k = kernel_size
-        if rng is None:
-            kernel = np.zeros((k, k, in_channels, out_channels))
-        else:
-            limit = np.sqrt(6.0 / (k * k * in_channels))
-            kernel = rng.uniform(-limit, limit, size=(k, k, in_channels, out_channels))
+        limit = np.sqrt(6.0 / (k * k * in_channels))
+        kernel = rng.uniform(-limit, limit, size=(k, k, in_channels, out_channels))
         self.kernel = Param(f"{name}.kernel", kernel.astype(dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
         self._cache = None
@@ -242,20 +239,18 @@ class BatchNorm(Layer):
     """Per-channel batch normalization over batch (and spatial) dimensions.
 
     Train mode uses batch statistics and folds them into the running
-    estimates with ``running = momentum * running + (1 - momentum) * batch``;
-    inference always reads the running estimates.
+    estimates with ``running = MOMENTUM * running + (1 - MOMENTUM) * batch``;
+    inference always reads the running estimates. Momentum and epsilon are
+    fixed, at the Keras defaults.
     """
 
     STATE = (("gamma", ckpt.KIND_BN_GAMMA), ("beta", ckpt.KIND_BN_BETA),
              ("running_mean", ckpt.KIND_BN_MEAN), ("running_var", ckpt.KIND_BN_VAR))
+    MOMENTUM = 0.99
+    EPSILON = 1e-3
 
-    def __init__(self, channels, momentum=0.99, epsilon=1e-3, *,
-                 dtype=np.float64, name="bn"):
-        if not 0.0 < momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in (0,1), got {momentum}")
+    def __init__(self, channels, *, dtype=np.float64, name="bn"):
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = Param(f"{name}.gamma", np.ones(channels, dtype=dtype))
         self.beta = Param(f"{name}.beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -273,14 +268,14 @@ class BatchNorm(Layer):
                 raise UsageError("batch normalization needs batch size >= 2 in train mode")
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            inv = 1.0 / np.sqrt(var + self.epsilon)
+            inv = 1.0 / np.sqrt(var + self.EPSILON)
             xhat = (x - mean) * inv
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = m * self.running_mean + (1.0 - m) * mean
             self.running_var = m * self.running_var + (1.0 - m) * var
             self._cache = (xhat, inv, axes, int(np.prod([x.shape[a] for a in axes])))
             return self.gamma.value * xhat + self.beta.value
-        inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
+        inv = 1.0 / np.sqrt(self.running_var + self.EPSILON)
         return self.gamma.value * (x - self.running_mean) * inv + self.beta.value
 
     def backward(self, grad, input_grad=True):
@@ -348,18 +343,13 @@ class Dense(Layer):
 
     STATE = (("weights", ckpt.KIND_DENSE_W), ("bias", ckpt.KIND_DENSE_B))
 
-    def __init__(self, in_width, out_width, *, rng=None, dtype=np.float64,
+    def __init__(self, in_width, out_width, *, rng, dtype=np.float64,
                  init="he", name="dense"):
         self.in_width = in_width
         self.out_width = out_width
-        if rng is None:
-            w = np.zeros((in_width, out_width))
-        elif init == "xavier":
-            limit = np.sqrt(6.0 / (in_width + out_width))
-            w = rng.uniform(-limit, limit, size=(in_width, out_width))
-        else:
-            limit = np.sqrt(6.0 / in_width)
-            w = rng.uniform(-limit, limit, size=(in_width, out_width))
+        fan = in_width + out_width if init == "xavier" else in_width
+        limit = np.sqrt(6.0 / fan)
+        w = rng.uniform(-limit, limit, size=(in_width, out_width))
         self.weights = Param(f"{name}.weights", w.astype(dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_width, dtype=dtype))
         self._cache = None
@@ -403,11 +393,11 @@ class Dropout(Layer):
     """Inverted dropout: zero units with probability p at train time and
     scale survivors by 1/(1-p); inference is the identity map."""
 
-    def __init__(self, p, *, rng=None, name="dropout"):
+    def __init__(self, p, *, rng):
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
         self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self._cache = None
 
     def forward(self, x, train=False):

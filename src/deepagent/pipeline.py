@@ -102,10 +102,8 @@ def run_train_agent1(records, config: PipelineConfig, out_path,
     train_frames, train_labels = _frame_dataset(by_split(records, "train"), config)
     val_frames, val_labels = _frame_dataset(by_split(records, "val"), config)
     model = agents.build_agent1(config.seed, input_size=config.input_size)
-    policy = vision.AugmentPolicy() if config.agent1.augment else None
     history = agents.train_agent1(model, train_frames, train_labels,
-                                  val_frames, val_labels, config.agent1,
-                                  augment_policy=policy)
+                                  val_frames, val_labels, config.agent1)
     agents.save_agent(model, out_path)
     _write_history(history_path or _history_path(out_path), history)
     return history

@@ -21,7 +21,7 @@ from deepagent.forest import (
     stratified_kfold,
     train_forest,
 )
-from deepagent.nn import (
+from deepagent.nn.layers import (
     BatchNorm,
     Conv2D,
     Dense,
@@ -30,9 +30,8 @@ from deepagent.nn import (
     MaxPool2D,
     ReLU,
     Sequential,
-    sigmoid_bce,
-    softmax_cce,
 )
+from deepagent.nn.losses import sigmoid_bce, softmax_cce
 from deepagent.semantic import build_feature, lexical_similarity
 
 from oracles import (
@@ -105,6 +104,10 @@ def gradient_suite():
         Dense(4, 1, rng=rng, init="xavier"),
     ], rng.normal(size=(5, 4)), np.array([[1.0], [0.0], [1.0], [0.0], [1.0]]),
         sigmoid_bce)
+    add("conv_pool_gap", [
+        Conv2D(2, 4, 3, padding="same", rng=rng), ReLU(), MaxPool2D(2, 2),
+        GlobalAvgPool(), Dense(4, 2, rng=rng),
+    ], rng.normal(size=(3, 6, 6, 2)), np.eye(2)[[0, 1, 1]], softmax_cce)
     return suite
 
 

@@ -1,5 +1,7 @@
 """Agent construction, training behavior, prediction, and checkpoints."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,8 @@ from deepagent import agents
 from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import UsageError
-from deepagent.nn import load_checkpoint, sigmoid, sigmoid_bce, softmax, softmax_cce
+from deepagent.nn.checkpoint import load_checkpoint
+from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 
 from oracles import agent1_shape_chain, reference_adam_step
 
@@ -433,14 +436,16 @@ class TestPredictAgent2:
             agents.predict_agent2(model, np.zeros((1, 13)))
 
     def test_hand_set_weights_match_manual_forward(self):
-        # width-4 head with explicit weights, replayed by hand
-        model = agents.build_agent2(seed=0, input_width=4, hidden=(4, 4, 4))
+        # the 14-128-64-32-1 head with explicit weights, replayed by hand; a
+        # freshly built input standardization is the identity
+        model = agents.build_agent2(seed=0)
         rng = np.random.default_rng(88)
         mats = [rng.uniform(-0.5, 0.5, size=s)
-                for s in ((4, 4), (4,), (4, 4), (4,), (4, 4), (4,), (4, 1), (1,))]
+                for s in ((14, 128), (128,), (128, 64), (64,), (64, 32), (32,),
+                          (32, 1), (1,))]
         for p, m in zip(model.net.params(), mats):
             p.value[...] = m
-        x = rng.uniform(-1, 1, size=4)
+        x = rng.uniform(-1, 1, size=14)
         got = predict_row(model, x)
 
         w1, b1, w2, b2, w3, b3, w4, b4 = mats
@@ -452,6 +457,19 @@ class TestPredictAgent2:
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("build, sha256", [
+        (lambda: agents.build_agent1(1, input_size=64),
+         "7b40647eb49339dcde881ceb3ccd68059cfc0ff7f28abcea40559988ce45593e"),
+        (lambda: agents.build_agent2(1),
+         "d0d5e2dcc35201d44631b6d6ffa27a7bf18a27f62615909ced92bc1ecd3d0d08"),
+    ], ids=["agent1_64", "agent2"])
+    def test_seeded_checkpoint_bytes_are_pinned(self, tmp_path, build, sha256):
+        # untrained seed-1 checkpoints, as the benchmark's set-up writes
+        # them: init draws, dtype casts and record order stay byte-exact
+        path = tmp_path / "agent.damc"
+        agents.save_agent(build(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)
         model = agents.build_agent1(seed=11, input_size=32)

@@ -85,6 +85,20 @@ class TestWorkflow:
         assert "agent1" in report and "agent2" in report
         assert 0.0 <= report["agent1"]["accuracy"] <= 1.0
 
+    def test_evaluate_one_class_split_reports_auc_null(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([
+            {"id": f"v{i}", "label": 1, "split": "test", "agent1": a1, "agent2": a2}
+            for i, (a1, a2) in enumerate([(0.7, 0.2), (0.4, 0.9)])]))
+        out = tmp_path / "metrics.json"
+        code = main(["evaluate", "--scores", str(scores), "--split", "test",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        for agent in ("agent1", "agent2"):
+            assert report[agent]["auc"] is None
+            assert "auc" in report[agent]["undefined"]
+
     def test_report_renders_table_and_roc_csvs(self, workspace, capsys):
         report = workspace["root"] / "fold_report.json"
         table_path = workspace["root"] / "report.txt"

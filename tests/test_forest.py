@@ -14,7 +14,7 @@ from deepagent.forest import (
     stratified_kfold,
     train_forest,
 )
-from deepagent.nn import Standardize
+from deepagent.nn.layers import Standardize
 
 from oracles import reference_grow, tree_vote
 

@@ -7,7 +7,7 @@ import pytest
 from deepagent import fusion
 from deepagent.errors import UsageError
 from deepagent.forest import stratified_kfold
-from deepagent.nn import Standardize
+from deepagent.nn.layers import Standardize
 
 
 def make_scores(n, rng, separable):

@@ -142,5 +142,9 @@ class TestMetricReport:
         assert report["auc"] == 1.0
 
     def test_undefined_flags_present(self):
-        report = metrics.metric_report([1, 0], [0, 0])
+        report = metrics.metric_report([1, 0], [0, 0], [0.2, 0.3])
         assert "precision_1" in report["undefined"]
+
+    def test_one_class_auc_is_undefined(self):
+        report = metrics.metric_report([1, 1], [1, 0], [0.9, 0.4])
+        assert report["auc"] is None and "auc" in report["undefined"]

@@ -5,8 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from deepagent.errors import ConfigurationError, TrainingError, UsageError
-from deepagent.nn import (
-    Adam,
+from deepagent.nn.layers import (
     BatchNorm,
     Conv2D,
     Dense,
@@ -15,12 +14,9 @@ from deepagent.nn import (
     MaxPool2D,
     Param,
     ReLU,
-    sigmoid,
-    sigmoid_bce,
-    softmax,
-    softmax_cce,
 )
-from deepagent.nn.optim import CHUNK
+from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
+from deepagent.nn.optim import CHUNK, Adam
 
 from oracles import reference_adam_step
 
@@ -55,35 +51,36 @@ def bce_loss(y, y_hat):
 
 class TestConv2D:
     def test_all_ones_kernel_sums_window(self):
-        layer = Conv2D(1, 1, 3)
+        layer = Conv2D(1, 1, 3, rng=np.random.default_rng(0))
         layer.kernel.value[...] = 1.0
         out = conv_forward(layer, np.ones((3, 3, 1)))
         npt.assert_allclose(out, [[[9.0]]])
 
     def test_alexnet_entry_shape(self):
-        layer = Conv2D(3, 64, 11, stride=4, padding="valid")
+        layer = Conv2D(3, 64, 11, stride=4, padding="valid", rng=np.random.default_rng(0))
         out = layer.forward(np.zeros((1, 224, 224, 3)))
         assert out.shape == (1, 54, 54, 64)
 
     def test_zero_kernel_passes_bias_through(self):
         rng = np.random.default_rng(0)
-        layer = Conv2D(2, 3, 3, padding="same")
+        layer = Conv2D(2, 3, 3, padding="same", rng=rng)
+        layer.kernel.value[...] = 0.0
         layer.bias.value[...] = 0.7
         out = conv_forward(layer, rng.normal(size=(5, 5, 2)))
         npt.assert_allclose(out, 0.7)
 
     def test_depth_mismatch_rejected(self):
-        layer = Conv2D(3, 4, 3)
+        layer = Conv2D(3, 4, 3, rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             conv_forward(layer, np.zeros((5, 5, 2)))
 
     def test_valid_padding_needs_room(self):
-        layer = Conv2D(1, 1, 5, padding="valid")
+        layer = Conv2D(1, 1, 5, padding="valid", rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             conv_forward(layer, np.zeros((3, 3, 1)))
 
     def test_same_padding_shape(self):
-        layer = Conv2D(1, 2, 5, stride=1, padding="same")
+        layer = Conv2D(1, 2, 5, stride=1, padding="same", rng=np.random.default_rng(0))
         out = conv_forward(layer, np.zeros((6, 6, 1)))
         assert out.shape == (6, 6, 2)
 
@@ -96,7 +93,7 @@ class TestConv2D:
 
     def test_scalar_chain_rule(self):
         # 1x1 input, 1x1 kernel, loss = output: grad_kernel = input value
-        layer = Conv2D(1, 1, 1)
+        layer = Conv2D(1, 1, 1, rng=np.random.default_rng(0))
         layer.kernel.value[...] = 3.0
         x = np.array([[[2.5]]])
         conv_forward(layer, x)
@@ -105,7 +102,7 @@ class TestConv2D:
         npt.assert_allclose(db, [1.0])
 
     def test_backward_without_forward_rejected(self):
-        layer = Conv2D(1, 1, 1)
+        layer = Conv2D(1, 1, 1, rng=np.random.default_rng(0))
         with pytest.raises(UsageError):
             conv_backward(layer, np.ones((1, 1, 1)))
 
@@ -204,7 +201,7 @@ class TestBatchNorm:
 
     def test_momentum_update_from_zero_stats(self):
         rng = np.random.default_rng(5)
-        layer = BatchNorm(2, momentum=0.99)
+        layer = BatchNorm(2)
         layer.running_mean[...] = 0.0
         layer.running_var[...] = 0.0
         x = rng.normal(size=(8, 2)) + 3.0
@@ -217,11 +214,11 @@ class TestBatchNorm:
             BatchNorm(2).forward(np.zeros((1, 2)), train=True)
 
     def test_infer_uses_running_stats(self):
-        layer = BatchNorm(1, epsilon=0.0)
+        layer = BatchNorm(1)
         layer.running_mean[...] = 2.0
         layer.running_var[...] = 4.0
         out = layer.forward(np.array([[4.0]]), train=False)
-        npt.assert_allclose(out, [[1.0]])
+        npt.assert_allclose(out, [[2.0 / np.sqrt(4.0 + BatchNorm.EPSILON)]])
 
     def test_spatial_reduction_axes(self):
         rng = np.random.default_rng(6)
@@ -249,14 +246,14 @@ class TestGap:
 
 class TestDenseAndActivations:
     def test_identity_weights(self):
-        layer = Dense(3, 3)
+        layer = Dense(3, 3, rng=np.random.default_rng(0))
         layer.weights.value[...] = np.eye(3)
         x = np.array([[1.0, -2.0, 0.5]])
         npt.assert_allclose(layer.forward(x), x)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            Dense(3, 2).forward(np.zeros((1, 4)))
+            Dense(3, 2, rng=np.random.default_rng(0)).forward(np.zeros((1, 4)))
 
     def test_relu_clamps_negatives(self):
         npt.assert_allclose(ReLU().forward(np.array([[-1.0, 0.0, 2.0]])),

@@ -3,8 +3,12 @@
 Every public module-level name under the package is used somewhere in the
 package itself: a function, class or constant that only tests reach is a
 second code path to keep in step with the real one; tests should drive the
-API the pipeline uses. References inside a name's own definition and the
-``__init__`` re-exports do not count.
+API the pipeline uses. References inside a name's own definition do not
+count.
+
+Every parameter with a default, of a public function or method, is set by
+some call in the package: a default no caller overrides is a fixed design
+choice dressed up as a knob, and belongs in a constant.
 
 Every field of a package dataclass is read as an attribute somewhere in the
 package: a field nothing reads is state every constructor must fill for no
@@ -100,9 +104,81 @@ def unread_dataclass_fields():
     return unread
 
 
+# parameters no package call sets, kept on purpose
+UNSET_ALLOWED = {
+    "cli.py:main.argv",  # the console-script entry point runs main()
+}
+
+
+def _defaulted_parameters(fn, bound):
+    """(name, position in a call) per parameter with a default; position
+    is None for keyword-only ones, and ``bound`` leading parameters (self)
+    take no call argument."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _call_sets(call, name, position):
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position < len(call.args)
+
+
+def unset_parameters():
+    """``file:function.parameter`` per defaulted parameter of a public
+    function or method that no package call sets. Calls are matched by the
+    called name; a call to a class sets its ``__init__`` parameters."""
+    trees = _package_trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path, tree in trees.items():
+        defs = []  # (called name, label, definition, bound parameters)
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    if method.name == "__init__":
+                        defs.append((node.name, node.name, method, 1))
+                    elif not method.name.startswith("_"):
+                        defs.append((method.name, f"{node.name}.{method.name}", method, 1))
+        for called, label, fn, bound in defs:
+            for name, position in _defaulted_parameters(fn, bound):
+                key = f"{path.relative_to(SRC)}:{label}.{name}"
+                if key not in UNSET_ALLOWED and not any(
+                        _call_sets(c, name, position) for c in calls.get(called, [])):
+                    unset.append(key)
+    return unset
+
+
 def test_every_public_name_is_used_in_the_package():
     unused = unreferenced_names()
     assert unused == [], f"public names no package code uses: {unused}"
+
+
+def test_every_parameter_is_set_by_the_package():
+    unset = unset_parameters()
+    assert unset == [], f"parameters no package call sets: {unset}"
 
 
 def test_every_dataclass_field_is_read_in_the_package():
