@@ -210,8 +210,7 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
     ``cfg.lr_factor``, and the best-validation weights are restored.
     """
     net = model.net
-    opt = Adam(net.params(), eta=cfg.learning_rate, beta1=cfg.beta1,
-               beta2=cfg.beta2, epsilon=cfg.epsilon)
+    opt = Adam(net.params(), eta=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([model.seed, stream]))
     min_batch = 2 if any(isinstance(layer, BatchNorm) for layer in net.layers) else 1
     best = None

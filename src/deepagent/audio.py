@@ -4,12 +4,12 @@ The chain is: PCM-16 RIFF/WAVE -> mono waveform in [-1, 1] -> linear
 resampling to 16 kHz -> short-time magnitude spectra (25 ms Hann window,
 10 ms hop) -> triangular mel filterbank energies -> log + cosine transform
 -> temporal mean of the first 13 coefficients. The analysis is fixed:
-``FRAME_LENGTH``/``HOP`` samples per frame and hop, filters spanning 0 Hz
-to the Nyquist frequency of ``TARGET_RATE``, and ``N_COEFFS`` coefficients.
-Spectrograms are plain ``frames x bins`` magnitude matrices and the
-filterbank an ``M x bins`` weight matrix. Missing or too-short audio never
-raises from :func:`embed_audio`; it returns None, and feature assembly
-zero-fills and flags it.
+``FRAME_LENGTH``/``HOP`` samples per frame and hop, ``N_COEFFS`` filters
+spanning 0 Hz to the Nyquist frequency of ``TARGET_RATE``, and as many
+coefficients. Spectrograms are plain ``frames x bins`` magnitude matrices
+and the filterbank an ``N_COEFFS x bins`` weight matrix. Missing or
+too-short audio never raises from :func:`embed_audio`; it returns None,
+and feature assembly zero-fills and flags it.
 """
 
 from __future__ import annotations
@@ -149,15 +149,15 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_filters: int = N_COEFFS,
-                   n_bins: int = FRAME_LENGTH // 2 + 1) -> np.ndarray:
-    """``n_filters x n_bins`` triangular weights with peaks equally spaced
-    on the mel scale from 0 Hz to the Nyquist frequency of ``TARGET_RATE``."""
+def mel_filterbank(n_bins: int = FRAME_LENGTH // 2 + 1) -> np.ndarray:
+    """``N_COEFFS x n_bins`` triangular weights, one filter per cepstral
+    coefficient, with peaks equally spaced on the mel scale from 0 Hz to
+    the Nyquist frequency of ``TARGET_RATE``."""
     f_max = TARGET_RATE / 2.0
-    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), n_filters + 2))
+    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), N_COEFFS + 2))
     bin_hz = np.arange(n_bins) * TARGET_RATE / ((n_bins - 1) * 2)
-    weights = np.zeros((n_filters, n_bins))
-    for m in range(n_filters):
+    weights = np.zeros((N_COEFFS, n_bins))
+    for m in range(N_COEFFS):
         left, center, right = points[m], points[m + 1], points[m + 2]
         rising = (bin_hz - left) / max(center - left, 1e-12)
         falling = (right - bin_hz) / max(right - center, 1e-12)
@@ -190,7 +190,7 @@ def mfcc(energies: np.ndarray) -> np.ndarray:
     return log_e @ basis.T
 
 
-def embed_audio(w: Waveform | None, *, mel_filters: int = N_COEFFS) -> np.ndarray | None:
+def embed_audio(w: Waveform | None) -> np.ndarray | None:
     """Temporal mean of the MFCC matrix (13 values); None when the audio is
     absent or shorter than one analysis frame."""
     if w is None or len(w.samples) == 0:
@@ -200,5 +200,5 @@ def embed_audio(w: Waveform | None, *, mel_filters: int = N_COEFFS) -> np.ndarra
     if len(w.samples) < FRAME_LENGTH:
         return None
     mags = stft(w)
-    weights = mel_filterbank(n_filters=mel_filters, n_bins=mags.shape[1])
+    weights = mel_filterbank(n_bins=mags.shape[1])
     return mfcc(mel_energies(mags, weights)).mean(axis=0)

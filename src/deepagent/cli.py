@@ -2,8 +2,8 @@
 
 Commands mirror the workflow order: gen-fixtures, extract, train agent1,
 train agent2, predict, fuse, evaluate, report. Exit codes: 0 success,
-1 usage/configuration, 2 ingestion, 3 numeric failure. Failures also emit
-one machine-readable JSON object on stderr.
+1 usage (bad arguments included) or configuration, 2 ingestion, 3 numeric
+failure. Failures also emit one machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +14,16 @@ import sys
 
 from deepagent import fixtures, pipeline
 from deepagent.config import load_config
-from deepagent.errors import DeepAgentError
+from deepagent.errors import DeepAgentError, UsageError
 from deepagent.manifest import load_manifest
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument faults, in subparsers too, raise UsageError: exit 1 with one
+    JSON error object, not argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -24,18 +32,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-policy", choices=("interval5", "even"),
                    dest="frame_policy")
     p.add_argument("--m", type=int, help="frame cap for the 'even' policy")
-    p.add_argument("--meta-dims", type=int, choices=(2, 4), dest="meta_dims")
     p.add_argument("--desk-scale", action="store_const", const=True,
                    dest="desk_scale", default=None,
                    help="64x64 input geometry for quick runs")
-    p.add_argument("--mel-filters", type=int, dest="mel_filters")
 
 
 def _config_from(args) -> "pipeline.PipelineConfig":
     overrides = {
         key: getattr(args, key, None)
-        for key in ("seed", "frame_policy", "m", "meta_dims", "desk_scale",
-                    "mel_filters")
+        for key in ("seed", "frame_policy", "m", "desk_scale")
     }
     epochs = getattr(args, "epochs", None)
     if epochs is not None:
@@ -44,7 +49,7 @@ def _config_from(args) -> "pipeline.PipelineConfig":
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deepagent",
         description="Multimodal deepfake detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -159,10 +164,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except DeepAgentError as exc:
         json.dump({"error": {"kind": type(exc).__name__, "exit_code": exc.exit_code,
                              "message": str(exc)}}, sys.stderr)

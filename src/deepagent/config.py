@@ -5,8 +5,9 @@ Resolution order: built-in defaults, then the JSON config file (explicit
 command-line flags. A config file must be valid on its own; its read, key,
 type and bound errors name the file. Every value numpy or the optimizer
 reads is bounded: a non-negative seed, split fractions in [0, 1], a
-finite non-negative learning rate, Adam betas in [0, 1), a positive
-epsilon, a rate factor in (0, 1] and patiences of at least one epoch.
+finite non-negative learning rate, a rate factor in (0, 1] and patiences
+of at least one epoch. Adam's decay rates and epsilon are the constants
+of ``nn.optim.Adam``, not config keys.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ CONFIG_ENV_VAR = "DEEPAGENT_CONFIG"
 @dataclass
 class Agent1Config:
     learning_rate: float = 0.0001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     epochs: int = 50
     batch_size: int = 16
     augment: bool = True
@@ -36,9 +34,6 @@ class Agent1Config:
 @dataclass
 class Agent2Config:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     epochs: int = 100
     batch_size: int = 16
     early_stop_patience: int = 10
@@ -53,10 +48,7 @@ class PipelineConfig:
     val_fraction: float = 0.20
     test_fraction: float = 0.10
     frame_policy: str = "interval5"   # "interval5" or "even"
-    frame_interval: int = 5
     m: int = 30                       # cap for the "even" policy
-    meta_dims: int = 2
-    mel_filters: int = 13
     desk_scale: bool = False
     forest_trees: int = 100
     folds: int = 5
@@ -77,10 +69,7 @@ class PipelineConfig:
                   ("test_fraction", self.test_fraction, "in [0, 1]"),
                   ("agent2.lr_factor", self.agent2.lr_factor, "in (0, 1]")]
         for name, agent in (("agent1", self.agent1), ("agent2", self.agent2)):
-            ranges += [(f"{name}.learning_rate", agent.learning_rate, "finite and >= 0"),
-                       (f"{name}.beta1", agent.beta1, "in [0, 1)"),
-                       (f"{name}.beta2", agent.beta2, "in [0, 1)"),
-                       (f"{name}.epsilon", agent.epsilon, "finite and > 0")]
+            ranges.append((f"{name}.learning_rate", agent.learning_rate, "finite and >= 0"))
         for key, value, bound in ranges:
             if not _WITHIN[bound](value):
                 raise ConfigurationError(f"{key} must be {bound}, got {value}")
@@ -90,13 +79,9 @@ class PipelineConfig:
         if self.frame_policy not in ("interval5", "even"):
             raise ConfigurationError(
                 f"frame_policy must be 'interval5' or 'even', got {self.frame_policy!r}")
-        if self.meta_dims not in (2, 4):
-            raise ConfigurationError(f"meta_dims must be 2 or 4, got {self.meta_dims}")
         for key, value, low in (
             ("seed", self.seed, 0),
             ("m", self.m, 1),
-            ("mel_filters", self.mel_filters, 1),
-            ("frame_interval", self.frame_interval, 1),
             ("folds", self.folds, 2),
             ("forest_trees", self.forest_trees, 1),
             ("agent1.epochs", self.agent1.epochs, 1),
@@ -115,10 +100,8 @@ class PipelineConfig:
 # float bounds by the text their fault message shows; NaN is in none of them
 _WITHIN = {
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
-    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "finite and >= 0": lambda v: 0.0 <= v < math.inf,
-    "finite and > 0": lambda v: 0.0 < v < math.inf,
 }
 
 
@@ -147,7 +130,11 @@ def _apply(obj, data: dict, context: str):
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
             raise ConfigurationError(
                 f"config key {context}{key} must be {what}, got {value!r}")
-        setattr(obj, key, kind(value))
+        try:
+            setattr(obj, key, kind(value))
+        except OverflowError:  # an integer float() cannot convert
+            raise ConfigurationError(
+                f"config key {context}{key} is too large for a float") from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
@@ -161,7 +148,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         p = Path(path)
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
             raise ConfigurationError(f"cannot read config {p}: {exc}") from exc
         # the file must be valid on its own, so its faults can name it
         try:

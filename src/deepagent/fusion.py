@@ -1,11 +1,11 @@
 """Cross-validated evaluation of the fused model on the N x 2 score matrix.
 
 Per video the two agents each contribute one score in [0, 1]; row i of the
-score matrix holds ``[agent1, agent2]`` for video i. Those rows (or their
-four-component complement expansion when ``meta_dims=4``) feed a random
-forest evaluated under stratified K-fold cross-validation. The
-standardizer is fit on each fold's training split only. Each fold yields
-one JSON-ready row dict; ``fold_report`` appends their mean.
+score matrix holds ``[agent1, agent2]`` for video i. Those rows, the
+level-0 outputs alone, feed a random forest evaluated under stratified
+K-fold cross-validation. The standardizer is fit on each fold's training
+split only. Each fold yields one JSON-ready row dict; ``fold_report``
+appends their mean.
 """
 
 from __future__ import annotations
@@ -29,31 +29,19 @@ _METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "auc",
                 "precision_macro", "recall_macro")
 
 
-def expand_meta(scores: np.ndarray, meta_dims: int) -> np.ndarray:
-    """The N x 2 scores, or the redundant N x 4 variant
-    [p1(real), p1(fake), p2(consistent), p2(inconsistent)]."""
-    if meta_dims == 2:
-        return scores
-    if meta_dims == 4:
-        return np.column_stack([1.0 - scores[:, 0], scores[:, 0],
-                                1.0 - scores[:, 1], scores[:, 1]])
-    raise UsageError(f"meta_dims must be 2 or 4, got {meta_dims}")
-
-
 def cross_validate_meta(scores, labels, *, folds: int = 5, n_trees: int = 100,
-                        seed: int = 42, meta_dims: int = 2) -> list[dict]:
+                        seed: int = 42) -> list[dict]:
     """One row per fold: the metrics as fractions plus the fold's ROC points."""
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
     if scores.shape != (len(y), 2):
         raise UsageError(
             f"scores must be N x 2 for {len(y)} labels, got shape {scores.shape}")
-    Z = expand_meta(scores, meta_dims)
     rows = []
     for f, (train_idx, val_idx) in enumerate(stratified_kfold(y, folds, seed)):
-        model = train_forest(Z[train_idx], y[train_idx], n_trees=n_trees,
+        model = train_forest(scores[train_idx], y[train_idx], n_trees=n_trees,
                              seed=seed + f)
-        probs, preds = predict_forest_batch(model, Z[val_idx])
+        probs, preds = predict_forest_batch(model, scores[val_idx])
         cm = confusion(y[val_idx], preds)
         points, auc = roc_auc(y[val_idx], probs)
         rows.append({

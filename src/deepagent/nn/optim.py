@@ -1,4 +1,5 @@
-"""Adam optimizer with bias-corrected moment estimates."""
+"""Adam optimizer with bias-corrected moment estimates; the decay rates and
+epsilon are fixed at the Keras defaults (Kingma & Ba, arXiv:1412.6980)."""
 
 from __future__ import annotations
 
@@ -16,13 +17,13 @@ CHUNK = 16384
 class Adam:
     """Adam over a list of Params; holds the moments, step counter and rate."""
 
-    def __init__(self, params: list[Param], eta=0.0001, beta1=0.9,
-                 beta2=0.999, epsilon=1e-7):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-7
+
+    def __init__(self, params: list[Param], eta=0.0001):
         self.params = params
         self.eta = eta
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
@@ -45,7 +46,7 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient for {p.name}")
         self.t += 1
-        b1, b2, eta, eps = self.beta1, self.beta2, self.eta, self.epsilon
+        b1, b2, eta, eps = self.BETA1, self.BETA2, self.eta, self.EPSILON
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m_all, v_all in zip(self.params, self.m, self.v):

@@ -22,7 +22,7 @@ from deepagent.manifest import SPLITS, SampleRecord, assign_splits, by_split
 def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
     if config.frame_policy == "even":
         return vision.sample_even(n_frames, config.m)
-    return vision.sample_interval(n_frames, config.frame_interval)
+    return vision.sample_interval(n_frames)
 
 
 def load_sample_frames(record: SampleRecord, config: PipelineConfig,
@@ -63,8 +63,7 @@ def extract_features(records: list[SampleRecord],
     for record in records:
         coeffs = None
         if record.audio is not None:
-            coeffs = audio.embed_audio(audio.read_wav(record.audio),
-                                       mel_filters=config.mel_filters)
+            coeffs = audio.embed_audio(audio.read_wav(record.audio))
         x, flags = semantic.build_feature(coeffs, _tokens(record.asr_text),
                                           _tokens(record.ocr_text))
         entries[f"{record.id}/feature"] = x
@@ -216,8 +215,7 @@ def run_fuse(records, config, agent1_path, agent2_path, cache_path,
     scores = _score(records, config, agent1_path, agent2_path, cache_path)
     report = fusion.fold_report(fusion.cross_validate_meta(
         scores, [r.label for r in records], folds=config.folds,
-        n_trees=config.forest_trees, seed=config.seed,
-        meta_dims=config.meta_dims))
+        n_trees=config.forest_trees, seed=config.seed))
     update_cache(cache_path, {
         f"{r.id}/scores": row for r, row in zip(records, scores)})
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n",

@@ -124,9 +124,9 @@ def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return rows[:, x0] * (1 - fx) + rows[:, x1] * fx
 
 
-def sample_interval(n_frames: int, interval: int = 5) -> list[int]:
-    """Every interval-th frame index starting at 0."""
-    return list(range(0, n_frames, interval))
+def sample_interval(n_frames: int) -> list[int]:
+    """Every fifth frame index starting at 0: the "interval5" policy."""
+    return list(range(0, n_frames, 5))
 
 
 def sample_even(n_frames: int, m: int) -> list[int]:

@@ -12,6 +12,7 @@ from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import UsageError
 from deepagent.nn.checkpoint import load_checkpoint
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
+from deepagent.nn.optim import Adam
 
 from oracles import agent1_shape_chain, reference_adam_step
 
@@ -386,7 +387,7 @@ class TestOneEpochReplay:
             t += 1
             for p, p_m, p_v in zip(params, m, v):
                 reference_adam_step(p.value, p.grad, p_m, p_v, t, cfg.learning_rate,
-                                    cfg.beta1, cfg.beta2, cfg.epsilon)
+                                    Adam.BETA1, Adam.BETA2, Adam.EPSILON)
         return t
 
     @staticmethod

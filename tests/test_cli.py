@@ -413,6 +413,11 @@ class TestFailureModes:
         (b'{"sed": 1}', "unknown config key sed"),
         (b'{"agent2": {"epochs": 0}}', "agent2.epochs must be >= 1, got 0"),
         (b'{"seed": 1\xff}', "can't decode byte 0xff"),
+        pytest.param(b'{"agent2": {"learning_rate": 1' + b"0" * 400 + b'}}',
+                     "config key agent2.learning_rate is too large for a float",
+                     id="int-too-large-for-float"),
+        pytest.param(b'{"seed": ' + b"1" * 5000 + b'}', "Exceeds the limit",
+                     id="int-too-long-to-parse"),
     ])
     def test_config_file_fault_exits_1_naming_file(self, workspace, tmp_path, capsys,
                                                    body, what):
@@ -426,8 +431,9 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("flags, body, what", [
         (["--seed", "-1"], None, "seed must be >= 0, got -1"),
-        ([], {"agent2": {"beta1": 1.0}}, "agent2.beta1 must be in [0, 1), got 1.0"),
-        ([], {"agent2": {"epsilon": 0.0}}, "agent2.epsilon must be finite and > 0, got 0.0"),
+        ([], {"agent2": {"lr_factor": 0.0}}, "agent2.lr_factor must be in (0, 1], got 0.0"),
+        ([], {"agent2": {"early_stop_patience": 0}},
+         "agent2.early_stop_patience must be >= 1, got 0"),
         ([], {"agent2": {"learning_rate": -1.0}},
          "agent2.learning_rate must be finite and >= 0, got -1.0"),
         ([], {"train_fraction": 1.2, "val_fraction": -0.1, "test_fraction": -0.1},
@@ -445,6 +451,46 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "ConfigurationError"
         assert what in error["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("agent1.beta1", 0.9), ("agent1.beta2", 0.999), ("agent1.epsilon", 1e-7),
+        ("agent2.beta1", 0.9), ("agent2.beta2", 0.999), ("agent2.epsilon", 1e-7),
+        ("frame_interval", 5), ("meta_dims", 2), ("mel_filters", 13),
+    ])
+    def test_removed_config_key_exits_1_naming_it(self, workspace, tmp_path, capsys,
+                                                   key, value):
+        agent, _, name = key.rpartition(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({agent: {name: value}} if agent else {name: value}))
+        code = main(["extract", "--manifest", str(workspace["manifest"]),
+                     "--out", str(tmp_path / "c.daft"), "--config", str(cfg)])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "ConfigurationError"
+        assert error["message"] == f"config {cfg}: unknown config key {key}"
+
+    @pytest.mark.parametrize("args, what", [
+        (["extract", "--manifest", "m.json"],
+         "deepagent extract: the following arguments are required: --out"),
+        (["extract", "--manifest", "m.json", "--out", "c.daft", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["train", "agent3", "--manifest", "m.json", "--out", "a.damc"],
+         "argument agent: invalid choice: 'agent3'"),
+        (["extract", "--manifest", "m.json", "--out", "c.daft", "--meta-dims", "4"],
+         "unrecognized arguments: --meta-dims 4"),
+        (["extract", "--manifest", "m.json", "--out", "c.daft", "--mel-filters", "13"],
+         "unrecognized arguments: --mel-filters 13"),
+    ])
+    def test_argument_fault_exits_1_with_json_error(self, capsys, args, what):
+        code = main(args)
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "UsageError"
+        assert what in error["message"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["extract", "--help"])
+        assert exit_info.value.code == 0
+        assert "--manifest" in capsys.readouterr().out
 
     def test_gen_fixtures_negative_seed_exits_1(self, tmp_path, capsys):
         code = main(["gen-fixtures", "--out", str(tmp_path / "fx"), "--n", "2",
@@ -561,14 +607,14 @@ class TestFailureModes:
         for key in (k for k in first if k.endswith("/feature")):
             np.testing.assert_array_equal(first[key], second[key])
 
-    def test_even_frame_policy_and_four_dim_meta(self, workspace):
-        report = workspace["root"] / "fold_report_even4.json"
+    def test_even_frame_policy(self, workspace):
+        report = workspace["root"] / "fold_report_even.json"
         code = main(["fuse", "--manifest", str(workspace["manifest"]),
                      "--agent1", str(workspace["a1"]),
                      "--agent2", str(workspace["a2"]),
                      "--cache", str(workspace["cache"]),
                      "--out", str(report),
-                     "--frame-policy", "even", "--m", "3", "--meta-dims", "4"])
+                     "--frame-policy", "even", "--m", "3"])
         assert code == 0
         rows = json.loads(report.read_text())
         assert rows[-1]["fold"] == "mean"

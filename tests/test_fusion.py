@@ -1,7 +1,6 @@
 """The cross-validated fusion loop over the N x 2 score matrix."""
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from deepagent import fusion
@@ -20,20 +19,6 @@ def make_scores(n, rng, separable):
         a1 = np.full(n, 0.5)
         a2 = np.full(n, 0.5)
     return np.clip(np.column_stack([a1, a2]), 0, 1), labels
-
-
-class TestExpandMeta:
-    def test_two_dims_passthrough(self):
-        z = np.array([[0.7, 0.2]])
-        npt.assert_array_equal(fusion.expand_meta(z, 2), z)
-
-    def test_four_dims_complements(self):
-        out = fusion.expand_meta(np.array([[0.7, 0.2]]), 4)
-        npt.assert_allclose(out, [[0.3, 0.7, 0.8, 0.2]])
-
-    def test_bad_dims_rejected(self):
-        with pytest.raises(UsageError):
-            fusion.expand_meta(np.zeros((1, 2)), 3)
 
 
 class TestCrossValidate:
@@ -56,13 +41,6 @@ class TestCrossValidate:
         a = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=11, seed=5)
         b = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=11, seed=5)
         assert a == b
-
-    def test_four_dim_variant_runs(self):
-        rng = np.random.default_rng(64)
-        scores, labels = make_scores(40, rng, separable=True)
-        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=9, seed=1,
-                                          meta_dims=4)
-        assert len(rows) == 5
 
     def test_scores_not_matching_labels_rejected(self):
         labels = np.array([0, 1] * 5)

@@ -359,10 +359,10 @@ class TestAdam:
         # bias correction makes m_hat = v_hat = 1 on step one
         p = Param("w", np.zeros(4))
         p.grad[...] = 1.0
-        eta, eps = 0.0001, 1e-7
-        opt = Adam([p], eta=eta, epsilon=eps)
+        eta = 0.0001
+        opt = Adam([p], eta=eta)
         opt.step()
-        npt.assert_allclose(p.value, -eta / (1.0 + eps), rtol=1e-12)
+        npt.assert_allclose(p.value, -eta / (1.0 + Adam.EPSILON), rtol=1e-12)
 
     def test_constant_gradient_step_approaches_eta(self):
         p = Param("w", np.zeros(1))
@@ -405,8 +405,8 @@ class TestAdamOracle:
         ref_values = [p.value.copy() for p in params]
         ref_m = [np.zeros_like(p.value) for p in params]
         ref_v = [np.zeros_like(p.value) for p in params]
-        eta, b1, b2, eps = 0.001, 0.9, 0.999, 1e-7
-        opt = Adam(params, eta=eta, beta1=b1, beta2=b2, epsilon=eps)
+        eta, b1, b2, eps = 0.001, Adam.BETA1, Adam.BETA2, Adam.EPSILON
+        opt = Adam(params, eta=eta)
         for t in range(1, 6):
             for i, p in enumerate(params):
                 p.grad[...] = rng.normal(size=p.value.shape).astype(dtype)

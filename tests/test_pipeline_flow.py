@@ -26,10 +26,6 @@ class TestFrameSelection:
         cfg = load_config(None, {})
         assert pipeline.select_frame_indices(12, cfg) == [0, 5, 10]
 
-    def test_interval_override(self):
-        cfg = load_config(None, {"frame_interval": 3})
-        assert pipeline.select_frame_indices(7, cfg) == [0, 3, 6]
-
     def test_even_policy_uses_m(self):
         cfg = load_config(None, {"frame_policy": "even", "m": 4})
         assert pipeline.select_frame_indices(10, cfg) == [0, 3, 6, 9]

@@ -173,7 +173,7 @@ class TestConfig:
             load_config(None, {"frame_policy": "odd"})
 
     @pytest.mark.parametrize("data, key", [
-        ({"frame_interval": 0}, "frame_interval"),
+        ({"m": 0}, "m"),
         ({"folds": 1}, "folds"),
         ({"forest_trees": 0}, "forest_trees"),
         ({"agent1": {"epochs": 0}}, "agent1.epochs"),

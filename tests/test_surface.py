@@ -24,18 +24,26 @@ Every DAMC record kind but the metadata is declared in exactly one layer's
 Every layer with its own backward, and every head in ``nn/losses.py`` (a
 function of ``(logits, targets)``), is in the acceptance gradient suite, so
 no gradient that training runs goes unchecked by finite differences.
+
+The README's configuration table lists every config key, nested agent keys
+included, with its default, and no key the config lacks, so a key cannot
+be added or removed without its row.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import importlib.util
 import inspect
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from deepagent import forest
+from deepagent.config import PipelineConfig
 from deepagent.nn import checkpoint, layers, losses
 
 from test_acceptance import gradient_suite
@@ -252,3 +260,48 @@ def test_every_checkpoint_kind_is_declared_in_one_layer_state():
     wrong = {name: declared.count(code) for name, code in kinds.items()
              if declared.count(code) != 1}
     assert wrong == {}, f"kinds not declared by exactly one layer STATE: {wrong}"
+
+
+def _config_defaults(obj, prefix=""):
+    """``{dotted key: default}`` over a config dataclass and its nested ones."""
+    defaults = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            defaults.update(_config_defaults(value, f"{prefix}{f.name}."))
+        else:
+            defaults[f"{prefix}{f.name}"] = value
+    return defaults
+
+
+def readme_config_table():
+    """``{dotted key: default}`` from the README's configuration table. A
+    row's first two cells may list several keys and defaults split by
+    `` / ``; a row whose default is ``{...}`` lists its nested keys in the
+    third cell as comma-separated ``key value`` pairs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        keys = [k.strip("`") for k in cells[0].split(" / ")]
+        if cells[1] == "`{...}`":
+            for pair in cells[2].split(", "):
+                name, value = re.fullmatch(r"`(\w+)` (\S+)", pair).groups()
+                table[f"{keys[0]}.{name}"] = json.loads(value)
+            continue
+        values = [json.loads(v.strip("`")) for v in cells[1].split(" / ")]
+        assert len(keys) == len(values), line
+        table.update(zip(keys, values))
+    return table
+
+
+def test_readme_config_table_matches_the_config():
+    expected = _config_defaults(PipelineConfig())
+    table = readme_config_table()
+    assert sorted(table) == sorted(expected)
+    wrong = {key: (table[key], value) for key, value in expected.items()
+             if table[key] != value or isinstance(table[key], bool) != isinstance(value, bool)}
+    assert wrong == {}, f"README default differs from the config's: {wrong}"
