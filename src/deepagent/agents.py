@@ -39,7 +39,7 @@ from deepagent.nn.layers import (
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
 from deepagent.semantic import FEATURE_DIM
-from deepagent.vision import AugmentPolicy, augment
+from deepagent.vision import augment
 
 # Agent-1 input sides a checkpoint may declare: conv1's 11-pixel valid
 # kernel needs at least 11, and 224 is the reference geometry
@@ -272,10 +272,10 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
     """Minimize softmax cross-entropy with Adam; returns per-epoch history.
 
     ``frames`` are normalized [0, 1] arrays shaped N x S x S x 3 with labels
-    in {0, 1}. With ``config.augment``, every batch is augmented under the
-    default :class:`AugmentPolicy`, redrawn every epoch from the model seed.
-    Validation runs in ``batch_size`` slices, so its memory does not grow
-    with the validation set.
+    in {0, 1}. With ``config.augment``, every batch is augmented with
+    ``vision.augment``'s fixed ranges, redrawn every epoch from the model
+    seed. Validation runs in ``batch_size`` slices, so its memory does not
+    grow with the validation set.
     """
     cfg = config or Agent1Config()
     labels = np.asarray(labels, dtype=int)
@@ -283,10 +283,9 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
     onehot = np.eye(2, dtype=model.dtype)
     transform = val = None
     if cfg.augment:
-        policy = AugmentPolicy()
         aug_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 6]))
         transform = lambda batch: np.stack(
-            [augment(img, policy, aug_rng) for img in batch]).astype(model.dtype)
+            [augment(img, aug_rng) for img in batch]).astype(model.dtype)
     if val_frames is not None and len(val_frames):
         val_labels = np.asarray(val_labels, dtype=int)
         val = (val_frames, onehot[val_labels], val_labels)

@@ -5,27 +5,21 @@ the entry table -- per entry: id length (u32) + UTF-8 id bytes, dtype code
 (u32, byte width), rank (u32), dims (u32 each), payload offset (u64 LE from
 file start) -- followed by the raw little-endian IEEE-754 payloads. Writes
 are sorted by id so identical content produces identical bytes, and replace
-the file in one step, so a failed write leaves the previous cache intact.
-Reading rejects a key that is not UTF-8 and a byte width other than 4 or 8,
-naming the byte offset. Element counts are Python integers, so dims too
-large for the file fail as a truncated payload.
+the file whole (``files.write_bytes``). Reading goes through
+``files.Reader``, so dims too large for the file fail as a truncated
+payload; it also rejects a key that is not UTF-8, a key that repeats an
+earlier entry's and a byte width other than 4 or 8, naming the byte offset.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-
 import numpy as np
 
-from deepagent import atomic
+from deepagent import files
 from deepagent.errors import IngestionError
 
 MAGIC = b"DAFT"
 FORMAT_VERSION = 1
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 def write_cache(path, entries: dict[str, np.ndarray]) -> None:
@@ -34,83 +28,41 @@ def write_cache(path, entries: dict[str, np.ndarray]) -> None:
     for key in sorted(entries):
         arr = np.asarray(entries[key])
         width = 4 if arr.dtype == np.float32 else 8
-        items.append((key, np.ascontiguousarray(arr, dtype=f"<f{width}"), width))
-
-    table_size = 4 + 4 + 4
-    for key, arr, _ in items:
-        table_size += 4 + len(key.encode("utf-8")) + 4 + 4 + 4 * arr.ndim + 8
-
-    chunks = [MAGIC, _U32.pack(FORMAT_VERSION), _U32.pack(len(items))]
-    offset = table_size
-    payloads = []
-    for key, arr, width in items:
-        kb = key.encode("utf-8")
-        chunks.append(_U32.pack(len(kb)))
-        chunks.append(kb)
-        chunks.append(_U32.pack(width))
-        chunks.append(_U32.pack(arr.ndim))
-        for d in arr.shape:
-            chunks.append(_U32.pack(d))
-        chunks.append(_U64.pack(offset))
-        payload = arr.tobytes()
-        payloads.append(payload)
-        offset += len(payload)
-    atomic.write_bytes(path, b"".join(chunks) + b"".join(payloads))
+        items.append((key.encode("utf-8"), np.ascontiguousarray(arr, dtype=f"<f{width}")))
+    offset = 12 + sum(4 + len(kb) + 8 + 4 * arr.ndim + 8 for kb, arr in items)
+    chunks = [MAGIC, files.pack("2I", FORMAT_VERSION, len(items))]
+    for kb, arr in items:
+        chunks += [files.pack("I", len(kb)), kb, files.pack(
+            f"{2 + arr.ndim}IQ", arr.itemsize, arr.ndim, *arr.shape, offset)]
+        offset += arr.nbytes
+    files.write_bytes(path, b"".join(chunks + [arr.tobytes() for _, arr in items]))
 
 
 def read_cache(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise IngestionError(f"{path}: not a feature cache (bad magic)")
-    pos = 4
-
-    def u32():
-        nonlocal pos
-        if pos + 4 > len(blob):
-            raise IngestionError(f"{path}: truncated cache at byte {pos}")
-        (v,) = _U32.unpack_from(blob, pos)
-        pos += 4
-        return v
-
-    version = u32()
-    if version != FORMAT_VERSION:
-        raise IngestionError(f"{path}: unsupported cache version {version}")
-    count = u32()
-    table = []
-    for _ in range(count):
-        klen = u32()
+    reader = files.Reader(path, MAGIC, FORMAT_VERSION, "cache")
+    table = {}
+    for _ in range(reader.u32()):
+        start = reader.pos
         try:
-            key = blob[pos:pos + klen].decode("utf-8")
+            key = reader.take(reader.u32()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise IngestionError(
-                f"{path}: key at byte {pos} is not valid UTF-8") from exc
-        pos += klen
-        width = u32()
+                f"{path}: key at byte {start + 4} is not valid UTF-8") from exc
+        if key in table:
+            raise IngestionError(
+                f"{path}: entry at byte {start} repeats key {key!r}")
+        width = reader.u32()
         if width not in (4, 8):
             raise IngestionError(
-                f"{path}: entry {key!r}: byte width {width} at byte {pos - 4} "
+                f"{path}: entry {key!r}: byte width {width} at byte {reader.pos - 4} "
                 "is not 4 or 8")
-        rank = u32()
-        dims = tuple(u32() for _ in range(rank))
-        if pos + 8 > len(blob):
-            raise IngestionError(f"{path}: truncated cache at byte {pos}")
-        (offset,) = _U64.unpack_from(blob, pos)
-        pos += 8
-        table.append((key, width, dims, offset))
+        table[key] = (width, reader.dims(), reader.u64())
 
     out = {}
-    for key, width, dims, offset in table:
-        n = math.prod(dims)  # a Python int: huge dims cannot wrap around
-        if offset + n * width > len(blob):
-            raise IngestionError(
-                f"{path}: payload for {key!r} at byte {offset} truncated")
-        flat = np.frombuffer(blob, dtype=f"<f{width}", count=n, offset=offset)
-        try:
-            out[key] = flat.reshape(dims).copy()
-        except ValueError:  # an empty axis beside axes numpy cannot index
-            raise IngestionError(
-                f"{path}: entry {key!r}: dims {dims} describe no array") from None
+    for key, (width, dims, offset) in table.items():
+        reader.pos = offset
+        out[key] = reader.array(dims, width, f"entry {key!r}",
+                                f"payload for {key!r} at byte {offset} truncated")
     return out
 
 

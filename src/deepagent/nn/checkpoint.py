@@ -10,19 +10,17 @@ dtype_bits]`` as float64; it tells the loader how to rebuild the
 architecture and how wide the remaining payloads are. Metadata that is not
 three whole numbers, a model kind other than Agent-1/Agent-2 or a width
 other than 32/64 bits is an ingestion fault naming the file and record 0.
-Element counts are Python integers, so dims too large for the file fail as
-a truncated payload. Round-trips are bit-exact. Saving replaces the file in
-one step, so a failed save leaves the previous checkpoint intact.
+Loading reads through ``files.Reader``, so dims too large for the file fail
+as a truncated payload. Round-trips are bit-exact. Saving replaces the file
+whole (``files.write_bytes``), so a failed save leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-
 import numpy as np
 
-from deepagent import atomic
+from deepagent import files
 from deepagent.errors import IngestionError
 
 MAGIC = b"DAMC"
@@ -43,69 +41,31 @@ KIND_STD_SIGMA = 10
 MODEL_AGENT1 = 1
 MODEL_AGENT2 = 2
 
-_U32 = struct.Struct("<I")
-
 
 def save_checkpoint(path, records, *, model_kind: int, input_size: int,
                     dtype_bits: int) -> None:
     """Write ``records`` (list of (kind, array)) preceded by a meta record."""
     meta = np.array([model_kind, input_size, dtype_bits], dtype="<f8")
-    chunks = [MAGIC, _U32.pack(FORMAT_VERSION), _U32.pack(len(records) + 1)]
-
-    def emit(kind, arr, width):
-        chunks.append(_U32.pack(kind))
-        chunks.append(_U32.pack(arr.ndim))
-        for d in arr.shape:
-            chunks.append(_U32.pack(d))
-        chunks.append(np.ascontiguousarray(arr, dtype=f"<f{width}").tobytes())
-
-    emit(KIND_META, meta, 8)
+    chunks = [MAGIC, files.pack("2I", FORMAT_VERSION, len(records) + 1)]
     width = dtype_bits // 8
-    for kind, arr in records:
-        emit(kind, arr, width)
-    atomic.write_bytes(path, b"".join(chunks))
+    for i, (kind, arr) in enumerate([(KIND_META, meta), *records]):
+        arr = np.ascontiguousarray(arr, dtype=f"<f{8 if i == 0 else width}")
+        chunks += [files.pack(f"{2 + arr.ndim}I", kind, arr.ndim, *arr.shape),
+                   arr.tobytes()]
+    files.write_bytes(path, b"".join(chunks))
 
 
 def load_checkpoint(path):
     """Return (header dict, list of (kind, float array)) from a DAMC file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise IngestionError(f"{path}: not a DAMC checkpoint (bad magic at byte 0)")
-    pos = 4
-
-    def u32():
-        nonlocal pos
-        if pos + 4 > len(blob):
-            raise IngestionError(f"{path}: truncated checkpoint at byte {pos}")
-        (val,) = _U32.unpack_from(blob, pos)
-        pos += 4
-        return val
-
-    version = u32()
-    if version != FORMAT_VERSION:
-        raise IngestionError(f"{path}: unsupported checkpoint version {version}")
-    count = u32()
+    reader = files.Reader(path, MAGIC, FORMAT_VERSION, "checkpoint")
     width = 8
     header = None
     records = []
-    for idx in range(count):
-        kind = u32()
-        rank = u32()
-        dims = tuple(u32() for _ in range(rank))
-        n = math.prod(dims)  # a Python int: huge dims cannot wrap around
-        size = n * (8 if idx == 0 else width)
-        if pos + size > len(blob):
-            raise IngestionError(f"{path}: truncated payload at byte {pos}")
-        flat = np.frombuffer(blob, dtype=f"<f{8 if idx == 0 else width}",
-                             count=n, offset=pos)
-        try:
-            arr = flat.reshape(dims).copy()
-        except ValueError:  # an empty axis beside axes numpy cannot index
-            raise IngestionError(
-                f"{path}: record {idx}: dims {dims} at byte {pos} describe no array"
-            ) from None
-        pos += size
+    for idx in range(reader.u32()):
+        kind = reader.u32()
+        dims = reader.dims()
+        arr = reader.array(dims, width, f"record {idx}",
+                           f"truncated payload at byte {reader.pos}")
         if idx == 0:
             if (kind != KIND_META or arr.shape != (3,) or not np.isfinite(arr).all()
                     or (arr != np.round(arr)).any()):
@@ -126,4 +86,6 @@ def load_checkpoint(path):
             width = header["dtype_bits"] // 8
         else:
             records.append((kind, arr))
+    if header is None:
+        raise IngestionError(f"{path}: record count 0: no metadata record")
     return header, records

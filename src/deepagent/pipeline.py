@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deepagent import agents, audio, fusion, metrics, semantic, vision
+from deepagent import agents, audio, files, fusion, metrics, semantic, vision
 from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import PipelineConfig
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
@@ -104,7 +104,7 @@ def run_train_agent1(records, config: PipelineConfig, out_path,
     history = agents.train_agent1(model, train_frames, train_labels,
                                   val_frames, val_labels, config.agent1)
     agents.save_agent(model, out_path)
-    _write_history(history_path or _history_path(out_path), history)
+    files.write_json(history_path or _history_path(out_path), history)
     return history
 
 
@@ -123,17 +123,13 @@ def run_train_agent2(records, config: PipelineConfig, cache_path, out_path,
     model = agents.build_agent2(config.seed)
     history = agents.train_agent2(model, X, y, val_X, val_y, config.agent2)
     agents.save_agent(model, out_path)
-    _write_history(history_path or _history_path(out_path), history)
+    files.write_json(history_path or _history_path(out_path), history)
     return history
 
 
 def _history_path(ckpt_path) -> Path:
     p = Path(ckpt_path)
     return p.with_name(p.stem + "_history.json")
-
-
-def _write_history(path, history) -> None:
-    Path(path).write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 
 def _require_cache(cache_path) -> dict:
@@ -203,7 +199,7 @@ def run_predict(records, config, agent1_path, agent2_path, cache_path,
     rows = [{"id": r.id, "label": r.label, "split": r.split,
              "agent1": float(s1), "agent2": float(s2)}
             for r, (s1, s2) in zip(records, scores)]
-    Path(out_path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+    files.write_json(out_path, rows)
     return rows
 
 
@@ -218,8 +214,7 @@ def run_fuse(records, config, agent1_path, agent2_path, cache_path,
         n_trees=config.forest_trees, seed=config.seed))
     update_cache(cache_path, {
         f"{r.id}/scores": row for r, row in zip(records, scores)})
-    Path(report_path).write_text(json.dumps(report, indent=2) + "\n",
-                                 encoding="utf-8")
+    files.write_json(report_path, report)
     return report[-1]["f1"]
 
 
@@ -272,7 +267,7 @@ def run_evaluate(scores_path, split, out_path) -> dict:
         scores = [r[agent_key] for r in chosen]
         preds = [int(s >= 0.5) for s in scores]
         out[agent_key] = metrics.metric_report(labels, preds, scores)
-    Path(out_path).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    files.write_json(out_path, out)
     return out
 
 
@@ -299,10 +294,8 @@ def write_roc_csvs(report_rows: list[dict], out_dir) -> list[Path]:
         if row["fold"] == "mean" or "roc" not in row:
             continue
         path = out_dir / f"roc_fold{row['fold']}.csv"
-        lines = ["fpr,tpr,threshold"]
-        for fpr, tpr, thr in row["roc"]:
-            lines.append(f"{fpr},{tpr},{thr}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = ["fpr,tpr,threshold"] + [f"{fpr},{tpr},{thr}" for fpr, tpr, thr in row["roc"]]
+        files.write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
         written.append(path)
     return written
 
@@ -326,9 +319,11 @@ def _fold_row_problem(row):
 
 def run_report(fold_report_path, out_path=None, roc_dir=None) -> str:
     report_rows = _load_rows(fold_report_path, _fold_row_problem)
+    if not report_rows:
+        raise IngestionError(f"{fold_report_path}: fold report holds no rows")
     table = render_fold_table(report_rows)
     if out_path is not None:
-        Path(out_path).write_text(table, encoding="utf-8")
+        files.write_bytes(out_path, table.encode("utf-8"))
     if roc_dir is not None:
         write_roc_csvs(report_rows, roc_dir)
     return table

@@ -2,44 +2,25 @@
 
 A frame is a plain float64 ``H x W x C`` ndarray, channels 1 (gray) or 3
 (RGB). Ingestion keeps raw byte values in [0, 255]; the pipeline rescales a
-stacked batch to [0, 1], and augmentation operates on that range.
+stacked batch to [0, 1], and augmentation operates on that range. Its
+ranges are fixed module constants, with no policy object to vary them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from deepagent.errors import ConfigurationError, IngestionError
 
 
-@dataclass
-class AugmentPolicy:
-    """Ranges for the train-time augmentation draws.
-
-    All draws are uniform: rotation in +-rotation_deg degrees, shifts in
-    +-shift_frac of each dimension, zoom in 1 +- zoom_frac, brightness
-    multiplier in [brightness[0], brightness[1]], and a fair coin for the
-    horizontal flip when enabled.
-    """
-
-    rotation_deg: float = 10.0
-    shift_frac: float = 0.1
-    zoom_frac: float = 0.1
-    brightness: tuple[float, float] = (0.9, 1.1)
-    horizontal_flip: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.rotation_deg <= 10.0:
-            raise ConfigurationError(f"rotation_deg outside [0, 10]: {self.rotation_deg}")
-        if not 0.0 <= self.shift_frac <= 0.1:
-            raise ConfigurationError(f"shift_frac outside [0, 0.1]: {self.shift_frac}")
-        if not 0.0 <= self.zoom_frac <= 0.1:
-            raise ConfigurationError(f"zoom_frac outside [0, 0.1]: {self.zoom_frac}")
-        lo, hi = self.brightness
-        if not (0.9 <= lo <= hi <= 1.1):
-            raise ConfigurationError(f"brightness range outside [0.9, 1.1]: {self.brightness}")
+# train-time augmentation ranges, all drawn uniformly: rotation in
+# +-ROTATION_DEG degrees, shifts in +-SHIFT_FRAC of each dimension, zoom in
+# 1 +- ZOOM_FRAC, a brightness multiplier in BRIGHTNESS, and a fair coin for
+# the horizontal flip
+ROTATION_DEG = 10.0
+SHIFT_FRAC = 0.1
+ZOOM_FRAC = 0.1
+BRIGHTNESS = (0.9, 1.1)
 
 
 def _read_header_token(blob: bytes, pos: int, path) -> tuple[bytes, int]:
@@ -166,28 +147,26 @@ def _affine_sample(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bottom * fy
 
 
-def augment(pixels: np.ndarray, policy: AugmentPolicy,
-            rng: np.random.Generator) -> np.ndarray:
+def augment(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply rotation, shift, zoom, brightness, and flip, in that order.
 
-    The draws (rotation, x shift, y shift, zoom, brightness, then the flip
-    coin when flipping is enabled) are always consumed in the same order,
-    so a fixed seed reproduces the exact augmented frame. Works on an
-    ``H x W x C`` frame of normalized [0, 1] pixels and returns a new one.
+    The six draws (rotation, x shift, y shift, zoom, brightness, then the
+    flip coin) are always consumed in the same order, so a fixed seed
+    reproduces the exact augmented frame. Works on an ``H x W x C`` frame of
+    normalized [0, 1] pixels and returns a new one.
 
     The three inverse maps compose into one matrix, rotation o shift o zoom
     (each about the image center where it applies), and the frame is
     resampled once, with edge-replicate fill, as Keras
-    ``ImageDataGenerator.apply_transform`` does; a draw whose product is the
-    identity skips the resample.
+    ``ImageDataGenerator.apply_transform`` does.
     """
     height, width = pixels.shape[:2]
-    angle = rng.uniform(-policy.rotation_deg, policy.rotation_deg)
-    dx = rng.uniform(-policy.shift_frac, policy.shift_frac) * width
-    dy = rng.uniform(-policy.shift_frac, policy.shift_frac) * height
-    zoom = rng.uniform(1.0 - policy.zoom_frac, 1.0 + policy.zoom_frac)
-    bright = rng.uniform(policy.brightness[0], policy.brightness[1])
-    flip = policy.horizontal_flip and rng.random() < 0.5
+    angle = rng.uniform(-ROTATION_DEG, ROTATION_DEG)
+    dx = rng.uniform(-SHIFT_FRAC, SHIFT_FRAC) * width
+    dy = rng.uniform(-SHIFT_FRAC, SHIFT_FRAC) * height
+    zoom = rng.uniform(1.0 - ZOOM_FRAC, 1.0 + ZOOM_FRAC)
+    bright = rng.uniform(*BRIGHTNESS)
+    flip = rng.random() < 0.5
 
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     theta = np.deg2rad(angle)
@@ -205,14 +184,7 @@ def augment(pixels: np.ndarray, policy: AugmentPolicy,
         [0.0, inv, cy * (1.0 - inv)],
         [0.0, 0.0, 1.0],
     ])
-    matrix = rotation @ shift @ scale
-    out = pixels
-    if not np.array_equal(matrix, np.eye(3)):
-        out = _affine_sample(out, matrix)
-    if bright != 1.0:
-        out = np.clip(out * bright, 0.0, 1.0)
+    out = np.clip(_affine_sample(pixels, rotation @ shift @ scale) * bright, 0.0, 1.0)
     if flip:
         out = out[:, ::-1, :]
-    if out is pixels:
-        out = out.copy()
     return np.ascontiguousarray(out)

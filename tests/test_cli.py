@@ -172,6 +172,13 @@ class TestFailureModes:
         assert "long.damc: record 11: expected 10 records" in error["message"]
         assert "found 11" in error["message"]
 
+    def test_checkpoint_record_count_0_exits_2(self, workspace, tmp_path, capsys):
+        bad = patched_copy(workspace["a2"], tmp_path / "none.damc",
+                           lambda b: struct.pack_into("<I", b, 8, 0))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "none.damc: record count 0: no metadata record" in error["message"]
+
     def test_checkpoint_wrong_kind_exits_2(self, workspace, tmp_path, capsys):
         bad = tmp_path / "kind.damc"
         rewrite_checkpoint(workspace["a2"], bad, lambda records: [
@@ -262,6 +269,20 @@ class TestFailureModes:
         code, error = predict_error(workspace, workspace["a2"], capsys, bad)
         assert code == 2 and error["kind"] == "IngestionError"
         assert (f"key.daft: key at byte {DAFT_FIRST_KEY} is not valid UTF-8"
+                in error["message"])
+
+    def test_cache_key_repeated_exits_2(self, workspace, tmp_path, capsys):
+        # the second entry's id 'b/feature' becomes a second 'a/feature'
+        second = DAFT_FIRST_KEY + len(b"a/feature") + 4 + 4 + 4 + 8
+        write_cache(tmp_path / "ab.daft", {"a/feature": np.zeros(14),
+                                           "b/feature": np.ones(14)})
+
+        def patch(blob):
+            blob[second + 4] = ord("a")
+        bad = patched_copy(tmp_path / "ab.daft", tmp_path / "twice.daft", patch)
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"twice.daft: entry at byte {second} repeats key 'a/feature'"
                 in error["message"])
 
     def test_cached_feature_of_wrong_width_exits_2(self, workspace, tmp_path, capsys):
@@ -543,6 +564,44 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         assert f"{bad}: " in error["message"] and what in error["message"]
+
+    def test_empty_fold_report_exits_2_naming_it(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]\n")
+        code = main(["report", "--fold-report", str(empty),
+                     "--out", str(tmp_path / "table.txt"),
+                     "--roc-dir", str(tmp_path / "roc")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"{empty}: fold report holds no rows" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_failed_replace_keeps_previous_artifact(self, workspace, tmp_path,
+                                                    monkeypatch, capsys, command):
+        scores = tmp_path / "input_scores.json"
+        scores.write_text(json.dumps([
+            {"id": f"v{i}", "label": i % 2, "split": "test", "agent1": 0.25 * i,
+             "agent2": 0.5} for i in range(4)]))
+        out = tmp_path / ("scores.json" if command == "predict" else "metrics.json")
+        out.write_bytes(b"previous run\n")
+        argv = {"predict": ["predict", "--manifest", str(workspace["manifest"]),
+                            "--agent1", str(workspace["a1"]),
+                            "--agent2", str(workspace["a2"]),
+                            "--cache", str(workspace["cache"])],
+                "evaluate": ["evaluate", "--scores", str(scores),
+                             "--split", "all"]}[command]
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        code = main(argv + ["--out", str(out)])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and "disk full" in error["message"]
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["input_scores.json", out.name])
 
     def test_audio_only_manifest_record_exits_2(self, workspace, tmp_path, capsys):
         records = json.loads(workspace["manifest"].read_text())

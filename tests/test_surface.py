@@ -8,7 +8,10 @@ count.
 
 Every parameter with a default, of a public function or method, is set by
 some call in the package: a default no caller overrides is a fixed design
-choice dressed up as a knob, and belongs in a constant.
+choice dressed up as a knob, and belongs in a constant. A field with a
+default of a public dataclass is a parameter of its constructor and is held
+to the same rule; the config dataclasses are exempt, since their fields are
+keys set from a config file, and the README-table guard covers those.
 
 Every field of a package dataclass is read as an attribute somewhere in the
 package: a field nothing reads is state every constructor must fill for no
@@ -132,6 +135,15 @@ def _defaulted_parameters(fn, bound):
             yield arg.arg, None
 
 
+def _defaulted_fields(cls):
+    """(name, position in a call) per field with a default of a dataclass."""
+    fields = [stmt for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    for i, stmt in enumerate(fields):
+        if stmt.value is not None:
+            yield stmt.target.id, i
+
+
 def _call_sets(call, name, position):
     if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
         return True
@@ -144,8 +156,9 @@ def _call_sets(call, name, position):
 
 def unset_parameters():
     """``file:function.parameter`` per defaulted parameter of a public
-    function or method that no package call sets. Calls are matched by the
-    called name; a call to a class sets its ``__init__`` parameters."""
+    function or method, or defaulted field of a public dataclass outside the
+    config, that no package call sets. Calls are matched by the called name;
+    a call to a class sets its ``__init__`` parameters or its fields."""
     trees = _package_trees()
     calls = {}
     for tree in trees.values():
@@ -156,22 +169,27 @@ def unset_parameters():
                 calls.setdefault(name, []).append(node)
     unset = []
     for path, tree in trees.items():
-        defs = []  # (called name, label, definition, bound parameters)
+        defs = []  # (called name, label, (parameter, position in a call) pairs)
         for node in tree.body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
             if isinstance(node, ast.FunctionDef):
-                defs.append((node.name, node.name, node, 0))
+                defs.append((node.name, node.name, _defaulted_parameters(node, 0)))
             elif isinstance(node, ast.ClassDef):
+                # the config dataclasses' fields are keys set from a file
+                if _is_dataclass(node) and path.name != "config.py":
+                    defs.append((node.name, node.name, _defaulted_fields(node)))
                 for method in node.body:
                     if not isinstance(method, ast.FunctionDef):
                         continue
                     if method.name == "__init__":
-                        defs.append((node.name, node.name, method, 1))
+                        defs.append((node.name, node.name,
+                                     _defaulted_parameters(method, 1)))
                     elif not method.name.startswith("_"):
-                        defs.append((method.name, f"{node.name}.{method.name}", method, 1))
-        for called, label, fn, bound in defs:
-            for name, position in _defaulted_parameters(fn, bound):
+                        defs.append((method.name, f"{node.name}.{method.name}",
+                                     _defaulted_parameters(method, 1)))
+        for called, label, params in defs:
+            for name, position in params:
                 key = f"{path.relative_to(SRC)}:{label}.{name}"
                 if key not in UNSET_ALLOWED and not any(
                         _call_sets(c, name, position) for c in calls.get(called, [])):

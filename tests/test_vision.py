@@ -8,9 +8,8 @@ import pytest
 
 from deepagent import pipeline, vision
 from deepagent.config import load_config
-from deepagent.errors import ConfigurationError, IngestionError
+from deepagent.errors import IngestionError
 from deepagent.manifest import SampleRecord
-from deepagent.vision import AugmentPolicy
 
 from oracles import matmul3, naive_affine_sample, naive_bilinear_resize
 
@@ -149,54 +148,35 @@ class TestSampling:
 
 
 class TestAugment:
-    def test_identity_policy_is_bitwise_identity(self):
-        rng = np.random.default_rng(9)
-        frame = rng.uniform(0, 1, size=(12, 12, 3))
-        policy = AugmentPolicy(0.0, 0.0, 0.0, (1.0, 1.0), False)
-        out = vision.augment(frame, policy, np.random.default_rng(0))
-        npt.assert_array_equal(out, frame)
-
-    def test_flip_only_on_symmetric_image(self):
-        base = np.array([[1.0, 2.0, 1.0], [3.0, 0.5, 3.0]])[..., None]
-        policy = AugmentPolicy(0.0, 0.0, 0.0, (1.0, 1.0), True)
-        for seed in range(6):  # both coin outcomes appear
-            out = vision.augment(base, policy, np.random.default_rng(seed))
-            npt.assert_array_equal(out, base)
-
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(10)
         frame = rng.uniform(0, 1, size=(16, 16, 3))
-        policy = AugmentPolicy()
-        a = vision.augment(frame, policy, np.random.default_rng(77))
-        b = vision.augment(frame, policy, np.random.default_rng(77))
+        a = vision.augment(frame, np.random.default_rng(77))
+        b = vision.augment(frame, np.random.default_rng(77))
         npt.assert_array_equal(a, b)
 
     def test_brightness_clamped(self):
         frame = np.full((4, 4, 1), 0.99)
-        policy = AugmentPolicy(0.0, 0.0, 0.0, (1.1, 1.1), False)
-        out = vision.augment(frame, policy, np.random.default_rng(0))
-        assert out.max() <= 1.0
-
-    def test_policy_ranges_validated(self):
-        with pytest.raises(ConfigurationError):
-            AugmentPolicy(rotation_deg=45.0)
-        with pytest.raises(ConfigurationError):
-            AugmentPolicy(brightness=(0.5, 1.0))
+        peaks = [vision.augment(frame, np.random.default_rng(seed)).max()
+                 for seed in range(8)]
+        assert max(peaks) == 1.0  # some draws brighten 0.99 past 1.0
 
 
 class TestAugmentOracle:
     """One resample through the composed map, against a per-pixel loop."""
 
     @staticmethod
-    def expected(frame, policy, rng):
+    def expected(frame, rng):
         """Draw as augment does, compose rotation o shift o zoom by hand,
-        sample naively, then brightness and flip."""
+        sample naively, then brightness and flip. The ranges are the fixed
+        Keras-style ones: +-10 degrees, +-0.1 shifts and zoom, brightness
+        in [0.9, 1.1]."""
         h, w, _ = frame.shape
-        angle = rng.uniform(-policy.rotation_deg, policy.rotation_deg)
-        dx = rng.uniform(-policy.shift_frac, policy.shift_frac) * w
-        dy = rng.uniform(-policy.shift_frac, policy.shift_frac) * h
-        zoom = rng.uniform(1.0 - policy.zoom_frac, 1.0 + policy.zoom_frac)
-        bright = rng.uniform(*policy.brightness)
+        angle = rng.uniform(-10.0, 10.0)
+        dx = rng.uniform(-0.1, 0.1) * w
+        dy = rng.uniform(-0.1, 0.1) * h
+        zoom = rng.uniform(0.9, 1.1)
+        bright = rng.uniform(0.9, 1.1)
         flip = rng.random() < 0.5
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
         c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
@@ -213,21 +193,12 @@ class TestAugmentOracle:
 
     @pytest.mark.parametrize("shape", [(9, 13, 3), (16, 16, 3), (7, 5, 1)])
     def test_matches_naive_sampler_on_composed_matrix(self, shape):
-        policy = AugmentPolicy()
         for seed in range(8):
             frame = np.random.default_rng(seed).uniform(0, 1, size=shape)
             rng = np.random.default_rng(100 + seed)
             mirror = np.random.default_rng(100 + seed)
-            out = vision.augment(frame, policy, rng)
-            npt.assert_allclose(out, self.expected(frame, policy, mirror),
+            out = vision.augment(frame, rng)
+            npt.assert_allclose(out, self.expected(frame, mirror),
                                 rtol=0, atol=1e-12)
             # six draws, no more and no fewer
             assert rng.bit_generator.state == mirror.bit_generator.state
-
-    def test_draw_count_without_flip(self):
-        policy = AugmentPolicy(horizontal_flip=False)
-        rng = np.random.default_rng(7)
-        vision.augment(np.zeros((4, 4, 3)), policy, rng)
-        mirror = np.random.default_rng(7)
-        mirror.uniform(size=5)
-        assert rng.bit_generator.state == mirror.bit_generator.state
