@@ -2,13 +2,14 @@
 
 Agent-1 is a five-block convolutional stack (channels-last) ending in
 global average pooling and two logits; its per-frame fake probability is
-the softmax component for class 1 and per-video scores are the plain mean
-over frames. Agent-2 is a 14 -> 128 -> 64 -> 32 -> 1 dense network over the
-multimodal feature vector, read through a sigmoid; its first layer is a
-``Standardize`` fit on the training features. ``score_video`` turns a
-video's frames into one float and ``predict_agent2`` scores a whole N x 14
-feature matrix of raw features in one forward. Both are one
-:class:`Agent` type; a checkpoint stores its net's ``state()``.
+the softmax component for class 1. ``predict_frames`` scores a batch of
+frames from any mix of videos, and ``score_video`` reduces one video's
+frame probabilities to their plain mean. Agent-2 is a 14 -> 128 -> 64 ->
+32 -> 1 dense network over the multimodal feature vector, read through a
+sigmoid; its first layer is a ``Standardize`` fit on the training
+features. ``predict_agent2`` scores a whole N x 14 feature matrix of raw
+features in one forward. Both are one :class:`Agent` type; a checkpoint
+stores its net's ``state()``.
 
 Both agents train in one Adam epoch loop, with the head's loss gradient
 taken at the logits. Training is single-threaded and fully seeded: batch
@@ -137,11 +138,9 @@ def predict_frames(model: Agent, frames: np.ndarray) -> np.ndarray:
     return softmax(model.net.forward(frames, train=False))[:, 1]
 
 
-def score_video(model: Agent, frames: np.ndarray) -> float:
-    """Video score: the mean fake-class probability over its frames."""
-    if len(frames) == 0:
-        raise UsageError("cannot score a video with no frames")
-    return float(np.mean(predict_frames(model, frames)))
+def score_video(frame_probs: np.ndarray) -> float:
+    """Video score: the mean of its frames' fake-class probabilities."""
+    return float(np.mean(frame_probs))
 
 
 def predict_agent2(model: Agent, X: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ are sorted by id so identical content produces identical bytes, and replace
 the file whole (``files.write_bytes``). Reading goes through
 ``files.Reader``, so dims too large for the file fail as a truncated
 payload; it also rejects a key that is not UTF-8, a key that repeats an
-earlier entry's and a byte width other than 4 or 8, naming the byte offset.
+earlier entry's, a byte width other than 4 or 8 and bytes after the last
+payload (or after the header, with no entries), naming the byte offset.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def read_cache(path) -> dict[str, np.ndarray]:
         reader.pos = offset
         out[key] = reader.array(dims, width, f"entry {key!r}",
                                 f"payload for {key!r} at byte {offset} truncated")
+    reader.finish()
     return out
 
 

@@ -56,7 +56,7 @@ class Reader:
     def __init__(self, path, magic: bytes, version: int, what: str):
         with open(path, "rb") as fh:
             self.blob = fh.read()
-        self.path, self.what = path, what
+        self.path, self.what, self.end = path, what, 0
         if self.blob[:4] != magic:
             raise IngestionError(
                 f"{path}: not a {magic.decode()} {what} (bad magic at byte 0)")
@@ -70,6 +70,7 @@ class Reader:
         if at + size > len(self.blob):
             raise IngestionError(f"{self.path}: truncated {self.what} at byte {at}")
         self.pos = at + size
+        self.end = max(self.end, self.pos)
         return at
 
     def take(self, size: int) -> bytes:
@@ -99,5 +100,12 @@ class Reader:
         except ValueError:
             raise IngestionError(f"{self.path}: {label}: dims {dims} at byte {at} "
                                  "describe no array") from None
-        self.pos = at + n * width
+        self._advance(n * width)
         return arr
+
+    def finish(self) -> None:
+        """Fault when the file goes on past the furthest byte read."""
+        if len(self.blob) > self.end:
+            raise IngestionError(
+                f"{self.path}: {len(self.blob) - self.end} bytes of trailing data "
+                f"at byte {self.end}, after the {self.what}")

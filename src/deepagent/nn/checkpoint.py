@@ -11,9 +11,10 @@ architecture and how wide the remaining payloads are. Metadata that is not
 three whole numbers, a model kind other than Agent-1/Agent-2 or a width
 other than 32/64 bits is an ingestion fault naming the file and record 0.
 Loading reads through ``files.Reader``, so dims too large for the file fail
-as a truncated payload. Round-trips are bit-exact. Saving replaces the file
-whole (``files.write_bytes``), so a failed save leaves the previous
-checkpoint intact.
+as a truncated payload and bytes after the last record fail naming the byte
+where they start. Round-trips are bit-exact. Saving replaces the file whole
+(``files.write_bytes``), so a failed save leaves the previous checkpoint
+intact.
 """
 
 from __future__ import annotations
@@ -88,4 +89,5 @@ def load_checkpoint(path):
             records.append((kind, arr))
     if header is None:
         raise IngestionError(f"{path}: record count 0: no metadata record")
+    reader.finish()
     return header, records

@@ -35,7 +35,8 @@ class Param:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
+        # not zeros_like: calloc'd pages stay untouched until a backward
+        self.grad = np.zeros(value.shape, dtype=value.dtype)
 
 
 class Layer:

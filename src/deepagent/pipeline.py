@@ -2,6 +2,8 @@
 
 This module glues the manifest, feature cache, agents, and fusion stages
 together; the CLI is a thin argument-parsing layer over these functions.
+``predict`` and ``fuse`` share ``score_samples``, which runs Agent-1 over
+fixed-size frame batches that cross video boundaries (``SCORE_PIXELS``).
 """
 
 from __future__ import annotations
@@ -167,19 +169,38 @@ def require_checkpoint(path) -> Path:
 
 # scoring and fusion ---------------------------------------------------------
 
+# pixels per Agent-1 scoring forward: 16 frames at desk scale (64 px) and
+# one at 224, where 16 frames would need a 135 MB conv1 im2col copy
+SCORE_PIXELS = 16 * 64 * 64
+
+
 def score_samples(records, agent1_model, agent2_model, cache_entries,
                   config: PipelineConfig, cache_path="cache") -> np.ndarray:
     """N x 2 matrix of per-video scores, row i ``[agent1, agent2]`` for
     ``records[i]``.
 
     Agent-1 scores each video from its frames, resized to the checkpoint's
-    own input geometry, so a model trained at desk scale scores correctly
-    without repeating the flag. Agent-2 scores the stacked N x 14 cached
-    features in one forward.
+    own input side S, so a model trained at desk scale scores correctly
+    without repeating the flag. All frames fill batches of
+    ``max(1, SCORE_PIXELS // S**2)``, one forward each, so memory is set by
+    the batch. Agent-2 scores the stacked N x 14 features in one forward.
     """
     X = _feature_matrix(cache_entries, records, cache_path)
-    agent1 = [agents.score_video(agent1_model, load_sample_frames(
-        record, config, size=agent1_model.input_size)) for record in records]
+    size, dtype = agent1_model.input_size, agent1_model.dtype
+    batch = np.empty((max(1, SCORE_PIXELS // size ** 2), size, size, 3), dtype)
+    probs, counts, fill = [np.zeros(0, dtype)], [], 0
+    for record in records:
+        frames = load_sample_frames(record, config, size=size)
+        counts.append(len(frames))
+        for frame in frames:
+            batch[fill], fill = frame, fill + 1
+            if fill == len(batch):
+                probs.append(agents.predict_frames(agent1_model, batch))
+                fill = 0
+    if fill:
+        probs.append(agents.predict_frames(agent1_model, batch[:fill]))
+    probs, ends = np.concatenate(probs), np.cumsum(counts)
+    agent1 = [agents.score_video(probs[end - n:end]) for n, end in zip(counts, ends)]
     return np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
 
 
@@ -258,6 +279,8 @@ def _score_row_problem(row):
 
 def run_evaluate(scores_path, split, out_path) -> dict:
     rows = _load_rows(scores_path, _score_row_problem)
+    if not rows:
+        raise IngestionError(f"{scores_path}: scores file holds no rows")
     chosen = [r for r in rows if split in ("all", r["split"])]
     if not chosen:
         raise UsageError(f"no samples in split {split!r} within {scores_path}")

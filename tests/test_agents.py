@@ -259,48 +259,6 @@ class TestPredictAgent1:
             assert getattr(layer, "_cache", None) is None
 
 
-@pytest.fixture
-def frames_are_scores(monkeypatch):
-    """Agent-1 returns each "frame" as its own score, so ``score_video``'s
-    reduction is checked on exact values."""
-    monkeypatch.setattr(agents, "predict_frames",
-                        lambda model, frames: np.asarray(frames, dtype=float))
-
-
-@pytest.mark.usefixtures("frames_are_scores")
-class TestAggregateVideo:
-    def test_mean(self):
-        assert agents.score_video(None, [0.2, 0.4, 0.6]) == pytest.approx(0.4)
-
-    def test_single_frame(self):
-        assert agents.score_video(None, [0.9]) == 0.9
-
-    def test_all_ones(self):
-        assert agents.score_video(None, [1.0, 1.0, 1.0]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            agents.score_video(None, [])
-
-    def test_permutation_invariant_and_bounded(self):
-        rng = np.random.default_rng(84)
-        scores = list(rng.uniform(size=9))
-        a = agents.score_video(None, scores)
-        b = agents.score_video(None, list(reversed(scores)))
-        assert a == b
-        assert min(scores) <= a <= max(scores)
-
-
-class TestScoreVideo:
-    def test_mean_of_predicted_frame_scores(self):
-        rng = np.random.default_rng(87)
-        frames, _ = separable_frames(rng, 3)
-        model = agents.build_agent1(seed=4, input_size=32)
-        score = agents.score_video(model, frames)
-        assert isinstance(score, float)
-        assert score == float(np.mean(agents.predict_frames(model, frames)))
-
-
 class TestTrainAgent2:
     def test_separable_features_reach_validation_bar(self):
         rng = np.random.default_rng(85)

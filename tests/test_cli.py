@@ -285,6 +285,27 @@ class TestFailureModes:
         assert (f"twice.daft: entry at byte {second} repeats key 'a/feature'"
                 in error["message"])
 
+    def test_checkpoint_trailing_bytes_exit_2(self, workspace, tmp_path, capsys):
+        end = workspace["a2"].stat().st_size
+        bad = patched_copy(workspace["a2"], tmp_path / "long.damc",
+                           lambda blob: blob.extend(bytes(22)))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"long.damc: 22 bytes of trailing data at byte {end}"
+                in error["message"])
+
+    @pytest.mark.parametrize("entries", [{}, {"a/feature": np.zeros(14)}],
+                             ids=["no-entries", "one-entry"])
+    def test_cache_trailing_bytes_exit_2(self, workspace, tmp_path, capsys, entries):
+        write_cache(tmp_path / "c.daft", entries)
+        end = (tmp_path / "c.daft").stat().st_size
+        bad = patched_copy(tmp_path / "c.daft", tmp_path / "long.daft",
+                           lambda blob: blob.extend(b"DAFT"))
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"long.daft: 4 bytes of trailing data at byte {end}"
+                in error["message"])
+
     def test_cached_feature_of_wrong_width_exits_2(self, workspace, tmp_path, capsys):
         entries = read_cache(workspace["cache"])
         key = sorted(k for k in entries if k.endswith("/feature"))[3]
@@ -529,6 +550,7 @@ class TestFailureModes:
          "row 0: agent1 must be a finite score in [0, 1], got '0.5'"),
         (lambda rows: [{**r, "label": 2} for r in rows],
          "row 0: label must be 0 or 1, got 2"),
+        (lambda rows: [], "scores file holds no rows"),
     ])
     def test_faulty_scores_file_exits_2_naming_it(self, workspace, tmp_path, capsys,
                                                   edit, what):
@@ -541,6 +563,16 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         assert f"{bad}: " in error["message"] and what in error["message"]
+
+    def test_scores_file_without_the_split_exits_1(self, tmp_path, capsys):
+        scores = tmp_path / "train_only.json"
+        scores.write_text(json.dumps([{"id": "v", "label": 1, "split": "train",
+                                       "agent1": 0.5, "agent2": 0.5}]))
+        code = main(["evaluate", "--scores", str(scores), "--split", "test",
+                     "--out", str(tmp_path / "m.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "UsageError"
+        assert f"no samples in split 'test' within {scores}" in error["message"]
 
     @pytest.mark.parametrize("edit, what", [
         (lambda rows: "not json", "cannot read rows"),

@@ -2,12 +2,13 @@
 
 Each example copies one valid input (DAMC checkpoint, DAFT cache, WAV
 track, PPM frame, ASR sidecar text, manifest, config file, scores file or
-fold report), truncates it or replaces one byte with a different value,
-and runs ``cli.main`` in-process on it. A fault can leave the file
-well-formed (a flipped pixel, weight, sample or config digit), and then
-the command may succeed. Otherwise it must exit 1 (usage or
-configuration) or 2 (ingestion) with an error message naming the faulty
-file; exit 3 is for numeric failures, never for a bad input file.
+fold report), truncates it, appends bytes to it or replaces one byte with
+a different value, and runs ``cli.main`` in-process on it. A fault can
+leave the file well-formed (a flipped pixel, weight, sample or config
+digit, or text appended to a sidecar), and then the command may succeed.
+Otherwise it must exit 1 (usage or configuration) or 2 (ingestion) with
+an error message naming the faulty file; exit 3 is for numeric failures,
+never for a bad input file.
 
 The examples are derandomized, so every run replays the same faults.
 """
@@ -102,10 +103,14 @@ CASES = {
 
 @st.composite
 def faults(draw, size):
-    """A truncated length, or an offset (in the first 64 bytes, where the
-    headers are, or anywhere) and a nonzero XOR mask for that byte."""
-    if draw(st.booleans()):
+    """A truncated length, bytes to append, or an offset (in the first 64
+    bytes, where the headers are, or anywhere) and a nonzero XOR mask for
+    that byte."""
+    kind = draw(st.sampled_from(["truncate", "append", "flip"]))
+    if kind == "truncate":
         return ("truncate", draw(st.integers(0, size - 1)))
+    if kind == "append":
+        return ("append", draw(st.binary(min_size=1, max_size=32)))
     offset = draw(st.one_of(st.integers(0, min(size, 64) - 1),
                             st.integers(0, size - 1)))
     return ("flip", offset, draw(st.integers(1, 255)))
@@ -114,6 +119,8 @@ def faults(draw, size):
 def damaged(blob, fault):
     if fault[0] == "truncate":
         return blob[:fault[1]]
+    if fault[0] == "append":
+        return blob + fault[1]
     _, offset, mask = fault
     out = bytearray(blob)
     out[offset] ^= mask

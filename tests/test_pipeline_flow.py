@@ -83,11 +83,120 @@ class TestScoreSamples:
         npt.assert_allclose(scores[:, 1], per_row, rtol=0, atol=1e-12)
         for record, s1 in zip(records, scores[:, 0]):
             frames = pipeline.load_sample_frames(record, self.cfg, size=32)
-            assert s1 == agents.score_video(self.agent1, frames)
+            assert s1 == float(np.mean(agents.predict_frames(self.agent1, frames)))
 
     def test_no_records_gives_empty_matrix(self):
         scores = pipeline.score_samples([], self.agent1, self.agent2, {}, self.cfg)
         assert scores.shape == (0, 2)
+
+    def test_mean_of_predicted_frame_scores(self, tmp_path):
+        record = SampleRecord("v", 0, frames=write_frames(tmp_path, 6, size=32))
+        cfg = load_config(None, {"frame_policy": "even", "m": 6})
+        score = pipeline.score_samples([record], self.agent1, self.agent2,
+                                       {"v/feature": np.zeros(14)}, cfg)[0, 0]
+        frames = pipeline.load_sample_frames(record, cfg, size=32)
+        assert isinstance(score, float)
+        assert score == float(np.mean(agents.predict_frames(self.agent1, frames)))
+
+
+@pytest.fixture
+def frames_are_scores(monkeypatch):
+    """A record's frame list holds its frame scores, and Agent-1 returns
+    each frame's first pixel as its score, so ``score_samples``' per-video
+    reduction is checked on exact values."""
+    monkeypatch.setattr(
+        pipeline, "load_sample_frames", lambda record, config, size:
+        np.ones((1, size, size, 3)) * np.array(record.frames)[:, None, None, None])
+    monkeypatch.setattr(agents, "predict_frames",
+                        lambda model, frames: np.array(frames[:, 0, 0, 0]))
+
+
+def agent1_score(frame_scores, record_id="v"):
+    record = SampleRecord(record_id, 0, frames=list(frame_scores))
+    return pipeline.score_samples(
+        [record], agents.build_agent1(seed=5, input_size=16),
+        agents.build_agent2(seed=6), {f"{record_id}/feature": np.zeros(14)},
+        load_config(None, {}))[0, 0]
+
+
+class TestAggregateVideo:
+    def test_mean(self, frames_are_scores):
+        assert agent1_score([0.2, 0.4, 0.6]) == pytest.approx(0.4)
+
+    def test_single_frame(self, frames_are_scores):
+        assert agent1_score([0.9]) == 0.9
+
+    def test_all_ones(self, frames_are_scores):
+        assert agent1_score([1.0, 1.0, 1.0]) == 1.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(UsageError):
+            agent1_score([], record_id="x")
+
+    def test_permutation_invariant_and_bounded(self, frames_are_scores):
+        rng = np.random.default_rng(84)
+        scores = list(rng.uniform(size=9))
+        a = agent1_score(scores)
+        b = agent1_score(list(reversed(scores)))
+        assert a == b
+        assert min(scores) <= a <= max(scores)
+
+
+class TestBatchedAgent1Scoring:
+    """Agent-1 scores the frames of all records in forwards of
+    ``max(1, SCORE_PIXELS // S**2)`` frames that cross video boundaries."""
+
+    @pytest.mark.parametrize("size, counts", [
+        (32, [1, 63, 130, 64, 1, 65, 1]),  # 64 frames per forward
+        (128, [1, 5, 3]),                  # 4
+        (224, [2, 1]),                     # 1
+    ])
+    def test_forwards_hold_one_batch_and_videos_keep_their_frames(
+            self, tmp_path, monkeypatch, size, counts):
+        paths = write_frames(tmp_path, 7)
+        records = [SampleRecord(f"v{i}", i % 2,
+                                frames=[paths[(i + j) % 7] for j in range(n)])
+                   for i, n in enumerate(counts)]
+        cfg = load_config(None, {"frame_policy": "even", "m": max(counts)})
+        model = agents.build_agent1(seed=5, input_size=size)
+        batch = max(1, pipeline.SCORE_PIXELS // size ** 2)
+        assert batch == {32: 64, 128: 4, 224: 1}[size]
+        predict, load = agents.predict_frames, pipeline.load_sample_frames
+        forwards, seen = [], {"loaded": 0, "scored": 0}
+
+        def spy_predict(net, frames):
+            probs = predict(net, frames)
+            forwards.append((np.array(frames), probs))
+            seen["scored"] += len(frames)
+            return probs
+
+        def spy_load(record, config, size=None):
+            frames = load(record, config, size)
+            seen["loaded"] += len(frames)
+            # frames loaded but not yet scored: under one batch plus this video
+            assert seen["loaded"] - seen["scored"] < batch + len(frames)
+            return frames
+
+        monkeypatch.setattr(agents, "predict_frames", spy_predict)
+        monkeypatch.setattr(pipeline, "load_sample_frames", spy_load)
+        entries = {f"{r.id}/feature": np.zeros(14) for r in records}
+        scores = pipeline.score_samples(records, model, agents.build_agent2(seed=6),
+                                        entries, cfg)
+
+        assert max(len(frames) for frames, _ in forwards) <= batch
+        assert len(forwards) == -(-sum(counts) // batch)
+        videos = [load(r, cfg, size) for r in records]
+        assert [len(v) for v in videos] == counts
+        fed = np.concatenate([frames for frames, _ in forwards])
+        assert fed.tobytes() == np.concatenate(videos).tobytes()
+        probs = np.concatenate([p for _, p in forwards])
+        ends = np.cumsum(counts)
+        for video, end, score in zip(videos, ends, scores[:, 0]):
+            assert score == float(np.mean(probs[end - len(video):end]))
+            # BLAS may pick another kernel for a forward of another row
+            # count, so a video scored alone can differ in the last bits
+            npt.assert_allclose(score, float(np.mean(predict(model, video))),
+                                rtol=0, atol=1e-12)
 
 
 class TestRenderTable:
