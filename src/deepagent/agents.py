@@ -46,6 +46,11 @@ from deepagent.vision import augment
 # kernel needs at least 11, and 224 is the reference geometry
 AGENT1_SIZES = range(11, 225)
 
+# pixels per Agent-1 inference forward, in scoring and in validation: 16
+# frames at desk scale (64 px) and one at 224, where 16 frames would need a
+# 135 MB conv1 im2col copy
+FORWARD_PIXELS = 16 * 64 * 64
+
 
 @dataclass
 class Agent:
@@ -138,6 +143,14 @@ def predict_frames(model: Agent, frames: np.ndarray) -> np.ndarray:
     return softmax(model.net.forward(frames, train=False))[:, 1]
 
 
+def forward_rows(model: Agent) -> int | None:
+    """Rows per inference forward: ``max(1, FORWARD_PIXELS // S**2)`` frames
+    for Agent-1 at side S; None for Agent-2, whose rows go in one forward."""
+    if model.kind != ckpt.MODEL_AGENT1:
+        return None
+    return max(1, FORWARD_PIXELS // model.input_size ** 2)
+
+
 def score_video(frame_probs: np.ndarray) -> float:
     """Video score: the mean of its frames' fake-class probabilities."""
     return float(np.mean(frame_probs))
@@ -196,7 +209,7 @@ def _predicted_class(probs: np.ndarray) -> np.ndarray:
 
 
 def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
-         val_width=None, transform=None, controller=None) -> list[dict]:
+         transform=None, controller=None) -> list[dict]:
     """The Adam epoch loop both agents train with; returns per-epoch history.
 
     Each batch of the ``stream``-seeded shuffle runs a train-mode forward to
@@ -204,7 +217,7 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
     backpropagated. ``transform`` rewrites each batch first (augmentation).
     A net holding batch norm skips batches of fewer than two rows.
     ``val = (inputs, targets, labels)`` is scored in inference mode after
-    every epoch, in slices of ``val_width`` rows (one forward when None).
+    every epoch, in slices of ``forward_rows(model)`` rows.
     A ``controller`` then stops early and reduces the rate by
     ``cfg.lr_factor``, and the best-validation weights are restored.
     """
@@ -243,7 +256,7 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
         if val is None:
             continue
         val_X, val_targets, val_labels = val
-        width = val_width or len(val_X)
+        width = forward_rows(model) or len(val_X)
         logits = np.concatenate([
             net.forward(np.asarray(val_X[i:i + width], dtype=model.dtype), train=False)
             for i in range(0, len(val_X), width)])
@@ -273,8 +286,8 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
     ``frames`` are normalized [0, 1] arrays shaped N x S x S x 3 with labels
     in {0, 1}. With ``config.augment``, every batch is augmented with
     ``vision.augment``'s fixed ranges, redrawn every epoch from the model
-    seed. Validation runs in ``batch_size`` slices, so its memory does not
-    grow with the validation set.
+    seed. Validation runs in ``forward_rows`` slices, as scoring does, so its
+    memory does not grow with the validation set.
     """
     cfg = config or Agent1Config()
     labels = np.asarray(labels, dtype=int)
@@ -289,8 +302,7 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
         val_labels = np.asarray(val_labels, dtype=int)
         val = (val_frames, onehot[val_labels], val_labels)
     return _fit(model, np.asarray(frames, dtype=model.dtype), onehot[labels], labels,
-                cfg, softmax_cce, stream=5, val=val, val_width=cfg.batch_size,
-                transform=transform)
+                cfg, softmax_cce, stream=5, val=val, transform=transform)
 
 
 def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,

@@ -3,13 +3,15 @@
 Layout: magic "DAFT", format version (u32 LE), entry count (u32 LE), then
 the entry table -- per entry: id length (u32) + UTF-8 id bytes, dtype code
 (u32, byte width), rank (u32), dims (u32 each), payload offset (u64 LE from
-file start) -- followed by the raw little-endian IEEE-754 payloads. Writes
-are sorted by id so identical content produces identical bytes, and replace
-the file whole (``files.write_bytes``). Reading goes through
-``files.Reader``, so dims too large for the file fail as a truncated
-payload; it also rejects a key that is not UTF-8, a key that repeats an
-earlier entry's, a byte width other than 4 or 8 and bytes after the last
-payload (or after the header, with no entries), naming the byte offset.
+file start) -- followed by the raw little-endian IEEE-754 payloads, back to
+back in table order from the end of the table. Writes are sorted by id so
+identical content produces identical bytes, and replace the file whole
+(``files.write_bytes``). Reading goes through ``files.Reader`` in that one
+order, so dims too large for the file fail as a truncated payload; it also
+rejects a key that is not UTF-8, a key that repeats an earlier entry's, a
+byte width other than 4 or 8, a payload offset that is not the byte where
+the previous payload (or the table) ends, and bytes after the last payload
+(or after the header, with no entries), naming the byte offset.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def read_cache(path) -> dict[str, np.ndarray]:
 
     out = {}
     for key, (width, dims, offset) in table.items():
-        reader.pos = offset
+        if offset != reader.pos:
+            raise IngestionError(
+                f"{path}: entry {key!r}: payload offset {offset} is not byte "
+                f"{reader.pos}, where the payload must start")
         out[key] = reader.array(dims, width, f"entry {key!r}",
                                 f"payload for {key!r} at byte {offset} truncated")
     reader.finish()

@@ -46,7 +46,8 @@ def pack(fmt: str, *values) -> bytes:
 
 
 class Reader:
-    """Little-endian reads over one binary artifact, from byte ``pos``.
+    """Little-endian reads over one binary artifact, in order from byte
+    ``pos``; nothing seeks, so ``pos`` is also the furthest byte read.
 
     Opening checks the magic and the format version. ``what`` names the
     container in faults: a read that runs past the end of the file is an
@@ -56,7 +57,7 @@ class Reader:
     def __init__(self, path, magic: bytes, version: int, what: str):
         with open(path, "rb") as fh:
             self.blob = fh.read()
-        self.path, self.what, self.end = path, what, 0
+        self.path, self.what = path, what
         if self.blob[:4] != magic:
             raise IngestionError(
                 f"{path}: not a {magic.decode()} {what} (bad magic at byte 0)")
@@ -70,7 +71,6 @@ class Reader:
         if at + size > len(self.blob):
             raise IngestionError(f"{self.path}: truncated {self.what} at byte {at}")
         self.pos = at + size
-        self.end = max(self.end, self.pos)
         return at
 
     def take(self, size: int) -> bytes:
@@ -104,8 +104,8 @@ class Reader:
         return arr
 
     def finish(self) -> None:
-        """Fault when the file goes on past the furthest byte read."""
-        if len(self.blob) > self.end:
+        """Fault when the file goes on past the last byte read."""
+        if len(self.blob) > self.pos:
             raise IngestionError(
-                f"{self.path}: {len(self.blob) - self.end} bytes of trailing data "
-                f"at byte {self.end}, after the {self.what}")
+                f"{self.path}: {len(self.blob) - self.pos} bytes of trailing data "
+                f"at byte {self.pos}, after the {self.what}")

@@ -228,9 +228,9 @@ def predict_forest_batch(model: ForestModel, Z: np.ndarray):
 def stratified_kfold(labels, k: int = 5, seed: int = 0):
     """K disjoint (train, validation) index partitions preserving class mix.
 
-    Within each class the indices are shuffled and chunked; chunk sizes
-    differ by at most one, so each fold's class count is within one sample
-    of the exact proportion.
+    Within each class the indices are shuffled and split into k chunks
+    whose sizes differ by at most one (``np.array_split``), so each fold's
+    class count is within one sample of the exact proportion.
     """
     y = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F01D]))
@@ -240,19 +240,9 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0):
         if len(idx) < k:
             raise UsageError(
                 f"class {c} has {len(idx)} samples, needs >= {k} for {k}-fold CV")
-        idx = rng.permutation(idx)
-        base, rem = divmod(len(idx), k)
-        chunks, start = [], 0
-        for f in range(k):
-            size = base + (1 if f < rem else 0)
-            chunks.append(idx[start:start + size])
-            start += size
-        per_class_chunks.append(chunks)
+        per_class_chunks.append(np.array_split(rng.permutation(idx), k))
     folds = []
-    all_idx = np.arange(len(y))
     for f in range(k):
         val = np.sort(np.concatenate([chunks[f] for chunks in per_class_chunks]))
-        mask = np.ones(len(y), dtype=bool)
-        mask[val] = False
-        folds.append((all_idx[mask], val))
+        folds.append((np.setdiff1d(np.arange(len(y)), val), val))
     return folds

@@ -30,6 +30,11 @@ class SampleRecord:
     split: str = "unassigned"
 
 
+def is_label(value) -> bool:
+    """True for the JSON integers 0 and 1, not a boolean or a float."""
+    return type(value) is int and value in (0, 1)
+
+
 def load_manifest(path) -> list[SampleRecord]:
     """Parse and validate a manifest; paths resolve against its directory."""
     path = Path(path)
@@ -74,7 +79,7 @@ def load_manifest(path) -> list[SampleRecord]:
             problems.append(f"duplicate id {rid}")
         seen.add(rid)
         label = entry.get("label")
-        if label not in (0, 1):
+        if not is_label(label):
             problems.append(f"{rid}: label must be 0 or 1, got {label!r}")
             label = 0
         frames = entry.get("frames", [])

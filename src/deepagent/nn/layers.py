@@ -3,9 +3,13 @@
 Layers operate on batches only (``N x H x W x C`` for spatial layers,
 ``N x F`` for dense ones) and cache whatever backward needs, but only when
 ``train=True``; inference passes leave no state behind and are safe to run
-concurrently on frozen weights. Conv, pool, batch-norm and dense layers
-drop their cache in backward, so a training step's largest buffers (the
-im2col copies) are freed before the optimizer step and the next forward.
+concurrently on frozen weights. Every backward takes its cache through
+``Layer._take_cache``, which drops it, so a step's largest buffers (the
+im2col copies) are freed before the optimizer step, and raises a
+``UsageError`` when no train-mode forward left one. Conv and max pooling
+share one window view, ``_windows``, and its transpose, ``_fold``, which sums
+window gradients back onto the input positions they read (Dumoulin & Visin,
+arXiv:1603.07285); each ``forward`` takes its output size from ``out_shape``.
 
 Each layer lists its persistent arrays once, in ``STATE``, paired with their
 checkpoint kind codes; trainable parameters, checkpoints and weight
@@ -43,6 +47,8 @@ class Layer:
     # (attribute, checkpoint kind) per persistent array, in checkpoint order;
     # Param attributes are trained, plain arrays are buffers
     STATE: tuple = ()
+    # what backward needs, set by a train-mode forward
+    _cache = None
 
     def params(self) -> list[Param]:
         values = (getattr(self, attr) for attr, _ in self.STATE)
@@ -66,20 +72,34 @@ class Layer:
         """Shape one sample has after this layer (no batch dimension)."""
         return shape
 
+    def _take_cache(self):
+        """The train-mode forward's cache, dropped as it is read."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise UsageError(
+                f"{type(self).__name__} backward called without a cached forward pass")
+        return cache
 
-def _pad_amounts(size: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
-    """Return (out_size, pad_before, pad_after) along one spatial axis."""
-    if padding == "valid":
-        if size < k:
-            raise ConfigurationError(
-                f"valid padding needs input >= kernel, got {size} < {k}"
-            )
-        return (size - k) // stride + 1, 0, 0
-    # same: symmetric zero padding, extra pixel on the trailing side when odd
-    out = -(-size // stride)
-    total = max((out - 1) * stride + k - size, 0)
-    before = total // 2
-    return out, before, total - before
+
+def _windows(x, k, s, oh, ow):
+    """Read-only (N, OH, OW, k, k, C) view of the k x k windows at stride s."""
+    x = np.ascontiguousarray(x)
+    n, _, _, c = x.shape
+    sn, sh, sw, sc = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, k, k, c),
+        strides=(sn, sh * s, sw * s, sh, sw, sc), writeable=False)
+
+
+def _fold(dwin, shape, s):
+    """Transpose of ``_windows``: an array of ``shape`` in which each input
+    position sums the (N, OH, OW, k, k, C) window gradients that read it."""
+    _, oh, ow, k, _, _ = dwin.shape
+    out = np.zeros(shape, dtype=dwin.dtype)
+    for m in range(k):
+        for q in range(k):
+            out[:, m:m + oh * s:s, q:q + ow * s:s, :] += dwin[:, :, :, m, q, :]
+    return out
 
 
 class Conv2D(Layer):
@@ -110,60 +130,43 @@ class Conv2D(Layer):
         kernel = rng.uniform(-limit, limit, size=(k, k, in_channels, out_channels))
         self.kernel = Param(f"{name}.kernel", kernel.astype(dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
-        self._cache = None
 
     def out_shape(self, shape):
         h, w, c = shape
+        k, s = self.kernel_size, self.stride
         if c != self.in_channels:
             raise ConfigurationError(
-                f"input depth {c} does not match kernel depth {self.in_channels}"
-            )
-        oh, _, _ = _pad_amounts(h, self.kernel_size, self.stride, self.padding)
-        ow, _, _ = _pad_amounts(w, self.kernel_size, self.stride, self.padding)
-        return (oh, ow, self.out_channels)
-
-    def _patches(self, x):
-        """im2col: (N, OH, OW, k, k, C) view over the zero-padded input."""
-        n, h, w, c = x.shape
-        k, s = self.kernel_size, self.stride
-        oh, pt, pb = _pad_amounts(h, k, s, self.padding)
-        ow, pl, pr = _pad_amounts(w, k, s, self.padding)
-        if pt or pb or pl or pr:
-            x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        x = np.ascontiguousarray(x)
-        sn, sh, sw, sc = x.strides
-        view = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, oh, ow, k, k, c),
-            strides=(sn, sh * s, sw * s, sh, sw, sc),
-            writeable=False,
-        )
-        return view, x.shape, (pt, pl)
+                f"input depth {c} does not match kernel depth {self.in_channels}")
+        if self.padding == "same":
+            return (-(-h // s), -(-w // s), self.out_channels)
+        if min(h, w) < k:
+            raise ConfigurationError(
+                f"valid padding needs input >= kernel, got {h if h < k else w} < {k}")
+        return ((h - k) // s + 1, (w - k) // s + 1, self.out_channels)
 
     def forward(self, x, train=False):
-        if x.shape[3] != self.in_channels:
-            raise ConfigurationError(
-                f"input depth {x.shape[3]} does not match kernel depth {self.in_channels}"
-            )
-        n = x.shape[0]
-        view, padded_shape, _ = self._patches(x)
-        _, oh, ow, k, _, c = view.shape
-        cols = view.reshape(n * oh * ow, k * k * c)
+        n, h, w, c = x.shape
+        oh, ow, _ = self.out_shape((h, w, c))
+        k, s = self.kernel_size, self.stride
+        # the zero padding the output size needs ('same' only), split
+        # symmetrically with the extra pixel on the trailing side
+        ph, pw = max((oh - 1) * s + k - h, 0), max((ow - 1) * s + k - w, 0)
+        if ph or pw:
+            x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2),
+                           (0, 0)))
+        cols = _windows(x, k, s, oh, ow).reshape(n * oh * ow, k * k * c)
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
         out = cols @ kmat
         out += self.bias.value
         out = out.reshape(n, oh, ow, self.out_channels)
         if train:
-            self._cache = (cols, padded_shape, x.shape, (oh, ow))
+            self._cache = (cols, x.shape, (h, w))
         return out
 
     def backward(self, grad, input_grad=True):
-        if self._cache is None:
-            raise UsageError("conv backward called without a cached forward pass")
-        cols, padded_shape, in_shape, (oh, ow) = self._cache
-        self._cache = None
-        n = in_shape[0]
-        k, s, c = self.kernel_size, self.stride, self.in_channels
+        cols, padded_shape, (h, w) = self._take_cache()
+        n, oh, ow, _ = grad.shape
+        k, c = self.kernel_size, self.in_channels
         gmat = grad.reshape(n * oh * ow, self.out_channels)
         self.kernel.grad += (cols.T @ gmat).reshape(self.kernel.value.shape)
         self.bias.grad += gmat.sum(axis=0)
@@ -171,14 +174,9 @@ class Conv2D(Layer):
             return None
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
         dcols = (gmat @ kmat.T).reshape(n, oh, ow, k, k, c)
-        dx_pad = np.zeros(padded_shape, dtype=grad.dtype)
-        for m in range(k):
-            for q in range(k):
-                dx_pad[:, m:m + oh * s:s, q:q + ow * s:s, :] += dcols[:, :, :, m, q, :]
-        ph = padded_shape[1] - in_shape[1]
-        pw = padded_shape[2] - in_shape[2]
-        pt, pl = ph // 2, pw // 2
-        return dx_pad[:, pt:pt + in_shape[1], pl:pl + in_shape[2], :]
+        dx_pad = _fold(dcols, padded_shape, self.stride)
+        pt, pl = (padded_shape[1] - h) // 2, (padded_shape[2] - w) // 2
+        return dx_pad[:, pt:pt + h, pl:pl + w, :]
 
 
 class MaxPool2D(Layer):
@@ -190,7 +188,6 @@ class MaxPool2D(Layer):
             raise ConfigurationError("pool size and stride must be >= 1")
         self.pool_size = pool_size
         self.stride = stride
-        self._cache = None
 
     def out_shape(self, shape):
         h, w, c = shape
@@ -201,39 +198,25 @@ class MaxPool2D(Layer):
         return ((h - p) // s + 1, (w - p) // s + 1, c)
 
     def forward(self, x, train=False):
-        n, h, w, c = x.shape
-        p, s = self.pool_size, self.stride
-        if p > h or p > w:
-            raise ConfigurationError(f"pool window {p} larger than input {h}x{w}")
-        oh = (h - p) // s + 1
-        ow = (w - p) // s + 1
-        x = np.ascontiguousarray(x)
-        sn, sh, sw, sc = x.strides
-        view = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, oh, ow, p, p, c),
-            strides=(sn, sh * s, sw * s, sh, sw, sc),
-            writeable=False,
-        )
+        n, _, _, c = x.shape
+        oh, ow, _ = self.out_shape(x.shape[1:])
+        p = self.pool_size
+        view = _windows(x, p, self.stride, oh, ow)
         if not train:
             return view.max(axis=(3, 4))
         windows = view.reshape(n, oh, ow, p * p, c)
         idx = windows.argmax(axis=3)
-        self._cache = (idx, x.shape, (oh, ow))
+        self._cache = (idx, x.shape)
         return windows.max(axis=3)
 
     def backward(self, grad, input_grad=True):
-        if self._cache is None:
-            raise UsageError("maxpool backward called without a cached forward pass")
-        idx, in_shape, (oh, ow) = self._cache
-        self._cache = None
-        p, s = self.pool_size, self.stride
-        dx = np.zeros(in_shape, dtype=grad.dtype)
-        for m in range(p):
-            for q in range(p):
-                sel = grad * (idx == m * p + q)
-                dx[:, m:m + oh * s:s, q:q + ow * s:s, :] += sel
-        return dx
+        idx, in_shape = self._take_cache()
+        n, oh, ow, c = idx.shape
+        p = self.pool_size
+        # the one-hot of each window's argmax, scaled by its output gradient
+        hits = idx[:, :, :, None, :] == np.arange(p * p)[:, None]
+        dwin = (grad[:, :, :, None, :] * hits).reshape(n, oh, ow, p, p, c)
+        return _fold(dwin, in_shape, self.stride)
 
 
 class BatchNorm(Layer):
@@ -256,7 +239,6 @@ class BatchNorm(Layer):
         self.beta = Param(f"{name}.beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._cache = None
 
     def forward(self, x, train=False):
         axes = tuple(range(x.ndim - 1))
@@ -280,10 +262,7 @@ class BatchNorm(Layer):
         return self.gamma.value * (x - self.running_mean) * inv + self.beta.value
 
     def backward(self, grad, input_grad=True):
-        if self._cache is None:
-            raise UsageError("batchnorm backward called without a cached forward pass")
-        xhat, inv, axes, nred = self._cache
-        self._cache = None
+        xhat, inv, axes, nred = self._take_cache()
         self.gamma.grad += (grad * xhat).sum(axis=axes)
         self.beta.grad += grad.sum(axis=axes)
         dxhat = grad * self.gamma.value
@@ -335,7 +314,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(1, 2))
 
     def backward(self, grad, input_grad=True):
-        n, h, w, c = self._cache
+        n, h, w, c = self._take_cache()
         return np.broadcast_to(grad[:, None, None, :], (n, h, w, c)) / (h * w)
 
 
@@ -353,7 +332,6 @@ class Dense(Layer):
         w = rng.uniform(-limit, limit, size=(in_width, out_width))
         self.weights = Param(f"{name}.weights", w.astype(dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_width, dtype=dtype))
-        self._cache = None
 
     def out_shape(self, shape):
         return (self.out_width,)
@@ -369,10 +347,7 @@ class Dense(Layer):
         return out
 
     def backward(self, grad, input_grad=True):
-        if self._cache is None:
-            raise UsageError("dense backward called without a cached forward pass")
-        x = self._cache
-        self._cache = None
+        x = self._take_cache()
         self.weights.grad += x.T @ grad
         self.bias.grad += grad.sum(axis=0)
         if not input_grad:
@@ -387,7 +362,7 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, grad, input_grad=True):
-        return grad * self._cache
+        return grad * self._take_cache()
 
 
 class Dropout(Layer):
@@ -399,10 +374,9 @@ class Dropout(Layer):
             raise ConfigurationError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
         self.p = p
         self.rng = rng
-        self._cache = None
 
     def forward(self, x, train=False):
-        if not train or self.p == 0.0:
+        if not train:
             return x
         mask = self.rng.random(x.shape) >= self.p
         scale = 1.0 / (1.0 - self.p)
@@ -410,9 +384,7 @@ class Dropout(Layer):
         return x * mask * scale
 
     def backward(self, grad, input_grad=True):
-        if self._cache is None:
-            return grad
-        mask, scale = self._cache
+        mask, scale = self._take_cache()
         return grad * mask * scale
 
 

@@ -3,7 +3,8 @@
 This module glues the manifest, feature cache, agents, and fusion stages
 together; the CLI is a thin argument-parsing layer over these functions.
 ``predict`` and ``fuse`` share ``score_samples``, which runs Agent-1 over
-fixed-size frame batches that cross video boundaries (``SCORE_PIXELS``).
+fixed-size frame batches that cross video boundaries
+(``agents.forward_rows``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from deepagent import agents, audio, files, fusion, metrics, semantic, vision
 from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import PipelineConfig
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
-from deepagent.manifest import SPLITS, SampleRecord, assign_splits, by_split
+from deepagent.manifest import SPLITS, SampleRecord, assign_splits, by_split, is_label
 
 
 def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
@@ -169,11 +170,6 @@ def require_checkpoint(path) -> Path:
 
 # scoring and fusion ---------------------------------------------------------
 
-# pixels per Agent-1 scoring forward: 16 frames at desk scale (64 px) and
-# one at 224, where 16 frames would need a 135 MB conv1 im2col copy
-SCORE_PIXELS = 16 * 64 * 64
-
-
 def score_samples(records, agent1_model, agent2_model, cache_entries,
                   config: PipelineConfig, cache_path="cache") -> np.ndarray:
     """N x 2 matrix of per-video scores, row i ``[agent1, agent2]`` for
@@ -182,12 +178,12 @@ def score_samples(records, agent1_model, agent2_model, cache_entries,
     Agent-1 scores each video from its frames, resized to the checkpoint's
     own input side S, so a model trained at desk scale scores correctly
     without repeating the flag. All frames fill batches of
-    ``max(1, SCORE_PIXELS // S**2)``, one forward each, so memory is set by
+    ``agents.forward_rows`` frames, one forward each, so memory is set by
     the batch. Agent-2 scores the stacked N x 14 features in one forward.
     """
     X = _feature_matrix(cache_entries, records, cache_path)
     size, dtype = agent1_model.input_size, agent1_model.dtype
-    batch = np.empty((max(1, SCORE_PIXELS // size ** 2), size, size, 3), dtype)
+    batch = np.empty((agents.forward_rows(agent1_model), size, size, 3), dtype)
     probs, counts, fill = [np.zeros(0, dtype)], [], 0
     for record in records:
         frames = load_sample_frames(record, config, size=size)
@@ -267,7 +263,7 @@ def _load_rows(path, problem) -> list[dict]:
 def _score_row_problem(row):
     if not isinstance(row.get("id"), str):
         return "id must be a string"
-    if row.get("label") not in (0, 1):
+    if not is_label(row.get("label")):
         return f"label must be 0 or 1, got {row.get('label')!r}"
     if row.get("split") not in SPLITS:
         return f"unknown split {row.get('split')!r}"

@@ -181,11 +181,11 @@ class TestTrainAgent1:
         assert row["val_acc"] is not None
 
     def test_chunked_validation_matches_single_forward(self):
-        # 10 validation frames in slices of 4, 4 and 2
+        # 10 validation frames in slices of 4, 4 and 2: forward_rows at 128 px
         rng = np.random.default_rng(97)
-        frames, labels = separable_frames(rng, 8)
-        val_frames, val_labels = separable_frames(rng, 5)
-        model = agents.build_agent1(seed=3, input_size=32)
+        frames, labels = separable_frames(rng, 8, size=128)
+        val_frames, val_labels = separable_frames(rng, 5, size=128)
+        model = agents.build_agent1(seed=3, input_size=128)
         forward, sizes = model.net.forward, []
 
         def recording_forward(x, train=False):
@@ -196,7 +196,7 @@ class TestTrainAgent1:
         model.net.forward = recording_forward
         history = agents.train_agent1(
             model, frames, labels, val_frames, val_labels,
-            Agent1Config(epochs=1, batch_size=4, augment=False))
+            Agent1Config(epochs=1, augment=False))
         assert sizes == [4, 4, 2]
         loss, probs, _ = softmax_cce(forward(val_frames, train=False),
                                      np.eye(2)[val_labels])

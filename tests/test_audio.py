@@ -102,6 +102,34 @@ class TestResample:
         mags = naive_dft_magnitudes(out.samples[:1600])
         assert abs(int(mags.argmax()) - 44) <= 1
 
+    @pytest.mark.parametrize("rate", [44100, 48000])
+    def test_tone_above_target_nyquist_is_filtered_out(self, rate):
+        # 12 kHz lies above the 8 kHz Nyquist frequency of 16 kHz; without a
+        # low-pass it aliases to 4 kHz at about the in-band tone's power
+        def power_db(freq):
+            out = audio.resample(audio.Waveform(sine(freq, rate=rate), rate), 16000)
+            return 10.0 * np.log10(np.mean(out.samples ** 2))
+
+        assert power_db(12000) <= power_db(3000) - 40.0
+
+    @pytest.mark.parametrize("rate, tol", [(44100, 0.5), (48000, 0.02)])
+    def test_embedding_matches_resample_poly_oracle(self, rate, tol):
+        # noise band-limited to 7 kHz; the oracle resamples by polyphase
+        # filtering. At 48 kHz every output sample falls on an input sample;
+        # at 44.1 kHz linear interpolation's droop near 7 kHz moves the low
+        # coefficients by up to 0.44 (10 seeds)
+        signal = pytest.importorskip("scipy.signal")
+        n = int(1.5 * rate)
+        spectrum = np.fft.rfft(np.random.default_rng(3).normal(size=n))
+        spectrum[np.fft.rfftfreq(n, 1.0 / rate) > 7000] = 0.0
+        x = np.fft.irfft(spectrum, n)
+        x *= 0.3 / np.abs(x).max()
+        g = np.gcd(16000, rate)
+        oracle = audio.embed_audio(audio.Waveform(
+            signal.resample_poly(x, 16000 // g, rate // g), 16000))
+        npt.assert_allclose(audio.embed_audio(audio.Waveform(x, rate)), oracle,
+                            rtol=0, atol=tol)
+
 
 class TestStft:
     def test_zero_signal_zero_magnitudes(self):

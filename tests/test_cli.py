@@ -32,6 +32,34 @@ def workspace(tmp_path_factory):
             "a1": a1, "a2": a2}
 
 
+# tests that read an artifact of a later stage request the stage's fixture,
+# so each runs alone as well as after the workflow tests
+
+@pytest.fixture(scope="module")
+def predicted(workspace):
+    """Runs predict over the workspace, writing its scores.json."""
+    assert main(["predict", "--manifest", str(workspace["manifest"]),
+                 "--agent1", str(workspace["a1"]), "--agent2", str(workspace["a2"]),
+                 "--cache", str(workspace["cache"]),
+                 "--out", str(workspace["root"] / "scores.json")]) == 0
+
+
+@pytest.fixture(scope="module")
+def fused(workspace):
+    """Runs fuse over the workspace, writing its fold_report.json."""
+    assert main(["fuse", "--manifest", str(workspace["manifest"]),
+                 "--agent1", str(workspace["a1"]), "--agent2", str(workspace["a2"]),
+                 "--cache", str(workspace["cache"]),
+                 "--out", str(workspace["root"] / "fold_report.json")]) == 0
+
+
+@pytest.fixture(scope="module")
+def reported(workspace, fused):
+    """Runs report over the fold report, writing report.txt."""
+    assert main(["report", "--fold-report", str(workspace["root"] / "fold_report.json"),
+                 "--out", str(workspace["root"] / "report.txt")]) == 0
+
+
 class TestWorkflow:
     def test_extract_populates_cache(self, workspace):
         entries = read_cache(workspace["cache"])
@@ -75,6 +103,7 @@ class TestWorkflow:
         entries = read_cache(workspace["cache"])
         assert sum(k.endswith("/scores") for k in entries) == 12
 
+    @pytest.mark.usefixtures("predicted")
     def test_evaluate_from_scores(self, workspace):
         scores = workspace["root"] / "scores.json"
         out = workspace["root"] / "metrics.json"
@@ -99,6 +128,7 @@ class TestWorkflow:
             assert report[agent]["auc"] is None
             assert "auc" in report[agent]["undefined"]
 
+    @pytest.mark.usefixtures("fused")
     def test_report_renders_table_and_roc_csvs(self, workspace, capsys):
         report = workspace["root"] / "fold_report.json"
         table_path = workspace["root"] / "report.txt"
@@ -115,6 +145,7 @@ class TestWorkflow:
         assert len(csvs) == 5
         assert csvs[0].read_text().splitlines()[0] == "fpr,tpr,threshold"
 
+    @pytest.mark.usefixtures("reported")
     def test_report_values_are_percentages_at_two_decimals(self, workspace):
         report = workspace["root"] / "fold_report.json"
         rows = json.loads(report.read_text())
@@ -306,6 +337,25 @@ class TestFailureModes:
         assert (f"long.daft: 4 bytes of trailing data at byte {end}"
                 in error["message"])
 
+    def test_cache_payload_offset_out_of_order_exits_2(self, workspace, tmp_path,
+                                                      capsys):
+        # payloads follow the table back to back; an offset into the header
+        # would read header bytes as the sample's feature
+        blob = workspace["cache"].read_bytes()
+        at, key = 12, b""
+        while key != b"fake_0000/feature":
+            klen = struct.unpack_from("<I", blob, at)[0]
+            key = blob[at + 4:at + 4 + klen]
+            rank = struct.unpack_from("<I", blob, at + 8 + klen)[0]
+            at += 4 + klen + 8 + 4 * rank + 8
+        start = struct.unpack_from("<Q", blob, at - 8)[0]
+        bad = patched_copy(workspace["cache"], tmp_path / "offset.daft",
+                           lambda b: struct.pack_into("<Q", b, at - 8, 0))
+        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"offset.daft: entry 'fake_0000/feature': payload offset 0 is not "
+                f"byte {start}") in error["message"]
+
     def test_cached_feature_of_wrong_width_exits_2(self, workspace, tmp_path, capsys):
         entries = read_cache(workspace["cache"])
         key = sorted(k for k in entries if k.endswith("/feature"))[3]
@@ -392,6 +442,8 @@ class TestFailureModes:
         records[2]["audio"] = 5
         records[3]["asr_text"] = ["a.txt"]
         records[4]["ocr_text"] = {"path": "b.txt"}
+        records[5]["label"] = True
+        records[6]["label"] = 0.0
         bad = workspace["manifest"].parent / "wrong_types.json"
         bad.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(bad),
@@ -399,12 +451,14 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         ids = [r["id"] for r in records]
-        assert "5 manifest violation(s)" in error["message"]
+        assert "7 manifest violation(s)" in error["message"]
         for rid, what in ((ids[0], "frames must be a list of strings"),
                           (ids[1], "frames must be a list of strings"),
                           (ids[2], "audio must be a string"),
                           (ids[3], "asr_text must be a string"),
-                          (ids[4], "ocr_text must be a string")):
+                          (ids[4], "ocr_text must be a string"),
+                          (ids[5], "label must be 0 or 1, got True"),
+                          (ids[6], "label must be 0 or 1, got 0.0")):
             assert f"{rid}: {what}" in error["message"]
 
     def test_non_object_manifest_entry_exits_2(self, tmp_path, capsys):
@@ -550,8 +604,13 @@ class TestFailureModes:
          "row 0: agent1 must be a finite score in [0, 1], got '0.5'"),
         (lambda rows: [{**r, "label": 2} for r in rows],
          "row 0: label must be 0 or 1, got 2"),
+        (lambda rows: [{**r, "label": True} for r in rows],
+         "row 0: label must be 0 or 1, got True"),
+        (lambda rows: [{**r, "label": 1.0} for r in rows],
+         "row 0: label must be 0 or 1, got 1.0"),
         (lambda rows: [], "scores file holds no rows"),
     ])
+    @pytest.mark.usefixtures("predicted")
     def test_faulty_scores_file_exits_2_naming_it(self, workspace, tmp_path, capsys,
                                                   edit, what):
         rows = json.loads((workspace["root"] / "scores.json").read_text())
@@ -586,6 +645,7 @@ class TestFailureModes:
         (lambda rows: [{**r, "roc": [[0.0, 1.0]]} for r in rows],
          "row 0: roc point [0.0, 1.0] is not a (fpr, tpr, threshold) triple"),
     ])
+    @pytest.mark.usefixtures("fused")
     def test_faulty_fold_report_exits_2_naming_it(self, workspace, tmp_path, capsys,
                                                   edit, what):
         rows = json.loads((workspace["root"] / "fold_report.json").read_text())

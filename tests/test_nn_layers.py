@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from deepagent.errors import ConfigurationError, TrainingError, UsageError
+from deepagent.nn import layers
 from deepagent.nn.layers import (
     BatchNorm,
     Conv2D,
@@ -439,3 +440,40 @@ class TestAdamOracle:
             assert p.value.tobytes() == value.tobytes()
             assert m_now.tobytes() == m.tobytes()
             assert v_now.tobytes() == v.tobytes()
+
+
+# one layer of each kind with a backward, and an input it accepts
+CACHING_LAYERS = {
+    "Conv2D": (lambda: Conv2D(2, 3, 3, padding="same", rng=np.random.default_rng(0)),
+               (2, 5, 5, 2)),
+    "MaxPool2D": (lambda: MaxPool2D(2, 2), (2, 4, 4, 2)),
+    "BatchNorm": (lambda: BatchNorm(2), (4, 2)),
+    "GlobalAvgPool": (lambda: GlobalAvgPool(), (2, 3, 3, 2)),
+    "Dense": (lambda: Dense(2, 3, rng=np.random.default_rng(0)), (2, 2)),
+    "ReLU": (lambda: ReLU(), (2, 2)),
+    "Dropout": (lambda: Dropout(0.5, rng=np.random.default_rng(0)), (2, 2)),
+}
+
+
+class TestCacheHandOff:
+    def test_every_layer_with_a_backward_is_listed(self):
+        with_backward = {cls.__name__ for cls in vars(layers).values()
+                         if isinstance(cls, type) and issubclass(cls, layers.Layer)
+                         and cls not in (layers.Layer, layers.Sequential)
+                         and "backward" in vars(cls)}
+        assert set(CACHING_LAYERS) == with_backward
+        for name, (make, _) in CACHING_LAYERS.items():
+            assert type(make()).__name__ == name
+
+    @pytest.mark.parametrize("name", list(CACHING_LAYERS))
+    def test_backward_takes_the_train_forward_cache_once(self, name):
+        make, shape = CACHING_LAYERS[name]
+        layer = make()
+        x = np.random.default_rng(1).normal(size=shape)
+        grad = np.ones_like(layer.forward(x, train=False))
+        with pytest.raises(UsageError, match="backward called without a cached"):
+            layer.backward(grad)  # an inference forward leaves no cache
+        layer.forward(x, train=True)
+        layer.backward(grad)
+        with pytest.raises(UsageError, match="backward called without a cached"):
+            layer.backward(grad)

@@ -144,7 +144,7 @@ class TestAggregateVideo:
 
 class TestBatchedAgent1Scoring:
     """Agent-1 scores the frames of all records in forwards of
-    ``max(1, SCORE_PIXELS // S**2)`` frames that cross video boundaries."""
+    ``max(1, FORWARD_PIXELS // S**2)`` frames that cross video boundaries."""
 
     @pytest.mark.parametrize("size, counts", [
         (32, [1, 63, 130, 64, 1, 65, 1]),  # 64 frames per forward
@@ -159,7 +159,7 @@ class TestBatchedAgent1Scoring:
                    for i, n in enumerate(counts)]
         cfg = load_config(None, {"frame_policy": "even", "m": max(counts)})
         model = agents.build_agent1(seed=5, input_size=size)
-        batch = max(1, pipeline.SCORE_PIXELS // size ** 2)
+        batch = max(1, agents.FORWARD_PIXELS // size ** 2)
         assert batch == {32: 64, 128: 4, 224: 1}[size]
         predict, load = agents.predict_frames, pipeline.load_sample_frames
         forwards, seen = [], {"loaded": 0, "scored": 0}
