@@ -212,9 +212,13 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
          transform=None, controller=None) -> list[dict]:
     """The Adam epoch loop both agents train with; returns per-epoch history.
 
-    Each batch of the ``stream``-seeded shuffle runs a train-mode forward to
-    the logits; ``head`` gives the loss and the logit gradient that is
-    backpropagated. ``transform`` rewrites each batch first (augmentation).
+    ``X`` and the validation inputs are arrays, or anything whose ``X[idx]``
+    gives the rows at an index array or slice (``pipeline.FrameSet`` reads
+    them from disk); the loop asks for one batch or validation slice at a
+    time and casts it to the model dtype. Each batch of the
+    ``stream``-seeded shuffle runs a train-mode forward to the logits;
+    ``head`` gives the loss and the logit gradient that is backpropagated.
+    ``transform`` rewrites each batch first (augmentation).
     A net holding batch norm skips batches of fewer than two rows.
     ``val = (inputs, targets, labels)`` is scored in inference mode after
     every epoch, in slices of ``forward_rows(model)`` rows.
@@ -234,7 +238,9 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
             idx = perm[start:start + cfg.batch_size]
             if len(idx) < min_batch:
                 continue
-            batch = X[idx] if transform is None else transform(X[idx])
+            batch = np.asarray(X[idx], dtype=model.dtype)
+            if transform is not None:
+                batch = transform(batch)
             loss, probs, grad = head(net.forward(batch, train=True), targets[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
@@ -283,11 +289,14 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
                  config: Agent1Config | None = None) -> list[dict]:
     """Minimize softmax cross-entropy with Adam; returns per-epoch history.
 
-    ``frames`` are normalized [0, 1] arrays shaped N x S x S x 3 with labels
-    in {0, 1}. With ``config.augment``, every batch is augmented with
-    ``vision.augment``'s fixed ranges, redrawn every epoch from the model
-    seed. Validation runs in ``forward_rows`` slices, as scoring does, so its
-    memory does not grow with the validation set.
+    ``frames`` are normalized [0, 1] frames shaped N x S x S x 3 with labels
+    in {0, 1}: an ndarray, or a ``pipeline.FrameSet`` that reads each batch
+    from disk when ``_fit`` asks for it, so training memory is set by the
+    batch and not by the size of the split; ``val_frames`` likewise. With
+    ``config.augment``, every batch is augmented with ``vision.augment``'s
+    fixed ranges, redrawn every epoch from the model seed. Validation runs
+    in ``forward_rows`` slices, as scoring does, so its memory does not grow
+    with the validation set.
     """
     cfg = config or Agent1Config()
     labels = np.asarray(labels, dtype=int)
@@ -301,8 +310,8 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
     if val_frames is not None and len(val_frames):
         val_labels = np.asarray(val_labels, dtype=int)
         val = (val_frames, onehot[val_labels], val_labels)
-    return _fit(model, np.asarray(frames, dtype=model.dtype), onehot[labels], labels,
-                cfg, softmax_cce, stream=5, val=val, transform=transform)
+    return _fit(model, frames, onehot[labels], labels, cfg, softmax_cce,
+                stream=5, val=val, transform=transform)
 
 
 def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,

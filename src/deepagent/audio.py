@@ -1,8 +1,8 @@
 """Audio ingestion and the 13-dimensional cepstral mean embedding.
 
 The chain is: PCM-16 RIFF/WAVE -> mono waveform in [-1, 1] -> resampling to
-16 kHz (an anti-alias low-pass at 8 kHz when downsampling, then linear
-interpolation) -> short-time magnitude spectra (25 ms Hann window,
+16 kHz (band-limited interpolation with a windowed sinc, which low-passes
+at 8 kHz when downsampling) -> short-time magnitude spectra (25 ms Hann window,
 10 ms hop) -> triangular mel filterbank energies -> log + cosine transform
 -> temporal mean of the first 13 coefficients. The analysis is fixed:
 ``FRAME_LENGTH``/``HOP`` samples per frame and hop, ``N_COEFFS`` filters
@@ -28,11 +28,13 @@ FRAME_LENGTH = 400  # 25 ms at 16 kHz
 HOP = 160           # 10 ms at 16 kHz
 N_COEFFS = 13
 ENERGY_FLOOR = 1e-10
-# anti-alias filter: a Kaiser-windowed sinc, SINC_ZEROS zero crossings of
-# the target rate on each side of its centre (about 90 dB of stopband
-# attenuation from 1.25x the target's Nyquist frequency up)
+# resampling kernel: a Kaiser-windowed sinc, SINC_ZEROS zero crossings on
+# each side of its centre (about 90 dB of stopband attenuation from 1.25x
+# the lower Nyquist frequency up), evaluated for RESAMPLE_BLOCK output
+# samples at a time
 SINC_ZEROS = 16
 KAISER_BETA = 8.6
+RESAMPLE_BLOCK = 4096
 
 
 @dataclass
@@ -117,26 +119,38 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
 
 
 def resample(w: Waveform, target: int = TARGET_RATE) -> Waveform:
-    """Linear-interpolation resampling to ``target`` Hz.
+    """Band-limited resampling to ``target`` Hz (J. O. Smith, *Digital Audio
+    Resampling*).
 
-    Downsampling first low-passes the signal at the target's Nyquist
-    frequency with a windowed-sinc FIR (unit gain at 0 Hz, zero-padded at
-    the ends), so content above it is removed instead of aliasing into the
-    band (J. O. Smith, *Digital Audio Resampling*). Upsampling interpolates
-    directly.
+    Output sample k lies at input position t = k * rate / target. It is the
+    sum of the input samples within ``SINC_ZEROS`` zero crossings of t,
+    each weighted by a Kaiser-windowed sinc evaluated at its fractional
+    distance from t. The sinc's cutoff is the lower of the two Nyquist
+    frequencies, so downsampling removes content above the target's
+    instead of aliasing it into the band. Each output's weights sum to one
+    (unit gain at 0 Hz), and the input is zero beyond its ends. Equal rates
+    return a copy.
     """
     if w.sample_rate < MIN_RATE:
         raise UsageError(f"source rate must be >= {MIN_RATE} Hz, got {w.sample_rate}")
     if w.sample_rate == target:
         return Waveform(w.samples.copy(), target)
-    x, n, ratio = w.samples, len(w.samples), w.sample_rate / target
-    if ratio > 1:
-        half = int(np.ceil(SINC_ZEROS * ratio))
-        t = np.arange(-half, half + 1)
-        taps = np.sinc(t / ratio) * np.kaiser(len(t), KAISER_BETA)
-        x = np.convolve(x, taps / taps.sum())[half:half + n]
-    out_len = int(round(n * target / w.sample_rate))
-    out = np.interp(np.arange(out_len) * ratio, np.arange(n), x)
+    g = np.gcd(w.sample_rate, target)
+    up, down = target // g, w.sample_rate // g  # output k sits at k * down / up
+    half = SINC_ZEROS * max(down / up, 1.0)     # kernel half-width, input samples
+    reach = np.arange(-int(half), int(half) + 2)
+    # one row of weights per fractional phase r / up of an output position
+    d = (np.arange(up)[:, None] / up - reach) / half
+    taps = np.sinc(d * SINC_ZEROS) * np.i0(
+        KAISER_BETA * np.sqrt(np.clip(1.0 - d * d, 0.0, None)))
+    taps[np.abs(d) > 1.0] = 0.0
+    taps /= taps.sum(axis=1, keepdims=True)
+    x = np.pad(w.samples, len(reach))
+    out = np.empty(int(round(len(w.samples) * target / w.sample_rate)))
+    for start in range(0, len(out), RESAMPLE_BLOCK):
+        k = np.arange(start, min(start + RESAMPLE_BLOCK, len(out)))
+        base, phase = np.divmod(k * down, up)
+        out[k] = (x[base[:, None] + reach + len(reach)] * taps[phase]).sum(axis=1)
     return Waveform(out, target)
 
 

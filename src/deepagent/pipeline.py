@@ -2,9 +2,12 @@
 
 This module glues the manifest, feature cache, agents, and fusion stages
 together; the CLI is a thin argument-parsing layer over these functions.
-``predict`` and ``fuse`` share ``score_samples``, which runs Agent-1 over
-fixed-size frame batches that cross video boundaries
-(``agents.forward_rows``).
+``load_frames`` is the one frame loader. ``predict`` and ``fuse`` share
+``score_samples``, which runs Agent-1 over fixed-size frame batches that
+cross video boundaries (``agents.forward_rows``); ``train agent1`` hands
+the train and val splits to the agent as ``FrameSet``s, which read each
+batch from disk when the training loop asks for it. No command holds more
+than one batch of frames at a time.
 """
 
 from __future__ import annotations
@@ -28,22 +31,51 @@ def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
     return vision.sample_interval(n_frames)
 
 
-def load_sample_frames(record: SampleRecord, config: PipelineConfig,
-                       size: int | None = None) -> np.ndarray:
-    """The policy-selected frames of one sample as an ``N x S x S x 3``
-    batch: each frame is resized, gray ones repeated to RGB, and the stack
-    rescaled from [0, 255] to [0, 1]."""
-    if not record.frames:
-        raise UsageError(f"{record.id}: sample has no frames")
-    indices = select_frame_indices(len(record.frames), config)
-    size = size if size is not None else config.input_size
+def load_frames(paths, size: int) -> np.ndarray:
+    """The frames at ``paths`` as an ``N x S x S x 3`` batch: each frame is
+    resized, gray ones repeated to RGB, and the stack rescaled from
+    [0, 255] to [0, 1]."""
     out = []
-    for i in indices:
-        pixels = vision.load_frame(record.frames[i])
+    for path in paths:
+        pixels = vision.load_frame(path)
         if pixels.shape[2] == 1:
             pixels = np.repeat(pixels, 3, axis=2)
         out.append(vision.resize_bilinear(pixels, size, size))
     return np.stack(out) / 255.0
+
+
+def _frame_paths(record: SampleRecord, config: PipelineConfig) -> list:
+    if not record.frames:
+        raise UsageError(f"{record.id}: sample has no frames")
+    return [record.frames[i] for i in select_frame_indices(len(record.frames), config)]
+
+
+def load_sample_frames(record: SampleRecord, config: PipelineConfig,
+                       size: int | None = None) -> np.ndarray:
+    """The policy-selected frames of one sample, loaded by ``load_frames``
+    at side ``size`` (default ``config.input_size``)."""
+    return load_frames(_frame_paths(record, config),
+                       size if size is not None else config.input_size)
+
+
+class FrameSet:
+    """The policy-selected frames of some records, read from disk when
+    indexed: ``fs[idx]`` (an index array or a slice) loads only those
+    frames through ``load_frames``, so a training or validation pass holds
+    one batch at a time. ``labels`` holds each frame's record label."""
+
+    def __init__(self, records: list[SampleRecord], config: PipelineConfig):
+        chosen = [(r.label, _frame_paths(r, config)) for r in records]
+        self.paths = np.array([p for _, paths in chosen for p in paths], dtype=object)
+        self.labels = np.array([label for label, paths in chosen for _ in paths],
+                               dtype=int)
+        self.size = config.input_size
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return load_frames(self.paths[idx], self.size)
 
 
 # feature extraction --------------------------------------------------------
@@ -87,25 +119,14 @@ def _ensure_splits(records, config) -> None:
         assign_splits(records, config.fractions, config.seed)
 
 
-def _frame_dataset(records, config):
-    frames, labels = [], []
-    for record in records:
-        batch = load_sample_frames(record, config)
-        frames.append(batch)
-        labels.extend([record.label] * len(batch))
-    if not frames:
-        return np.zeros((0, config.input_size, config.input_size, 3)), np.zeros(0, int)
-    return np.concatenate(frames), np.array(labels, dtype=int)
-
-
 def run_train_agent1(records, config: PipelineConfig, out_path,
                      history_path=None) -> list[dict]:
     _ensure_splits(records, config)
-    train_frames, train_labels = _frame_dataset(by_split(records, "train"), config)
-    val_frames, val_labels = _frame_dataset(by_split(records, "val"), config)
+    train = FrameSet(by_split(records, "train"), config)
+    val = FrameSet(by_split(records, "val"), config)
     model = agents.build_agent1(config.seed, input_size=config.input_size)
-    history = agents.train_agent1(model, train_frames, train_labels,
-                                  val_frames, val_labels, config.agent1)
+    history = agents.train_agent1(model, train, train.labels, val, val.labels,
+                                  config.agent1)
     agents.save_agent(model, out_path)
     files.write_json(history_path or _history_path(out_path), history)
     return history

@@ -706,6 +706,31 @@ class TestFailureModes:
         assert code == 2
         assert f"{records[0]['id']}: needs at least one frame" in error["message"]
 
+    def test_truncated_val_frame_exits_2_mid_training_keeping_checkpoint(
+            self, workspace, tmp_path, capsys):
+        # frames are read per batch, so a val frame is first read at the end
+        # of epoch 1, after that epoch's training steps
+        fx = workspace["manifest"].parent
+        records = json.loads(workspace["manifest"].read_text())
+        for record in records:
+            record["split"] = "train"
+        records[0]["split"] = "val"
+        blob = (fx / records[0]["frames"][0]).read_bytes()
+        truncated = fx / "truncated_val.ppm"
+        truncated.write_bytes(blob[:len(blob) // 2])
+        records[0]["frames"][0] = truncated.name
+        manifest = fx / "truncated_val.json"
+        manifest.write_text(json.dumps(records))
+        out = tmp_path / "agent1.damc"
+        out.write_bytes(workspace["a1"].read_bytes())
+        code = main(["train", "agent1", "--manifest", str(manifest),
+                     "--out", str(out), "--desk-scale", "--epochs", "1"])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"{truncated}: expected " in error["message"]
+        assert out.read_bytes() == workspace["a1"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["agent1.damc"]
+
     def test_zero_epochs_flag_exits_1(self, workspace, tmp_path, capsys):
         code = main(["train", "agent1", "--manifest", str(workspace["manifest"]),
                      "--out", str(tmp_path / "a1.damc"), "--epochs", "0"])

@@ -1,4 +1,7 @@
-"""Pipeline helpers: frame selection, preprocessing, scoring glue."""
+"""Pipeline helpers: frame selection, preprocessing, scoring and training
+glue."""
+
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +10,8 @@ import pytest
 from deepagent import agents, pipeline
 from deepagent.config import load_config
 from deepagent.errors import UsageError
-from deepagent.manifest import SampleRecord
+from deepagent.fixtures import gen_fixtures
+from deepagent.manifest import SampleRecord, by_split, load_manifest
 from deepagent.vision import save_frame
 
 
@@ -197,6 +201,60 @@ class TestBatchedAgent1Scoring:
             # count, so a video scored alone can differ in the last bits
             npt.assert_allclose(score, float(np.mean(predict(model, video))),
                                 rtol=0, atol=1e-12)
+
+
+class TestStreamedAgent1Training:
+    """``train agent1`` reads its frames from disk one batch at a time and
+    trains exactly as it would on the fully stacked float64 arrays."""
+
+    def test_batches_read_once_per_epoch_and_match_stacked_training(
+            self, tmp_path, monkeypatch):
+        records = load_manifest(gen_fixtures(tmp_path / "fx", 12, 1.0, 1.0, seed=8))
+        cfg = load_config(None, {"desk_scale": True, "frame_policy": "even",
+                                 "m": 6, "agent1": {"epochs": 2}})
+        load, calls = pipeline.load_frames, []
+
+        def spy_load(paths, size):
+            calls.append(list(paths))
+            return load(paths, size)
+
+        monkeypatch.setattr(pipeline, "load_frames", spy_load)
+        history = pipeline.run_train_agent1(records, cfg, tmp_path / "a1.damc")
+        monkeypatch.undo()
+
+        train, val = (pipeline.FrameSet(by_split(records, split), cfg)
+                      for split in ("train", "val"))
+        batch = cfg.agent1.batch_size
+        # no trailing one-frame batch is skipped, so every frame is read
+        assert len(train) > batch and len(train) % batch != 1 and len(val)
+        trained = agents.load_agent(tmp_path / "a1.damc")
+        limit = max(batch, agents.forward_rows(trained))
+        assert max(len(paths) for paths in calls) <= limit
+        # each epoch reads every train frame once, then validates
+        train_paths, val_paths = set(train.paths), set(val.paths)
+        epochs, reading_val = [], True
+        for paths in calls:
+            is_val = set(paths) <= val_paths
+            assert is_val or set(paths) <= train_paths
+            if reading_val and not is_val:
+                epochs.append(Counter())
+            if not is_val:
+                epochs[-1].update(paths)
+            reading_val = is_val
+        assert epochs == [Counter(train.paths)] * cfg.agent1.epochs
+
+        def stacked(split):
+            chosen = by_split(records, split)
+            videos = [pipeline.load_sample_frames(r, cfg) for r in chosen]
+            labels = [r.label for r, video in zip(chosen, videos) for _ in video]
+            return np.concatenate(videos), np.array(labels)
+
+        model = agents.build_agent1(cfg.seed, input_size=cfg.input_size)
+        X, y = stacked("train")
+        assert X.dtype == np.float64 and y.tolist() == train.labels.tolist()
+        assert agents.train_agent1(model, X, y, *stacked("val"), cfg.agent1) == history
+        for (_, got), (_, want) in zip(trained.net.state(), model.net.state()):
+            npt.assert_array_equal(got, want)
 
 
 class TestRenderTable:
