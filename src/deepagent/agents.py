@@ -2,14 +2,15 @@
 
 Agent-1 is a five-block convolutional stack (channels-last) ending in
 global average pooling and two logits; its per-frame fake probability is
-the softmax component for class 1. ``predict_frames`` scores a batch of
-frames from any mix of videos, and ``score_video`` reduces one video's
-frame probabilities to their plain mean. Agent-2 is a 14 -> 128 -> 64 ->
-32 -> 1 dense network over the multimodal feature vector, read through a
-sigmoid; its first layer is a ``Standardize`` fit on the training
-features. ``predict_agent2`` scores a whole N x 14 feature matrix of raw
-features in one forward. Both are one :class:`Agent` type; a checkpoint
-stores its net's ``state()``.
+the softmax component for class 1. ``predict_frames`` scores frames from
+any mix of videos, and ``score_video`` reduces one video's frame
+probabilities to their plain mean. Agent-2 is a 14 -> 128 -> 64 -> 32 -> 1
+dense network over the multimodal feature vector, read through a sigmoid;
+its first layer is a ``Standardize`` fit on the training features.
+``predict_agent2`` scores an N x 14 matrix of raw features. Both are one
+:class:`Agent` type; a checkpoint stores its net's ``state()``. Every
+inference forward, in prediction and in validation, runs through
+``logits``, in slices of ``forward_rows`` rows.
 
 Both agents train in one Adam epoch loop, with the head's loss gradient
 taken at the logits. Training is single-threaded and fully seeded: batch
@@ -19,6 +20,7 @@ identical runs produce identical weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +48,10 @@ from deepagent.vision import augment
 # kernel needs at least 11, and 224 is the reference geometry
 AGENT1_SIZES = range(11, 225)
 
-# pixels per Agent-1 inference forward, in scoring and in validation: 16
-# frames at desk scale (64 px) and one at 224, where 16 frames would need a
-# 135 MB conv1 im2col copy
-FORWARD_PIXELS = 16 * 64 * 64
+# input values per inference forward, in scoring and in validation: 16
+# Agent-1 frames at desk scale (64 px) and one at 224, where 16 frames would
+# need a 135 MB conv1 im2col copy; 14,043 Agent-2 feature rows
+FORWARD_VALUES = 16 * 64 * 64 * 3
 
 
 @dataclass
@@ -62,6 +64,12 @@ class Agent:
     input_size: int
     seed: int
     dtype: type = np.float64
+
+    @property
+    def row_shape(self) -> tuple:
+        """One input row: an S x S x 3 frame (Agent-1) or S features."""
+        s = self.input_size
+        return (s, s, 3) if self.kind == ckpt.MODEL_AGENT1 else (s,)
 
 
 def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent:
@@ -134,21 +142,28 @@ def build_agent2(seed: int, dtype=np.float64) -> Agent:
 
 # prediction ---------------------------------------------------------------
 
-def predict_frames(model: Agent, frames: np.ndarray) -> np.ndarray:
-    """Fake-class probability for a batch of normalized frames."""
-    frames = np.asarray(frames, dtype=model.dtype)
-    expect = (model.input_size, model.input_size, 3)
-    if frames.shape[1:] != expect:
-        raise UsageError(f"frames must be {expect}, got {frames.shape[1:]}")
-    return softmax(model.net.forward(frames, train=False))[:, 1]
+def forward_rows(model: Agent) -> int:
+    """Rows per inference forward: ``max(1, FORWARD_VALUES // prod(row_shape))``."""
+    return max(1, FORWARD_VALUES // math.prod(model.row_shape))
 
 
-def forward_rows(model: Agent) -> int | None:
-    """Rows per inference forward: ``max(1, FORWARD_PIXELS // S**2)`` frames
-    for Agent-1 at side S; None for Agent-2, whose rows go in one forward."""
-    if model.kind != ckpt.MODEL_AGENT1:
-        return None
-    return max(1, FORWARD_PIXELS // model.input_size ** 2)
+def logits(model: Agent, rows) -> np.ndarray:
+    """Inference-mode logits of ``rows`` (an array, or a ``pipeline.FrameSet``
+    that reads them from disk), forwarded ``forward_rows(model)`` rows at a
+    time in the model dtype; no rows still run one empty forward."""
+    width = forward_rows(model)
+    out = []
+    for start in range(0, max(len(rows), 1), width):
+        batch = np.asarray(rows[start:start + width], dtype=model.dtype)
+        if batch.shape[1:] != model.row_shape:
+            raise UsageError(f"rows must be {model.row_shape}, got {batch.shape[1:]}")
+        out.append(model.net.forward(batch, train=False))
+    return np.concatenate(out)
+
+
+def predict_frames(model: Agent, frames) -> np.ndarray:
+    """Fake-class probability of each normalized frame (array or FrameSet)."""
+    return softmax(logits(model, frames))[:, 1]
 
 
 def score_video(frame_probs: np.ndarray) -> float:
@@ -158,11 +173,7 @@ def score_video(frame_probs: np.ndarray) -> float:
 
 def predict_agent2(model: Agent, X: np.ndarray) -> np.ndarray:
     """Fake-class probability for each row of an N x width feature matrix."""
-    X = np.asarray(X, dtype=model.dtype)
-    if X.ndim != 2 or X.shape[1] != model.input_size:
-        raise UsageError(
-            f"features must be N x {model.input_size}, got shape {X.shape}")
-    return sigmoid(model.net.forward(X, train=False)[:, 0])
+    return sigmoid(logits(model, X)[:, 0])
 
 
 # training -----------------------------------------------------------------
@@ -220,8 +231,8 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
     ``head`` gives the loss and the logit gradient that is backpropagated.
     ``transform`` rewrites each batch first (augmentation).
     A net holding batch norm skips batches of fewer than two rows.
-    ``val = (inputs, targets, labels)`` is scored in inference mode after
-    every epoch, in slices of ``forward_rows(model)`` rows.
+    ``val = (inputs, targets, labels)`` is scored by ``logits`` after every
+    epoch, in slices of ``forward_rows(model)`` rows.
     A ``controller`` then stops early and reduces the rate by
     ``cfg.lr_factor``, and the best-validation weights are restored.
     """
@@ -262,11 +273,7 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
         if val is None:
             continue
         val_X, val_targets, val_labels = val
-        width = forward_rows(model) or len(val_X)
-        logits = np.concatenate([
-            net.forward(np.asarray(val_X[i:i + width], dtype=model.dtype), train=False)
-            for i in range(0, len(val_X), width)])
-        row["val_loss"], probs, _ = head(logits, val_targets)
+        row["val_loss"], probs, _ = head(logits(model, val_X), val_targets)
         row["val_acc"] = float((_predicted_class(probs) == val_labels).mean())
         if controller is None:
             continue
@@ -295,7 +302,7 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
     batch and not by the size of the split; ``val_frames`` likewise. With
     ``config.augment``, every batch is augmented with ``vision.augment``'s
     fixed ranges, redrawn every epoch from the model seed. Validation runs
-    in ``forward_rows`` slices, as scoring does, so its memory does not grow
+    through ``logits``, the loop scoring uses, so its memory does not grow
     with the validation set.
     """
     cfg = config or Agent1Config()

@@ -180,10 +180,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_bins: int = FRAME_LENGTH // 2 + 1) -> np.ndarray:
-    """``N_COEFFS x n_bins`` triangular weights, one filter per cepstral
-    coefficient, with peaks equally spaced on the mel scale from 0 Hz to
-    the Nyquist frequency of ``TARGET_RATE``."""
+def mel_filterbank() -> np.ndarray:
+    """``N_COEFFS x n_bins`` triangular weights over ``stft``'s
+    ``FRAME_LENGTH // 2 + 1`` bins, one filter per cepstral coefficient,
+    with peaks equally spaced on the mel scale from 0 Hz to the Nyquist
+    frequency of ``TARGET_RATE``."""
+    n_bins = FRAME_LENGTH // 2 + 1
     f_max = TARGET_RATE / 2.0
     points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), N_COEFFS + 2))
     bin_hz = np.arange(n_bins) * TARGET_RATE / ((n_bins - 1) * 2)
@@ -230,6 +232,4 @@ def embed_audio(w: Waveform | None) -> np.ndarray | None:
         w = resample(w, TARGET_RATE)
     if len(w.samples) < FRAME_LENGTH:
         return None
-    mags = stft(w)
-    weights = mel_filterbank(n_bins=mags.shape[1])
-    return mfcc(mel_energies(mags, weights)).mean(axis=0)
+    return mfcc(mel_energies(stft(w), mel_filterbank())).mean(axis=0)

@@ -126,7 +126,7 @@ def _dispatch(args) -> int:
                                                 args.history)
         else:
             if not args.cache:
-                raise DeepAgentError("train agent2 requires --cache")
+                raise UsageError("train agent2 requires --cache")
             history = pipeline.run_train_agent2(records, cfg, args.cache,
                                                 args.out, args.history)
         last = history[-1] if history else {}
@@ -159,8 +159,6 @@ def _dispatch(args) -> int:
         table = pipeline.run_report(args.fold_report, args.out, args.roc_dir)
         print(table, end="")
         return 0
-
-    raise DeepAgentError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Dataset manifests: one JSON record per video sample.
 
-A record names the sample's frames (a non-empty list of image file paths),
-its optional audio track, and the optional ASR/OCR sidecar text files (each
-a path string when present). Validation happens up front and reports every
-violation at once, before any compute starts.
+A record has a non-empty string id and names the sample's frames (a
+non-empty list of image file paths), its optional audio track, and the
+optional ASR/OCR sidecar text files (each a path string when present).
+Validation happens up front and reports every violation at once, before
+any compute starts.
 """
 
 from __future__ import annotations
@@ -72,9 +73,11 @@ def load_manifest(path) -> list[SampleRecord]:
         if not isinstance(entry, dict):
             problems.append(f"record {i}: must be a JSON object")
             continue
-        rid = str(entry.get("id", f"<record {i}>"))
-        if "id" not in entry:
-            problems.append(f"record {i}: missing id")
+        rid = entry.get("id")
+        if not (isinstance(rid, str) and rid):
+            problems.append(f"record {i}: missing id" if "id" not in entry else
+                            f"record {i}: id must be a non-empty string, got {rid!r}")
+            rid = f"<record {i}>"
         elif rid in seen:
             problems.append(f"duplicate id {rid}")
         seen.add(rid)
@@ -112,8 +115,7 @@ def load_manifest(path) -> list[SampleRecord]:
     return records
 
 
-def assign_splits(records: list[SampleRecord], fractions=(0.70, 0.20, 0.10),
-                  seed: int = 42) -> None:
+def assign_splits(records: list[SampleRecord], fractions, seed: int) -> None:
     """Stratified train/val/test assignment, in place.
 
     Per class: floor(val) and floor(test) samples go to those splits, the

@@ -2,12 +2,12 @@
 
 This module glues the manifest, feature cache, agents, and fusion stages
 together; the CLI is a thin argument-parsing layer over these functions.
-``load_frames`` is the one frame loader. ``predict`` and ``fuse`` share
-``score_samples``, which runs Agent-1 over fixed-size frame batches that
-cross video boundaries (``agents.forward_rows``); ``train agent1`` hands
-the train and val splits to the agent as ``FrameSet``s, which read each
-batch from disk when the training loop asks for it. No command holds more
-than one batch of frames at a time.
+``load_sample_frames`` is the one frame loader and ``FrameSet`` the one
+frame source: ``train agent1`` hands the train and val splits to the agent
+as ``FrameSet``s, and ``score_samples``, shared by ``predict`` and
+``fuse``, scores one ``FrameSet`` of every video's frames. Each is read from
+disk one batch or ``agents.forward_rows`` slice at a time, so no command
+holds more than one batch of frames.
 """
 
 from __future__ import annotations
@@ -31,51 +31,45 @@ def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
     return vision.sample_interval(n_frames)
 
 
-def load_frames(paths, size: int) -> np.ndarray:
-    """The frames at ``paths`` as an ``N x S x S x 3`` batch: each frame is
-    resized, gray ones repeated to RGB, and the stack rescaled from
-    [0, 255] to [0, 1]."""
-    out = []
-    for path in paths:
-        pixels = vision.load_frame(path)
-        if pixels.shape[2] == 1:
-            pixels = np.repeat(pixels, 3, axis=2)
-        out.append(vision.resize_bilinear(pixels, size, size))
-    return np.stack(out) / 255.0
-
-
-def _frame_paths(record: SampleRecord, config: PipelineConfig) -> list:
-    if not record.frames:
-        raise UsageError(f"{record.id}: sample has no frames")
-    return [record.frames[i] for i in select_frame_indices(len(record.frames), config)]
-
-
-def load_sample_frames(record: SampleRecord, config: PipelineConfig,
-                       size: int | None = None) -> np.ndarray:
-    """The policy-selected frames of one sample, loaded by ``load_frames``
-    at side ``size`` (default ``config.input_size``)."""
-    return load_frames(_frame_paths(record, config),
-                       size if size is not None else config.input_size)
+def load_sample_frames(paths, size: int) -> np.ndarray:
+    """The frames at ``paths`` as an ``N x S x S x 3`` batch rescaled from
+    [0, 255] to [0, 1]: each frame is resized to side ``size``, a gray one
+    on its one channel and then broadcast to RGB."""
+    out = np.empty((len(paths), size, size, 3))
+    for i, path in enumerate(paths):
+        out[i] = vision.resize_bilinear(vision.load_frame(path), size, size)
+    out /= 255.0
+    return out
 
 
 class FrameSet:
-    """The policy-selected frames of some records, read from disk when
-    indexed: ``fs[idx]`` (an index array or a slice) loads only those
-    frames through ``load_frames``, so a training or validation pass holds
-    one batch at a time. ``labels`` holds each frame's record label."""
+    """The policy-selected frames of some records at side ``size``, read
+    from disk when indexed: ``fs[idx]`` (an index array or a slice) loads
+    only those frames through ``load_sample_frames``, so training,
+    validation and scoring hold one batch at a time. ``labels`` holds each
+    frame's record label and ``ends`` the cumulative frame count per record,
+    so record i owns frames ``ends[i-1]:ends[i]``."""
 
-    def __init__(self, records: list[SampleRecord], config: PipelineConfig):
-        chosen = [(r.label, _frame_paths(r, config)) for r in records]
-        self.paths = np.array([p for _, paths in chosen for p in paths], dtype=object)
-        self.labels = np.array([label for label, paths in chosen for _ in paths],
-                               dtype=int)
-        self.size = config.input_size
+    def __init__(self, records: list[SampleRecord], config: PipelineConfig,
+                 size: int):
+        paths, labels, counts = [], [], []
+        for record in records:
+            if not record.frames:
+                raise UsageError(f"{record.id}: sample has no frames")
+            chosen = select_frame_indices(len(record.frames), config)
+            paths += [record.frames[i] for i in chosen]
+            labels += [record.label] * len(chosen)
+            counts.append(len(chosen))
+        self.paths = np.array(paths, dtype=object)
+        self.labels = np.array(labels, dtype=int)
+        self.ends = np.cumsum(counts, dtype=int)
+        self.size = size
 
     def __len__(self) -> int:
         return len(self.paths)
 
     def __getitem__(self, idx) -> np.ndarray:
-        return load_frames(self.paths[idx], self.size)
+        return load_sample_frames(self.paths[idx], self.size)
 
 
 # feature extraction --------------------------------------------------------
@@ -122,8 +116,8 @@ def _ensure_splits(records, config) -> None:
 def run_train_agent1(records, config: PipelineConfig, out_path,
                      history_path=None) -> list[dict]:
     _ensure_splits(records, config)
-    train = FrameSet(by_split(records, "train"), config)
-    val = FrameSet(by_split(records, "val"), config)
+    train = FrameSet(by_split(records, "train"), config, config.input_size)
+    val = FrameSet(by_split(records, "val"), config, config.input_size)
     model = agents.build_agent1(config.seed, input_size=config.input_size)
     history = agents.train_agent1(model, train, train.labels, val, val.labels,
                                   config.agent1)
@@ -198,26 +192,15 @@ def score_samples(records, agent1_model, agent2_model, cache_entries,
 
     Agent-1 scores each video from its frames, resized to the checkpoint's
     own input side S, so a model trained at desk scale scores correctly
-    without repeating the flag. All frames fill batches of
-    ``agents.forward_rows`` frames, one forward each, so memory is set by
-    the batch. Agent-2 scores the stacked N x 14 features in one forward.
+    without repeating the flag. Every video's frames form one ``FrameSet``,
+    scored in ``agents.forward_rows`` slices, so memory is set by one slice;
+    ``ends`` splits the frame scores back into videos. Agent-2 scores the
+    stacked N x 14 features.
     """
     X = _feature_matrix(cache_entries, records, cache_path)
-    size, dtype = agent1_model.input_size, agent1_model.dtype
-    batch = np.empty((agents.forward_rows(agent1_model), size, size, 3), dtype)
-    probs, counts, fill = [np.zeros(0, dtype)], [], 0
-    for record in records:
-        frames = load_sample_frames(record, config, size=size)
-        counts.append(len(frames))
-        for frame in frames:
-            batch[fill], fill = frame, fill + 1
-            if fill == len(batch):
-                probs.append(agents.predict_frames(agent1_model, batch))
-                fill = 0
-    if fill:
-        probs.append(agents.predict_frames(agent1_model, batch[:fill]))
-    probs, ends = np.concatenate(probs), np.cumsum(counts)
-    agent1 = [agents.score_video(probs[end - n:end]) for n, end in zip(counts, ends)]
+    frames = FrameSet(records, config, agent1_model.input_size)
+    probs = agents.predict_frames(agent1_model, frames)
+    agent1 = [agents.score_video(p) for p in np.split(probs, frames.ends)[:-1]]
     return np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
 
 

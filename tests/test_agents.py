@@ -414,6 +414,24 @@ class TestPredictAgent2:
         expected = float(sigmoid(h3 @ w4 + b4)[0])
         npt.assert_allclose(got, expected, atol=1e-9)
 
+    def test_rows_forward_in_slices_that_match_one_forward(self):
+        # 30,000 rows in forward_rows slices of FORWARD_VALUES // 14 rows
+        rng = np.random.default_rng(89)
+        model = agents.build_agent2(seed=4)
+        X = rng.normal(size=(30_000, 14))
+        forward, sizes = model.net.forward, []
+
+        def recording_forward(x, train=False):
+            sizes.append(len(x))
+            return forward(x, train=train)
+
+        model.net.forward = recording_forward
+        probs = agents.predict_agent2(model, X)
+        assert agents.forward_rows(model) == 14_043
+        assert sizes == [14_043, 14_043, 1_914]
+        npt.assert_allclose(probs, sigmoid(forward(X, train=False)[:, 0]),
+                            rtol=0, atol=1e-12)
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize("build, sha256", [

@@ -444,6 +444,12 @@ class TestFailureModes:
         records[4]["ocr_text"] = {"path": "b.txt"}
         records[5]["label"] = True
         records[6]["label"] = 0.0
+        # an id must be a non-empty string: each of these once became a
+        # cache key such as "None/feature"
+        records[7]["id"] = None
+        records[8]["id"] = 5
+        records[9]["id"] = True
+        records[10]["id"] = ""
         bad = workspace["manifest"].parent / "wrong_types.json"
         bad.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(bad),
@@ -451,7 +457,7 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         ids = [r["id"] for r in records]
-        assert "7 manifest violation(s)" in error["message"]
+        assert "11 manifest violation(s)" in error["message"]
         for rid, what in ((ids[0], "frames must be a list of strings"),
                           (ids[1], "frames must be a list of strings"),
                           (ids[2], "audio must be a string"),
@@ -460,6 +466,9 @@ class TestFailureModes:
                           (ids[5], "label must be 0 or 1, got True"),
                           (ids[6], "label must be 0 or 1, got 0.0")):
             assert f"{rid}: {what}" in error["message"]
+        for i, rid in ((7, None), (8, 5), (9, True), (10, "")):
+            assert (f"record {i}: id must be a non-empty string, got {rid!r}"
+                    in error["message"])
 
     def test_non_object_manifest_entry_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -757,6 +766,15 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert code == 1
         assert "missing feature cache" in json.loads(err)["error"]["message"]
+
+    def test_train_agent2_without_cache_flag_exits_1_as_usage_error(
+            self, workspace, capsys):
+        code = main(["train", "agent2", "--manifest", str(workspace["manifest"]),
+                     "--out", str(workspace["root"] / "x.damc")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["exit_code"] == 1
+        assert error["kind"] == "UsageError"
+        assert "--cache" in error["message"]
 
     def test_bad_manifest_exits_2(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from deepagent.config import load_config
 from deepagent.errors import UsageError
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import SampleRecord, by_split, load_manifest
+from deepagent.nn.losses import softmax
 from deepagent.vision import save_frame
 
 
@@ -40,7 +41,7 @@ class TestLoadSampleFrames:
         paths = write_frames(tmp_path, 6)
         record = SampleRecord("a", 0, frames=paths)
         cfg = load_config(None, {"desk_scale": True})
-        frames = pipeline.load_sample_frames(record, cfg)
+        frames = pipeline.FrameSet([record], cfg, cfg.input_size)[:]
         assert frames.shape == (2, 64, 64, 3)  # indices 0 and 5
         assert 0.0 <= frames.min() and frames.max() <= 1.0
 
@@ -48,7 +49,7 @@ class TestLoadSampleFrames:
         paths = write_frames(tmp_path, 2, channels=1)
         record = SampleRecord("g", 0, frames=paths)
         cfg = load_config(None, {"desk_scale": True})
-        frames = pipeline.load_sample_frames(record, cfg)
+        frames = pipeline.FrameSet([record], cfg, cfg.input_size)[:]
         assert frames.shape[-1] == 3
         npt.assert_array_equal(frames[..., 0], frames[..., 1])
 
@@ -56,13 +57,13 @@ class TestLoadSampleFrames:
         paths = write_frames(tmp_path, 1)
         record = SampleRecord("s", 0, frames=paths)
         cfg = load_config(None, {})
-        frames = pipeline.load_sample_frames(record, cfg, size=32)
+        frames = pipeline.FrameSet([record], cfg, 32)[:]
         assert frames.shape == (1, 32, 32, 3)
 
     def test_frameless_sample_rejected(self):
         cfg = load_config(None, {})
         with pytest.raises(UsageError):
-            pipeline.load_sample_frames(SampleRecord("x", 0), cfg)
+            pipeline.FrameSet([SampleRecord("x", 0)], cfg, cfg.input_size)[:]
 
 
 class TestScoreSamples:
@@ -86,7 +87,7 @@ class TestScoreSamples:
         per_row = [agents.predict_agent2(self.agent2, x[None])[0] for x in X]
         npt.assert_allclose(scores[:, 1], per_row, rtol=0, atol=1e-12)
         for record, s1 in zip(records, scores[:, 0]):
-            frames = pipeline.load_sample_frames(record, self.cfg, size=32)
+            frames = pipeline.FrameSet([record], self.cfg, 32)[:]
             assert s1 == float(np.mean(agents.predict_frames(self.agent1, frames)))
 
     def test_no_records_gives_empty_matrix(self):
@@ -98,7 +99,7 @@ class TestScoreSamples:
         cfg = load_config(None, {"frame_policy": "even", "m": 6})
         score = pipeline.score_samples([record], self.agent1, self.agent2,
                                        {"v/feature": np.zeros(14)}, cfg)[0, 0]
-        frames = pipeline.load_sample_frames(record, cfg, size=32)
+        frames = pipeline.FrameSet([record], cfg, 32)[:]
         assert isinstance(score, float)
         assert score == float(np.mean(agents.predict_frames(self.agent1, frames)))
 
@@ -109,18 +110,19 @@ def frames_are_scores(monkeypatch):
     each frame's first pixel as its score, so ``score_samples``' per-video
     reduction is checked on exact values."""
     monkeypatch.setattr(
-        pipeline, "load_sample_frames", lambda record, config, size:
-        np.ones((1, size, size, 3)) * np.array(record.frames)[:, None, None, None])
+        pipeline, "load_sample_frames", lambda paths, size:
+        np.ones((1, size, size, 3)) * np.array(paths, dtype=float)[:, None, None, None])
     monkeypatch.setattr(agents, "predict_frames",
-                        lambda model, frames: np.array(frames[:, 0, 0, 0]))
+                        lambda model, frames: frames[:][:, 0, 0, 0])
 
 
 def agent1_score(frame_scores, record_id="v"):
+    # the even policy with the default m of 30 reads every listed frame
     record = SampleRecord(record_id, 0, frames=list(frame_scores))
     return pipeline.score_samples(
         [record], agents.build_agent1(seed=5, input_size=16),
         agents.build_agent2(seed=6), {f"{record_id}/feature": np.zeros(14)},
-        load_config(None, {}))[0, 0]
+        load_config(None, {"frame_policy": "even"}))[0, 0]
 
 
 class TestAggregateVideo:
@@ -148,7 +150,8 @@ class TestAggregateVideo:
 
 class TestBatchedAgent1Scoring:
     """Agent-1 scores the frames of all records in forwards of
-    ``max(1, FORWARD_PIXELS // S**2)`` frames that cross video boundaries."""
+    ``max(1, FORWARD_VALUES // (3 * S**2))`` frames that cross video
+    boundaries."""
 
     @pytest.mark.parametrize("size, counts", [
         (32, [1, 63, 130, 64, 1, 65, 1]),  # 64 frames per forward
@@ -163,33 +166,34 @@ class TestBatchedAgent1Scoring:
                    for i, n in enumerate(counts)]
         cfg = load_config(None, {"frame_policy": "even", "m": max(counts)})
         model = agents.build_agent1(seed=5, input_size=size)
-        batch = max(1, agents.FORWARD_PIXELS // size ** 2)
+        batch = max(1, agents.FORWARD_VALUES // (3 * size ** 2))
         assert batch == {32: 64, 128: 4, 224: 1}[size]
-        predict, load = agents.predict_frames, pipeline.load_sample_frames
+        forward, load = model.net.forward, pipeline.load_sample_frames
         forwards, seen = [], {"loaded": 0, "scored": 0}
 
-        def spy_predict(net, frames):
-            probs = predict(net, frames)
-            forwards.append((np.array(frames), probs))
+        def spy_forward(frames, train=False):
+            out = forward(frames, train=train)
+            forwards.append((np.array(frames), softmax(out)[:, 1]))
             seen["scored"] += len(frames)
-            return probs
+            return out
 
-        def spy_load(record, config, size=None):
-            frames = load(record, config, size)
+        def spy_load(paths, size):
+            frames = load(paths, size)
             seen["loaded"] += len(frames)
-            # frames loaded but not yet scored: under one batch plus this video
-            assert seen["loaded"] - seen["scored"] < batch + len(frames)
+            # frames loaded but not yet scored: at most one batch
+            assert seen["loaded"] - seen["scored"] <= batch
             return frames
 
-        monkeypatch.setattr(agents, "predict_frames", spy_predict)
+        monkeypatch.setattr(model.net, "forward", spy_forward)
         monkeypatch.setattr(pipeline, "load_sample_frames", spy_load)
         entries = {f"{r.id}/feature": np.zeros(14) for r in records}
         scores = pipeline.score_samples(records, model, agents.build_agent2(seed=6),
                                         entries, cfg)
+        monkeypatch.undo()
 
         assert max(len(frames) for frames, _ in forwards) <= batch
         assert len(forwards) == -(-sum(counts) // batch)
-        videos = [load(r, cfg, size) for r in records]
+        videos = [pipeline.FrameSet([r], cfg, size)[:] for r in records]
         assert [len(v) for v in videos] == counts
         fed = np.concatenate([frames for frames, _ in forwards])
         assert fed.tobytes() == np.concatenate(videos).tobytes()
@@ -199,8 +203,8 @@ class TestBatchedAgent1Scoring:
             assert score == float(np.mean(probs[end - len(video):end]))
             # BLAS may pick another kernel for a forward of another row
             # count, so a video scored alone can differ in the last bits
-            npt.assert_allclose(score, float(np.mean(predict(model, video))),
-                                rtol=0, atol=1e-12)
+            alone = softmax(forward(video, train=False))[:, 1]
+            npt.assert_allclose(score, float(np.mean(alone)), rtol=0, atol=1e-12)
 
 
 class TestStreamedAgent1Training:
@@ -212,17 +216,17 @@ class TestStreamedAgent1Training:
         records = load_manifest(gen_fixtures(tmp_path / "fx", 12, 1.0, 1.0, seed=8))
         cfg = load_config(None, {"desk_scale": True, "frame_policy": "even",
                                  "m": 6, "agent1": {"epochs": 2}})
-        load, calls = pipeline.load_frames, []
+        load, calls = pipeline.load_sample_frames, []
 
         def spy_load(paths, size):
             calls.append(list(paths))
             return load(paths, size)
 
-        monkeypatch.setattr(pipeline, "load_frames", spy_load)
+        monkeypatch.setattr(pipeline, "load_sample_frames", spy_load)
         history = pipeline.run_train_agent1(records, cfg, tmp_path / "a1.damc")
         monkeypatch.undo()
 
-        train, val = (pipeline.FrameSet(by_split(records, split), cfg)
+        train, val = (pipeline.FrameSet(by_split(records, split), cfg, cfg.input_size)
                       for split in ("train", "val"))
         batch = cfg.agent1.batch_size
         # no trailing one-frame batch is skipped, so every frame is read
@@ -245,7 +249,7 @@ class TestStreamedAgent1Training:
 
         def stacked(split):
             chosen = by_split(records, split)
-            videos = [pipeline.load_sample_frames(r, cfg) for r in chosen]
+            videos = [pipeline.FrameSet([r], cfg, cfg.input_size)[:] for r in chosen]
             labels = [r.label for r, video in zip(chosen, videos) for _ in video]
             return np.concatenate(videos), np.array(labels)
 

@@ -109,8 +109,8 @@ class TestAssignSplits:
     def test_same_seed_identical(self):
         a = [FakeRecord(i % 2) for i in range(30)]
         b = [FakeRecord(i % 2) for i in range(30)]
-        assign_splits(a, seed=7)
-        assign_splits(b, seed=7)
+        assign_splits(a, (0.7, 0.2, 0.1), seed=7)
+        assign_splits(b, (0.7, 0.2, 0.1), seed=7)
         assert [r.split for r in a] == [r.split for r in b]
 
     def test_ten_per_class_rounds_to_721(self):
@@ -124,7 +124,7 @@ class TestAssignSplits:
     def test_tiny_class_rejected(self):
         records = [FakeRecord(0)] * 10 + [FakeRecord(1)] * 2
         with pytest.raises(UsageError):
-            assign_splits(records, seed=0)
+            assign_splits(records, (0.7, 0.2, 0.1), seed=0)
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(UsageError):

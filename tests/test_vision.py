@@ -7,9 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from deepagent import pipeline, vision
-from deepagent.config import load_config
 from deepagent.errors import IngestionError
-from deepagent.manifest import SampleRecord
 
 from oracles import matmul3, naive_affine_sample, naive_bilinear_resize
 
@@ -100,8 +98,7 @@ class TestNormalize:
         pixels = np.zeros((n, n, 1))
         pixels[0, :, 0] = values
         vision.save_frame(tmp_path / "n.pgm", pixels)
-        record = SampleRecord("n", 0, frames=[tmp_path / "n.pgm"])
-        batch = pipeline.load_sample_frames(record, load_config(None, {}), size=n)
+        batch = pipeline.load_sample_frames([tmp_path / "n.pgm"], n)
         return batch[0, 0, :, 0]
 
     def test_endpoints_and_midpoint(self, tmp_path):
