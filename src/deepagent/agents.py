@@ -292,8 +292,8 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
 
 def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
                  val_frames: np.ndarray | None = None,
-                 val_labels: np.ndarray | None = None,
-                 config: Agent1Config | None = None) -> list[dict]:
+                 val_labels: np.ndarray | None = None, *,
+                 config: Agent1Config) -> list[dict]:
     """Minimize softmax cross-entropy with Adam; returns per-epoch history.
 
     ``frames`` are normalized [0, 1] frames shaped N x S x S x 3 with labels
@@ -305,26 +305,25 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
     through ``logits``, the loop scoring uses, so its memory does not grow
     with the validation set.
     """
-    cfg = config or Agent1Config()
     labels = np.asarray(labels, dtype=int)
     _check_two_classes(labels)
     onehot = np.eye(2, dtype=model.dtype)
     transform = val = None
-    if cfg.augment:
+    if config.augment:
         aug_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 6]))
         transform = lambda batch: np.stack(
             [augment(img, aug_rng) for img in batch]).astype(model.dtype)
     if val_frames is not None and len(val_frames):
         val_labels = np.asarray(val_labels, dtype=int)
         val = (val_frames, onehot[val_labels], val_labels)
-    return _fit(model, frames, onehot[labels], labels, cfg, softmax_cce,
+    return _fit(model, frames, onehot[labels], labels, config, softmax_cce,
                 stream=5, val=val, transform=transform)
 
 
 def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
                  val_X: np.ndarray | None = None,
-                 val_y: np.ndarray | None = None,
-                 config: Agent2Config | None = None) -> list[dict]:
+                 val_y: np.ndarray | None = None, *,
+                 config: Agent2Config) -> list[dict]:
     """Minimize sigmoid cross-entropy with Adam, early stopping, LR reduction.
 
     The net's input standardization is fit on ``X`` first. Validation
@@ -332,7 +331,6 @@ def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
     before returning. Without a validation set the schedules are inactive
     and training runs the full epoch budget.
     """
-    cfg = config or Agent2Config()
     X = np.asarray(X, dtype=model.dtype)
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
@@ -341,8 +339,8 @@ def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
     if val_X is not None and len(val_X):
         val_y = np.asarray(val_y, dtype=int)
         val = (val_X, val_y[:, None].astype(model.dtype), val_y)
-        controller = TrainController(cfg.early_stop_patience, cfg.lr_patience)
-    return _fit(model, X, y[:, None].astype(model.dtype), y, cfg,
+        controller = TrainController(config.early_stop_patience, config.lr_patience)
+    return _fit(model, X, y[:, None].astype(model.dtype), y, config,
                 sigmoid_bce, stream=7, val=val, controller=controller)
 
 

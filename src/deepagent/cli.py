@@ -1,9 +1,14 @@
 """Command-line entry point.
 
 Commands mirror the workflow order: gen-fixtures, extract, train agent1,
-train agent2, predict, fuse, evaluate, report. Exit codes: 0 success,
-1 usage (bad arguments included) or configuration, 2 ingestion, 3 numeric
-failure. Failures also emit one machine-readable JSON object on stderr.
+train agent2, predict, fuse, evaluate, report. Each command takes only the
+flags it reads: train, predict and fuse read a config (``--config``,
+``--seed``); train agent1, predict and fuse select frames
+(``--frame-policy``, ``--m``); only train agent1 sets the input geometry
+(``--desk-scale``), which predict and fuse take from the checkpoint.
+Exit codes: 0 success, 1 usage (bad and unused arguments included) or
+configuration, 2 ingestion, 3 numeric failure. Failures also emit one
+machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (overrides DEEPAGENT_CONFIG)")
     p.add_argument("--seed", type=int, help="global random seed")
+
+
+def _add_frame_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frame-policy", choices=("interval5", "even"),
                    dest="frame_policy")
     p.add_argument("--m", type=int, help="frame cap for the 'even' policy")
-    p.add_argument("--desk-scale", action="store_const", const=True,
-                   dest="desk_scale", default=None,
-                   help="64x64 input geometry for quick runs")
 
 
 def _config_from(args) -> "pipeline.PipelineConfig":
@@ -45,7 +50,7 @@ def _config_from(args) -> "pipeline.PipelineConfig":
     epochs = getattr(args, "epochs", None)
     if epochs is not None:
         overrides[args.agent] = {"epochs": epochs}
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,32 +69,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="populate the feature cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="feature cache path")
-    _add_config_flags(p)
 
-    p = sub.add_parser("train", help="train one agent")
-    p.add_argument("agent", choices=("agent1", "agent2"))
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--cache", help="feature cache (agent2 only)")
-    p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--history", help="history JSON path")
-    p.add_argument("--epochs", type=int, help="override the epoch budget")
-    _add_config_flags(p)
+    train = sub.add_parser("train", help="train one agent").add_subparsers(
+        dest="agent", required=True)
+    agent1 = train.add_parser("agent1", help="train the frame CNN")
+    agent2 = train.add_parser("agent2", help="train the audio-text MLP")
+    for p in (agent1, agent2):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True, help="checkpoint path")
+        p.add_argument("--history", help="history JSON path")
+        p.add_argument("--epochs", type=int, help="override the epoch budget")
+        _add_config_flags(p)
+    _add_frame_flags(agent1)
+    agent1.add_argument("--desk-scale", action="store_const", const=True,
+                        dest="desk_scale", default=None,
+                        help="64x64 input geometry for quick runs")
+    agent2.add_argument("--cache", required=True, help="feature cache")
 
-    p = sub.add_parser("predict", help="per-video scores from both agents")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--agent1", required=True, help="agent1 checkpoint")
-    p.add_argument("--agent2", required=True, help="agent2 checkpoint")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True, help="scores JSON path")
-    _add_config_flags(p)
-
-    p = sub.add_parser("fuse", help="cross-validated meta-classifier run")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--agent1", required=True, help="agent1 checkpoint")
-    p.add_argument("--agent2", required=True, help="agent2 checkpoint")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True, help="fold report JSON path")
-    _add_config_flags(p)
+    for command, what, out in (
+            ("predict", "per-video scores from both agents", "scores JSON path"),
+            ("fuse", "cross-validated meta-classifier run", "fold report JSON path")):
+        p = sub.add_parser(command, help=what)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--agent1", required=True, help="agent1 checkpoint")
+        p.add_argument("--agent2", required=True, help="agent2 checkpoint")
+        p.add_argument("--cache", required=True)
+        p.add_argument("--out", required=True, help=out)
+        _add_config_flags(p)
+        _add_frame_flags(p)
 
     p = sub.add_parser("evaluate", help="per-agent metrics from a scores file")
     p.add_argument("--scores", required=True)
@@ -112,9 +119,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "extract":
-        cfg = _config_from(args)
         records = load_manifest(args.manifest)
-        n = pipeline.run_extract(records, cfg, args.out)
+        n = pipeline.run_extract(records, args.out)
         print(f"extracted features for {n} samples into {args.out}")
         return 0
 
@@ -125,8 +131,6 @@ def _dispatch(args) -> int:
             history = pipeline.run_train_agent1(records, cfg, args.out,
                                                 args.history)
         else:
-            if not args.cache:
-                raise UsageError("train agent2 requires --cache")
             history = pipeline.run_train_agent2(records, cfg, args.cache,
                                                 args.out, args.history)
         last = history[-1] if history else {}

@@ -3,11 +3,11 @@
 Resolution order: built-in defaults, then the JSON config file (explicit
 ``--config`` path or the ``DEEPAGENT_CONFIG`` environment variable), then
 command-line flags. A config file must be valid on its own; its read, key,
-type and bound errors name the file. Every value numpy or the optimizer
-reads is bounded: a non-negative seed, split fractions in [0, 1], a
-finite non-negative learning rate, a rate factor in (0, 1] and patiences
-of at least one epoch. Adam's decay rates and epsilon are the constants
-of ``nn.optim.Adam``, not config keys.
+type and bound errors name the file. Each bounded key declares its bound
+once, on its field, as the text its fault shows; ``validate`` checks every
+field against it. Train takes the samples val and test leave, so the one
+cross-key bound is ``val_fraction + test_fraction <= 1``. Adam's decay
+rates and epsilon are the constants of ``nn.optim.Adam``, not config keys.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from deepagent.errors import ConfigurationError
@@ -23,86 +23,76 @@ from deepagent.errors import ConfigurationError
 CONFIG_ENV_VAR = "DEEPAGENT_CONFIG"
 
 
+def _key(default, bound: str):
+    """A config field whose value must meet ``bound``: ``>= n``,
+    ``in [a, b]``, ``in (a, b]``, ``finite and >= n`` or ``'x' or 'y'``."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def _within(value, bound: str) -> bool:
+    """Whether ``value`` meets a ``_key`` bound; NaN meets none of them."""
+    if bound.startswith("'"):                      # 'x' or 'y'
+        return repr(value) in bound.split(" or ")
+    if bound.startswith("in "):                    # in [a, b] or in (a, b]
+        low, high = (float(end) for end in bound[4:-1].split(", "))
+        return (low <= value if bound[3] == "[" else low < value) and value <= high
+    low = float(bound.rpartition(">= ")[2])        # [finite and] >= n
+    return low <= value and (value < math.inf or not bound.startswith("finite"))
+
+
 @dataclass
 class Agent1Config:
-    learning_rate: float = 0.0001
-    epochs: int = 50
-    batch_size: int = 16
+    learning_rate: float = _key(0.0001, "finite and >= 0")
+    epochs: int = _key(50, ">= 1")
+    # batch norm skips Agent-1 batches of fewer than two samples
+    batch_size: int = _key(16, ">= 2")
     augment: bool = True
 
 
 @dataclass
 class Agent2Config:
-    learning_rate: float = 0.001
-    epochs: int = 100
-    batch_size: int = 16
-    early_stop_patience: int = 10
-    lr_factor: float = 0.5
-    lr_patience: int = 5
+    learning_rate: float = _key(0.001, "finite and >= 0")
+    epochs: int = _key(100, ">= 1")
+    batch_size: int = _key(16, ">= 1")
+    early_stop_patience: int = _key(10, ">= 1")
+    lr_factor: float = _key(0.5, "in (0, 1]")
+    lr_patience: int = _key(5, ">= 1")
 
 
 @dataclass
 class PipelineConfig:
-    seed: int = 42
-    train_fraction: float = 0.70
-    val_fraction: float = 0.20
-    test_fraction: float = 0.10
-    frame_policy: str = "interval5"   # "interval5" or "even"
-    m: int = 30                       # cap for the "even" policy
+    seed: int = _key(42, ">= 0")
+    val_fraction: float = _key(0.20, "in [0, 1]")
+    test_fraction: float = _key(0.10, "in [0, 1]")
+    frame_policy: str = _key("interval5", "'interval5' or 'even'")
+    m: int = _key(30, ">= 1")                # cap for the "even" policy
     desk_scale: bool = False
-    forest_trees: int = 100
-    folds: int = 5
+    forest_trees: int = _key(100, ">= 1")
+    folds: int = _key(5, ">= 2")
     agent1: Agent1Config = field(default_factory=Agent1Config)
     agent2: Agent2Config = field(default_factory=Agent2Config)
-
-    @property
-    def fractions(self):
-        return (self.train_fraction, self.val_fraction, self.test_fraction)
 
     @property
     def input_size(self) -> int:
         return 64 if self.desk_scale else 224
 
     def validate(self) -> "PipelineConfig":
-        ranges = [("train_fraction", self.train_fraction, "in [0, 1]"),
-                  ("val_fraction", self.val_fraction, "in [0, 1]"),
-                  ("test_fraction", self.test_fraction, "in [0, 1]"),
-                  ("agent2.lr_factor", self.agent2.lr_factor, "in (0, 1]")]
-        for name, agent in (("agent1", self.agent1), ("agent2", self.agent2)):
-            ranges.append((f"{name}.learning_rate", agent.learning_rate, "finite and >= 0"))
-        for key, value, bound in ranges:
-            if not _WITHIN[bound](value):
-                raise ConfigurationError(f"{key} must be {bound}, got {value}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
+        _check_bounds(self, "")
+        total = self.val_fraction + self.test_fraction
+        if total > 1.0 + 1e-9:
             raise ConfigurationError(
-                f"split fractions must sum to 1, got {self.fractions}")
-        if self.frame_policy not in ("interval5", "even"):
-            raise ConfigurationError(
-                f"frame_policy must be 'interval5' or 'even', got {self.frame_policy!r}")
-        for key, value, low in (
-            ("seed", self.seed, 0),
-            ("m", self.m, 1),
-            ("folds", self.folds, 2),
-            ("forest_trees", self.forest_trees, 1),
-            ("agent1.epochs", self.agent1.epochs, 1),
-            # batch norm skips Agent-1 batches of fewer than two samples
-            ("agent1.batch_size", self.agent1.batch_size, 2),
-            ("agent2.epochs", self.agent2.epochs, 1),
-            ("agent2.batch_size", self.agent2.batch_size, 1),
-            ("agent2.early_stop_patience", self.agent2.early_stop_patience, 1),
-            ("agent2.lr_patience", self.agent2.lr_patience, 1),
-        ):
-            if value < low:
-                raise ConfigurationError(f"{key} must be >= {low}, got {value}")
+                f"val_fraction + test_fraction must be <= 1, got {total!r}")
         return self
 
 
-# float bounds by the text their fault message shows; NaN is in none of them
-_WITHIN = {
-    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
-    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
-    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
-}
+def _check_bounds(obj, context: str) -> None:
+    for f in fields(obj):
+        key, value = context + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_bounds(value, key + ".")
+        elif "bound" in f.metadata and not _within(value, f.metadata["bound"]):
+            raise ConfigurationError(
+                f"{key} must be {f.metadata['bound']}, got {value!r}")
 
 
 # JSON value types each field type accepts (booleans only for bool fields)
@@ -120,7 +110,7 @@ def _apply(obj, data: dict, context: str):
         if key not in known:
             raise ConfigurationError(f"unknown config key {context}{key}")
         current = getattr(obj, key)
-        if isinstance(current, (Agent1Config, Agent2Config)):
+        if is_dataclass(current):
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config key {context}{key} must be an object")
             _apply(current, value, f"{context}{key}.")

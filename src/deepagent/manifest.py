@@ -115,15 +115,15 @@ def load_manifest(path) -> list[SampleRecord]:
     return records
 
 
-def assign_splits(records: list[SampleRecord], fractions, seed: int) -> None:
+def assign_splits(records: list[SampleRecord], val_fraction: float,
+                  test_fraction: float, seed: int) -> None:
     """Stratified train/val/test assignment, in place.
 
-    Per class: floor(val) and floor(test) samples go to those splits, the
-    remainder stays in train, after a seeded shuffle. Every class needs at
-    least 3 samples.
+    Per class, after a seeded shuffle: floor(val_fraction * n) and
+    floor(test_fraction * n) samples go to val and test, and the remainder
+    to train. The config bounds the fractions, so they leave a remainder.
+    Every class needs at least 3 samples.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise UsageError(f"split fractions must sum to 1, got {fractions}")
     labels = np.array([r.label for r in records])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B11]))
     for c in (0, 1):
@@ -135,8 +135,8 @@ def assign_splits(records: list[SampleRecord], fractions, seed: int) -> None:
                 f"class {c} has only {len(idx)} samples; need >= 3 to split")
         idx = rng.permutation(idx)
         n = len(idx)
-        n_val = int(np.floor(fractions[1] * n))
-        n_test = int(np.floor(fractions[2] * n))
+        n_val = int(np.floor(val_fraction * n))
+        n_test = int(np.floor(test_fraction * n))
         for j, i in enumerate(idx):
             if j < n_val:
                 records[i].split = "val"

@@ -85,8 +85,7 @@ def _tokens(path):
     return semantic.tokenize(text)
 
 
-def extract_features(records: list[SampleRecord],
-                     config: PipelineConfig) -> dict[str, np.ndarray]:
+def extract_features(records: list[SampleRecord]) -> dict[str, np.ndarray]:
     """Cache entries: ``<id>/feature`` (14 floats) and ``<id>/flags``."""
     entries: dict[str, np.ndarray] = {}
     for record in records:
@@ -100,8 +99,8 @@ def extract_features(records: list[SampleRecord],
     return entries
 
 
-def run_extract(manifest_records, config, cache_path) -> int:
-    entries = extract_features(manifest_records, config)
+def run_extract(manifest_records, cache_path) -> int:
+    entries = extract_features(manifest_records)
     write_cache(cache_path, entries)
     return len(manifest_records)
 
@@ -110,7 +109,8 @@ def run_extract(manifest_records, config, cache_path) -> int:
 
 def _ensure_splits(records, config) -> None:
     if all(r.split == "unassigned" for r in records):
-        assign_splits(records, config.fractions, config.seed)
+        assign_splits(records, config.val_fraction, config.test_fraction,
+                      config.seed)
 
 
 def run_train_agent1(records, config: PipelineConfig, out_path,
@@ -120,7 +120,7 @@ def run_train_agent1(records, config: PipelineConfig, out_path,
     val = FrameSet(by_split(records, "val"), config, config.input_size)
     model = agents.build_agent1(config.seed, input_size=config.input_size)
     history = agents.train_agent1(model, train, train.labels, val, val.labels,
-                                  config.agent1)
+                                  config=config.agent1)
     agents.save_agent(model, out_path)
     files.write_json(history_path or _history_path(out_path), history)
     return history
@@ -139,7 +139,8 @@ def run_train_agent2(records, config: PipelineConfig, cache_path, out_path,
     X, y = dataset("train")
     val_X, val_y = dataset("val")
     model = agents.build_agent2(config.seed)
-    history = agents.train_agent2(model, X, y, val_X, val_y, config.agent2)
+    history = agents.train_agent2(model, X, y, val_X, val_y,
+                                  config=config.agent2)
     agents.save_agent(model, out_path)
     files.write_json(history_path or _history_path(out_path), history)
     return history

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from deepagent.errors import ConfigurationError, IngestionError
+from deepagent.errors import IngestionError
 
 
 # train-time augmentation ranges, all drawn uniformly: rotation in
@@ -111,9 +111,7 @@ def sample_interval(n_frames: int) -> list[int]:
 
 
 def sample_even(n_frames: int, m: int) -> list[int]:
-    """Up to m indices spread evenly across 0..n_frames-1."""
-    if m < 1:
-        raise ConfigurationError(f"m must be >= 1, got {m}")
+    """Up to m >= 1 indices spread evenly across 0..n_frames-1."""
     if n_frames <= m:
         return list(range(n_frames))
     if m == 1:

@@ -174,7 +174,7 @@ class TestTrainAgent1:
         frames, labels = separable_frames(rng, 8)
         model = agents.build_agent1(seed=1, input_size=32)
         history = agents.train_agent1(model, frames, labels, frames[:4], labels[:4],
-                                      Agent1Config(epochs=1, augment=False))
+                                      config=Agent1Config(epochs=1, augment=False))
         row = history[0]
         assert set(row) == {"epoch", "train_loss", "train_acc", "val_loss",
                             "val_acc", "lr"}
@@ -196,7 +196,7 @@ class TestTrainAgent1:
         model.net.forward = recording_forward
         history = agents.train_agent1(
             model, frames, labels, val_frames, val_labels,
-            Agent1Config(epochs=1, augment=False))
+            config=Agent1Config(epochs=1, augment=False))
         assert sizes == [4, 4, 2]
         loss, probs, _ = softmax_cce(forward(val_frames, train=False),
                                      np.eye(2)[val_labels])
@@ -211,7 +211,7 @@ class TestTrainAgent1:
         frames, labels = separable_frames(rng, 20)
         model = agents.build_agent1(seed=42, input_size=32)
         history = agents.train_agent1(model, frames, labels, frames, labels,
-                                      Agent1Config(epochs=10, augment=False))
+                                      config=Agent1Config(epochs=10, augment=False))
         losses = [h["val_loss"] for h in history]
         for before, after in zip(losses, losses[1:]):
             assert after <= before * 1.05
@@ -265,20 +265,22 @@ class TestTrainAgent2:
         X, y = separable_features(rng, 80)
         vX, vy = separable_features(rng, 40)
         model = agents.build_agent2(seed=42)
-        history = agents.train_agent2(model, X, y, vX, vy, Agent2Config())
+        history = agents.train_agent2(model, X, y, vX, vy, config=Agent2Config())
         assert max(h["val_acc"] for h in history) >= 0.95
 
     def test_single_class_rejected(self):
         model = agents.build_agent2(seed=1)
         with pytest.raises(UsageError):
-            agents.train_agent2(model, np.zeros((6, 14)), np.zeros(6, dtype=int))
+            agents.train_agent2(model, np.zeros((6, 14)), np.zeros(6, dtype=int),
+                                config=Agent2Config())
 
     def test_restores_best_validation_weights(self):
         rng = np.random.default_rng(86)
         X, y = separable_features(rng, 40)
         vX, vy = separable_features(rng, 20)
         model = agents.build_agent2(seed=2)
-        history = agents.train_agent2(model, X, y, vX, vy, Agent2Config(epochs=30))
+        history = agents.train_agent2(model, X, y, vX, vy,
+                                      config=Agent2Config(epochs=30))
         best = max(h["val_acc"] for h in history)
         preds = agents.predict_agent2(model, vX)
         acc = (((preds >= 0.5).astype(int)) == vy).mean()
@@ -290,7 +292,7 @@ class TestTrainAgent2:
         model = agents.build_agent2(seed=42)
         history = agents.train_agent2(
             model, X, y, X, y,
-            Agent2Config(epochs=40, early_stop_patience=100))
+            config=Agent2Config(epochs=40, early_stop_patience=100))
         losses = [h["val_loss"] for h in history]
         for before, after in zip(losses, losses[1:]):
             assert after <= before * 1.05

@@ -32,6 +32,13 @@ def workspace(tmp_path_factory):
             "a1": a1, "a2": a2}
 
 
+def reads_config(workspace, tmp_path, cfg):
+    """argv of a command that reads the config file ``cfg`` before any input."""
+    return ["train", "agent2", "--manifest", str(workspace["manifest"]),
+            "--cache", str(workspace["cache"]), "--out", str(tmp_path / "a2.damc"),
+            "--config", str(cfg)]
+
+
 # tests that read an artifact of a later stage request the stage's fixture,
 # so each runs alone as well as after the workflow tests
 
@@ -507,8 +514,7 @@ class TestFailureModes:
     def test_wrong_config_value_type_exits_1(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"folds": "5"}))
-        code = main(["extract", "--manifest", str(workspace["manifest"]),
-                     "--out", str(tmp_path / "c.daft"), "--config", str(cfg)])
+        code = main(reads_config(workspace, tmp_path, cfg))
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "ConfigurationError"
         assert "config key folds must be an integer, got '5'" in error["message"]
@@ -528,8 +534,7 @@ class TestFailureModes:
                                                    body, what):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(body)
-        code = main(["extract", "--manifest", str(workspace["manifest"]),
-                     "--out", str(tmp_path / "c.daft"), "--config", str(cfg)])
+        code = main(reads_config(workspace, tmp_path, cfg))
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "ConfigurationError"
         assert f"config {cfg}: " in error["message"] and what in error["message"]
@@ -541,8 +546,8 @@ class TestFailureModes:
          "agent2.early_stop_patience must be >= 1, got 0"),
         ([], {"agent2": {"learning_rate": -1.0}},
          "agent2.learning_rate must be finite and >= 0, got -1.0"),
-        ([], {"train_fraction": 1.2, "val_fraction": -0.1, "test_fraction": -0.1},
-         "train_fraction must be in [0, 1], got 1.2"),
+        ([], {"val_fraction": 0.6, "test_fraction": 0.5},
+         "val_fraction + test_fraction must be <= 1, got 1.1"),
     ])
     def test_out_of_range_config_value_exits_1_naming_key(self, workspace, tmp_path,
                                                           capsys, flags, body, what):
@@ -561,14 +566,14 @@ class TestFailureModes:
         ("agent1.beta1", 0.9), ("agent1.beta2", 0.999), ("agent1.epsilon", 1e-7),
         ("agent2.beta1", 0.9), ("agent2.beta2", 0.999), ("agent2.epsilon", 1e-7),
         ("frame_interval", 5), ("meta_dims", 2), ("mel_filters", 13),
+        ("train_fraction", 0.7),
     ])
     def test_removed_config_key_exits_1_naming_it(self, workspace, tmp_path, capsys,
                                                    key, value):
         agent, _, name = key.rpartition(".")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({agent: {name: value}} if agent else {name: value}))
-        code = main(["extract", "--manifest", str(workspace["manifest"]),
-                     "--out", str(tmp_path / "c.daft"), "--config", str(cfg)])
+        code = main(reads_config(workspace, tmp_path, cfg))
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "ConfigurationError"
         assert error["message"] == f"config {cfg}: unknown config key {key}"
@@ -576,7 +581,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("args, what", [
         (["extract", "--manifest", "m.json"],
          "deepagent extract: the following arguments are required: --out"),
-        (["extract", "--manifest", "m.json", "--out", "c.daft", "--seed", "abc"],
+        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+          "--out", "a.damc", "--seed", "abc"],
          "argument --seed: invalid int value: 'abc'"),
         (["train", "agent3", "--manifest", "m.json", "--out", "a.damc"],
          "argument agent: invalid choice: 'agent3'"),
@@ -590,6 +596,30 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "UsageError"
         assert what in error["message"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (["extract", "--manifest", "m.json", "--out", "c.daft", "--seed", "1"],
+         "--seed 1"),
+        (["extract", "--manifest", "m.json", "--out", "c.daft", "--config", "c.json"],
+         "--config c.json"),
+        (["predict", "--manifest", "m.json", "--agent1", "a1.damc",
+          "--agent2", "a2.damc", "--cache", "c.daft", "--out", "s.json",
+          "--desk-scale"], "--desk-scale"),
+        (["fuse", "--manifest", "m.json", "--agent1", "a1.damc",
+          "--agent2", "a2.damc", "--cache", "c.daft", "--out", "r.json",
+          "--desk-scale"], "--desk-scale"),
+        (["train", "agent1", "--manifest", "m.json", "--out", "a1.damc",
+          "--cache", "x"], "--cache x"),
+        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+          "--out", "a2.damc", "--desk-scale"], "--desk-scale"),
+        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+          "--out", "a2.damc", "--frame-policy", "even"], "--frame-policy even"),
+    ])
+    def test_flag_the_command_does_not_read_exits_1(self, capsys, args, flag):
+        code = main(args)
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "UsageError"
+        assert f"unrecognized arguments: {flag}" in error["message"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import deepagent
 from deepagent import agents, pipeline
-from deepagent.config import CONFIG_ENV_VAR, load_config
+from deepagent.config import CONFIG_ENV_VAR
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import load_manifest
 
@@ -62,8 +62,7 @@ def train_peak_rss_mib(manifest, work: Path) -> float:
 
 def predict_peak_rss_mib(manifest, work: Path) -> float:
     """Peak RSS of ``predict`` with seeded desk-scale checkpoints."""
-    pipeline.run_extract(load_manifest(manifest), load_config(None, {}),
-                         work / "cache.daft")
+    pipeline.run_extract(load_manifest(manifest), work / "cache.daft")
     agents.save_agent(agents.build_agent1(1, input_size=64), work / "agent1.damc")
     agents.save_agent(agents.build_agent2(1), work / "agent2.damc")
     return peak_rss_mib(["predict", "--manifest", manifest,

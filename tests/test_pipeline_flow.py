@@ -256,7 +256,7 @@ class TestStreamedAgent1Training:
         model = agents.build_agent1(cfg.seed, input_size=cfg.input_size)
         X, y = stacked("train")
         assert X.dtype == np.float64 and y.tolist() == train.labels.tolist()
-        assert agents.train_agent1(model, X, y, *stacked("val"), cfg.agent1) == history
+        assert agents.train_agent1(model, X, y, *stacked("val"), config=cfg.agent1) == history
         for (_, got), (_, want) in zip(trained.net.state(), model.net.state()):
             npt.assert_array_equal(got, want)
 

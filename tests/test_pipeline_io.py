@@ -100,7 +100,7 @@ class FakeRecord:
 class TestAssignSplits:
     def test_balanced_hundred(self):
         records = [FakeRecord(i % 2) for i in range(100)]
-        assign_splits(records, (0.7, 0.2, 0.1), seed=42)
+        assign_splits(records, 0.2, 0.1, seed=42)
         for c in (0, 1):
             rs = [r for r in records if r.label == c]
             counts = {s: sum(r.split == s for r in rs) for s in ("train", "val", "test")}
@@ -109,13 +109,13 @@ class TestAssignSplits:
     def test_same_seed_identical(self):
         a = [FakeRecord(i % 2) for i in range(30)]
         b = [FakeRecord(i % 2) for i in range(30)]
-        assign_splits(a, (0.7, 0.2, 0.1), seed=7)
-        assign_splits(b, (0.7, 0.2, 0.1), seed=7)
+        assign_splits(a, 0.2, 0.1, seed=7)
+        assign_splits(b, 0.2, 0.1, seed=7)
         assert [r.split for r in a] == [r.split for r in b]
 
     def test_ten_per_class_rounds_to_721(self):
         records = [FakeRecord(i % 2) for i in range(20)]
-        assign_splits(records, (0.7, 0.2, 0.1), seed=1)
+        assign_splits(records, 0.2, 0.1, seed=1)
         for c in (0, 1):
             rs = [r for r in records if r.label == c]
             counts = {s: sum(r.split == s for r in rs) for s in ("train", "val", "test")}
@@ -124,18 +124,14 @@ class TestAssignSplits:
     def test_tiny_class_rejected(self):
         records = [FakeRecord(0)] * 10 + [FakeRecord(1)] * 2
         with pytest.raises(UsageError):
-            assign_splits(records, (0.7, 0.2, 0.1), seed=0)
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(UsageError):
-            assign_splits([FakeRecord(0)] * 6, (0.5, 0.2, 0.1), seed=0)
+            assign_splits(records, 0.2, 0.1, seed=0)
 
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = load_config(None, {})
         assert cfg.seed == 42
-        assert cfg.fractions == (0.70, 0.20, 0.10)
+        assert (cfg.val_fraction, cfg.test_fraction) == (0.20, 0.10)
         assert cfg.input_size == 224
 
     def test_file_and_overrides(self, tmp_path, monkeypatch):
@@ -165,8 +161,9 @@ class TestConfig:
             load_config(path, {})
 
     def test_bad_fractions_rejected(self):
-        with pytest.raises(ConfigurationError):
-            load_config(None, {"train_fraction": 0.9})
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("val_fraction + test_fraction must be <= 1, got 1.1")):
+            load_config(None, {"val_fraction": 0.9, "test_fraction": 0.2})
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -192,7 +189,7 @@ class TestConfig:
         ({"seed": True}, "seed"),
         ({"seed": 4.0}, "seed"),
         ({"desk_scale": 1}, "desk_scale"),
-        ({"train_fraction": "0.7"}, "train_fraction"),
+        ({"val_fraction": "0.2"}, "val_fraction"),
         ({"frame_policy": 5}, "frame_policy"),
         ({"m": None}, "m"),
         ({"agent1": {"augment": "no"}}, "agent1.augment"),
