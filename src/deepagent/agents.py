@@ -12,6 +12,10 @@ its first layer is a ``Standardize`` fit on the training features.
 inference forward, in prediction and in validation, runs through
 ``logits``, in slices of ``forward_rows`` rows.
 
+``train agent1`` trains (and validates) Agent-1 in ``AGENT1_TRAIN_DTYPE``;
+``load_agent`` always builds the float64 net, so prediction and fusion
+forward in float64 at either stored width.
+
 Both agents train in one Adam epoch loop, with the head's loss gradient
 taken at the logits. Training is single-threaded and fully seeded: batch
 shuffling, dropout, and augmentation all derive from the one seed, so
@@ -52,6 +56,9 @@ AGENT1_SIZES = range(11, 225)
 # Agent-1 frames at desk scale (64 px) and one at 224, where 16 frames would
 # need a 135 MB conv1 im2col copy; 14,043 Agent-2 feature rows
 FORWARD_VALUES = 16 * 64 * 64 * 3
+
+# the dtype ``train agent1`` trains Agent-1 in, as Keras does by default
+AGENT1_TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -120,24 +127,24 @@ def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent:
     return Agent(Sequential(layers), ckpt.MODEL_AGENT1, input_size, seed, dtype)
 
 
-def build_agent2(seed: int, dtype=np.float64) -> Agent:
+def build_agent2(seed: int) -> Agent:
     """Input standardization, then a dense stack with dropout 0.2 after the
     first two layers and one logit."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     drop_rng = lambda i: np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
     layers = [
-        Standardize(FEATURE_DIM, dtype=dtype),
-        Dense(FEATURE_DIM, 128, rng=rng, dtype=dtype, name="d1"),
+        Standardize(FEATURE_DIM),
+        Dense(FEATURE_DIM, 128, rng=rng, name="d1"),
         ReLU(),
         Dropout(0.2, rng=drop_rng(0)),
-        Dense(128, 64, rng=rng, dtype=dtype, name="d2"),
+        Dense(128, 64, rng=rng, name="d2"),
         ReLU(),
         Dropout(0.2, rng=drop_rng(1)),
-        Dense(64, 32, rng=rng, dtype=dtype, name="d3"),
+        Dense(64, 32, rng=rng, name="d3"),
         ReLU(),
-        Dense(32, 1, rng=rng, dtype=dtype, init="xavier", name="d4"),
+        Dense(32, 1, rng=rng, init="xavier", name="d4"),
     ]
-    return Agent(Sequential(layers), ckpt.MODEL_AGENT2, FEATURE_DIM, seed, dtype)
+    return Agent(Sequential(layers), ckpt.MODEL_AGENT2, FEATURE_DIM, seed)
 
 
 # prediction ---------------------------------------------------------------
@@ -347,6 +354,7 @@ def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
 # checkpoints ---------------------------------------------------------------
 
 def save_agent(model: Agent, path) -> None:
+    """Write the net's state at the model dtype's width, 32 or 64 bits."""
     bits = 32 if model.dtype == np.float32 else 64
     ckpt.save_checkpoint(path, model.net.state(), model_kind=model.kind,
                          input_size=model.input_size, dtype_bits=bits)
@@ -378,9 +386,9 @@ def _load_state(state, records, path) -> None:
 
 
 def load_agent(path) -> Agent:
-    """Rebuild Agent-1 or Agent-2 from a checkpoint."""
+    """Rebuild Agent-1 or Agent-2 from a checkpoint as a float64 net; the
+    header's ``dtype_bits`` sets only the width the records were stored at."""
     header, records = ckpt.load_checkpoint(path)
-    dtype = np.float32 if header["dtype_bits"] == 32 else np.float64
     size = header["input_size"]
     # checked before building, so a corrupt size cannot size the layers
     if header["model_kind"] == ckpt.MODEL_AGENT1:
@@ -388,12 +396,12 @@ def load_agent(path) -> Agent:
             raise IngestionError(
                 f"{path}: record 0: Agent-1 input size must be within "
                 f"[{AGENT1_SIZES[0]}, {AGENT1_SIZES[-1]}], got {size}")
-        model = build_agent1(seed=0, input_size=size, dtype=dtype)
+        model = build_agent1(seed=0, input_size=size)
     else:  # load_checkpoint admits only the two model kinds
         if size != FEATURE_DIM:
             raise IngestionError(
                 f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
                 f"got {size}")
-        model = build_agent2(seed=0, dtype=dtype)
+        model = build_agent2(seed=0)
     _load_state(model.net.state(), records, path)
     return model

@@ -169,6 +169,9 @@ class Conv2D(Layer):
         k, c = self.kernel_size, self.in_channels
         gmat = grad.reshape(n * oh * ow, self.out_channels)
         self.kernel.grad += (cols.T @ gmat).reshape(self.kernel.value.shape)
+        # dcols has the im2col copy's shape: freeing the copy first lets
+        # dcols take its memory instead of raising the step's peak
+        del cols
         self.bias.grad += gmat.sum(axis=0)
         if not input_grad:
             return None
@@ -286,9 +289,9 @@ class Standardize(Layer):
 
     STATE = (("mean", ckpt.KIND_STD_MU), ("sigma", ckpt.KIND_STD_SIGMA))
 
-    def __init__(self, width, *, dtype=np.float64):
-        self.mean = np.zeros(width, dtype=dtype)
-        self.sigma = np.ones(width, dtype=dtype)
+    def __init__(self, width):
+        self.mean = np.zeros(width)
+        self.sigma = np.ones(width)
 
     def fit(self, x: np.ndarray) -> "Standardize":
         if len(x) == 0:

@@ -118,7 +118,8 @@ def run_train_agent1(records, config: PipelineConfig, out_path,
     _ensure_splits(records, config)
     train = FrameSet(by_split(records, "train"), config, config.input_size)
     val = FrameSet(by_split(records, "val"), config, config.input_size)
-    model = agents.build_agent1(config.seed, input_size=config.input_size)
+    model = agents.build_agent1(config.seed, input_size=config.input_size,
+                                dtype=agents.AGENT1_TRAIN_DTYPE)
     history = agents.train_agent1(model, train, train.labels, val, val.labels,
                                   config=config.agent1)
     agents.save_agent(model, out_path)

@@ -509,7 +509,14 @@ class TestCheckpoints:
         assert all(p.value.dtype == np.float32 for p in model.net.params())
         path = tmp_path / "a1_f32.damc"
         agents.save_agent(model, path)
+        header, _ = load_checkpoint(path)
+        assert header["dtype_bits"] == 32
+        # every load computes in float64; the upcast keeps each value exactly
         back = agents.load_agent(path)
-        assert back.dtype == np.float32
+        assert back.dtype == np.float64
+        for (_, trained), (_, loaded) in zip(model.net.state(), back.net.state()):
+            assert loaded.tobytes() == trained.astype(np.float64).tobytes()
+        # the same weights forwarded in float32 and in float64
         frame = rng.uniform(size=(32, 32, 3))
-        assert predict_frame(model, frame) == predict_frame(back, frame)
+        npt.assert_allclose(predict_frame(back, frame), predict_frame(model, frame),
+                            rtol=0, atol=1e-6)

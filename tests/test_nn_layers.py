@@ -1,9 +1,12 @@
 """Forward/backward behavior of every layer, the heads, and Adam."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from deepagent import agents
 from deepagent.errors import ConfigurationError, TrainingError, UsageError
 from deepagent.nn import layers
 from deepagent.nn.layers import (
@@ -16,7 +19,7 @@ from deepagent.nn.layers import (
     Param,
     ReLU,
 )
-from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
+from deepagent.nn.losses import LOG_FLOOR, sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import CHUNK, Adam
 
 from oracles import reference_adam_step
@@ -346,6 +349,55 @@ class TestLosses:
         for _ in range(100):
             p = rng.uniform(1e-6, 1 - 1e-6)
             npt.assert_allclose(bce_loss(0, p), bce_loss(1, 1.0 - p), rtol=1e-12)
+
+
+class TestFloat32StaysFloat32:
+    """A float32 net trains in float32: the heads keep the logits' dtype
+    and no layer upcasts, while float64 keeps its bytes."""
+
+    def test_heads_keep_float32_logits(self):
+        z = np.random.default_rng(32).normal(size=(5, 2)).astype(np.float32)
+        labels = [0, 1, 1, 0, 1]
+        onehot = np.eye(2, dtype=np.float32)[labels]
+        for head, logits, targets in ((softmax_cce, z, onehot),
+                                      (sigmoid_bce, z[:, :1], onehot[:, 1:])):
+            loss, probs, grad = head(logits, targets)
+            assert probs.dtype == grad.dtype == np.float32
+            assert np.isfinite(loss)
+        # non-float logits are still read as float64
+        assert softmax(np.array([[1, 2]])).dtype == np.float64
+        assert sigmoid(np.array([1])).dtype == np.float64
+
+    def test_saturated_float32_sigmoid_loss_stays_finite(self):
+        # float32 rounds sigmoid(40) to 1; the loss is clamped in float64
+        loss, _, _ = sigmoid_bce(np.array([[40.0]], dtype=np.float32), np.array([[0.0]]))
+        assert loss == pytest.approx(-np.log(LOG_FLOOR))
+
+    def test_float64_heads_keep_their_bytes(self):
+        rng = np.random.default_rng(31)
+        z = rng.normal(scale=4.0, size=(6, 3))
+        z[0] = [40.0, -40.0, 0.0]  # a saturated row exercises the log clamp
+        onehot = np.eye(3)[[0, 1, 2, 1, 0, 2]]
+        x = rng.normal(scale=4.0, size=(6, 1))
+        x[0, 0], x[1, 0] = 40.0, -40.0
+        y = np.array([[0.0], [1.0], [1.0], [0.0], [1.0], [0.0]])
+        h = hashlib.sha256()
+        for loss, probs, grad in (softmax_cce(z, onehot), sigmoid_bce(x, y)):
+            h.update(np.float64(loss).tobytes() + probs.tobytes() + grad.tobytes())
+        assert h.hexdigest() == (
+            "4bfb7b62cef1819270c3e87176cb4f78fcdea2daf43acdbb6e0dc9c196389c46")
+
+    def test_agent1_train_step_is_float32_at_every_layer(self):
+        net = agents.build_agent1(seed=3, input_size=32, dtype=np.float32).net
+        h = np.random.default_rng(33).uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        for layer in net.layers:
+            h = layer.forward(h, train=True)
+            assert h.dtype == np.float32, type(layer).__name__
+        _, _, grad = softmax_cce(h, np.eye(2, dtype=np.float32)[[0, 1, 1, 0]])
+        for layer in reversed(net.layers):
+            grad = layer.backward(grad)
+            assert grad.dtype == np.float32, type(layer).__name__
+        assert all(p.grad.dtype == np.float32 for p in net.params())
 
 
 class TestAdam:

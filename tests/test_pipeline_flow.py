@@ -12,6 +12,7 @@ from deepagent.config import load_config
 from deepagent.errors import UsageError
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import SampleRecord, by_split, load_manifest
+from deepagent.nn.checkpoint import load_checkpoint
 from deepagent.nn.losses import softmax
 from deepagent.vision import save_frame
 
@@ -253,12 +254,39 @@ class TestStreamedAgent1Training:
             labels = [r.label for r, video in zip(chosen, videos) for _ in video]
             return np.concatenate(videos), np.array(labels)
 
-        model = agents.build_agent1(cfg.seed, input_size=cfg.input_size)
+        model = agents.build_agent1(cfg.seed, input_size=cfg.input_size,
+                                    dtype=agents.AGENT1_TRAIN_DTYPE)
         X, y = stacked("train")
         assert X.dtype == np.float64 and y.tolist() == train.labels.tolist()
         assert agents.train_agent1(model, X, y, *stacked("val"), config=cfg.agent1) == history
         for (_, got), (_, want) in zip(trained.net.state(), model.net.state()):
             npt.assert_array_equal(got, want)
+
+
+class TestAgent1StorageWidth:
+    """``train agent1`` stores 32-bit records, and every load computes in
+    float64, so the width a checkpoint is stored at never changes a score."""
+
+    def test_32_bit_checkpoint_scores_as_its_64_bit_copy(self, tmp_path):
+        records = load_manifest(gen_fixtures(tmp_path / "fx", 12, 1.0, 1.0, seed=9))
+        cfg = load_config(None, {"desk_scale": True, "frame_policy": "even",
+                                 "m": 4, "agent1": {"epochs": 1}})
+        runs = [tmp_path / "a.damc", tmp_path / "b.damc"]
+        for path in runs:
+            pipeline.run_train_agent1(records, cfg, path)
+        assert runs[0].read_bytes() == runs[1].read_bytes()
+        assert load_checkpoint(runs[0])[0]["dtype_bits"] == 32
+
+        narrow = agents.load_agent(runs[0])
+        agents.save_agent(narrow, tmp_path / "wide.damc")
+        assert load_checkpoint(tmp_path / "wide.damc")[0]["dtype_bits"] == 64
+        wide = agents.load_agent(tmp_path / "wide.damc")
+        agent2 = agents.build_agent2(seed=6)
+        entries = {f"{r.id}/feature": np.zeros(14) for r in records}
+        narrow_scores, wide_scores = (
+            pipeline.score_samples(records, model, agent2, entries, cfg)
+            for model in (narrow, wide))
+        assert narrow_scores.tobytes() == wide_scores.tobytes()
 
 
 class TestRenderTable:
