@@ -2,10 +2,11 @@
 
 Commands mirror the workflow order: gen-fixtures, extract, train agent1,
 train agent2, predict, fuse, evaluate, report. Each command takes only the
-flags it reads: train, predict and fuse read a config (``--config``,
-``--seed``); train agent1, predict and fuse select frames
-(``--frame-policy``, ``--m``); only train agent1 sets the input geometry
-(``--desk-scale``), which predict and fuse take from the checkpoint.
+flags it reads: train, predict and fuse read a config (``--config``), and
+train and fuse, which draw random numbers, a ``--seed``; train agent1,
+predict and fuse select frames (``--frame-policy``, ``--m``); only train
+agent1 sets the input geometry (``--desk-scale``), which predict and fuse
+take from the checkpoint.
 Exit codes: 0 success, 1 usage (bad and unused arguments included) or
 configuration, 2 ingestion, 3 numeric failure. Failures also emit one
 machine-readable JSON object on stderr.
@@ -31,9 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, *, seed: bool) -> None:
     p.add_argument("--config", help="JSON config file (overrides DEEPAGENT_CONFIG)")
-    p.add_argument("--seed", type=int, help="global random seed")
+    if seed:
+        p.add_argument("--seed", type=int, help="global random seed")
 
 
 def _add_frame_flags(p: argparse.ArgumentParser) -> None:
@@ -64,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--strength", type=float, default=1.0)
     p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed of the samples and of their splits")
 
     p = sub.add_parser("extract", help="populate the feature cache")
     p.add_argument("--manifest", required=True)
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="checkpoint path")
         p.add_argument("--history", help="history JSON path")
         p.add_argument("--epochs", type=int, help="override the epoch budget")
-        _add_config_flags(p)
+        _add_config_flags(p, seed=True)
     _add_frame_flags(agent1)
     agent1.add_argument("--desk-scale", action="store_const", const=True,
                         dest="desk_scale", default=None,
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--agent2", required=True, help="agent2 checkpoint")
         p.add_argument("--cache", required=True)
         p.add_argument("--out", required=True, help=out)
-        _add_config_flags(p)
+        _add_config_flags(p, seed=command == "fuse")
         _add_frame_flags(p)
 
     p = sub.add_parser("evaluate", help="per-agent metrics from a scores file")

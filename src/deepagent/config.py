@@ -5,9 +5,9 @@ Resolution order: built-in defaults, then the JSON config file (explicit
 command-line flags. A config file must be valid on its own; its read, key,
 type and bound errors name the file. Each bounded key declares its bound
 once, on its field, as the text its fault shows; ``validate`` checks every
-field against it. Train takes the samples val and test leave, so the one
-cross-key bound is ``val_fraction + test_fraction <= 1``. Adam's decay
-rates and epsilon are the constants of ``nn.optim.Adam``, not config keys.
+field against it. Adam's decay rates and epsilon are the constants of
+``nn.optim.Adam``, not config keys, and a record's split is manifest data
+(``fixtures.assign_splits``), not config.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ CONFIG_ENV_VAR = "DEEPAGENT_CONFIG"
 
 def _key(default, bound: str):
     """A config field whose value must meet ``bound``: ``>= n``,
-    ``in [a, b]``, ``in (a, b]``, ``finite and >= n`` or ``'x' or 'y'``."""
+    ``in (a, b]``, ``finite and >= n`` or ``'x' or 'y'``."""
     return field(default=default, metadata={"bound": bound})
 
 
@@ -33,9 +33,9 @@ def _within(value, bound: str) -> bool:
     """Whether ``value`` meets a ``_key`` bound; NaN meets none of them."""
     if bound.startswith("'"):                      # 'x' or 'y'
         return repr(value) in bound.split(" or ")
-    if bound.startswith("in "):                    # in [a, b] or in (a, b]
+    if bound.startswith("in "):                    # in (a, b]
         low, high = (float(end) for end in bound[4:-1].split(", "))
-        return (low <= value if bound[3] == "[" else low < value) and value <= high
+        return low < value <= high
     low = float(bound.rpartition(">= ")[2])        # [finite and] >= n
     return low <= value and (value < math.inf or not bound.startswith("finite"))
 
@@ -62,8 +62,6 @@ class Agent2Config:
 @dataclass
 class PipelineConfig:
     seed: int = _key(42, ">= 0")
-    val_fraction: float = _key(0.20, "in [0, 1]")
-    test_fraction: float = _key(0.10, "in [0, 1]")
     frame_policy: str = _key("interval5", "'interval5' or 'even'")
     m: int = _key(30, ">= 1")                # cap for the "even" policy
     desk_scale: bool = False
@@ -78,10 +76,6 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         _check_bounds(self, "")
-        total = self.val_fraction + self.test_fraction
-        if total > 1.0 + 1e-9:
-            raise ConfigurationError(
-                f"val_fraction + test_fraction must be <= 1, got {total!r}")
         return self
 
 

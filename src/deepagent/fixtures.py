@@ -7,6 +7,7 @@ generators, then overlay blocky pixel artifacts scaled by
 words with words disjoint from the transcript. At strength 0 and gap 0 the
 two classes are drawn from the same distribution.
 
+Each manifest record carries its split, drawn here by ``assign_splits``.
 The whole tree (frames, audio, sidecars, manifest.json) is a deterministic
 function of the seed: same call, byte-identical files.
 """
@@ -54,6 +55,8 @@ FRAME_SIZE = 64
 AUDIO_SECONDS = 0.5
 SAMPLE_RATE = 16000
 WORDS_PER_SAMPLE = 12
+VAL_FRACTION = 0.20
+TEST_FRACTION = 0.10
 
 
 def _base_frames(rng: np.random.Generator, n_frames: int, size: int) -> np.ndarray:
@@ -86,11 +89,31 @@ def _inject_artifacts(frames: np.ndarray, strength: float,
     np.clip(frames, 0.0, 255.0, out=frames)
 
 
+def assign_splits(labels, seed: int) -> list[str]:
+    """One split name per label: stratified, after a seeded shuffle of each
+    class, ``VAL_FRACTION`` and ``TEST_FRACTION`` of it (rounded down) go to
+    val and test and the rest to train. Each class needs at least 3 samples."""
+    labels = np.asarray(labels)
+    splits = np.full(len(labels), "train", dtype=object)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B11]))
+    for c in (0, 1):
+        idx = np.flatnonzero(labels == c)
+        if len(idx) < 3:
+            raise UsageError(
+                f"class {c} has only {len(idx)} samples; need >= 3 to split")
+        idx = rng.permutation(idx)
+        n_val, n_test = (int(f * len(idx)) for f in (VAL_FRACTION, TEST_FRACTION))
+        splits[idx[:n_val]] = "val"
+        splits[idx[n_val:n_val + n_test]] = "test"
+    return splits.tolist()
+
+
 def gen_fixtures(out_dir, n_samples: int, artifact_strength: float,
                  overlap_gap: float, seed: int) -> Path:
     """Write a balanced synthetic dataset and return the manifest path."""
-    if n_samples < 2 or n_samples % 2 != 0:
-        raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
+    if n_samples < 6 or n_samples % 2 != 0:
+        # the classes alternate, and each needs 3 samples to split
+        raise UsageError(f"n_samples must be even and >= 6, got {n_samples}")
     if not (0.0 <= artifact_strength <= 1.0 and 0.0 <= overlap_gap <= 1.0):
         raise UsageError("artifact_strength and overlap_gap must be in [0, 1]")
     if seed < 0:
@@ -103,9 +126,10 @@ def gen_fixtures(out_dir, n_samples: int, artifact_strength: float,
     except OSError as exc:
         raise IngestionError(f"cannot create fixture tree under {out_dir}: {exc}") from exc
 
+    labels = [i % 2 for i in range(n_samples)]
+    splits = assign_splits(labels, seed)
     entries = []
-    for i in range(n_samples):
-        label = i % 2
+    for i, label in enumerate(labels):
         sid = f"{'fake' if label else 'real'}_{i // 2:04d}"
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
 
@@ -146,6 +170,7 @@ def gen_fixtures(out_dir, n_samples: int, artifact_strength: float,
             "audio": wav_rel,
             "asr_text": asr_rel,
             "ocr_text": ocr_rel,
+            "split": splits[i],
         })
 
     manifest_path = out_dir / "manifest.json"

@@ -1,10 +1,10 @@
 """Dataset manifests: one JSON record per video sample.
 
 A record has a non-empty string id and names the sample's frames (a
-non-empty list of image file paths), its optional audio track, and the
-optional ASR/OCR sidecar text files (each a path string when present).
-Validation happens up front and reports every violation at once, before
-any compute starts.
+non-empty list of image file paths), its optional audio track, the
+optional ASR/OCR sidecar text files (each a path string when present) and
+its split, which every command reads and none derives. Validation happens
+up front and reports every violation at once, before any compute starts.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+from deepagent.errors import IngestionError
 
-from deepagent.errors import IngestionError, UsageError
-
-SPLITS = ("train", "val", "test", "unassigned")
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -28,7 +26,7 @@ class SampleRecord:
     audio: Path | None = None
     asr_text: Path | None = None
     ocr_text: Path | None = None
-    split: str = "unassigned"
+    split: str = field(kw_only=True)  # one of SPLITS
 
 
 def is_label(value) -> bool:
@@ -94,10 +92,10 @@ def load_manifest(path) -> list[SampleRecord]:
             # could not be scored
             problems.append(f"{rid}: needs at least one frame")
         frames = [resolve(f, "frame", rid) for f in frames]
-        split = entry.get("split", "unassigned")
+        split = entry.get("split")
         if split not in SPLITS:
-            problems.append(f"{rid}: unknown split {split!r}")
-            split = "unassigned"
+            problems.append(
+                f"{rid}: split must be 'train', 'val' or 'test', got {split!r}")
         records.append(SampleRecord(
             id=rid,
             label=int(label),
@@ -113,37 +111,6 @@ def load_manifest(path) -> list[SampleRecord]:
             f"{path}: {len(problems)} manifest violation(s):\n  "
             + "\n  ".join(problems))
     return records
-
-
-def assign_splits(records: list[SampleRecord], val_fraction: float,
-                  test_fraction: float, seed: int) -> None:
-    """Stratified train/val/test assignment, in place.
-
-    Per class, after a seeded shuffle: floor(val_fraction * n) and
-    floor(test_fraction * n) samples go to val and test, and the remainder
-    to train. The config bounds the fractions, so they leave a remainder.
-    Every class needs at least 3 samples.
-    """
-    labels = np.array([r.label for r in records])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B11]))
-    for c in (0, 1):
-        idx = np.flatnonzero(labels == c)
-        if len(idx) == 0:
-            continue
-        if len(idx) < 3:
-            raise UsageError(
-                f"class {c} has only {len(idx)} samples; need >= 3 to split")
-        idx = rng.permutation(idx)
-        n = len(idx)
-        n_val = int(np.floor(val_fraction * n))
-        n_test = int(np.floor(test_fraction * n))
-        for j, i in enumerate(idx):
-            if j < n_val:
-                records[i].split = "val"
-            elif j < n_val + n_test:
-                records[i].split = "test"
-            else:
-                records[i].split = "train"
 
 
 def by_split(records: list[SampleRecord], split: str) -> list[SampleRecord]:

@@ -225,10 +225,10 @@ class MaxPool2D(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalization over batch (and spatial) dimensions.
 
-    Train mode uses batch statistics and folds them into the running
-    estimates with ``running = MOMENTUM * running + (1 - MOMENTUM) * batch``;
-    inference always reads the running estimates. Momentum and epsilon are
-    fixed, at the Keras defaults.
+    Train mode uses batch statistics and folds them into zero-started moving
+    averages; after step t the running estimates, which inference reads, are
+    those averages debiased by ``1 - MOMENTUM**t`` (as Adam's moments are).
+    Momentum and epsilon are fixed, at the Keras defaults.
     """
 
     STATE = (("gamma", ckpt.KIND_BN_GAMMA), ("beta", ckpt.KIND_BN_BETA),
@@ -242,6 +242,8 @@ class BatchNorm(Layer):
         self.beta = Param(f"{name}.beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
+        self._ema = np.zeros((2, channels), dtype=dtype)  # mean, var
+        self._steps = 0
 
     def forward(self, x, train=False):
         axes = tuple(range(x.ndim - 1))
@@ -257,8 +259,9 @@ class BatchNorm(Layer):
             inv = 1.0 / np.sqrt(var + self.EPSILON)
             xhat = (x - mean) * inv
             m = self.MOMENTUM
-            self.running_mean = m * self.running_mean + (1.0 - m) * mean
-            self.running_var = m * self.running_var + (1.0 - m) * var
+            self._ema = m * self._ema + (1.0 - m) * np.stack([mean, var])
+            self._steps += 1
+            self.running_mean, self.running_var = self._ema / (1.0 - m ** self._steps)
             self._cache = (xhat, inv, axes, int(np.prod([x.shape[a] for a in axes])))
             return self.gamma.value * xhat + self.beta.value
         inv = 1.0 / np.sqrt(self.running_var + self.EPSILON)

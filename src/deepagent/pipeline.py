@@ -2,6 +2,8 @@
 
 This module glues the manifest, feature cache, agents, and fusion stages
 together; the CLI is a thin argument-parsing layer over these functions.
+Training reads the manifest's train and val records, and ``predict``
+copies each record's split into its score row.
 ``load_sample_frames`` is the one frame loader and ``FrameSet`` the one
 frame source: ``train agent1`` hands the train and val splits to the agent
 as ``FrameSet``s, and ``score_samples``, shared by ``predict`` and
@@ -22,7 +24,7 @@ from deepagent import agents, audio, files, fusion, metrics, semantic, vision
 from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import PipelineConfig
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
-from deepagent.manifest import SPLITS, SampleRecord, assign_splits, by_split, is_label
+from deepagent.manifest import SPLITS, SampleRecord, by_split, is_label
 
 
 def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
@@ -107,15 +109,8 @@ def run_extract(manifest_records, cache_path) -> int:
 
 # training ------------------------------------------------------------------
 
-def _ensure_splits(records, config) -> None:
-    if all(r.split == "unassigned" for r in records):
-        assign_splits(records, config.val_fraction, config.test_fraction,
-                      config.seed)
-
-
 def run_train_agent1(records, config: PipelineConfig, out_path,
                      history_path=None) -> list[dict]:
-    _ensure_splits(records, config)
     train = FrameSet(by_split(records, "train"), config, config.input_size)
     val = FrameSet(by_split(records, "val"), config, config.input_size)
     model = agents.build_agent1(config.seed, input_size=config.input_size,
@@ -130,7 +125,6 @@ def run_train_agent1(records, config: PipelineConfig, out_path,
 def run_train_agent2(records, config: PipelineConfig, cache_path, out_path,
                      history_path=None) -> list[dict]:
     entries = _require_cache(cache_path)
-    _ensure_splits(records, config)
 
     def dataset(split):
         chosen = by_split(records, split)
@@ -218,7 +212,6 @@ def _score(records, config, agent1_path, agent2_path, cache_path) -> np.ndarray:
 def run_predict(records, config, agent1_path, agent2_path, cache_path,
                 out_path) -> list[dict]:
     scores = _score(records, config, agent1_path, agent2_path, cache_path)
-    _ensure_splits(records, config)
     rows = [{"id": r.id, "label": r.label, "split": r.split,
              "agent1": float(s1), "agent2": float(s2)}
             for r, (s1, s2) in zip(records, scores)]

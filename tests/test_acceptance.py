@@ -230,6 +230,13 @@ def e2e_run(tmp_path_factory):
          "--out", str(root / "agent1.damc"), "--desk-scale", "--epochs", "12"],
         ["train", "agent2", "--manifest", str(fx / "manifest.json"),
          "--cache", str(root / "cache.daft"), "--out", str(root / "agent2.damc")],
+        ["predict", "--manifest", str(fx / "manifest.json"),
+         "--agent1", str(root / "agent1.damc"),
+         "--agent2", str(root / "agent2.damc"),
+         "--cache", str(root / "cache.daft"),
+         "--out", str(root / "scores.json")],
+        ["evaluate", "--scores", str(root / "scores.json"), "--split", "test",
+         "--out", str(root / "metrics.json")],
         ["fuse", "--manifest", str(fx / "manifest.json"),
          "--agent1", str(root / "agent1.damc"),
          "--agent2", str(root / "agent2.damc"),
@@ -350,3 +357,11 @@ def test_criterion_10_report_parity(e2e_run):
     roc_files = sorted((root / "roc").glob("roc_fold*.csv"))
     ok &= len(roc_files) == 5
     report_line(10, "fold-table and ROC report parity", ok)
+
+
+# --- criterion 11: Agent-1 test accuracy ----------------------------------------------
+
+def test_criterion_11_agent1_test_accuracy(e2e_run):
+    # the separable fixture's held-out test rows, thresholded at 0.5
+    acc = json.loads((e2e_run["root"] / "metrics.json").read_text())["agent1"]["accuracy"]
+    report_line(11, f"Agent-1 test accuracy {acc:.2f} >= 0.9", acc >= 0.9)

@@ -111,6 +111,22 @@ class TestWorkflow:
         assert sum(k.endswith("/scores") for k in entries) == 12
 
     @pytest.mark.usefixtures("predicted")
+    def test_reversed_manifest_keeps_every_split(self, workspace, tmp_path):
+        records = json.loads(workspace["manifest"].read_text())
+        reversed_manifest = workspace["manifest"].parent / "reversed.json"
+        reversed_manifest.write_text(json.dumps(records[::-1]))
+        out = tmp_path / "scores.json"
+        assert main(["predict", "--manifest", str(reversed_manifest),
+                     "--agent1", str(workspace["a1"]), "--agent2", str(workspace["a2"]),
+                     "--cache", str(workspace["cache"]), "--out", str(out)]) == 0
+        rows = json.loads((workspace["root"] / "scores.json").read_text())
+        reversed_rows = json.loads(out.read_text())
+        assert [r["id"] for r in reversed_rows] == [r["id"] for r in rows][::-1]
+        splits = {r["id"]: r["split"] for r in records}
+        assert {r["id"]: r["split"] for r in rows} == splits
+        assert {r["id"]: r["split"] for r in reversed_rows} == splits
+
+    @pytest.mark.usefixtures("predicted")
     def test_evaluate_from_scores(self, workspace):
         scores = workspace["root"] / "scores.json"
         out = workspace["root"] / "metrics.json"
@@ -457,6 +473,10 @@ class TestFailureModes:
         records[8]["id"] = 5
         records[9]["id"] = True
         records[10]["id"] = ""
+        # a split is train, val or test, and every record needs one
+        del records[11]["split"]
+        records[2]["split"] = "unassigned"
+        records[3]["split"] = "holdout"
         bad = workspace["manifest"].parent / "wrong_types.json"
         bad.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(bad),
@@ -464,7 +484,7 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         ids = [r["id"] for r in records]
-        assert "11 manifest violation(s)" in error["message"]
+        assert "14 manifest violation(s)" in error["message"]
         for rid, what in ((ids[0], "frames must be a list of strings"),
                           (ids[1], "frames must be a list of strings"),
                           (ids[2], "audio must be a string"),
@@ -475,6 +495,9 @@ class TestFailureModes:
             assert f"{rid}: {what}" in error["message"]
         for i, rid in ((7, None), (8, 5), (9, True), (10, "")):
             assert (f"record {i}: id must be a non-empty string, got {rid!r}"
+                    in error["message"])
+        for i, split in ((11, None), (2, "unassigned"), (3, "holdout")):
+            assert (f"{ids[i]}: split must be 'train', 'val' or 'test', got {split!r}"
                     in error["message"])
 
     def test_non_object_manifest_entry_exits_2(self, tmp_path, capsys):
@@ -546,8 +569,6 @@ class TestFailureModes:
          "agent2.early_stop_patience must be >= 1, got 0"),
         ([], {"agent2": {"learning_rate": -1.0}},
          "agent2.learning_rate must be finite and >= 0, got -1.0"),
-        ([], {"val_fraction": 0.6, "test_fraction": 0.5},
-         "val_fraction + test_fraction must be <= 1, got 1.1"),
     ])
     def test_out_of_range_config_value_exits_1_naming_key(self, workspace, tmp_path,
                                                           capsys, flags, body, what):
@@ -614,6 +635,10 @@ class TestFailureModes:
           "--out", "a2.damc", "--desk-scale"], "--desk-scale"),
         (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
           "--out", "a2.damc", "--frame-policy", "even"], "--frame-policy even"),
+        # predict draws no random numbers: splits come from the manifest
+        (["predict", "--manifest", "m.json", "--agent1", "a1.damc",
+          "--agent2", "a2.damc", "--cache", "c.daft", "--out", "s.json",
+          "--seed", "1"], "--seed 1"),
     ])
     def test_flag_the_command_does_not_read_exits_1(self, capsys, args, flag):
         code = main(args)
@@ -628,7 +653,7 @@ class TestFailureModes:
         assert "--manifest" in capsys.readouterr().out
 
     def test_gen_fixtures_negative_seed_exits_1(self, tmp_path, capsys):
-        code = main(["gen-fixtures", "--out", str(tmp_path / "fx"), "--n", "2",
+        code = main(["gen-fixtures", "--out", str(tmp_path / "fx"), "--n", "6",
                      "--strength", "1", "--gap", "1", "--seed", "-1"])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 1 and error["kind"] == "UsageError"
@@ -648,6 +673,8 @@ class TestFailureModes:
         (lambda rows: [{**r, "label": 1.0} for r in rows],
          "row 0: label must be 0 or 1, got 1.0"),
         (lambda rows: [], "scores file holds no rows"),
+        (lambda rows: [{**r, "split": "unassigned"} for r in rows],
+         "row 0: unknown split 'unassigned'"),
     ])
     @pytest.mark.usefixtures("predicted")
     def test_faulty_scores_file_exits_2_naming_it(self, workspace, tmp_path, capsys,

@@ -45,7 +45,7 @@ def inputs(tmp_path_factory):
         (root / f"{sid}.ocr.txt").write_text("shared", encoding="utf-8")
         records.append({"id": sid, "label": i % 2, "frames": [f"{sid}.ppm"],
                         "audio": f"{sid}.wav", "asr_text": f"{sid}.asr.txt",
-                        "ocr_text": f"{sid}.ocr.txt"})
+                        "ocr_text": f"{sid}.ocr.txt", "split": "train"})
     (root / "manifest.json").write_text(json.dumps(records), encoding="utf-8")
     (root / "config.json").write_text(
         json.dumps({"seed": 1, "folds": 5, "agent2": {"epochs": 5}}), encoding="utf-8")

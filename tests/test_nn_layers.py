@@ -204,14 +204,22 @@ class TestBatchNorm:
         npt.assert_allclose(out, x, atol=2e-3)
 
     def test_momentum_update_from_zero_stats(self):
+        # zero-started moving averages of the batch statistics, debiased by
+        # 1 - m**t after step t; the initial 0 and 1 leave no trace
         rng = np.random.default_rng(5)
         layer = BatchNorm(2)
-        layer.running_mean[...] = 0.0
-        layer.running_var[...] = 0.0
-        x = rng.normal(size=(8, 2)) + 3.0
-        layer.forward(x, train=True)
-        npt.assert_allclose(layer.running_mean, 0.01 * x.mean(axis=0), rtol=1e-12)
-        npt.assert_allclose(layer.running_var, 0.01 * x.var(axis=0), rtol=1e-12)
+        m = BatchNorm.MOMENTUM
+        ema_mean = ema_var = np.zeros(2)
+        for t in (1, 2, 3):
+            x = rng.normal(size=(8, 2)) + 3.0 * t
+            layer.forward(x, train=True)
+            ema_mean = m * ema_mean + (1 - m) * x.mean(axis=0)
+            ema_var = m * ema_var + (1 - m) * x.var(axis=0)
+            npt.assert_allclose(layer.running_mean, ema_mean / (1 - m ** t), rtol=1e-12)
+            npt.assert_allclose(layer.running_var, ema_var / (1 - m ** t), rtol=1e-12)
+            if t == 1:  # one step gives the batch statistics themselves
+                npt.assert_allclose(layer.running_mean, x.mean(axis=0), rtol=1e-12)
+                npt.assert_allclose(layer.running_var, x.var(axis=0), rtol=1e-12)
 
     def test_batch_of_one_rejected_in_train(self):
         with pytest.raises(UsageError):

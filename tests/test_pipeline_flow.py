@@ -40,7 +40,7 @@ class TestFrameSelection:
 class TestLoadSampleFrames:
     def test_resize_and_normalize(self, tmp_path):
         paths = write_frames(tmp_path, 6)
-        record = SampleRecord("a", 0, frames=paths)
+        record = SampleRecord("a", 0, frames=paths, split="test")
         cfg = load_config(None, {"desk_scale": True})
         frames = pipeline.FrameSet([record], cfg, cfg.input_size)[:]
         assert frames.shape == (2, 64, 64, 3)  # indices 0 and 5
@@ -48,7 +48,7 @@ class TestLoadSampleFrames:
 
     def test_grayscale_frames_expand_to_rgb(self, tmp_path):
         paths = write_frames(tmp_path, 2, channels=1)
-        record = SampleRecord("g", 0, frames=paths)
+        record = SampleRecord("g", 0, frames=paths, split="test")
         cfg = load_config(None, {"desk_scale": True})
         frames = pipeline.FrameSet([record], cfg, cfg.input_size)[:]
         assert frames.shape[-1] == 3
@@ -56,7 +56,7 @@ class TestLoadSampleFrames:
 
     def test_size_override_beats_config(self, tmp_path):
         paths = write_frames(tmp_path, 1)
-        record = SampleRecord("s", 0, frames=paths)
+        record = SampleRecord("s", 0, frames=paths, split="test")
         cfg = load_config(None, {})
         frames = pipeline.FrameSet([record], cfg, 32)[:]
         assert frames.shape == (1, 32, 32, 3)
@@ -64,7 +64,7 @@ class TestLoadSampleFrames:
     def test_frameless_sample_rejected(self):
         cfg = load_config(None, {})
         with pytest.raises(UsageError):
-            pipeline.FrameSet([SampleRecord("x", 0)], cfg, cfg.input_size)[:]
+            pipeline.FrameSet([SampleRecord("x", 0, split="test")], cfg, cfg.input_size)[:]
 
 
 class TestScoreSamples:
@@ -76,7 +76,7 @@ class TestScoreSamples:
     def test_agent2_column_is_one_batched_forward(self, tmp_path):
         paths = write_frames(tmp_path, 3)
         rng = np.random.default_rng(70)
-        records = [SampleRecord(f"s{i}", i % 2, frames=paths[i % 3:])
+        records = [SampleRecord(f"s{i}", i % 2, frames=paths[i % 3:], split="test")
                    for i in range(24)]
         entries = {f"{r.id}/feature": rng.normal(size=14) for r in records}
         scores = pipeline.score_samples(records, self.agent1, self.agent2,
@@ -96,7 +96,8 @@ class TestScoreSamples:
         assert scores.shape == (0, 2)
 
     def test_mean_of_predicted_frame_scores(self, tmp_path):
-        record = SampleRecord("v", 0, frames=write_frames(tmp_path, 6, size=32))
+        record = SampleRecord("v", 0, frames=write_frames(tmp_path, 6, size=32),
+                              split="test")
         cfg = load_config(None, {"frame_policy": "even", "m": 6})
         score = pipeline.score_samples([record], self.agent1, self.agent2,
                                        {"v/feature": np.zeros(14)}, cfg)[0, 0]
@@ -119,7 +120,7 @@ def frames_are_scores(monkeypatch):
 
 def agent1_score(frame_scores, record_id="v"):
     # the even policy with the default m of 30 reads every listed frame
-    record = SampleRecord(record_id, 0, frames=list(frame_scores))
+    record = SampleRecord(record_id, 0, frames=list(frame_scores), split="test")
     return pipeline.score_samples(
         [record], agents.build_agent1(seed=5, input_size=16),
         agents.build_agent2(seed=6), {f"{record_id}/feature": np.zeros(14)},
@@ -163,7 +164,8 @@ class TestBatchedAgent1Scoring:
             self, tmp_path, monkeypatch, size, counts):
         paths = write_frames(tmp_path, 7)
         records = [SampleRecord(f"v{i}", i % 2,
-                                frames=[paths[(i + j) % 7] for j in range(n)])
+                                frames=[paths[(i + j) % 7] for j in range(n)],
+                                split="test")
                    for i, n in enumerate(counts)]
         cfg = load_config(None, {"frame_policy": "even", "m": max(counts)})
         model = agents.build_agent1(seed=5, input_size=size)

@@ -11,14 +11,15 @@ from deepagent import fixtures, semantic
 from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import CONFIG_ENV_VAR, load_config
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
-from deepagent.manifest import assign_splits, load_manifest
+from deepagent.fixtures import assign_splits
+from deepagent.manifest import load_manifest
 from deepagent.nn.checkpoint import save_checkpoint
 
 
 def write_sample_files(root, sid):
     frame = root / f"{sid}.pgm"
     frame.write_bytes(b"P5\n1 1\n255\n" + bytes([100]))
-    return {"id": sid, "label": 0, "frames": [frame.name]}
+    return {"id": sid, "label": 0, "frames": [frame.name], "split": "train"}
 
 
 class TestManifest:
@@ -57,7 +58,7 @@ class TestManifest:
     def test_all_violations_enumerated(self, tmp_path):
         e1 = write_sample_files(tmp_path, "a")
         e1["label"] = 7
-        e2 = {"id": "b", "label": 1, "frames": ["nope.pgm"]}
+        e2 = {"id": "b", "label": 1, "frames": ["nope.pgm"], "split": "train"}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps([e1, e2]))
         with pytest.raises(IngestionError, match="2 manifest violation"):
@@ -65,7 +66,8 @@ class TestManifest:
 
     def test_non_object_entry_reported_with_other_violations(self, tmp_path):
         entries = [write_sample_files(tmp_path, "a"), 5, {"id": "b", "label": 9,
-                                                           "frames": ["a.pgm"]}]
+                                                           "frames": ["a.pgm"],
+                                                           "split": "train"}]
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(IngestionError, match="2 manifest violation") as info:
@@ -74,15 +76,17 @@ class TestManifest:
 
     def test_record_needs_frames_or_audio(self, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps([{"id": "x", "label": 0, "frames": []}]))
+        path.write_text(json.dumps([{"id": "x", "label": 0, "frames": [],
+                                     "split": "train"}]))
         with pytest.raises(IngestionError, match="at least one"):
             load_manifest(path)
 
     def test_audio_only_record_reported_with_other_violations(self, tmp_path):
         (tmp_path / "a.wav").write_bytes(b"RIFF")
-        entries = [{"id": "talk", "label": 0, "frames": [], "audio": "a.wav"},
-                   {"id": "mute", "label": 1, "audio": "a.wav"},
-                   {"id": "b", "label": 5, "frames": ["nope.pgm"]}]
+        entries = [{"id": "talk", "label": 0, "frames": [], "audio": "a.wav",
+                    "split": "train"},
+                   {"id": "mute", "label": 1, "audio": "a.wav", "split": "val"},
+                   {"id": "b", "label": 5, "frames": ["nope.pgm"], "split": "test"}]
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(entries))
         with pytest.raises(IngestionError, match="4 manifest violation") as info:
@@ -91,47 +95,38 @@ class TestManifest:
         assert "mute: needs at least one frame" in str(info.value)
 
 
-class FakeRecord:
-    def __init__(self, label):
-        self.label = label
-        self.split = "unassigned"
+def split_counts(labels, splits, c):
+    chosen = [s for label, s in zip(labels, splits) if label == c]
+    return {s: chosen.count(s) for s in ("train", "val", "test")}
 
 
 class TestAssignSplits:
     def test_balanced_hundred(self):
-        records = [FakeRecord(i % 2) for i in range(100)]
-        assign_splits(records, 0.2, 0.1, seed=42)
+        labels = [i % 2 for i in range(100)]
+        splits = assign_splits(labels, seed=42)
         for c in (0, 1):
-            rs = [r for r in records if r.label == c]
-            counts = {s: sum(r.split == s for r in rs) for s in ("train", "val", "test")}
-            assert counts == {"train": 35, "val": 10, "test": 5}
+            assert split_counts(labels, splits, c) == {"train": 35, "val": 10, "test": 5}
 
     def test_same_seed_identical(self):
-        a = [FakeRecord(i % 2) for i in range(30)]
-        b = [FakeRecord(i % 2) for i in range(30)]
-        assign_splits(a, 0.2, 0.1, seed=7)
-        assign_splits(b, 0.2, 0.1, seed=7)
-        assert [r.split for r in a] == [r.split for r in b]
+        labels = [i % 2 for i in range(30)]
+        assert assign_splits(labels, seed=7) == assign_splits(labels, seed=7)
 
     def test_ten_per_class_rounds_to_721(self):
-        records = [FakeRecord(i % 2) for i in range(20)]
-        assign_splits(records, 0.2, 0.1, seed=1)
+        labels = [i % 2 for i in range(20)]
+        splits = assign_splits(labels, seed=1)
         for c in (0, 1):
-            rs = [r for r in records if r.label == c]
-            counts = {s: sum(r.split == s for r in rs) for s in ("train", "val", "test")}
-            assert counts == {"train": 7, "val": 2, "test": 1}
+            assert split_counts(labels, splits, c) == {"train": 7, "val": 2, "test": 1}
 
     def test_tiny_class_rejected(self):
-        records = [FakeRecord(0)] * 10 + [FakeRecord(1)] * 2
         with pytest.raises(UsageError):
-            assign_splits(records, 0.2, 0.1, seed=0)
+            assign_splits([0] * 10 + [1] * 2, seed=0)
 
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = load_config(None, {})
         assert cfg.seed == 42
-        assert (cfg.val_fraction, cfg.test_fraction) == (0.20, 0.10)
+        assert (fixtures.VAL_FRACTION, fixtures.TEST_FRACTION) == (0.20, 0.10)
         assert cfg.input_size == 224
 
     def test_file_and_overrides(self, tmp_path, monkeypatch):
@@ -160,11 +155,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="not_a_key"):
             load_config(path, {})
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match=re.escape("val_fraction + test_fraction must be <= 1, got 1.1")):
-            load_config(None, {"val_fraction": 0.9, "test_fraction": 0.2})
-
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             load_config(None, {"frame_policy": "odd"})
@@ -189,7 +179,7 @@ class TestConfig:
         ({"seed": True}, "seed"),
         ({"seed": 4.0}, "seed"),
         ({"desk_scale": 1}, "desk_scale"),
-        ({"val_fraction": "0.2"}, "val_fraction"),
+        ({"agent2": {"learning_rate": "0.001"}}, "agent2.learning_rate"),
         ({"frame_policy": 5}, "frame_policy"),
         ({"m": None}, "m"),
         ({"agent1": {"augment": "no"}}, "agent1.augment"),
@@ -287,6 +277,16 @@ class TestFixtures:
         records = load_manifest(mpath)
         labels = [r.label for r in records]
         assert labels.count(0) == labels.count(1) == 5
+        # gen_fixtures's seed draws the splits it writes
+        assert [r.split for r in records] == assign_splits(labels, seed=3)
+
+    def test_two_hundred_split_70_20_10_per_class(self, tmp_path):
+        records = load_manifest(fixtures.gen_fixtures(tmp_path / "fx", 200, 1.0, 1.0,
+                                                      seed=42))
+        for c in (0, 1):
+            splits = [r.split for r in records if r.label == c]
+            assert {s: splits.count(s) for s in ("train", "val", "test")} == {
+                "train": 70, "val": 20, "test": 10}
 
     def test_full_gap_zeroes_fake_similarity(self, tmp_path):
         mpath = fixtures.gen_fixtures(tmp_path / "fx", 6, 1.0, 1.0, seed=5)
@@ -302,4 +302,11 @@ class TestFixtures:
 
     def test_out_of_range_params_rejected(self, tmp_path):
         with pytest.raises(UsageError):
-            fixtures.gen_fixtures(tmp_path / "fx", 4, 1.5, 0.0, seed=1)
+            fixtures.gen_fixtures(tmp_path / "fx", 6, 1.5, 0.0, seed=1)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_too_few_to_split_rejected_before_writing(self, tmp_path, n):
+        # each class needs 3 samples to split
+        with pytest.raises(UsageError, match=f"n_samples must be even and >= 6, got {n}"):
+            fixtures.gen_fixtures(tmp_path / "fx", n, 1.0, 1.0, seed=1)
+        assert not (tmp_path / "fx").exists()
