@@ -188,14 +188,17 @@ def predict_agent2(model: Agent, X: np.ndarray) -> np.ndarray:
 class TrainController:
     """Early stopping and learning-rate reduction driven by validation accuracy.
 
-    Improvement resets both patience counters; ``lr_patience`` stagnant
-    epochs ask for a rate reduction, ``stop_patience`` stagnant epochs stop
-    training.
+    The schedule is Agent-2's fixed Keras one, as constants: improvement
+    resets both patience counters; ``LR_PATIENCE`` stagnant epochs ask for
+    the rate to be multiplied by ``LR_FACTOR``, ``STOP_PATIENCE`` stagnant
+    epochs stop training.
     """
 
-    def __init__(self, stop_patience: int, lr_patience: int):
-        self.stop_patience = stop_patience
-        self.lr_patience = lr_patience
+    STOP_PATIENCE = 10
+    LR_PATIENCE = 5
+    LR_FACTOR = 0.5
+
+    def __init__(self):
         self.best = -np.inf
         self.stale = 0
         self.lr_stale = 0
@@ -210,10 +213,10 @@ class TrainController:
         self.stale += 1
         self.lr_stale += 1
         reduce = False
-        if self.lr_stale >= self.lr_patience:
+        if self.lr_stale >= self.LR_PATIENCE:
             reduce = True
             self.lr_stale = 0
-        return self.stale >= self.stop_patience, reduce
+        return self.stale >= self.STOP_PATIENCE, reduce
 
 
 def _check_two_classes(labels: np.ndarray) -> None:
@@ -222,8 +225,9 @@ def _check_two_classes(labels: np.ndarray) -> None:
 
 
 def _predicted_class(probs: np.ndarray) -> np.ndarray:
-    """argmax over K >= 2 class columns; a single column is P(class 1)."""
-    return probs.argmax(axis=1) if probs.shape[1] > 1 else probs[:, 0] >= 0.5
+    """Class 1 (fake) where its probability, the last column, is >= 0.5, the
+    rule ``evaluate`` and the forest apply to a score."""
+    return probs[:, -1] >= 0.5
 
 
 def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
@@ -240,8 +244,8 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
     A net holding batch norm skips batches of fewer than two rows.
     ``val = (inputs, targets, labels)`` is scored by ``logits`` after every
     epoch, in slices of ``forward_rows(model)`` rows.
-    A ``controller`` then stops early and reduces the rate by
-    ``cfg.lr_factor``, and the best-validation weights are restored.
+    A ``TrainController`` then stops early and reduces the rate by its
+    ``LR_FACTOR``, and the best-validation weights are restored.
     """
     net = model.net
     opt = Adam(net.params(), eta=cfg.learning_rate)
@@ -288,7 +292,7 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
         if controller.stale == 0:
             best = [arr.copy() for _, arr in net.state()]
         if reduce:
-            opt.eta *= cfg.lr_factor
+            opt.eta *= controller.LR_FACTOR
         if stop:
             break
     if best is not None:
@@ -346,7 +350,7 @@ def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
     if val_X is not None and len(val_X):
         val_y = np.asarray(val_y, dtype=int)
         val = (val_X, val_y[:, None].astype(model.dtype), val_y)
-        controller = TrainController(config.early_stop_patience, config.lr_patience)
+        controller = TrainController()
     return _fit(model, X, y[:, None].astype(model.dtype), y, config,
                 sigmoid_bce, stream=7, val=val, controller=controller)
 

@@ -10,7 +10,7 @@ spanning 0 Hz to the Nyquist frequency of ``TARGET_RATE``, and as many
 coefficients. Spectrograms are plain ``frames x bins`` magnitude matrices
 and the filterbank an ``N_COEFFS x bins`` weight matrix. Missing or
 too-short audio never raises from :func:`embed_audio`; it returns None,
-and feature assembly zero-fills and flags it.
+and feature assembly zero-fills it.
 """
 
 from __future__ import annotations

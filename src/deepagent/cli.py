@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *, seed: bool) -> None:
-    p.add_argument("--config", help="JSON config file (overrides DEEPAGENT_CONFIG)")
+    p.add_argument("--config", help="JSON config file; flags override its values")
     if seed:
         p.add_argument("--seed", type=int, help="global random seed")
 
@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     agent2 = train.add_parser("agent2", help="train the audio-text MLP")
     for p in (agent1, agent2):
         p.add_argument("--manifest", required=True)
-        p.add_argument("--out", required=True, help="checkpoint path")
-        p.add_argument("--history", help="history JSON path")
+        p.add_argument("--out", required=True,
+                       help="checkpoint path; <stem>_history.json goes beside it")
         p.add_argument("--epochs", type=int, help="override the epoch budget")
         _add_config_flags(p, seed=True)
     _add_frame_flags(agent1)
@@ -131,11 +131,9 @@ def _dispatch(args) -> int:
         cfg = _config_from(args)
         records = load_manifest(args.manifest)
         if args.agent == "agent1":
-            history = pipeline.run_train_agent1(records, cfg, args.out,
-                                                args.history)
+            history = pipeline.run_train_agent1(records, cfg, args.out)
         else:
-            history = pipeline.run_train_agent2(records, cfg, args.cache,
-                                                args.out, args.history)
+            history = pipeline.run_train_agent2(records, cfg, args.cache, args.out)
         last = history[-1] if history else {}
         print(f"trained {args.agent} for {len(history)} epochs "
               f"(train_acc={last.get('train_acc')}) -> {args.out}")

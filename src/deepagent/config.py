@@ -1,31 +1,29 @@
 """Pipeline configuration: defaults, JSON file loading, flag overrides.
 
-Resolution order: built-in defaults, then the JSON config file (explicit
-``--config`` path or the ``DEEPAGENT_CONFIG`` environment variable), then
-command-line flags. A config file must be valid on its own; its read, key,
-type and bound errors name the file. Each bounded key declares its bound
-once, on its field, as the text its fault shows; ``validate`` checks every
-field against it. Adam's decay rates and epsilon are the constants of
-``nn.optim.Adam``, not config keys, and a record's split is manifest data
-(``fixtures.assign_splits``), not config.
+Resolution order: built-in defaults, then the JSON config file named by
+``--config``, then command-line flags; no environment variable takes part.
+A config file must be valid on its own; its read, key, type and bound errors
+name the file. Each bounded key declares its bound once, on its field, as
+the text its fault shows; ``validate`` checks every field against it.
+Adam's decay rates and epsilon are the constants of ``nn.optim.Adam`` and
+Agent-2's early-stopping and rate schedule those of
+``agents.TrainController``, not config keys, and a record's split is
+manifest data (``fixtures.assign_splits``), not config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from deepagent.errors import ConfigurationError
 
-CONFIG_ENV_VAR = "DEEPAGENT_CONFIG"
-
 
 def _key(default, bound: str):
     """A config field whose value must meet ``bound``: ``>= n``,
-    ``in (a, b]``, ``finite and >= n`` or ``'x' or 'y'``."""
+    ``finite and >= n`` or ``'x' or 'y'``."""
     return field(default=default, metadata={"bound": bound})
 
 
@@ -33,9 +31,6 @@ def _within(value, bound: str) -> bool:
     """Whether ``value`` meets a ``_key`` bound; NaN meets none of them."""
     if bound.startswith("'"):                      # 'x' or 'y'
         return repr(value) in bound.split(" or ")
-    if bound.startswith("in "):                    # in (a, b]
-        low, high = (float(end) for end in bound[4:-1].split(", "))
-        return low < value <= high
     low = float(bound.rpartition(">= ")[2])        # [finite and] >= n
     return low <= value and (value < math.inf or not bound.startswith("finite"))
 
@@ -54,9 +49,6 @@ class Agent2Config:
     learning_rate: float = _key(0.001, "finite and >= 0")
     epochs: int = _key(100, ">= 1")
     batch_size: int = _key(16, ">= 1")
-    early_stop_patience: int = _key(10, ">= 1")
-    lr_factor: float = _key(0.5, "in (0, 1]")
-    lr_patience: int = _key(5, ">= 1")
 
 
 @dataclass
@@ -124,10 +116,6 @@ def _apply(obj, data: dict, context: str):
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Build a validated config from defaults, optional file, and overrides."""
     cfg = PipelineConfig()
-    if path is None:
-        env = os.environ.get(CONFIG_ENV_VAR)
-        if env:
-            path = env
     if path is not None:
         p = Path(path)
         try:

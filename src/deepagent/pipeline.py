@@ -88,16 +88,14 @@ def _tokens(path):
 
 
 def extract_features(records: list[SampleRecord]) -> dict[str, np.ndarray]:
-    """Cache entries: ``<id>/feature`` (14 floats) and ``<id>/flags``."""
+    """Cache entries: one ``<id>/feature`` (14 floats) per record."""
     entries: dict[str, np.ndarray] = {}
     for record in records:
         coeffs = None
         if record.audio is not None:
             coeffs = audio.embed_audio(audio.read_wav(record.audio))
-        x, flags = semantic.build_feature(coeffs, _tokens(record.asr_text),
-                                          _tokens(record.ocr_text))
-        entries[f"{record.id}/feature"] = x
-        entries[f"{record.id}/flags"] = flags
+        entries[f"{record.id}/feature"] = semantic.build_feature(
+            coeffs, _tokens(record.asr_text), _tokens(record.ocr_text))
     return entries
 
 
@@ -109,8 +107,7 @@ def run_extract(manifest_records, cache_path) -> int:
 
 # training ------------------------------------------------------------------
 
-def run_train_agent1(records, config: PipelineConfig, out_path,
-                     history_path=None) -> list[dict]:
+def run_train_agent1(records, config: PipelineConfig, out_path) -> list[dict]:
     train = FrameSet(by_split(records, "train"), config, config.input_size)
     val = FrameSet(by_split(records, "val"), config, config.input_size)
     model = agents.build_agent1(config.seed, input_size=config.input_size,
@@ -118,12 +115,12 @@ def run_train_agent1(records, config: PipelineConfig, out_path,
     history = agents.train_agent1(model, train, train.labels, val, val.labels,
                                   config=config.agent1)
     agents.save_agent(model, out_path)
-    files.write_json(history_path or _history_path(out_path), history)
+    files.write_json(_history_path(out_path), history)
     return history
 
 
-def run_train_agent2(records, config: PipelineConfig, cache_path, out_path,
-                     history_path=None) -> list[dict]:
+def run_train_agent2(records, config: PipelineConfig, cache_path,
+                     out_path) -> list[dict]:
     entries = _require_cache(cache_path)
 
     def dataset(split):
@@ -137,11 +134,12 @@ def run_train_agent2(records, config: PipelineConfig, cache_path, out_path,
     history = agents.train_agent2(model, X, y, val_X, val_y,
                                   config=config.agent2)
     agents.save_agent(model, out_path)
-    files.write_json(history_path or _history_path(out_path), history)
+    files.write_json(_history_path(out_path), history)
     return history
 
 
 def _history_path(ckpt_path) -> Path:
+    """``<stem>_history.json`` next to the checkpoint."""
     p = Path(ckpt_path)
     return p.with_name(p.stem + "_history.json")
 

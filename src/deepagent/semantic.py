@@ -5,7 +5,7 @@ similarity score measures how much of the spoken-word token set shows up
 in the frame-text token set; it is deliberately asymmetric (normalized by
 the spoken set's size only). The feature vector is the 13 audio
 coefficients followed by that score, with zero fills for absent
-modalities, and travels with a two-value presence-flag array.
+modalities.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ def lexical_similarity(audio_tokens: frozenset[str],
 
 
 def build_feature(coeffs: np.ndarray | None, audio_tokens: frozenset[str] | None,
-                  visual_tokens: frozenset[str] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The 14-vector [audio coeffs, similarity] and the flags
-    [audio present, text present] as floats; absent modalities contribute
-    zeros (``coeffs`` None means no usable audio)."""
+                  visual_tokens: frozenset[str] | None) -> np.ndarray:
+    """The 14-vector [audio coeffs, similarity]; absent modalities
+    contribute zeros (``coeffs`` None means no usable audio, a None token
+    set no text)."""
     x = np.zeros(FEATURE_DIM)
     if coeffs is not None:
         x[:N_COEFFS] = coeffs
-    text_present = audio_tokens is not None and visual_tokens is not None
-    if text_present:
+    if audio_tokens is not None and visual_tokens is not None:
         x[N_COEFFS] = lexical_similarity(audio_tokens, visual_tokens)
-    return x, np.array([float(coeffs is not None), float(text_present)])
+    return x

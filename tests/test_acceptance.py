@@ -326,12 +326,12 @@ def test_criterion_9_similarity_battery():
     ok &= lexical_similarity(frozenset({"p", "q"}), frozenset({"p", "q", "r"})) == 1.0
     # feature assembly
     emb = np.arange(13.0)
-    x, _ = build_feature(emb, frozenset({"a", "b"}), frozenset({"b"}))
+    x = build_feature(emb, frozenset({"a", "b"}), frozenset({"b"}))
     ok &= x.shape == (14,) and x[13] == 0.5
-    absent, _ = build_feature(None, frozenset({"a"}), frozenset({"a"}))
+    absent = build_feature(None, frozenset({"a"}), frozenset({"a"}))
     ok &= not absent[:13].any()
-    no_text, flags = build_feature(emb, None, None)
-    ok &= no_text[13] == 0.0 and not flags[1]
+    no_text = build_feature(emb, None, None)
+    ok &= no_text[13] == 0.0
     report_line(9, "similarity and feature-assembly battery", ok)
 
 

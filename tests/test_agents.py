@@ -201,8 +201,24 @@ class TestTrainAgent1:
         loss, probs, _ = softmax_cce(forward(val_frames, train=False),
                                      np.eye(2)[val_labels])
         assert history[0]["val_loss"] == loss
-        accuracy = float((probs.argmax(axis=1) == val_labels).mean())
+        accuracy = float(((probs[:, 1] >= 0.5) == val_labels).mean())
         assert history[0]["val_acc"] == accuracy
+
+    def test_equal_logits_count_as_fake(self):
+        # a zeroed output layer gives both classes 0.5 on every frame; as in
+        # evaluate and the forest, a probability of exactly 0.5 is fake
+        rng = np.random.default_rng(99)
+        frames, labels = separable_frames(rng, 4)
+        model = agents.build_agent1(seed=1, input_size=32)
+        out = model.net.layers[-1]
+        out.weights.value[...] = 0.0
+        out.bias.value[...] = 0.0
+        fake = labels == 1
+        history = agents.train_agent1(
+            model, frames, labels, frames[fake], labels[fake],
+            config=Agent1Config(learning_rate=0.0, epochs=1, augment=False))
+        assert history[0]["val_loss"] == pytest.approx(np.log(2.0))
+        assert history[0]["val_acc"] == 1.0
 
     def test_training_loss_non_increasing_on_separable_fixture(self):
         # end-of-epoch loss on the training set (inference mode), allowing
@@ -286,40 +302,48 @@ class TestTrainAgent2:
         acc = (((preds >= 0.5).astype(int)) == vy).mean()
         npt.assert_allclose(acc, best, atol=1e-12)
 
-    def test_training_loss_non_increasing_on_separable_fixture(self):
+    def test_training_loss_non_increasing_on_separable_fixture(self, monkeypatch):
+        # a patience past the budget, so all 40 epochs are checked: the
+        # default of 10 stops this run at epoch 19
+        monkeypatch.setattr(TrainController, "STOP_PATIENCE", 100)
         rng = np.random.default_rng(96)
         X, y = separable_features(rng, 60)
         model = agents.build_agent2(seed=42)
-        history = agents.train_agent2(
-            model, X, y, X, y,
-            config=Agent2Config(epochs=40, early_stop_patience=100))
+        history = agents.train_agent2(model, X, y, X, y,
+                                      config=Agent2Config(epochs=40))
+        assert len(history) == 40
         losses = [h["val_loss"] for h in history]
         for before, after in zip(losses, losses[1:]):
             assert after <= before * 1.05
 
 
 class TestTrainController:
+    def test_schedule_is_the_keras_one(self):
+        assert (TrainController.STOP_PATIENCE, TrainController.LR_PATIENCE,
+                TrainController.LR_FACTOR) == (10, 5, 0.5)
+
     def test_strictly_improving_never_stops(self):
-        ctl = TrainController(stop_patience=10, lr_patience=5)
+        ctl = TrainController()
         for epoch in range(100):
             stop, reduce = ctl.update(epoch / 100.0)
             assert not stop and not reduce
 
     def test_two_reductions_quarter_the_rate(self):
-        ctl = TrainController(stop_patience=100, lr_patience=5)
+        ctl = TrainController()
         lr = 0.001
         ctl.update(0.9)
-        for _ in range(10):
+        for _ in range(2 * TrainController.LR_PATIENCE):
             _, reduce = ctl.update(0.5)
             if reduce:
-                lr *= 0.5
+                lr *= TrainController.LR_FACTOR
         assert lr == pytest.approx(0.25 * 0.001)
 
     def test_stops_after_patience_stagnant_epochs(self):
-        ctl = TrainController(stop_patience=10, lr_patience=5)
+        ctl = TrainController()
         ctl.update(0.9)
-        stops = [ctl.update(0.1)[0] for _ in range(10)]
-        assert stops == [False] * 9 + [True]
+        patience = TrainController.STOP_PATIENCE
+        stops = [ctl.update(0.1)[0] for _ in range(patience)]
+        assert stops == [False] * (patience - 1) + [True]
 
 
 class TestOneEpochReplay:

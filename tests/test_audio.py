@@ -226,7 +226,7 @@ class TestEmbedAudio:
         npt.assert_allclose(emb, coeffs.mean(axis=0), rtol=1e-12)
 
     def test_empty_audio_flagged_absent(self):
-        # absent audio is None; feature assembly zero-fills and flags it
+        # absent audio is None; feature assembly zero-fills it
         assert audio.embed_audio(audio.Waveform(np.zeros(0), 16000)) is None
         assert audio.embed_audio(None) is None
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import deepagent
 from deepagent import agents, pipeline
-from deepagent.config import CONFIG_ENV_VAR
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import load_manifest
 
@@ -42,7 +41,6 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 def peak_rss_mib(args, work: Path) -> float:
     """Peak RSS of ``deepagent ARGS`` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop(CONFIG_ENV_VAR, None)  # a config file would change the run
     with open(work / "stderr.txt", "w+b") as err:
         out = subprocess.run(
             [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "deepagent",

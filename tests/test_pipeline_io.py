@@ -9,7 +9,7 @@ import pytest
 
 from deepagent import fixtures, semantic
 from deepagent.cache import read_cache, update_cache, write_cache
-from deepagent.config import CONFIG_ENV_VAR, load_config
+from deepagent.config import load_config
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
 from deepagent.fixtures import assign_splits
 from deepagent.manifest import load_manifest
@@ -129,22 +129,13 @@ class TestConfig:
         assert (fixtures.VAL_FRACTION, fixtures.TEST_FRACTION) == (0.20, 0.10)
         assert cfg.input_size == 224
 
-    def test_file_and_overrides(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7, "agent1": {"epochs": 3}}))
         cfg = load_config(path, {"m": 12})
         assert cfg.seed == 7 and cfg.agent1.epochs == 3 and cfg.m == 12
 
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"desk_scale": True}))
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        cfg = load_config(None, {})
-        assert cfg.desk_scale and cfg.input_size == 64
-
-    def test_flag_beats_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    def test_flag_beats_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7}))
         assert load_config(path, {"seed": 9}).seed == 9
@@ -185,7 +176,7 @@ class TestConfig:
         ({"agent1": {"augment": "no"}}, "agent1.augment"),
         ({"agent1": {"epochs": 2.5}}, "agent1.epochs"),
         ({"agent1": {"learning_rate": False}}, "agent1.learning_rate"),
-        ({"agent2": {"lr_factor": [0.5]}}, "agent2.lr_factor"),
+        ({"agent2": {"learning_rate": [0.001]}}, "agent2.learning_rate"),
     ])
     def test_wrong_value_type_names_key(self, tmp_path, data, key):
         path = tmp_path / "cfg.json"
@@ -205,7 +196,7 @@ class TestCache:
         rng = np.random.default_rng(70)
         entries = {
             "a/feature": rng.normal(size=14),
-            "a/flags": np.array([1.0, 0.0]),
+            "a/scores": np.array([0.25, 0.75]),
             "b/feature": rng.normal(size=(3, 4)),
         }
         path = tmp_path / "cache.daft"

@@ -58,30 +58,28 @@ class TestBuildFeature:
         audio_emb = np.arange(13.0)
         a = frozenset({"a", "b"})
         v = frozenset({"b", "c"})
-        x, _ = build_feature(audio_emb, a, v)
+        x = build_feature(audio_emb, a, v)
         assert x.shape == (14,)
         npt.assert_array_equal(x[:13], np.arange(13.0))
         assert x[13] == 0.5
 
     def test_absent_audio_zero_filled(self):
-        x, flags = build_feature(None, frozenset({"a"}), frozenset({"a"}))
+        x = build_feature(None, frozenset({"a"}), frozenset({"a"}))
         npt.assert_array_equal(x[:13], 0.0)
-        assert not flags[0]
         assert x[13] == 1.0
 
     def test_absent_text_zero_similarity(self):
         audio_emb = np.ones(13)
         for a, v in ((None, None), (frozenset({"a"}), None),
                      (None, frozenset({"a"}))):
-            x, flags = build_feature(audio_emb, a, v)
+            x = build_feature(audio_emb, a, v)
             assert x[13] == 0.0
-            assert not flags[1]
 
     def test_always_14_and_finite(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             coeffs = rng.normal(size=13) * 100
             emb = coeffs if rng.integers(2) else None
-            x, _ = build_feature(emb, frozenset({"x"}), frozenset({"y"}))
+            x = build_feature(emb, frozenset({"x"}), frozenset({"y"}))
             assert x.shape == (semantic.FEATURE_DIM,)
             assert np.isfinite(x).all()

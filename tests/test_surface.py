@@ -17,6 +17,10 @@ Every field of a package dataclass is read as an attribute somewhere in the
 package: a field nothing reads is state every constructor must fill for no
 behaviour.
 
+No package module uses ``os.environ``, ``os.getenv`` or ``os.putenv``: a
+run's settings come from its flags and its ``--config`` file alone, so an
+exported variable cannot change what a command does.
+
 Every callable the benchmark's tracer wraps exists, so a rename cannot
 quietly drop a layer from the traced benchmark, and the tracer's
 ``forest.nodes`` count is the number of nodes the forest grower made.
@@ -210,6 +214,32 @@ def test_every_parameter_is_set_by_the_package():
 def test_every_dataclass_field_is_read_in_the_package():
     unread = unread_dataclass_fields()
     assert unread == [], f"dataclass fields no package code reads: {unread}"
+
+
+# the process environment, read or written
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_uses():
+    """``file:line name`` per use of an ``os`` environment name, as an
+    attribute or imported from ``os``."""
+    uses = []
+    for path, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            uses += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                     for name in names if name in ENVIRONMENT_NAMES]
+    return uses
+
+
+def test_package_reads_no_environment():
+    uses = environment_uses()
+    assert uses == [], f"package code using the environment: {uses}"
 
 
 def _bench_tracer():
