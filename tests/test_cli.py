@@ -564,6 +564,8 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("flags, body, what", [
         (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], {"agent2": {"batch_size": 0}}, "agent2.batch_size must be >= 1, got 0"),
+        ([], {"agent2": {"epochs": 0}}, "agent2.epochs must be >= 1, got 0"),
         ([], {"agent2": {"learning_rate": -1.0}},
          "agent2.learning_rate must be finite and >= 0, got -1.0"),
     ])
