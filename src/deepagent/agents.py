@@ -17,9 +17,10 @@ inference forward, in prediction and in validation, runs through
 forward in float64 at either stored width.
 
 Both agents train in one Adam epoch loop, with the head's loss gradient
-taken at the logits. Training is single-threaded and fully seeded: batch
-shuffling, dropout, and augmentation all derive from the one seed, so
-identical runs produce identical weights.
+taken at the logits, on one validation schedule (``TrainController``).
+Training is single-threaded and fully seeded: batch shuffling, dropout,
+and augmentation all derive from the one seed, so identical runs produce
+identical weights.
 """
 
 from __future__ import annotations
@@ -188,10 +189,10 @@ def predict_agent2(model: Agent, X: np.ndarray) -> np.ndarray:
 class TrainController:
     """Early stopping and learning-rate reduction driven by validation accuracy.
 
-    The schedule is Agent-2's fixed Keras one, as constants: improvement
-    resets both patience counters; ``LR_PATIENCE`` stagnant epochs ask for
-    the rate to be multiplied by ``LR_FACTOR``, ``STOP_PATIENCE`` stagnant
-    epochs stop training.
+    Both agents train on this one schedule, Agent-2's fixed Keras one, as
+    constants: improvement resets both patience counters; ``LR_PATIENCE``
+    stagnant epochs ask for the rate to be multiplied by ``LR_FACTOR``,
+    ``STOP_PATIENCE`` stagnant epochs stop training.
     """
 
     STOP_PATIENCE = 10
@@ -219,9 +220,11 @@ class TrainController:
         return self.stale >= self.STOP_PATIENCE, reduce
 
 
-def _check_two_classes(labels: np.ndarray) -> None:
+def _train_labels(labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=int)
     if len(np.unique(labels)) < 2:
         raise UsageError("training set must contain both classes")
+    return labels
 
 
 def _predicted_class(probs: np.ndarray) -> np.ndarray:
@@ -230,25 +233,32 @@ def _predicted_class(probs: np.ndarray) -> np.ndarray:
     return probs[:, -1] >= 0.5
 
 
-def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
-         transform=None, controller=None) -> list[dict]:
+def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
+         transform=None) -> list[dict]:
     """The Adam epoch loop both agents train with; returns per-epoch history.
 
-    ``X`` and the validation inputs are arrays, or anything whose ``X[idx]``
-    gives the rows at an index array or slice (``pipeline.FrameSet`` reads
-    them from disk); the loop asks for one batch or validation slice at a
-    time and casts it to the model dtype. Each batch of the
-    ``stream``-seeded shuffle runs a train-mode forward to the logits;
-    ``head`` gives the loss and the logit gradient that is backpropagated.
+    ``X`` and ``val_X`` are arrays, or anything whose ``X[idx]`` gives the
+    rows at an index array or slice (``pipeline.FrameSet`` reads them from
+    disk); the loop asks for one batch or validation slice at a time and
+    casts it to the model dtype. ``encode`` turns labels into the head's
+    targets. Each batch of the ``stream``-seeded shuffle runs a train-mode
+    forward to the logits; ``head`` gives the loss and the logit gradient
+    that is backpropagated, and Adam applies and drops the step's gradients.
     ``transform`` rewrites each batch first (augmentation).
     A net holding batch norm skips batches of fewer than two rows.
-    ``val = (inputs, targets, labels)`` is scored by ``logits`` after every
-    epoch, in slices of ``forward_rows(model)`` rows.
-    A ``TrainController`` then stops early and reduces the rate by its
-    ``LR_FACTOR``, and the best-validation weights are restored.
+    A non-empty validation set is scored by ``logits`` after every epoch, in
+    slices of ``forward_rows(model)`` rows; a ``TrainController`` then stops
+    early and reduces the rate by its ``LR_FACTOR``, and the best-validation
+    weights are restored. Without one, training runs the full epoch budget.
     """
     net = model.net
+    targets = encode(labels)
+    val = None
+    if val_X is not None and len(val_X):
+        val_labels = np.asarray(val_labels, dtype=int)
+        val = (val_X, encode(val_labels), val_labels)
     opt = Adam(net.params(), eta=cfg.learning_rate)
+    controller = TrainController()
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([model.seed, stream]))
     min_batch = 2 if any(isinstance(layer, BatchNorm) for layer in net.layers) else 1
     best = None
@@ -266,7 +276,6 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
             loss, probs, grad = head(net.forward(batch, train=True), targets[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            net.zero_grad()
             net.backward(grad)
             opt.step()
             losses.append(loss)
@@ -286,8 +295,6 @@ def _fit(model, X, targets, labels, cfg, head, stream, *, val=None,
         val_X, val_targets, val_labels = val
         row["val_loss"], probs, _ = head(logits(model, val_X), val_targets)
         row["val_acc"] = float((_predicted_class(probs) == val_labels).mean())
-        if controller is None:
-            continue
         stop, reduce = controller.update(row["val_acc"])
         if controller.stale == 0:
             best = [arr.copy() for _, arr in net.state()]
@@ -305,54 +312,37 @@ def train_agent1(model: Agent, frames: np.ndarray, labels: np.ndarray,
                  val_frames: np.ndarray | None = None,
                  val_labels: np.ndarray | None = None, *,
                  config: Agent1Config) -> list[dict]:
-    """Minimize softmax cross-entropy with Adam; returns per-epoch history.
+    """Minimize softmax cross-entropy over one-hot targets with ``_fit``.
 
     ``frames`` are normalized [0, 1] frames shaped N x S x S x 3 with labels
     in {0, 1}: an ndarray, or a ``pipeline.FrameSet`` that reads each batch
     from disk when ``_fit`` asks for it, so training memory is set by the
     batch and not by the size of the split; ``val_frames`` likewise. With
     ``config.augment``, every batch is augmented with ``vision.augment``'s
-    fixed ranges, redrawn every epoch from the model seed. Validation runs
-    through ``logits``, the loop scoring uses, so its memory does not grow
-    with the validation set.
+    fixed ranges, redrawn every epoch from the model seed.
     """
-    labels = np.asarray(labels, dtype=int)
-    _check_two_classes(labels)
+    labels = _train_labels(labels)
     onehot = np.eye(2, dtype=model.dtype)
-    transform = val = None
+    transform = None
     if config.augment:
         aug_rng = np.random.default_rng(np.random.SeedSequence([model.seed, 6]))
         transform = lambda batch: np.stack(
             [augment(img, aug_rng) for img in batch]).astype(model.dtype)
-    if val_frames is not None and len(val_frames):
-        val_labels = np.asarray(val_labels, dtype=int)
-        val = (val_frames, onehot[val_labels], val_labels)
-    return _fit(model, frames, onehot[labels], labels, config, softmax_cce,
-                stream=5, val=val, transform=transform)
+    return _fit(model, frames, labels, val_frames, val_labels, config, softmax_cce,
+                lambda y: onehot[y], stream=5, transform=transform)
 
 
 def train_agent2(model: Agent, X: np.ndarray, y: np.ndarray,
                  val_X: np.ndarray | None = None,
                  val_y: np.ndarray | None = None, *,
                  config: Agent2Config) -> list[dict]:
-    """Minimize sigmoid cross-entropy with Adam, early stopping, LR reduction.
-
-    The net's input standardization is fit on ``X`` first. Validation
-    accuracy drives both schedules; the best-validation weights are restored
-    before returning. Without a validation set the schedules are inactive
-    and training runs the full epoch budget.
-    """
+    """Minimize sigmoid cross-entropy with ``_fit``; the net's input
+    standardization is fit on ``X`` first."""
     X = np.asarray(X, dtype=model.dtype)
-    y = np.asarray(y, dtype=int)
-    _check_two_classes(y)
+    y = _train_labels(y)
     model.net.layers[0].fit(X)
-    val = controller = None
-    if val_X is not None and len(val_X):
-        val_y = np.asarray(val_y, dtype=int)
-        val = (val_X, val_y[:, None].astype(model.dtype), val_y)
-        controller = TrainController()
-    return _fit(model, X, y[:, None].astype(model.dtype), y, config,
-                sigmoid_bce, stream=7, val=val, controller=controller)
+    return _fit(model, X, y, val_X, val_y, config, sigmoid_bce,
+                lambda labels: labels[:, None].astype(model.dtype), stream=7)
 
 
 # checkpoints ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dataset manifests: one JSON record per video sample.
 
-A record has a non-empty string id and names the sample's frames (a
-non-empty list of image file paths), its optional audio track, the
-optional ASR/OCR sidecar text files (each a path string when present) and
-its split, which every command reads and none derives. Validation happens
+A record has a non-empty string id that UTF-8 can encode and names the
+sample's frames (a non-empty list of image file paths), its optional audio
+track, the optional ASR/OCR sidecar text files (each a path string when
+present) and its split, which every command reads and none derives. Validation happens
 up front and reports every violation at once, before any compute starts.
 """
 
@@ -75,6 +75,10 @@ def load_manifest(path) -> list[SampleRecord]:
         if not (isinstance(rid, str) and rid):
             problems.append(f"record {i}: missing id" if "id" not in entry else
                             f"record {i}: id must be a non-empty string, got {rid!r}")
+            rid = f"<record {i}>"
+        elif any("\ud800" <= ch <= "\udfff" for ch in rid):
+            # a lone surrogate is legal JSON but no UTF-8 cache key
+            problems.append(f"record {i}: id must be encodable as UTF-8, got {rid!r}")
             rid = f"<record {i}>"
         elif rid in seen:
             problems.append(f"duplicate id {rid}")

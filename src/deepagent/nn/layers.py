@@ -15,8 +15,9 @@ Each layer lists its persistent arrays once, in ``STATE``, paired with their
 checkpoint kind codes; trainable parameters, checkpoints and weight
 snapshots all read that list.
 
-``backward(grad, input_grad=True)`` accumulates the parameter gradients and
-returns the gradient with respect to the layer input. With
+``backward(grad, input_grad=True)`` sets each parameter's gradient for
+this step (``Param.grad``, None between steps, read and dropped by
+``Adam.step``) and returns the gradient with respect to the layer input. With
 ``input_grad=False`` a layer may skip forming it and return None;
 :class:`Sequential` asks this of its first layer that holds parameters and
 runs no backward below it, because nothing reads the gradient with respect
@@ -32,15 +33,15 @@ from deepagent.nn import checkpoint as ckpt
 
 
 class Param:
-    """Named trainable array paired with its gradient accumulator."""
+    """Named trainable array and the gradient of the current step, which a
+    backward sets and ``Adam.step`` consumes; None in between."""
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        # not zeros_like: calloc'd pages stay untouched until a backward
-        self.grad = np.zeros(value.shape, dtype=value.dtype)
+        self.grad = None
 
 
 class Layer:
@@ -168,11 +169,11 @@ class Conv2D(Layer):
         n, oh, ow, _ = grad.shape
         k, c = self.kernel_size, self.in_channels
         gmat = grad.reshape(n * oh * ow, self.out_channels)
-        self.kernel.grad += (cols.T @ gmat).reshape(self.kernel.value.shape)
+        self.kernel.grad = (cols.T @ gmat).reshape(self.kernel.value.shape)
         # dcols has the im2col copy's shape: freeing the copy first lets
         # dcols take its memory instead of raising the step's peak
         del cols
-        self.bias.grad += gmat.sum(axis=0)
+        self.bias.grad = gmat.sum(axis=0)
         if not input_grad:
             return None
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
@@ -269,8 +270,8 @@ class BatchNorm(Layer):
 
     def backward(self, grad, input_grad=True):
         xhat, inv, axes, nred = self._take_cache()
-        self.gamma.grad += (grad * xhat).sum(axis=axes)
-        self.beta.grad += grad.sum(axis=axes)
+        self.gamma.grad = (grad * xhat).sum(axis=axes)
+        self.beta.grad = grad.sum(axis=axes)
         dxhat = grad * self.gamma.value
         # standard batch-norm backward through the batch statistics
         dx = (inv / nred) * (
@@ -354,8 +355,8 @@ class Dense(Layer):
 
     def backward(self, grad, input_grad=True):
         x = self._take_cache()
-        self.weights.grad += x.T @ grad
-        self.bias.grad += grad.sum(axis=0)
+        self.weights.grad = x.T @ grad
+        self.bias.grad = grad.sum(axis=0)
         if not input_grad:
             return None
         return grad @ self.weights.value.T
@@ -410,15 +411,11 @@ class Sequential(Layer):
         return x
 
     def backward(self, grad):
-        """Accumulate every parameter gradient; nothing reads the gradient
+        """Set every parameter gradient; nothing reads the gradient
         with respect to the network input, so backward stops at the first
         layer that holds parameters, without forming its input gradient."""
         first = next(i for i, layer in enumerate(self.layers) if layer.params())
         for layer in self.layers[:first:-1]:
             grad = layer.backward(grad)
         self.layers[first].backward(grad, input_grad=False)
-
-    def zero_grad(self):
-        for p in self.params():
-            p.grad[...] = 0.0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from deepagent.errors import TrainingError
+from deepagent.errors import TrainingError, UsageError
 from deepagent.nn.layers import Param
 
 # elements per update slice: the slices of a parameter, its gradient and
@@ -32,8 +32,9 @@ class Adam:
                          for dt in {p.value.dtype for p in params}}
 
     def step(self):
-        """Apply one update in place; a non-finite gradient aborts the step,
-        naming the offending parameter, before any value changes.
+        """Apply one update in place and drop each gradient it applied
+        (``p.grad = None``); a missing or non-finite gradient aborts the
+        step, naming the offending parameter, before any value changes.
 
         Each parameter is updated in slices of at most ``CHUNK`` elements
         with the same elementwise operations, in the same order, as the
@@ -43,6 +44,8 @@ class Adam:
         result is the same.
         """
         for p in self.params:
+            if p.grad is None:
+                raise UsageError(f"no gradient for {p.name}: step needs a backward first")
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient for {p.name}")
         self.t += 1
@@ -73,3 +76,4 @@ class Adam:
                 np.multiply(b, eta, out=b)
                 np.divide(b, a, out=b)
                 np.subtract(w, b, out=w)
+            p.grad = None

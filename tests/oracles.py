@@ -287,7 +287,6 @@ def gradient_check(model, loss_fn, x, y, h=1e-5):
         return model.forward(x, train=True)
 
     _, _, dout = loss_fn(forward(), y)
-    model.zero_grad()
     model.backward(dout)
     analytic = [p.grad.copy() for p in model.params()]
 

@@ -77,7 +77,6 @@ class TestBuildAgent1:
         x = np.random.default_rng(0).uniform(size=(2, 224, 224, 3))
         logits = model.net.forward(x, train=True)
         loss, _, dlogits = softmax_cce(logits, np.eye(2)[[0, 1]])
-        model.net.zero_grad()
         model.net.backward(dlogits)
         assert np.isfinite(loss)
         assert all(np.isfinite(p.grad).all() for p in model.net.params())
@@ -220,6 +219,23 @@ class TestTrainAgent1:
         assert history[0]["val_loss"] == pytest.approx(np.log(2.0))
         assert history[0]["val_acc"] == 1.0
 
+    def test_restores_best_validation_weights(self):
+        # validation accuracy peaks at epoch 4 of 6, so the last weights
+        # are not the best ones
+        rng = np.random.default_rng(90)
+        frames, labels = separable_frames(rng, 10)
+        val_frames, val_labels = separable_frames(rng, 6)
+        model = agents.build_agent1(seed=2, input_size=32)
+        history = agents.train_agent1(model, frames, labels, val_frames, val_labels,
+                                      config=Agent1Config(epochs=6, augment=False))
+        best = max(h["val_acc"] for h in history)
+        assert history[-1]["val_acc"] < best
+        preds = agents.predict_frames(model, val_frames)
+        acc = (((preds >= 0.5).astype(int)) == val_labels).mean()
+        npt.assert_allclose(acc, best, atol=1e-12)
+        # Adam drops each gradient once applied, so none outlives training
+        assert all(p.grad is None for p in model.net.params())
+
     def test_training_loss_non_increasing_on_separable_fixture(self):
         # end-of-epoch loss on the training set (inference mode), allowing
         # single-epoch noise of 5 percent
@@ -301,6 +317,7 @@ class TestTrainAgent2:
         preds = agents.predict_agent2(model, vX)
         acc = (((preds >= 0.5).astype(int)) == vy).mean()
         npt.assert_allclose(acc, best, atol=1e-12)
+        assert all(p.grad is None for p in model.net.params())
 
     def test_training_loss_non_increasing_on_separable_fixture(self, monkeypatch):
         # a patience past the budget, so all 40 epochs are checked: the
@@ -366,7 +383,6 @@ class TestOneEpochReplay:
             if len(idx) < min_batch:
                 continue
             _, _, grad = head(model.net.forward(X[idx], train=True), targets[idx])
-            model.net.zero_grad()
             model.net.backward(grad)
             t += 1
             for p, p_m, p_v in zip(params, m, v):

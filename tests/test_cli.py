@@ -460,6 +460,9 @@ class TestFailureModes:
 
     def test_wrongly_typed_manifest_fields_exit_2(self, workspace, tmp_path, capsys):
         records = json.loads(workspace["manifest"].read_text())
+        # legal JSON, but a lone surrogate has no UTF-8 encoding for the
+        # cache to write
+        records.append({**records[0], "id": "\ud800x"})
         records[0]["frames"] = None
         records[1]["frames"] = records[1]["frames"][0]
         records[2]["audio"] = 5
@@ -484,7 +487,7 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         ids = [r["id"] for r in records]
-        assert "14 manifest violation(s)" in error["message"]
+        assert "15 manifest violation(s)" in error["message"]
         for rid, what in ((ids[0], "frames must be a list of strings"),
                           (ids[1], "frames must be a list of strings"),
                           (ids[2], "audio must be a string"),
@@ -496,6 +499,8 @@ class TestFailureModes:
         for i, rid in ((7, None), (8, 5), (9, True), (10, "")):
             assert (f"record {i}: id must be a non-empty string, got {rid!r}"
                     in error["message"])
+        assert (f"record {len(records) - 1}: id must be encodable as UTF-8, got '\\ud800x'"
+                in error["message"])
         for i, split in ((11, None), (2, "unassigned"), (3, "holdout")):
             assert (f"{ids[i]}: split must be 'train', 'val' or 'test', got {split!r}"
                     in error["message"])
@@ -587,7 +592,7 @@ class TestFailureModes:
         ("agent2.beta1", 0.9), ("agent2.beta2", 0.999), ("agent2.epsilon", 1e-7),
         ("frame_interval", 5), ("meta_dims", 2), ("mel_filters", 13),
         ("train_fraction", 0.7),
-        # Agent-2's schedule is agents.TrainController's constants
+        # the validation schedule is agents.TrainController's constants
         ("agent2.early_stop_patience", 10), ("agent2.lr_patience", 5),
         ("agent2.lr_factor", 0.5),
     ])

@@ -32,10 +32,8 @@ def conv_forward(layer, image):
 
 def conv_backward(layer, grad_out):
     """(grad_input, grad_kernel, grad_bias) of one image's cached forward."""
-    layer.kernel.grad[...] = 0.0
-    layer.bias.grad[...] = 0.0
     dx = layer.backward(grad_out[None])[0]
-    return dx, layer.kernel.grad.copy(), layer.bias.grad.copy()
+    return dx, layer.kernel.grad, layer.bias.grad
 
 
 def cce_loss(y_true, y_pred):
@@ -413,13 +411,14 @@ class TestAdam:
         p = Param("w", np.array([1.0, -2.0]))
         opt = Adam([p], eta=0.01)
         for _ in range(25):
+            p.grad = np.zeros(2)
             opt.step()
         npt.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         # bias correction makes m_hat = v_hat = 1 on step one
         p = Param("w", np.zeros(4))
-        p.grad[...] = 1.0
+        p.grad = np.ones(4)
         eta = 0.0001
         opt = Adam([p], eta=eta)
         opt.step()
@@ -427,26 +426,34 @@ class TestAdam:
 
     def test_constant_gradient_step_approaches_eta(self):
         p = Param("w", np.zeros(1))
-        p.grad[...] = 3.0
         opt = Adam([p], eta=0.001)
         prev = p.value.copy()
         for _ in range(3000):
             prev = p.value.copy()
+            p.grad = np.full(1, 3.0)
             opt.step()
         step = abs((p.value - prev)[0])
         npt.assert_allclose(step, opt.eta, rtol=1e-3)
 
     def test_step_counter_increments_by_one(self):
         p = Param("w", np.zeros(2))
-        p.grad[...] = 1.0
         opt = Adam([p])
         for expect in (1, 2, 3):
+            p.grad = np.ones(2)
             opt.step()
             assert opt.t == expect
+            assert p.grad is None  # each step consumes its gradient
+
+    def test_step_without_gradient_names_parameter(self):
+        p = Param("fc1.weights", np.zeros(2))
+        opt = Adam([p])
+        with pytest.raises(UsageError, match="no gradient for fc1.weights"):
+            opt.step()
+        assert opt.t == 0
 
     def test_non_finite_gradient_names_parameter(self):
         p = Param("conv1.kernel", np.zeros(2))
-        p.grad[...] = np.nan
+        p.grad = np.full(2, np.nan)
         opt = Adam([p])
         with pytest.raises(TrainingError, match="conv1.kernel"):
             opt.step()
@@ -470,7 +477,7 @@ class TestAdamOracle:
         opt = Adam(params, eta=eta)
         for t in range(1, 6):
             for i, p in enumerate(params):
-                p.grad[...] = rng.normal(size=p.value.shape).astype(dtype)
+                p.grad = rng.normal(size=p.value.shape).astype(dtype)
                 reference_adam_step(ref_values[i], p.grad, ref_m[i], ref_v[i], t,
                                     eta, b1, b2, eps)
             opt.step()
@@ -486,12 +493,12 @@ class TestAdamOracle:
                   Param("conv5.kernel", rng.normal(size=CHUNK + 5))]
         opt = Adam(params, eta=0.01)
         for p in params:
-            p.grad[...] = rng.normal(size=p.value.shape)
+            p.grad = rng.normal(size=p.value.shape)
         opt.step()
         before = [(p.value.copy(), m.copy(), v.copy())
                   for p, m, v in zip(params, opt.m, opt.v)]
         for p in params:
-            p.grad[...] = 1.0
+            p.grad = np.ones(p.value.shape)
         params[1].grad[CHUNK + 2] = np.inf
         with pytest.raises(TrainingError, match="non-finite gradient for conv5.kernel"):
             opt.step()
