@@ -153,8 +153,9 @@ class Conv2D(Layer):
         # symmetrically with the extra pixel on the trailing side
         ph, pw = max((oh - 1) * s + k - h, 0), max((ow - 1) * s + k - w, 0)
         if ph or pw:
-            x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2),
-                           (0, 0)))
+            padded = np.zeros((n, h + ph, w + pw, c), dtype=x.dtype)
+            padded[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w] = x
+            x = padded
         cols = _windows(x, k, s, oh, ow).reshape(n * oh * ow, k * k * c)
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
         out = cols @ kmat
@@ -227,8 +228,9 @@ class BatchNorm(Layer):
     """Per-channel batch normalization over batch (and spatial) dimensions.
 
     Train mode uses batch statistics and folds them into zero-started moving
-    averages; after step t the running estimates, which inference reads, are
-    those averages debiased by ``1 - MOMENTUM**t`` (as Adam's moments are).
+    averages; after step t the running estimates are those averages
+    debiased by ``1 - MOMENTUM**t`` (as Adam's moments are). Inference folds
+    them with gamma and beta into one per-channel scale and shift.
     Momentum and epsilon are fixed, at the Keras defaults.
     """
 
@@ -265,8 +267,10 @@ class BatchNorm(Layer):
             self.running_mean, self.running_var = self._ema / (1.0 - m ** self._steps)
             self._cache = (xhat, inv, axes, int(np.prod([x.shape[a] for a in axes])))
             return self.gamma.value * xhat + self.beta.value
-        inv = 1.0 / np.sqrt(self.running_var + self.EPSILON)
-        return self.gamma.value * (x - self.running_mean) * inv + self.beta.value
+        scale = self.gamma.value / np.sqrt(self.running_var + self.EPSILON)
+        out = x * scale
+        out += self.beta.value - self.running_mean * scale
+        return out
 
     def backward(self, grad, input_grad=True):
         xhat, inv, axes, nred = self._take_cache()

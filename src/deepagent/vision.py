@@ -84,25 +84,29 @@ def save_frame(path, pixels: np.ndarray) -> None:
         fh.write(header + raw.tobytes())
 
 
-def _bilinear_axis(n: int, out: int):
-    """Source neighbours and the upper weight per output index along one axis
-    (half-pixel centers, clamped to the edge)."""
+def _bilinear_matrix(n: int, out: int) -> np.ndarray:
+    """The ``out x n`` interpolation weights along one axis (half-pixel
+    centers, clamped to the edge): row i weighs output i's two source
+    neighbours, or holds one 1 where the clamp makes them coincide."""
     src = np.clip((np.arange(out) + 0.5) * n / out - 0.5, 0.0, n - 1.0)
     lo = np.floor(src).astype(int)
-    return lo, np.minimum(lo + 1, n - 1), src - lo
+    weights = np.zeros((out, n))
+    rows = np.arange(out)
+    weights[rows, lo] = 1 - (src - lo)
+    weights[rows, np.minimum(lo + 1, n - 1)] += src - lo
+    return weights
 
 
 def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with half-pixel centers (corner-aligned false),
-    separable: rows are interpolated first, then columns."""
+    separable: two GEMMs with the axes' interpolation weights, rows first,
+    then columns. The result is a transposed view of the second product."""
     h, w = pixels.shape[:2]
     if h == out_h and w == out_w:
         return pixels.copy()
-    y0, y1, fy = _bilinear_axis(h, out_h)
-    x0, x1, fx = _bilinear_axis(w, out_w)
-    fy, fx = fy[:, None, None], fx[None, :, None]
-    rows = pixels[y0] * (1 - fy) + pixels[y1] * fy
-    return rows[:, x0] * (1 - fx) + rows[:, x1] * fx
+    rows = np.tensordot(_bilinear_matrix(h, out_h), pixels, axes=1)
+    cols = np.tensordot(rows, _bilinear_matrix(w, out_w), axes=([1], [1]))
+    return cols.transpose(0, 2, 1)
 
 
 def sample_interval(n_frames: int) -> list[int]:

@@ -11,7 +11,8 @@ from collections import deque
 
 import numpy as np
 
-from deepagent.nn.layers import Conv2D, Dense, Dropout, GlobalAvgPool, MaxPool2D
+from deepagent.nn.layers import (BatchNorm, Conv2D, Dense, Dropout, GlobalAvgPool,
+                                 MaxPool2D, ReLU)
 
 
 def naive_dft_magnitudes(signal):
@@ -109,6 +110,64 @@ def naive_bilinear_resize(pixels, out_h, out_w):
                 bot = pixels[y1, x0, ch] * (1 - fx) + pixels[y1, x1, ch] * fx
                 out[oy, ox, ch] = top * (1 - fy) + bot * fy
     return out
+
+
+def _offset_conv(x, layer):
+    """Convolution as one tensor product per kernel offset over strided
+    slices of the zero-padded input."""
+    kernel, k, s = layer.kernel.value, layer.kernel_size, layer.stride
+    n, h, w, _ = x.shape
+    if layer.padding == "same":
+        oh, ow = -(-h // s), -(-w // s)
+        ph, pw = max((oh - 1) * s + k - h, 0), max((ow - 1) * s + k - w, 0)
+        x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2),
+                       (0, 0)))
+    else:
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    out = np.zeros((n, oh, ow, kernel.shape[3]))
+    for i in range(k):
+        for j in range(k):
+            window = x[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
+            out += np.tensordot(window, kernel[i, j], axes=([3], [0]))
+    return out + layer.bias.value
+
+
+def _offset_maxpool(x, p, s):
+    """Max pooling as the running maximum of the p * p window offsets."""
+    _, h, w, _ = x.shape
+    oh, ow = (h - p) // s + 1, (w - p) // s + 1
+    out = np.full((x.shape[0], oh, ow, x.shape[3]), -np.inf)
+    for i in range(p):
+        for j in range(p):
+            out = np.maximum(out, x[:, i:i + s * (oh - 1) + 1:s,
+                                    j:j + s * (ow - 1) + 1:s, :])
+    return out
+
+
+def reference_agent1_probs(model, frames):
+    """Fake-class probability per ``N x S x S x 3`` frame: Agent-1's
+    inference forward in float64, layer by layer, with none of the package's
+    window views or BatchNorm arithmetic (the unfolded
+    ``gamma * (x - mean) / sqrt(var + eps) + beta``)."""
+    x = np.asarray(frames, dtype=np.float64)
+    for layer in model.net.layers:
+        if isinstance(layer, Conv2D):
+            x = _offset_conv(x, layer)
+        elif isinstance(layer, MaxPool2D):
+            x = _offset_maxpool(x, layer.pool_size, layer.stride)
+        elif isinstance(layer, BatchNorm):
+            x = (layer.gamma.value * (x - layer.running_mean)
+                 / np.sqrt(layer.running_var + BatchNorm.EPSILON) + layer.beta.value)
+        elif isinstance(layer, ReLU):
+            x = np.maximum(x, 0.0)
+        elif isinstance(layer, GlobalAvgPool):
+            x = x.mean(axis=(1, 2))
+        elif isinstance(layer, Dense):
+            x = x @ layer.weights.value + layer.bias.value
+        elif not isinstance(layer, Dropout):  # dropout is the identity here
+            raise TypeError(f"no reference for {type(layer).__name__}")
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e[:, 1] / e.sum(axis=1)
 
 
 def pairwise_auc(labels, scores):

@@ -11,10 +11,11 @@ from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import UsageError
 from deepagent.nn.checkpoint import load_checkpoint
+from deepagent.nn.layers import BatchNorm
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
 
-from oracles import agent1_shape_chain, reference_adam_step
+from oracles import agent1_shape_chain, reference_adam_step, reference_agent1_probs
 
 
 def relu(x):
@@ -280,6 +281,30 @@ class TestPredictAgent1:
             if isinstance(layer, Dropout):
                 layer.rng = np.random.default_rng(999)
         assert predict_frame(model, frame) == before
+
+    @pytest.mark.parametrize("size, n_frames, rows", [(64, 20, 16), (224, 2, 1)])
+    def test_matches_reference_forward(self, size, n_frames, rows):
+        # an untrained BatchNorm holds gamma 1, beta 0, mean 0 and variance 1,
+        # where folding it into a scale and shift is exact; seeded statistics
+        # make the fold a real computation
+        rng = np.random.default_rng(size)
+        model = agents.build_agent1(seed=5, input_size=size)
+        for layer in model.net.layers:
+            if isinstance(layer, BatchNorm):
+                c = layer.channels
+                layer.gamma.value[:] = rng.uniform(0.5, 2.0, c)
+                layer.beta.value[:] = rng.uniform(-0.5, 0.5, c)
+                layer.running_mean[:] = rng.uniform(-0.5, 0.5, c)
+                layer.running_var[:] = rng.uniform(0.1, 2.0, c)
+        # a smaller output layer keeps the probabilities off 0 and 1, where
+        # the softmax would hide a difference in the logits
+        model.net.layers[-1].weights.value *= 0.05
+        frames = rng.uniform(size=(n_frames, size, size, 3))
+        assert agents.forward_rows(model) == rows
+        probs = agents.predict_frames(model, frames)
+        assert ((probs > 0.1) & (probs < 0.9)).all()
+        npt.assert_allclose(probs, reference_agent1_probs(model, frames),
+                            rtol=0, atol=1e-9)
 
     def test_inference_leaves_no_layer_state(self):
         # frozen-weight prediction must not mutate layers, so concurrent

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from deepagent import pipeline
 from deepagent.cache import read_cache, write_cache
 from deepagent.cli import main
 from deepagent.nn import checkpoint as ckpt
@@ -256,6 +257,27 @@ class TestFailureModes:
         assert code == 2 and error["kind"] == "IngestionError"
         assert (f"nan.damc: record 3: non-finite value in kind {ckpt.KIND_DENSE_W}"
                 in error["message"])
+
+    @pytest.mark.parametrize("command", ["predict", "fuse"])
+    @pytest.mark.parametrize("flag", ["--agent1", "--agent2"])
+    def test_checkpoint_of_the_other_agent_exits_1_naming_it(
+            self, workspace, capsys, monkeypatch, command, flag):
+        # one flag names the other agent's checkpoint; the check runs
+        # before any frame is read
+        def no_frames(*args):
+            raise AssertionError("frames read before the checkpoint kind check")
+        monkeypatch.setattr(pipeline, "load_sample_frames", no_frames)
+        paths = {"--agent1": workspace["a1"], "--agent2": workspace["a2"]}
+        want, got = (1, 2) if flag == "--agent1" else (2, 1)
+        paths[flag] = wrong = paths[f"--agent{got}"]
+        code = main([command, "--manifest", str(workspace["manifest"]),
+                     "--agent1", str(paths["--agent1"]), "--agent2", str(paths["--agent2"]),
+                     "--cache", str(workspace["cache"]),
+                     "--out", str(workspace["root"] / "bad_out.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 1 and error["kind"] == "ConfigurationError"
+        assert (f"{flag} {wrong}: holds an Agent-{got} checkpoint, expected "
+                f"Agent-{want}") in error["message"]
 
     def test_checkpoint_negative_running_variance_exits_2(self, workspace, tmp_path,
                                                            capsys):

@@ -86,6 +86,14 @@ class TestConv2D:
         out = conv_forward(layer, np.zeros((6, 6, 1)))
         assert out.shape == (6, 6, 2)
 
+    def test_same_padding_puts_the_odd_pixel_on_the_trailing_side(self):
+        # a 2 x 2 window needs one pixel of padding per axis: the last row
+        # and column of windows overhang the input, the first ones do not
+        layer = Conv2D(1, 1, 2, padding="same", rng=np.random.default_rng(0))
+        layer.kernel.value[...] = 1.0
+        out = conv_forward(layer, np.ones((3, 3, 1)))
+        npt.assert_array_equal(out[..., 0], [[4, 4, 2], [4, 4, 2], [2, 2, 1]])
+
     def test_zero_grad_out_gives_zero_grads(self):
         rng = np.random.default_rng(1)
         layer = Conv2D(2, 2, 3, rng=rng)

@@ -60,9 +60,11 @@ class TestLoadFrame:
 class TestResize:
     def test_same_size_bitwise_identity(self):
         rng = np.random.default_rng(5)
-        frame = rng.uniform(0, 255, size=(7, 9, 3))
-        out = vision.resize_bilinear(frame, 7, 9)
-        npt.assert_array_equal(out, frame)
+        for shape in [(7, 9, 3), (6, 6, 1)]:
+            frame = rng.uniform(0, 255, size=shape)
+            out = vision.resize_bilinear(frame, *shape[:2])
+            assert out.tobytes() == frame.tobytes()
+            assert not np.shares_memory(out, frame)
 
     def test_constant_image_stays_constant(self):
         frame = np.full((3, 5, 1), 77.0)
@@ -84,6 +86,34 @@ class TestResize:
             out = vision.resize_bilinear(pixels, int(oh), int(ow))
             npt.assert_allclose(out, naive_bilinear_resize(pixels, int(oh), int(ow)),
                                 atol=1e-9)
+
+    @pytest.mark.parametrize("shape, out", [
+        ((64, 64, 3), (224, 224)),
+        ((64, 64, 1), (224, 224)),
+        ((224, 224, 3), (64, 64)),
+        ((48, 80, 3), (224, 224)),
+        ((90, 150, 1), (37, 53)),
+        ((50, 30, 3), (20, 70)),
+    ], ids=["up-rgb", "up-gray", "down-rgb", "up-rgb-wide", "down-gray-wide",
+            "mixed-rgb-tall"])
+    def test_frame_sized_resizes_match_naive_loop(self, shape, out):
+        pixels = np.random.default_rng(sum(shape)).uniform(0, 255, size=shape)
+        npt.assert_allclose(vision.resize_bilinear(pixels, *out),
+                            naive_bilinear_resize(pixels, *out), rtol=0, atol=1e-9)
+
+    def test_loaded_batch_is_the_naive_resize_over_255(self, tmp_path):
+        rng = np.random.default_rng(12)
+        frames = [rng.integers(0, 256, size=s).astype(float)
+                  for s in [(50, 70, 3), (64, 64, 1), (96, 96, 3)]]
+        paths = []
+        for i, frame in enumerate(frames):
+            paths.append(tmp_path / f"f{i}.{'ppm' if frame.shape[2] == 3 else 'pgm'}")
+            vision.save_frame(paths[-1], frame)
+        batch = pipeline.load_sample_frames(paths, 96)
+        for got, frame in zip(batch, frames):
+            want = naive_bilinear_resize(frame, 96, 96) / 255.0
+            npt.assert_allclose(got, np.broadcast_to(want, (96, 96, 3)),
+                                rtol=0, atol=1e-9)
 
 
 class TestNormalize:
