@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from deepagent.config import Agent1Config, Agent2Config
-from deepagent.errors import IngestionError, TrainingError, UsageError
+from deepagent.errors import (ConfigurationError, IngestionError, TrainingError,
+                              UsageError)
 from deepagent.nn import checkpoint as ckpt
 from deepagent.nn.layers import (
     BatchNorm,
@@ -379,11 +380,17 @@ def _load_state(state, records, path) -> None:
         target[...] = arr
 
 
-def load_agent(path) -> Agent:
+def load_agent(path, kind: int | None = None) -> Agent:
     """Rebuild Agent-1 or Agent-2 from a checkpoint as a float64 net; the
-    header's ``dtype_bits`` sets only the width the records were stored at."""
+    header's ``dtype_bits`` sets only the width the records were stored at.
+    Given ``kind`` (1 or 2), a checkpoint of the other agent raises a
+    ConfigurationError naming the path and its flag, ``--agent<kind>``."""
     header, records = ckpt.load_checkpoint(path)
     size = header["input_size"]
+    if kind is not None and header["model_kind"] != kind:
+        raise ConfigurationError(f"--agent{kind} {path}: holds an Agent-"
+                                 f"{header['model_kind']} checkpoint, expected "
+                                 f"Agent-{kind}")
     # checked before building, so a corrupt size cannot size the layers
     if header["model_kind"] == ckpt.MODEL_AGENT1:
         if size not in AGENT1_SIZES:

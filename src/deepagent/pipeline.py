@@ -25,7 +25,6 @@ from deepagent.cache import read_cache, update_cache, write_cache
 from deepagent.config import PipelineConfig
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
 from deepagent.manifest import SPLITS, SampleRecord, by_split, is_label
-from deepagent.nn import checkpoint as ckpt
 
 
 def select_frame_indices(n_frames: int, config: PipelineConfig) -> list[int]:
@@ -199,20 +198,10 @@ def score_samples(records, agent1_model, agent2_model, cache_entries,
     return np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
 
 
-def _load_agent(path, kind: int, flag: str) -> agents.Agent:
-    """The checkpoint ``flag`` names, which must hold that agent (DAMC model
-    kind 1 is Agent-1, kind 2 Agent-2)."""
-    model = agents.load_agent(require_checkpoint(path))
-    if model.kind != kind:
-        raise ConfigurationError(f"{flag} {path}: holds an Agent-{model.kind} "
-                                 f"checkpoint, expected Agent-{kind}")
-    return model
-
-
 def _score(records, config, agent1_path, agent2_path, cache_path) -> np.ndarray:
     """Load both checkpoints and the cache, then score every record."""
-    agent1_model = _load_agent(agent1_path, ckpt.MODEL_AGENT1, "--agent1")
-    agent2_model = _load_agent(agent2_path, ckpt.MODEL_AGENT2, "--agent2")
+    agent1_model = agents.load_agent(require_checkpoint(agent1_path), kind=1)
+    agent2_model = agents.load_agent(require_checkpoint(agent2_path), kind=2)
     entries = _require_cache(cache_path)
     return score_samples(records, agent1_model, agent2_model, entries,
                          config, cache_path)

@@ -84,29 +84,39 @@ def save_frame(path, pixels: np.ndarray) -> None:
         fh.write(header + raw.tobytes())
 
 
-def _bilinear_matrix(n: int, out: int) -> np.ndarray:
-    """The ``out x n`` interpolation weights along one axis (half-pixel
-    centers, clamped to the edge): row i weighs output i's two source
-    neighbours, or holds one 1 where the clamp makes them coincide."""
+def _bilinear_axis(n: int, out: int):
+    """Source neighbours and the upper weight per output index along one axis
+    (half-pixel centers, clamped to the edge)."""
     src = np.clip((np.arange(out) + 0.5) * n / out - 0.5, 0.0, n - 1.0)
     lo = np.floor(src).astype(int)
-    weights = np.zeros((out, n))
-    rows = np.arange(out)
-    weights[rows, lo] = 1 - (src - lo)
-    weights[rows, np.minimum(lo + 1, n - 1)] += src - lo
-    return weights
+    return lo, np.minimum(lo + 1, n - 1), src - lo
+
+
+def _mix(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``a * (1 - f) + b * f``, computed in place in ``a`` and ``b``."""
+    a *= 1 - f
+    b *= f
+    a += b
+    return a
 
 
 def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with half-pixel centers (corner-aligned false),
-    separable: two GEMMs with the axes' interpolation weights, rows first,
-    then columns. The result is a transposed view of the second product."""
-    h, w = pixels.shape[:2]
+    separable: columns are interpolated first, then rows. Each pass takes
+    whole runs of values (a column's C values as flat indices into a row of
+    ``W * C``, then whole rows) and does a fixed amount of work per value it
+    writes, whatever the source size."""
+    h, w, c = pixels.shape
     if h == out_h and w == out_w:
         return pixels.copy()
-    rows = np.tensordot(_bilinear_matrix(h, out_h), pixels, axes=1)
-    cols = np.tensordot(rows, _bilinear_matrix(w, out_w), axes=([1], [1]))
-    return cols.transpose(0, 2, 1)
+    y0, y1, fy = _bilinear_axis(h, out_h)
+    x0, x1, fx = _bilinear_axis(w, out_w)
+    flat = pixels.reshape(h, w * c)
+    x0, x1 = ((x[:, None] * c + np.arange(c)).ravel() for x in (x0, x1))
+    cols = _mix(np.take(flat, x0, axis=1), np.take(flat, x1, axis=1),
+                np.repeat(fx, c))
+    out = _mix(np.take(cols, y0, axis=0), np.take(cols, y1, axis=0), fy[:, None])
+    return out.reshape(out_h, out_w, c)
 
 
 def sample_interval(n_frames: int) -> list[int]:

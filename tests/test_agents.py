@@ -9,7 +9,7 @@ import pytest
 from deepagent import agents
 from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
-from deepagent.errors import UsageError
+from deepagent.errors import ConfigurationError, UsageError
 from deepagent.nn.checkpoint import load_checkpoint
 from deepagent.nn.layers import BatchNorm
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
@@ -513,6 +513,23 @@ class TestCheckpoints:
         path = tmp_path / "agent.damc"
         agents.save_agent(build(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_load_of_the_other_kind_raises_before_building(self, tmp_path,
+                                                           monkeypatch, kind):
+        other = 3 - kind
+        path = tmp_path / "agent.damc"
+        agents.save_agent(agents.build_agent1(1, input_size=32) if other == 1
+                          else agents.build_agent2(1), path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a net was built for the wrong checkpoint")
+        monkeypatch.setattr(agents, "build_agent1", no_build)
+        monkeypatch.setattr(agents, "build_agent2", no_build)
+        with pytest.raises(ConfigurationError,
+                           match=f"--agent{kind} .*agent.damc: holds an Agent-"
+                                 f"{other} checkpoint, expected Agent-{kind}"):
+            agents.load_agent(path, kind=kind)
 
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)

@@ -94,8 +94,9 @@ class TestResize:
         ((48, 80, 3), (224, 224)),
         ((90, 150, 1), (37, 53)),
         ((50, 30, 3), (20, 70)),
+        ((720, 1280, 3), (224, 224)),
     ], ids=["up-rgb", "up-gray", "down-rgb", "up-rgb-wide", "down-gray-wide",
-            "mixed-rgb-tall"])
+            "mixed-rgb-tall", "down-rgb-720p"])
     def test_frame_sized_resizes_match_naive_loop(self, shape, out):
         pixels = np.random.default_rng(sum(shape)).uniform(0, 255, size=shape)
         npt.assert_allclose(vision.resize_bilinear(pixels, *out),
