@@ -358,7 +358,8 @@ def save_agent(model: Agent, path) -> None:
 def _load_state(state, records, path) -> None:
     """Check every record against the model's state (kind, shape, finite
     values, a non-negative BatchNorm variance and a positive input sigma),
-    then copy them in."""
+    then copy them in: the records are views of the file's bytes, so this is
+    the one copy a load makes of them."""
     if len(records) != len(state):
         # record 0 is the metadata, so the first missing or extra one is
         # numbered one past the shorter list

@@ -24,6 +24,9 @@ from deepagent.errors import ConfigurationError, IngestionError, UsageError
 
 TARGET_RATE = 16000
 MIN_RATE = 8000
+# the highest sample rate read, the top rate of studio PCM; a header that
+# claims more would size ``resample``'s weight table from a corrupt field
+MAX_RATE = 384000
 FRAME_LENGTH = 400  # 25 ms at 16 kHz
 HOP = 160           # 10 ms at 16 kHz
 N_COEFFS = 13
@@ -84,6 +87,10 @@ def read_wav(path) -> Waveform:
             if rate < MIN_RATE:
                 raise IngestionError(
                     f"{path}: sample rate {rate} Hz is below {MIN_RATE} Hz"
+                    f" at byte {body_at + 4}")
+            if rate > MAX_RATE:
+                raise IngestionError(
+                    f"{path}: sample rate {rate} Hz is above {MAX_RATE} Hz"
                     f" at byte {body_at + 4}")
             fmt = (channels, rate)
         elif cid == b"data":

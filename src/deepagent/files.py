@@ -87,16 +87,17 @@ class Reader:
         return tuple(self.u32() for _ in range(self.u32()))
 
     def array(self, dims, width: int, label: str, truncated: str) -> np.ndarray:
-        """A copy of the ``<f{width}`` array of shape ``dims`` at ``pos``. The
-        element count is a Python int, so dims of any size that describe more
-        data than the file holds fail with the ``truncated`` text; an empty
-        axis beside axes numpy cannot index fails naming ``label``."""
+        """A read-only view of the ``<f{width}`` array of shape ``dims`` at
+        ``pos``, over the file's bytes, which it keeps alive. The element
+        count is a Python int, so dims of any size that describe more data
+        than the file holds fail with the ``truncated`` text; an empty axis
+        beside axes numpy cannot index fails naming ``label``."""
         at, n = self.pos, math.prod(dims)
         if at + n * width > len(self.blob):
             raise IngestionError(f"{self.path}: {truncated}")
         flat = np.frombuffer(self.blob, dtype=f"<f{width}", count=n, offset=at)
         try:
-            arr = flat.reshape(dims).copy()
+            arr = flat.reshape(dims)
         except ValueError:
             raise IngestionError(f"{self.path}: {label}: dims {dims} at byte {at} "
                                  "describe no array") from None

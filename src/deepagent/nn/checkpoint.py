@@ -57,7 +57,8 @@ def save_checkpoint(path, records, *, model_kind: int, input_size: int,
 
 
 def load_checkpoint(path):
-    """Return (header dict, list of (kind, float array)) from a DAMC file."""
+    """Return (header dict, list of (kind, float array)) from a DAMC file;
+    the arrays are read-only views of the file's bytes."""
     reader = files.Reader(path, MAGIC, FORMAT_VERSION, "checkpoint")
     width = 8
     header = None

@@ -7,9 +7,10 @@ concurrently on frozen weights. Every backward takes its cache through
 ``Layer._take_cache``, which drops it, so a step's largest buffers (the
 im2col copies) are freed before the optimizer step, and raises a
 ``UsageError`` when no train-mode forward left one. Conv and max pooling
-share one window view, ``_windows``, and its transpose, ``_fold``, which sums
-window gradients back onto the input positions they read (Dumoulin & Visin,
-arXiv:1603.07285); each ``forward`` takes its output size from ``out_shape``.
+share one window view, ``_windows``; conv's backward sums window gradients
+back onto the input positions they read through its transpose, ``_fold``
+(Dumoulin & Visin, arXiv:1603.07285). Each ``forward`` takes its output size
+from ``out_shape``.
 
 Each layer lists its persistent arrays once, in ``STATE``, paired with their
 checkpoint kind codes; trainable parameters, checkpoints and weight
@@ -129,7 +130,7 @@ class Conv2D(Layer):
         k = kernel_size
         limit = np.sqrt(6.0 / (k * k * in_channels))
         kernel = rng.uniform(-limit, limit, size=(k, k, in_channels, out_channels))
-        self.kernel = Param(f"{name}.kernel", kernel.astype(dtype))
+        self.kernel = Param(f"{name}.kernel", kernel.astype(dtype, copy=False))
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
 
     def out_shape(self, shape):
@@ -185,8 +186,10 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over p x p windows; train mode caches the argmax positions
-    for backward, inference reduces the strided window view directly."""
+    """Max pooling over p x p windows, a reduce of the strided window view
+    in both modes. Train mode caches the input and the output; backward
+    gives each window's gradient to its first maximum in (row, column)
+    order, argmax's tie rule, so a window holding NaN routes none."""
 
     def __init__(self, pool_size, stride):
         if pool_size < 1 or stride < 1:
@@ -203,25 +206,26 @@ class MaxPool2D(Layer):
         return ((h - p) // s + 1, (w - p) // s + 1, c)
 
     def forward(self, x, train=False):
-        n, _, _, c = x.shape
         oh, ow, _ = self.out_shape(x.shape[1:])
-        p = self.pool_size
-        view = _windows(x, p, self.stride, oh, ow)
-        if not train:
-            return view.max(axis=(3, 4))
-        windows = view.reshape(n, oh, ow, p * p, c)
-        idx = windows.argmax(axis=3)
-        self._cache = (idx, x.shape)
-        return windows.max(axis=3)
+        out = _windows(x, self.pool_size, self.stride, oh, ow).max(axis=(3, 4))
+        if train:
+            self._cache = (x, out)
+        return out
 
     def backward(self, grad, input_grad=True):
-        idx, in_shape = self._take_cache()
-        n, oh, ow, c = idx.shape
-        p = self.pool_size
-        # the one-hot of each window's argmax, scaled by its output gradient
-        hits = idx[:, :, :, None, :] == np.arange(p * p)[:, None]
-        dwin = (grad[:, :, :, None, :] * hits).reshape(n, oh, ow, p, p, c)
-        return _fold(dwin, in_shape, self.stride)
+        x, out = self._take_cache()
+        _, oh, ow, _ = out.shape
+        p, s = self.pool_size, self.stride
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        for m in range(p):
+            for q in range(p):
+                at = (slice(None), slice(m, m + oh * s, s), slice(q, q + ow * s, s))
+                hit = x[at] == out
+                hit &= free
+                free &= ~hit
+                dx[at] += grad * hit
+        return dx
 
 
 class BatchNorm(Layer):
@@ -258,15 +262,21 @@ class BatchNorm(Layer):
             if x.shape[0] < 2:
                 raise UsageError("batch normalization needs batch size >= 2 in train mode")
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # the centred input, formed once: var reads its square, and it
+            # is scaled in place into xhat
+            xhat = x - mean
+            out = np.square(xhat)
+            var = out.mean(axis=axes)
             inv = 1.0 / np.sqrt(var + self.EPSILON)
-            xhat = (x - mean) * inv
+            xhat *= inv
             m = self.MOMENTUM
             self._ema = m * self._ema + (1.0 - m) * np.stack([mean, var])
             self._steps += 1
             self.running_mean, self.running_var = self._ema / (1.0 - m ** self._steps)
             self._cache = (xhat, inv, axes, int(np.prod([x.shape[a] for a in axes])))
-            return self.gamma.value * xhat + self.beta.value
+            np.multiply(xhat, self.gamma.value, out=out)
+            out += self.beta.value
+            return out
         scale = self.gamma.value / np.sqrt(self.running_var + self.EPSILON)
         out = x * scale
         out += self.beta.value - self.running_mean * scale
@@ -274,15 +284,18 @@ class BatchNorm(Layer):
 
     def backward(self, grad, input_grad=True):
         xhat, inv, axes, nred = self._take_cache()
-        self.gamma.grad = (grad * xhat).sum(axis=axes)
+        prod = grad * xhat
+        self.gamma.grad = prod.sum(axis=axes)
         self.beta.grad = grad.sum(axis=axes)
-        dxhat = grad * self.gamma.value
-        # standard batch-norm backward through the batch statistics
-        dx = (inv / nred) * (
-            nred * dxhat
-            - dxhat.sum(axis=axes)
-            - xhat * (dxhat * xhat).sum(axis=axes)
-        )
+        dx = grad * self.gamma.value  # dxhat, turned into dx in place
+        # standard batch-norm backward through the batch statistics:
+        # dx = (inv / nred) * (nred * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+        dsum = dx.sum(axis=axes)
+        dxsum = np.multiply(dx, xhat, out=prod).sum(axis=axes)
+        dx *= nred
+        dx -= dsum
+        dx -= np.multiply(xhat, dxsum, out=xhat)
+        dx *= inv / nred
         return dx
 
 
@@ -341,7 +354,7 @@ class Dense(Layer):
         fan = in_width + out_width if init == "xavier" else in_width
         limit = np.sqrt(6.0 / fan)
         w = rng.uniform(-limit, limit, size=(in_width, out_width))
-        self.weights = Param(f"{name}.weights", w.astype(dtype))
+        self.weights = Param(f"{name}.weights", w.astype(dtype, copy=False))
         self.bias = Param(f"{name}.bias", np.zeros(out_width, dtype=dtype))
 
     def out_shape(self, shape):

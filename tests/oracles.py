@@ -144,6 +144,79 @@ def _offset_maxpool(x, p, s):
     return out
 
 
+class ArgmaxMaxPool2D(MaxPool2D):
+    """Max pooling whose train mode stacks every window's p * p values,
+    caches their flattened argmax (the first maximum in (row, column)
+    order), and whose backward scales a one-hot of it by the output
+    gradient and adds it back onto the input one window offset at a time:
+    the argmax formulation of the max-pool gradient."""
+
+    def forward(self, x, train=False):
+        if not train:
+            return _offset_maxpool(x, self.pool_size, self.stride).astype(x.dtype)
+        p, s = self.pool_size, self.stride
+        oh, ow = (x.shape[1] - p) // s + 1, (x.shape[2] - p) // s + 1
+        windows = np.stack([x[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
+                            for i in range(p) for j in range(p)], axis=3)
+        self._cache = (windows.argmax(axis=3), x.shape)
+        return windows.max(axis=3)
+
+    def backward(self, grad, input_grad=True):
+        idx, shape = self._take_cache()
+        _, oh, ow, _ = idx.shape
+        p, s = self.pool_size, self.stride
+        hits = idx[:, :, :, None, :] == np.arange(p * p)[:, None]
+        dwin = grad[:, :, :, None, :] * hits
+        dx = np.zeros(shape, dtype=dwin.dtype)
+        for i in range(p):
+            for j in range(p):
+                dx[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :] += (
+                    dwin[:, :, :, i * p + j, :])
+        return dx
+
+
+class FormulaBatchNorm(BatchNorm):
+    """Batch normalization whose train mode is written as the textbook
+    formulas, each a fresh array: ``xhat = (x - mean) / sqrt(var + eps)``
+    from ``x.mean`` and ``x.var``, ``gamma * xhat + beta``, and the backward
+    through the batch statistics (Ioffe & Szegedy, arXiv:1502.03167)."""
+
+    def forward(self, x, train=False):
+        if not train:
+            return super().forward(x)
+        axes = tuple(range(x.ndim - 1))
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        inv = 1.0 / np.sqrt(var + self.EPSILON)
+        xhat = (x - mean) * inv
+        m = self.MOMENTUM
+        self._ema = m * self._ema + (1.0 - m) * np.stack([mean, var])
+        self._steps += 1
+        self.running_mean, self.running_var = self._ema / (1.0 - m ** self._steps)
+        self._cache = (xhat, inv, axes, int(np.prod([x.shape[a] for a in axes])))
+        return self.gamma.value * xhat + self.beta.value
+
+    def backward(self, grad, input_grad=True):
+        xhat, inv, axes, nred = self._take_cache()
+        self.gamma.grad = (grad * xhat).sum(axis=axes)
+        self.beta.grad = grad.sum(axis=axes)
+        dxhat = grad * self.gamma.value
+        return (inv / nred) * (
+            nred * dxhat
+            - dxhat.sum(axis=axes)
+            - xhat * (dxhat * xhat).sum(axis=axes)
+        )
+
+
+def with_formula_layers(model):
+    """``model`` with every MaxPool2D and BatchNorm turned, in place, into
+    ``ArgmaxMaxPool2D`` and ``FormulaBatchNorm``; their state is kept."""
+    swap = {MaxPool2D: ArgmaxMaxPool2D, BatchNorm: FormulaBatchNorm}
+    for layer in model.net.layers:
+        layer.__class__ = swap.get(type(layer), type(layer))
+    return model
+
+
 def reference_agent1_probs(model, frames):
     """Fake-class probability per ``N x S x S x 3`` frame: Agent-1's
     inference forward in float64, layer by layer, with none of the package's

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deepagent import pipeline
+from deepagent.audio import write_wav
 from deepagent.cache import read_cache, write_cache
 from deepagent.cli import main
 from deepagent.nn import checkpoint as ckpt
@@ -69,8 +70,12 @@ def reported(workspace, fused):
 
 
 class TestWorkflow:
-    def test_extract_populates_cache(self, workspace):
-        entries = read_cache(workspace["cache"])
+    def test_extract_populates_cache(self, workspace, tmp_path):
+        # its own cache: fuse adds score entries to the workspace's
+        cache = tmp_path / "cache.daft"
+        assert main(["extract", "--manifest", str(workspace["manifest"]),
+                     "--out", str(cache)]) == 0
+        entries = read_cache(cache)
         assert all(k.endswith("/feature") for k in entries)
         assert len(entries) == 12
         assert all(entries[k].shape == (14,) for k in entries)
@@ -805,6 +810,25 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2
         assert f"{records[0]['id']}: needs at least one frame" in error["message"]
+
+    @pytest.mark.parametrize("rate", [400_000, 16_000_001])
+    def test_wav_sample_rate_above_384khz_exits_2_at_byte_24(self, workspace, tmp_path,
+                                                              capsys, rate):
+        # the header's rate sizes the resampler's weight table; 16,000,001 Hz
+        # would ask for a 3.81 GiB one
+        fx = workspace["manifest"].parent
+        fast = fx / f"fast_{rate}.wav"
+        write_wav(fast, np.zeros(4000), rate)
+        records = json.loads(workspace["manifest"].read_text())
+        records[0]["audio"] = fast.name
+        manifest = fx / f"fast_{rate}.json"
+        manifest.write_text(json.dumps(records))
+        code = main(["extract", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "c.daft")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert (f"{fast}: sample rate {rate} Hz is above 384000 Hz at byte 24"
+                in error["message"])
 
     def test_truncated_val_frame_exits_2_mid_training_keeping_checkpoint(
             self, workspace, tmp_path, capsys):

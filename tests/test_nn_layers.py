@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from deepagent import agents
+from deepagent.config import Agent1Config
 from deepagent.errors import ConfigurationError, TrainingError, UsageError
 from deepagent.nn import layers
 from deepagent.nn.layers import (
@@ -22,7 +23,8 @@ from deepagent.nn.layers import (
 from deepagent.nn.losses import LOG_FLOOR, sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import CHUNK, Adam
 
-from oracles import reference_adam_step
+from oracles import (ArgmaxMaxPool2D, FormulaBatchNorm, reference_adam_step,
+                     with_formula_layers)
 
 
 def conv_forward(layer, image):
@@ -192,6 +194,87 @@ class TestMaxPool:
             # non-overlapping contributions only land on window maxima
             npt.assert_allclose(dx.sum(), g.sum(), rtol=1e-12)
             assert np.count_nonzero(dx) <= out.size
+
+    def test_window_holding_nan_routes_no_gradient(self):
+        # its maximum is NaN, which equals no input value; a NaN input also
+        # makes the training loss non-finite, which stops training before
+        # any backward runs
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
+        x[0, 0, 0, 0] = np.nan
+        layer = MaxPool2D(2, 2)
+        out = layer.forward(x, train=True)
+        dx = layer.backward(np.ones_like(out))
+        assert np.isnan(out[0, 0, 0, 0])
+        assert not dx[0, :2, :2].any()
+        assert dx.sum() == 3.0
+
+
+def tied_pool_inputs(rng, dtype):
+    """Inputs whose windows tie: post-ReLU zeros, a constant block, and few
+    distinct values."""
+    relu = np.maximum(rng.normal(size=(3, 9, 11, 4)), 0.0)
+    block = rng.normal(size=(2, 8, 8, 3))
+    block[:, :5, :5, :] = 0.75
+    few = rng.integers(-2, 3, size=(2, 7, 10, 2)).astype(float)
+    return [a.astype(dtype) for a in (relu, block, few)]
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestTrainPathsMatchFormulas:
+    """The train-mode max pool and batch norm give the same bits as the
+    argmax/one-hot pool and the textbook batch-norm formulas in oracles.py."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("pool, stride", [(3, 2), (2, 2), (3, 1)])
+    def test_pool_matches_argmax_one_hot_on_ties(self, pool, stride, dtype):
+        rng = np.random.default_rng(37)
+        for x in tied_pool_inputs(rng, dtype):
+            got, want = MaxPool2D(pool, stride), ArgmaxMaxPool2D(pool, stride)
+            out = got.forward(x, train=True)
+            assert out.tobytes() == want.forward(x, train=True).tobytes()
+            g = rng.normal(size=out.shape).astype(dtype)
+            dx, ref = got.backward(g), want.backward(g)
+            assert dx.dtype == ref.dtype == dtype
+            assert dx.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(16, 5), (4, 6, 7, 3)])
+    def test_batchnorm_matches_formulas(self, shape, dtype):
+        rng = np.random.default_rng(41)
+        got = BatchNorm(shape[-1], dtype=dtype)
+        want = FormulaBatchNorm(shape[-1], dtype=dtype)
+        gamma = rng.normal(size=shape[-1])
+        for layer in (got, want):
+            layer.gamma.value[...] = gamma
+            layer.beta.value[...] = 0.5
+        for _ in range(3):
+            x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+            g = rng.normal(size=shape).astype(dtype)
+            outs = [layer.forward(x, train=True) for layer in (got, want)]
+            dxs = [layer.backward(g) for layer in (got, want)]
+            assert outs[0].dtype == dtype
+            assert outs[0].tobytes() == outs[1].tobytes()
+            assert dxs[0].tobytes() == dxs[1].tobytes()
+            for attr in ("running_mean", "running_var"):
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+            for a, b in zip(got.params(), want.params()):
+                assert a.grad.tobytes() == b.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_training_epoch_keeps_every_weight_bit(self, dtype):
+        rng = np.random.default_rng(43)
+        frames = rng.random((24, 32, 32, 3))
+        labels = np.array([0, 1] * 12)
+        cfg = Agent1Config(epochs=1, batch_size=8)
+        models = [agents.build_agent1(5, input_size=32, dtype=dtype) for _ in range(2)]
+        with_formula_layers(models[1])
+        histories = [agents.train_agent1(m, frames, labels, config=cfg) for m in models]
+        assert histories[0] == histories[1]
+        for (_, a), (_, b) in zip(models[0].net.state(), models[1].net.state()):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBatchNorm:

@@ -8,17 +8,27 @@ and its own peak RSS comes from ``os.wait4`` in a small launcher
 interpreter: Linux carries a process's pre-exec peak across ``exec``, so a
 command forked straight from the test process would report the test
 process's resident set whenever that is the larger.
+
+Loading a checkpoint holds the file's bytes and the built net, and copies
+each record once, into the net: the records are read-only views of the
+bytes, and ``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px
+Agent-1 stays within the two plus ``LOAD_SLACK_MIB``.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import deepagent
 from deepagent import agents, pipeline
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import load_manifest
+from deepagent.nn import checkpoint as ckpt
 
 SRC = Path(deepagent.__file__).resolve().parents[1]
 
@@ -26,6 +36,11 @@ SRC = Path(deepagent.__file__).resolve().parents[1]
 # memory, as training once did, grows it by about 29 MiB, and a scoring
 # pass that stacked every frame would grow it by about 39 MB
 FLATNESS_MIB = 4.0
+
+# allowed allocation peak of a checkpoint load beyond the file's bytes and
+# the net's state: it reads 0.7 MiB, and 4.0 MiB when the float64 init draws
+# are duplicated before the load overwrites them
+LOAD_SLACK_MIB = 2.0
 
 
 # runs its arguments as a command and prints the exit code and the peak
@@ -84,3 +99,27 @@ def test_predict_peak_rss_does_not_grow_with_the_dataset(tmp_path):
         manifest = gen_fixtures(tmp_path / f"fx{n}", n, 1.0, 1.0, seed=1)
         peaks[n] = predict_peak_rss_mib(manifest, manifest.parent)
     assert peaks[200] - peaks[40] <= FLATNESS_MIB, peaks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_agent1_load_peak_is_file_plus_state(tmp_path, dtype):
+    stored = agents.build_agent1(3, input_size=224, dtype=dtype)
+    path = tmp_path / "agent1.damc"
+    agents.save_agent(stored, path)
+    records = ckpt.load_checkpoint(path)[1]
+    assert not any(arr.flags.owndata or arr.flags.writeable for _, arr in records)
+    del records
+    tracemalloc.start()
+    try:
+        loaded = agents.load_agent(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state = loaded.net.state()
+    state_bytes = sum(arr.nbytes for _, arr in state)
+    over_mib = (peak - path.stat().st_size - state_bytes) / 2 ** 20
+    assert over_mib <= LOAD_SLACK_MIB, over_mib
+    # every value reaches the float64 net exactly, upcast from 32 bits
+    for (_, got), (_, want) in zip(state, stored.net.state()):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.astype(np.float64).tobytes()
