@@ -55,8 +55,9 @@ from deepagent.vision import augment
 AGENT1_SIZES = range(11, 225)
 
 # input values per inference forward, in scoring and in validation: 16
-# Agent-1 frames at desk scale (64 px) and one at 224, where 16 frames would
-# need a 135 MB conv1 im2col copy; 14,043 Agent-2 feature rows
+# Agent-1 frames at desk scale (64 px) and one at 224, so a forward holds
+# about one desk-scale batch's activations plus one im2col band (16 frames
+# at 224 would hold a 24 MB conv1 output); 14,043 Agent-2 feature rows
 FORWARD_VALUES = 16 * 64 * 64 * 3
 
 # the dtype ``train agent1`` trains Agent-1 in, as Keras does by default

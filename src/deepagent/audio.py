@@ -25,7 +25,7 @@ from deepagent.errors import ConfigurationError, IngestionError, UsageError
 TARGET_RATE = 16000
 MIN_RATE = 8000
 # the highest sample rate read, the top rate of studio PCM; a header that
-# claims more would size ``resample``'s weight table from a corrupt field
+# claims more would set ``resample``'s kernel width from a corrupt field
 MAX_RATE = 384000
 FRAME_LENGTH = 400  # 25 ms at 16 kHz
 HOP = 160           # 10 ms at 16 kHz
@@ -33,11 +33,11 @@ N_COEFFS = 13
 ENERGY_FLOOR = 1e-10
 # resampling kernel: a Kaiser-windowed sinc, SINC_ZEROS zero crossings on
 # each side of its centre (about 90 dB of stopband attenuation from 1.25x
-# the lower Nyquist frequency up), evaluated for RESAMPLE_BLOCK output
-# samples at a time
+# the lower Nyquist frequency up), evaluated for blocks of output samples
+# whose input windows hold at most RESAMPLE_VALUES values
 SINC_ZEROS = 16
 KAISER_BETA = 8.6
-RESAMPLE_BLOCK = 4096
+RESAMPLE_VALUES = 2 ** 19
 
 
 @dataclass
@@ -146,18 +146,20 @@ def resample(w: Waveform, target: int = TARGET_RATE) -> Waveform:
     up, down = target // g, w.sample_rate // g  # output k sits at k * down / up
     half = SINC_ZEROS * max(down / up, 1.0)     # kernel half-width, input samples
     reach = np.arange(-int(half), int(half) + 2)
-    # one row of weights per fractional phase r / up of an output position
-    d = (np.arange(up)[:, None] / up - reach) / half
-    taps = np.sinc(d * SINC_ZEROS) * np.i0(
-        KAISER_BETA * np.sqrt(np.clip(1.0 - d * d, 0.0, None)))
-    taps[np.abs(d) > 1.0] = 0.0
-    taps /= taps.sum(axis=1, keepdims=True)
     x = np.pad(w.samples, len(reach))
     out = np.empty(int(round(len(w.samples) * target / w.sample_rate)))
-    for start in range(0, len(out), RESAMPLE_BLOCK):
-        k = np.arange(start, min(start + RESAMPLE_BLOCK, len(out)))
+    rows = max(1, RESAMPLE_VALUES // len(reach))
+    for start in range(0, len(out), rows):
+        k = np.arange(start, min(start + rows, len(out)))
         base, phase = np.divmod(k * down, up)
-        out[k] = (x[base[:, None] + reach + len(reach)] * taps[phase]).sum(axis=1)
+        # one row of weights per fractional phase r / up the block uses
+        used, row = np.unique(phase, return_inverse=True)
+        d = (used[:, None] / up - reach) / half
+        taps = np.sinc(d * SINC_ZEROS) * np.i0(
+            KAISER_BETA * np.sqrt(np.clip(1.0 - d * d, 0.0, None)))
+        taps[np.abs(d) > 1.0] = 0.0
+        taps /= taps.sum(axis=1, keepdims=True)
+        out[k] = (x[base[:, None] + reach + len(reach)] * taps[row]).sum(axis=1)
     return Waveform(out, target)
 
 

@@ -4,13 +4,20 @@ Layers operate on batches only (``N x H x W x C`` for spatial layers,
 ``N x F`` for dense ones) and cache whatever backward needs, but only when
 ``train=True``; inference passes leave no state behind and are safe to run
 concurrently on frozen weights. Every backward takes its cache through
-``Layer._take_cache``, which drops it, so a step's largest buffers (the
-im2col copies) are freed before the optimizer step, and raises a
-``UsageError`` when no train-mode forward left one. Conv and max pooling
-share one window view, ``_windows``; conv's backward sums window gradients
-back onto the input positions they read through its transpose, ``_fold``
-(Dumoulin & Visin, arXiv:1603.07285). Each ``forward`` takes its output size
-from ``out_shape``.
+``Layer._take_cache``, which drops it, so a step's cached activations are
+freed before the optimizer step, and raises a ``UsageError`` when no
+train-mode forward left one. Conv and max pooling share one window view,
+``_windows``; conv's backward sums window gradients back onto the input
+positions they read through its transpose, ``_fold`` (Dumoulin & Visin,
+arXiv:1603.07285). Each ``forward`` takes its output size from
+``out_shape``.
+
+Conv's forward, in both modes, copies its windows into an im2col matrix
+one band of at most ``BAND_VALUES`` values at a time, and each band's GEMM
+writes its slice of the output (Chetlur et al., arXiv:1410.0759). Train
+mode caches the padded input, and backward lowers it again, whole, for the
+kernel gradient: recompute instead of store (Chen et al.,
+arXiv:1604.06174).
 
 Each layer lists its persistent arrays once, in ``STATE``, paired with their
 checkpoint kind codes; trainable parameters, checkpoints and weight
@@ -31,6 +38,9 @@ import numpy as np
 
 from deepagent.errors import ConfigurationError, UsageError
 from deepagent.nn import checkpoint as ckpt
+
+# window values per im2col band of a Conv2D forward (4 MiB in float64)
+BAND_VALUES = 2 ** 19
 
 
 class Param:
@@ -104,6 +114,29 @@ def _fold(dwin, shape, s):
     return out
 
 
+def _split(count, most):
+    """(lo, hi) bounds of the fewest near-equal runs of at most ``most``
+    that cover ``range(count)``, longer runs first; one empty run when
+    ``count`` is 0."""
+    parts = max(1, -(-count // most))
+    edges = [-(-count * j // parts) for j in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _bands(n, oh, row_values):
+    """Index tuples that split an (N, OH, ...) array into bands of at most
+    ``BAND_VALUES`` window values, given ``row_values`` per output row:
+    near-equal groups of whole samples while one sample fits, otherwise
+    near-equal runs of one sample's rows. A GEMM of a few rows may round
+    differently from the whole-matrix product, so no band is a sliver:
+    where there are several, each holds more than a third of
+    ``BAND_VALUES`` (or one row that alone exceeds it)."""
+    if oh * row_values <= BAND_VALUES:
+        return [(slice(lo, hi),) for lo, hi in _split(n, BAND_VALUES // (oh * row_values))]
+    return [(i, slice(lo, hi)) for i in range(n)
+            for lo, hi in _split(oh, max(1, BAND_VALUES // row_values))]
+
+
 class Conv2D(Layer):
     """2-D convolution, channels-last, 'valid' or 'same' zero padding.
 
@@ -149,7 +182,7 @@ class Conv2D(Layer):
     def forward(self, x, train=False):
         n, h, w, c = x.shape
         oh, ow, _ = self.out_shape((h, w, c))
-        k, s = self.kernel_size, self.stride
+        k, s, oc = self.kernel_size, self.stride, self.out_channels
         # the zero padding the output size needs ('same' only), split
         # symmetrically with the extra pixel on the trailing side
         ph, pw = max((oh - 1) * s + k - h, 0), max((ow - 1) * s + k - w, 0)
@@ -157,20 +190,23 @@ class Conv2D(Layer):
             padded = np.zeros((n, h + ph, w + pw, c), dtype=x.dtype)
             padded[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w] = x
             x = padded
-        cols = _windows(x, k, s, oh, ow).reshape(n * oh * ow, k * k * c)
-        kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
-        out = cols @ kmat
+        windows = _windows(x, k, s, oh, ow)
+        kmat = self.kernel.value.reshape(k * k * c, oc)
+        out = np.empty((n, oh, ow, oc), dtype=np.result_type(x, kmat))
+        for at in _bands(n, oh, ow * k * k * c):
+            np.matmul(windows[at].reshape(-1, k * k * c), kmat,
+                      out=out[at].reshape(-1, oc))
         out += self.bias.value
-        out = out.reshape(n, oh, ow, self.out_channels)
         if train:
-            self._cache = (cols, x.shape, (h, w))
+            self._cache = (x, (h, w))
         return out
 
     def backward(self, grad, input_grad=True):
-        cols, padded_shape, (h, w) = self._take_cache()
+        padded, (h, w) = self._take_cache()
         n, oh, ow, _ = grad.shape
         k, c = self.kernel_size, self.in_channels
         gmat = grad.reshape(n * oh * ow, self.out_channels)
+        cols = _windows(padded, k, self.stride, oh, ow).reshape(n * oh * ow, k * k * c)
         self.kernel.grad = (cols.T @ gmat).reshape(self.kernel.value.shape)
         # dcols has the im2col copy's shape: freeing the copy first lets
         # dcols take its memory instead of raising the step's peak
@@ -180,8 +216,8 @@ class Conv2D(Layer):
             return None
         kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
         dcols = (gmat @ kmat.T).reshape(n, oh, ow, k, k, c)
-        dx_pad = _fold(dcols, padded_shape, self.stride)
-        pt, pl = (padded_shape[1] - h) // 2, (padded_shape[2] - w) // 2
+        dx_pad = _fold(dcols, padded.shape, self.stride)
+        pt, pl = (padded.shape[1] - h) // 2, (padded.shape[2] - w) // 2
         return dx_pad[:, pt:pt + h, pl:pl + w, :]
 
 

@@ -91,6 +91,27 @@ def reference_mfcc_mean(samples, sample_rate=16000, frame_length=400, hop=160,
     return coeff_sum / n_frames
 
 
+def table_resample(samples, rate, target=16000, zeros=16, beta=8.6):
+    """Kaiser-windowed sinc resampling with one weight row per fractional
+    phase ``r / up`` of the output positions, all built before any output
+    is formed; the rows hold the same expressions, element for element, as
+    the package resampler's."""
+    g = math.gcd(rate, target)
+    up, down = target // g, rate // g
+    half = zeros * max(down / up, 1.0)
+    reach = np.arange(-int(half), int(half) + 2)
+    d = (np.arange(up)[:, None] / up - reach) / half
+    taps = np.sinc(d * zeros) * np.i0(beta * np.sqrt(np.clip(1.0 - d * d, 0.0, None)))
+    taps[np.abs(d) > 1.0] = 0.0
+    taps /= taps.sum(axis=1, keepdims=True)
+    x = np.pad(samples, len(reach))
+    out = np.empty(int(round(len(samples) * target / rate)))
+    for k in range(len(out)):
+        base, phase = divmod(k * down, up)
+        out[k] = (x[base + reach + len(reach)] * taps[phase]).sum()
+    return out
+
+
 def naive_bilinear_resize(pixels, out_h, out_w):
     """Per-pixel bilinear resize with half-pixel centers, plain loops."""
     h, w, c = pixels.shape
@@ -208,10 +229,58 @@ class FormulaBatchNorm(BatchNorm):
         )
 
 
+class Im2colConv2D(Conv2D):
+    """Convolution as one whole-matrix im2col GEMM: every window of every
+    sample is stacked into one ``(N * OH * OW) x (k * k * C)`` matrix, the
+    kernel gradient is its transpose times the output gradient, and the
+    input gradient adds each window offset's slice of ``dcols`` back onto
+    the zero-padded input in (row, column) order."""
+
+    def forward(self, x, train=False):
+        k, s = self.kernel_size, self.stride
+        shape = x.shape
+        _, h, w, _ = shape
+        if self.padding == "same":
+            oh, ow = -(-h // s), -(-w // s)
+            ph, pw = max((oh - 1) * s + k - h, 0), max((ow - 1) * s + k - w, 0)
+            x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2),
+                           (0, 0)))
+        else:
+            oh, ow = (h - k) // s + 1, (w - k) // s + 1
+        cols = np.stack([x[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :]
+                         for i in range(k) for j in range(k)], axis=3)
+        cols = cols.reshape(-1, k * k * self.in_channels)
+        out = cols @ self.kernel.value.reshape(cols.shape[1], self.out_channels)
+        out += self.bias.value
+        if train:
+            self._cache = (cols, shape, x.shape)
+        return out.reshape(shape[0], oh, ow, self.out_channels)
+
+    def backward(self, grad, input_grad=True):
+        cols, shape, padded_shape = self._take_cache()
+        n, oh, ow, _ = grad.shape
+        k, s = self.kernel_size, self.stride
+        gmat = grad.reshape(-1, self.out_channels)
+        self.kernel.grad = (cols.T @ gmat).reshape(self.kernel.value.shape)
+        self.bias.grad = gmat.sum(axis=0)
+        if not input_grad:
+            return None
+        kmat = self.kernel.value.reshape(cols.shape[1], self.out_channels)
+        dcols = (gmat @ kmat.T).reshape(n, oh, ow, k * k, self.in_channels)
+        dx = np.zeros(padded_shape, dtype=dcols.dtype)
+        for i in range(k):
+            for j in range(k):
+                dx[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s, :] += (
+                    dcols[:, :, :, i * k + j, :])
+        top, left = (padded_shape[1] - shape[1]) // 2, (padded_shape[2] - shape[2]) // 2
+        return dx[:, top:top + shape[1], left:left + shape[2], :]
+
+
 def with_formula_layers(model):
-    """``model`` with every MaxPool2D and BatchNorm turned, in place, into
-    ``ArgmaxMaxPool2D`` and ``FormulaBatchNorm``; their state is kept."""
-    swap = {MaxPool2D: ArgmaxMaxPool2D, BatchNorm: FormulaBatchNorm}
+    """``model`` with every Conv2D, MaxPool2D and BatchNorm turned, in
+    place, into ``Im2colConv2D``, ``ArgmaxMaxPool2D`` and
+    ``FormulaBatchNorm``; their state is kept."""
+    swap = {Conv2D: Im2colConv2D, MaxPool2D: ArgmaxMaxPool2D, BatchNorm: FormulaBatchNorm}
     for layer in model.net.layers:
         layer.__class__ = swap.get(type(layer), type(layer))
     return model

@@ -1,6 +1,7 @@
 """Waveform ingestion and MFCC chain, checked against naive-DFT references."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +15,14 @@ from oracles import (
     mfcc_double_loop,
     naive_dft_magnitudes,
     reference_mfcc_mean,
+    table_resample,
 )
+
+# allocation peak allowed to resample a clip at any legal rate: sixteen
+# float64 blocks of ``audio.RESAMPLE_VALUES`` values (64 MiB), room for a
+# block's gather, index, weights and their temporaries. A weight table of
+# one row per phase took 931 MiB for 0.1 s at 383,999 Hz
+RESAMPLE_PEAK_BLOCKS = 16
 
 
 def sine(freq, seconds=1.0, rate=16000, amp=0.5):
@@ -142,6 +150,27 @@ class TestResample:
                                                      16000))
         npt.assert_allclose(audio.embed_audio(audio.Waveform(mix, rate)), reference,
                             rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000, 96000])
+    def test_blocks_keep_the_bits_of_a_whole_weight_table(self, rate):
+        x = np.random.default_rng(rate).uniform(-0.5, 0.5, int(rate * 0.4))
+        out = audio.resample(audio.Waveform(x, rate)).samples
+        assert out.tobytes() == table_resample(x, rate).tobytes()
+
+    @pytest.mark.parametrize("seconds", [0.1, 1.0])
+    def test_coprime_rate_peak_is_set_by_the_block(self, seconds):
+        # 383,999 and 16,000 share no factor, so every output sits at its
+        # own phase: a table of one weight row per phase has 16,000 rows
+        rate = audio.MAX_RATE - 1
+        x = np.random.default_rng(7).uniform(-0.5, 0.5, int(rate * seconds))
+        tracemalloc.start()
+        try:
+            out = audio.resample(audio.Waveform(x, rate))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.samples) == round(seconds * 16000)
+        assert peak <= RESAMPLE_PEAK_BLOCKS * audio.RESAMPLE_VALUES * 8, peak / 2 ** 20
 
 
 class TestStft:

@@ -23,8 +23,8 @@ from deepagent.nn.layers import (
 from deepagent.nn.losses import LOG_FLOOR, sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import CHUNK, Adam
 
-from oracles import (ArgmaxMaxPool2D, FormulaBatchNorm, reference_adam_step,
-                     with_formula_layers)
+from oracles import (ArgmaxMaxPool2D, FormulaBatchNorm, Im2colConv2D,
+                     reference_adam_step, with_formula_layers)
 
 
 def conv_forward(layer, image):
@@ -222,9 +222,59 @@ def tied_pool_inputs(rng, dtype):
 DTYPES = [np.float32, np.float64]
 
 
+def assert_epoch_matches_formula_layers(data_seed, model_seed, side, batch_size, dtype):
+    """One Agent-1 epoch on 24 seeded frames gives the same history and
+    every state bit with the package layers and with oracles.py's."""
+    rng = np.random.default_rng(data_seed)
+    frames = rng.random((24, side, side, 3))
+    labels = np.array([0, 1] * 12)
+    cfg = Agent1Config(epochs=1, batch_size=batch_size)
+    models = [agents.build_agent1(model_seed, input_size=side, dtype=dtype)
+              for _ in range(2)]
+    with_formula_layers(models[1])
+    histories = [agents.train_agent1(m, frames, labels, config=cfg) for m in models]
+    assert histories[0] == histories[1]
+    for (_, a), (_, b) in zip(models[0].net.state(), models[1].net.state()):
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+
+# (batch, side, in channels, out channels, kernel, stride, padding) of a
+# conv whose forward takes several im2col bands, and the samples or output
+# rows of each band
+BANDED_CONVS = {
+    "224x1-row-bands": ((1, 224, 3, 64, 11, 4, "valid"), [18, 18, 18]),
+    "64x16-sample-groups": ((16, 64, 3, 64, 11, 4, "valid"), [6, 5, 5]),
+    "same-5x5-short-last-row-band": ((2, 26, 64, 128, 5, 1, "same"), [9, 9, 8] * 2),
+}
+
+
 class TestTrainPathsMatchFormulas:
-    """The train-mode max pool and batch norm give the same bits as the
+    """The banded convolution, the train-mode max pool and batch norm give
+    the same bits as the whole-matrix im2col convolution, the
     argmax/one-hot pool and the textbook batch-norm formulas in oracles.py."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", list(BANDED_CONVS))
+    def test_banded_conv_matches_whole_matrix_im2col(self, case, dtype):
+        (n, side, cin, cout, k, stride, padding), band_sizes = BANDED_CONVS[case]
+        got, want = (cls(cin, cout, k, stride, padding, rng=np.random.default_rng(5),
+                         dtype=dtype) for cls in (Conv2D, Im2colConv2D))
+        rng = np.random.default_rng(47)
+        bias = rng.normal(size=cout)
+        for layer in (got, want):
+            layer.bias.value[...] = bias
+        x = rng.normal(size=(n, side, side, cin)).astype(dtype)
+        oh = got.out_shape(x.shape[1:])[0]
+        bands = layers._bands(n, oh, oh * k * k * cin)
+        assert [at[-1].stop - at[-1].start for at in bands] == band_sizes
+        out = got.forward(x, train=True)
+        assert out.dtype == dtype
+        assert out.tobytes() == want.forward(x, train=True).tobytes()
+        assert got.forward(x).tobytes() == out.tobytes()
+        g = rng.normal(size=out.shape).astype(dtype)
+        assert got.backward(g).tobytes() == want.backward(g).tobytes()
+        for a, b in zip(got.params(), want.params()):
+            assert a.grad.tobytes() == b.grad.tobytes()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("pool, stride", [(3, 2), (2, 2), (3, 1)])
@@ -264,17 +314,14 @@ class TestTrainPathsMatchFormulas:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_one_training_epoch_keeps_every_weight_bit(self, dtype):
-        rng = np.random.default_rng(43)
-        frames = rng.random((24, 32, 32, 3))
-        labels = np.array([0, 1] * 12)
-        cfg = Agent1Config(epochs=1, batch_size=8)
-        models = [agents.build_agent1(5, input_size=32, dtype=dtype) for _ in range(2)]
-        with_formula_layers(models[1])
-        histories = [agents.train_agent1(m, frames, labels, config=cfg) for m in models]
-        assert histories[0] == histories[1]
-        for (_, a), (_, b) in zip(models[0].net.state(), models[1].net.state()):
-            assert a.dtype == b.dtype == dtype
-            assert a.tobytes() == b.tobytes()
+        assert_epoch_matches_formula_layers(43, 5, 32, 8, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_banded_training_epoch_keeps_every_weight_bit(self, dtype):
+        # at 64 px conv1's forward takes three sample groups of the batch of
+        # 16 and two of the last batch of 8
+        assert len(layers._bands(16, 14, 14 * 11 * 11 * 3)) == 3
+        assert_epoch_matches_formula_layers(53, 7, 64, 16, dtype)
 
 
 class TestBatchNorm:

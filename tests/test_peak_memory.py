@@ -13,8 +13,14 @@ Loading a checkpoint holds the file's bytes and the built net, and copies
 each record once, into the net: the records are read-only views of the
 bytes, and ``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px
 Agent-1 stays within the two plus ``LOAD_SLACK_MIB``.
+
+A convolution lowers its windows to a matrix one band of at most
+``layers.BAND_VALUES`` values at a time, so ``tracemalloc``'s peak during
+one 224-px Agent-1 forward stays within one band, the largest input plus
+output of a layer, and ``FORWARD_SLACK_MIB``.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +35,7 @@ from deepagent import agents, pipeline
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import load_manifest
 from deepagent.nn import checkpoint as ckpt
+from deepagent.nn import layers
 
 SRC = Path(deepagent.__file__).resolve().parents[1]
 
@@ -41,6 +48,11 @@ FLATNESS_MIB = 4.0
 # the net's state: it reads 0.7 MiB, and 4.0 MiB when the float64 init draws
 # are duplicated before the load overwrites them
 LOAD_SLACK_MIB = 2.0
+
+# allowed allocation peak of a float64 224-px Agent-1 forward beyond one
+# im2col band and the largest layer input plus output: it reads -2.6 MiB,
+# and +2.9 MiB when conv1 lowers every window into one 8.5 MB matrix
+FORWARD_SLACK_MIB = 1.0
 
 
 # runs its arguments as a command and prints the exit code and the peak
@@ -123,3 +135,21 @@ def test_agent1_load_peak_is_file_plus_state(tmp_path, dtype):
     for (_, got), (_, want) in zip(state, stored.net.state()):
         assert got.dtype == np.float64
         assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_agent1_forward_peak_is_one_band_plus_activations():
+    model = agents.build_agent1(3, input_size=224)
+    x = np.random.default_rng(0).random((1, 224, 224, 3))
+    model.net.forward(x)
+    shapes = [x.shape[1:]]
+    for layer in model.net.layers:
+        shapes.append(layer.out_shape(shapes[-1]))
+    activations = max(math.prod(a) + math.prod(b) for a, b in zip(shapes, shapes[1:]))
+    tracemalloc.start()
+    try:
+        model.net.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    over_mib = (peak - (layers.BAND_VALUES + activations) * x.itemsize) / 2 ** 20
+    assert over_mib <= FORWARD_SLACK_MIB, over_mib
