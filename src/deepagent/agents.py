@@ -17,7 +17,8 @@ inference forward, in prediction and in validation, runs through
 forward in float64 at either stored width.
 
 Both agents train in one Adam epoch loop, with the head's loss gradient
-taken at the logits, on one validation schedule (``TrainController``).
+taken at the logits, on one validation schedule (``STOP_PATIENCE``,
+``LR_PATIENCE`` and ``LR_FACTOR``).
 Training is single-threaded and fully seeded: batch shuffling, dropout,
 and augmentation all derive from the one seed, so identical runs produce
 identical weights.
@@ -33,6 +34,7 @@ import numpy as np
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import (ConfigurationError, IngestionError, TrainingError,
                               UsageError)
+from deepagent.metrics import decide
 from deepagent.nn import checkpoint as ckpt
 from deepagent.nn.layers import (
     BatchNorm,
@@ -62,6 +64,14 @@ FORWARD_VALUES = 16 * 64 * 64 * 3
 
 # the dtype ``train agent1`` trains Agent-1 in, as Keras does by default
 AGENT1_TRAIN_DTYPE = np.float32
+
+# the validation schedule both agents train on, Agent-2's fixed Keras one:
+# each epoch without a new best validation accuracy is stale; every
+# ``LR_PATIENCE``-th stale epoch in a row multiplies the rate by
+# ``LR_FACTOR``, and the ``STOP_PATIENCE``-th stops training
+STOP_PATIENCE = 10
+LR_PATIENCE = 5
+LR_FACTOR = 0.5
 
 
 @dataclass
@@ -188,51 +198,11 @@ def predict_agent2(model: Agent, X: np.ndarray) -> np.ndarray:
 
 # training -----------------------------------------------------------------
 
-class TrainController:
-    """Early stopping and learning-rate reduction driven by validation accuracy.
-
-    Both agents train on this one schedule, Agent-2's fixed Keras one, as
-    constants: improvement resets both patience counters; ``LR_PATIENCE``
-    stagnant epochs ask for the rate to be multiplied by ``LR_FACTOR``,
-    ``STOP_PATIENCE`` stagnant epochs stop training.
-    """
-
-    STOP_PATIENCE = 10
-    LR_PATIENCE = 5
-    LR_FACTOR = 0.5
-
-    def __init__(self):
-        self.best = -np.inf
-        self.stale = 0
-        self.lr_stale = 0
-
-    def update(self, metric: float) -> tuple[bool, bool]:
-        """Feed one epoch's validation metric; returns (stop, reduce_lr)."""
-        if metric > self.best:
-            self.best = metric
-            self.stale = 0
-            self.lr_stale = 0
-            return False, False
-        self.stale += 1
-        self.lr_stale += 1
-        reduce = False
-        if self.lr_stale >= self.LR_PATIENCE:
-            reduce = True
-            self.lr_stale = 0
-        return self.stale >= self.STOP_PATIENCE, reduce
-
-
 def _train_labels(labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
     if len(np.unique(labels)) < 2:
         raise UsageError("training set must contain both classes")
     return labels
-
-
-def _predicted_class(probs: np.ndarray) -> np.ndarray:
-    """Class 1 (fake) where its probability, the last column, is >= 0.5, the
-    rule ``evaluate`` and the forest apply to a score."""
-    return probs[:, -1] >= 0.5
 
 
 def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
@@ -249,8 +219,9 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
     ``transform`` rewrites each batch first (augmentation).
     A net holding batch norm skips batches of fewer than two rows.
     A non-empty validation set is scored by ``logits`` after every epoch, in
-    slices of ``forward_rows(model)`` rows; a ``TrainController`` then stops
-    early and reduces the rate by its ``LR_FACTOR``, and the best-validation
+    slices of ``forward_rows(model)`` rows; a new best accuracy snapshots the
+    weights, stale epochs reduce the rate and stop early on the
+    ``LR_PATIENCE``/``STOP_PATIENCE`` schedule, and the best-validation
     weights are restored. Without one, training runs the full epoch budget.
     """
     net = model.net
@@ -260,7 +231,7 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
         val_labels = np.asarray(val_labels, dtype=int)
         val = (val_X, encode(val_labels), val_labels)
     opt = Adam(net.params(), eta=cfg.learning_rate)
-    controller = TrainController()
+    best_acc, stale = -np.inf, 0
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([model.seed, stream]))
     min_batch = 2 if any(isinstance(layer, BatchNorm) for layer in net.layers) else 1
     best = None
@@ -281,7 +252,7 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
             net.backward(grad)
             opt.step()
             losses.append(loss)
-            correct += int((_predicted_class(probs) == labels[idx]).sum())
+            correct += int((decide(probs[:, -1]) == labels[idx]).sum())
             seen += len(idx)
         row = {
             "epoch": epoch + 1,
@@ -296,13 +267,15 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
             continue
         val_X, val_targets, val_labels = val
         row["val_loss"], probs, _ = head(logits(model, val_X), val_targets)
-        row["val_acc"] = float((_predicted_class(probs) == val_labels).mean())
-        stop, reduce = controller.update(row["val_acc"])
-        if controller.stale == 0:
+        row["val_acc"] = float((decide(probs[:, -1]) == val_labels).mean())
+        if row["val_acc"] > best_acc:
+            best_acc, stale = row["val_acc"], 0
             best = [arr.copy() for _, arr in net.state()]
-        if reduce:
-            opt.eta *= controller.LR_FACTOR
-        if stop:
+            continue
+        stale += 1
+        if stale % LR_PATIENCE == 0:
+            opt.eta *= LR_FACTOR
+        if stale >= STOP_PATIENCE:
             break
     if best is not None:
         for (_, arr), saved in zip(net.state(), best):

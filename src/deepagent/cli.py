@@ -169,21 +169,17 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     try:
         return _dispatch(build_parser().parse_args(argv))
-    except DeepAgentError as exc:
-        json.dump({"error": {"kind": type(exc).__name__, "exit_code": exc.exit_code,
-                             "message": str(exc)}}, sys.stderr)
+    except Exception as exc:
+        if isinstance(exc, DeepAgentError):
+            kind, code = type(exc).__name__, exc.exit_code
+        elif isinstance(exc, OSError):
+            kind, code = "OSError", 2
+        else:  # numeric or unexpected failure
+            kind, code = type(exc).__name__, 3
+        json.dump({"error": {"kind": kind, "exit_code": code, "message": str(exc)}},
+                  sys.stderr)
         sys.stderr.write("\n")
-        return exc.exit_code
-    except OSError as exc:
-        json.dump({"error": {"kind": "OSError", "exit_code": 2,
-                             "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except Exception as exc:  # numeric or unexpected failure
-        json.dump({"error": {"kind": type(exc).__name__, "exit_code": 3,
-                             "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return code
 
 
 if __name__ == "__main__":

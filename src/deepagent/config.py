@@ -6,8 +6,8 @@ A config file must be valid on its own; its read, key, type and bound errors
 name the file. Each bounded key declares its bound once, on its field, as
 the text its fault shows; ``validate`` checks every field against it.
 Adam's decay rates and epsilon are the constants of ``nn.optim.Adam`` and
-both agents' early-stopping and rate schedule those of
-``agents.TrainController``, not config keys, and a record's split is
+both agents' early-stopping and rate schedule the ``agents`` constants
+``STOP_PATIENCE``, ``LR_PATIENCE`` and ``LR_FACTOR``, not config keys, and a record's split is
 manifest data (``fixtures.assign_splits``), not config.
 """
 

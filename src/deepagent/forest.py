@@ -4,9 +4,10 @@ Trees grow on Gini impurity over labels in {0, 1} with one randomly drawn
 candidate feature per node (falling back to the remaining features in drawn
 order when the drawn one has no split within the node, so separable data is
 always grown to purity). Leaves hold a majority vote with ties going to
-class 1. The forest averages the tree votes; the decision threshold maps 0.5
-exactly to class 1. Inputs pass through an ``nn.layers.Standardize`` (the
-layer Agent-2's net starts with) fit on the forest's training rows.
+class 1. The forest averages the tree votes; the decision rule,
+``metrics.decide``, maps 0.5 exactly to class 1. Inputs pass through an
+``nn.layers.Standardize`` (the layer Agent-2's net starts with) fit on the
+forest's training rows.
 
 All trees of a forest grow together, level by level. Each open node is a
 segment of (bootstrap row, node) entries, kept sorted by value for every
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deepagent.errors import UsageError
+from deepagent.metrics import decide
 from deepagent.nn.layers import Standardize
 
 
@@ -222,7 +224,7 @@ def predict_forest_batch(model: ForestModel, Z: np.ndarray):
             left = Zs[rows, node.feature] <= node.threshold
             stack += [(node.left, rows[left]), (node.right, rows[~left])]
     probs = votes / len(model.trees)
-    return probs, (probs >= 0.5).astype(int)
+    return probs, decide(probs).astype(int)
 
 
 def stratified_kfold(labels, k: int = 5, seed: int = 0):

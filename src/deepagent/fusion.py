@@ -14,14 +14,7 @@ import numpy as np
 
 from deepagent.errors import UsageError
 from deepagent.forest import predict_forest_batch, stratified_kfold, train_forest
-from deepagent.metrics import (
-    accuracy,
-    confusion,
-    macro_f1,
-    precision,
-    recall,
-    roc_auc,
-)
+from deepagent.metrics import class_rates, confusion, roc_auc
 
 # metric keys of a fold row, in report order; precision/recall are for the
 # fake class, the *_macro pair averages both classes
@@ -42,17 +35,18 @@ def cross_validate_meta(scores, labels, *, folds: int = 5, n_trees: int = 100,
         model = train_forest(scores[train_idx], y[train_idx], n_trees=n_trees,
                              seed=seed + f)
         probs, preds = predict_forest_batch(model, scores[val_idx])
-        cm = confusion(y[val_idx], preds)
+        rates = class_rates(confusion(y[val_idx], preds))
+        prec, rec = rates["precision_per_class"], rates["recall_per_class"]
         points, auc = roc_auc(y[val_idx], probs)
         rows.append({
             "fold": f + 1,
-            "accuracy": accuracy(cm),
-            "precision": precision(cm, 1)[0],
-            "recall": recall(cm, 1)[0],
-            "f1": macro_f1(cm),
+            "accuracy": rates["accuracy"],
+            "precision": prec[1],
+            "recall": rec[1],
+            "f1": rates["macro_f1"],
             "auc": auc,
-            "precision_macro": (precision(cm, 0)[0] + precision(cm, 1)[0]) / 2.0,
-            "recall_macro": (recall(cm, 0)[0] + recall(cm, 1)[0]) / 2.0,
+            "precision_macro": (prec[0] + prec[1]) / 2.0,
+            "recall_macro": (rec[0] + rec[1]) / 2.0,
             # strict JSON has no Infinity literal: the end-point sentinel
             # thresholds become the strings "inf" and "-inf"
             "roc": [[fpr, tpr, thr if np.isfinite(thr) else str(thr)]

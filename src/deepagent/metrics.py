@@ -1,4 +1,5 @@
-"""Confusion counts, per-class precision/recall/F1, macro F1, ROC and AUC.
+"""Confusion counts, per-class precision/recall/F1, macro F1, ROC and AUC,
+and the 0.5 decision rule that turns a fake-class score into a prediction.
 
 The confusion matrix is a plain 2 x 2 int array and a ROC curve a K x 3
 array of (fpr, tpr, threshold) rows. All values are fractions in [0, 1];
@@ -31,41 +32,36 @@ def confusion(labels, predictions) -> np.ndarray:
     return np.bincount(2 * y + p, minlength=4).reshape(2, 2)
 
 
-def _counts(cm: np.ndarray, c: int) -> tuple[int, int, int]:
-    """(TP, FP, FN) for class c."""
-    return int(cm[c, c]), int(cm[1 - c, c]), int(cm[c, 1 - c])
+def class_rates(cm: np.ndarray) -> dict:
+    """Accuracy, per-class precision/recall/F1 and macro F1 of a 2 x 2
+    confusion matrix, plus the names of the precision and recall ratios
+    that were 0/0 (reported as 0.0). F1 is 2*TP / (2*TP + FP + FN), and a
+    zero denominator contributes 0."""
+    undefined = []
+    prec, rec, f1 = [], [], []
+    for c in (0, 1):
+        tp, fp, fn = int(cm[c, c]), int(cm[1 - c, c]), int(cm[c, 1 - c])
+        prec.append(tp / (tp + fp) if tp + fp else 0.0)
+        if tp + fp == 0:
+            undefined.append(f"precision_{c}")
+        rec.append(tp / (tp + fn) if tp + fn else 0.0)
+        if tp + fn == 0:
+            undefined.append(f"recall_{c}")
+        denom = 2 * tp + fp + fn
+        f1.append(2 * tp / denom if denom else 0.0)
+    return {
+        "accuracy": float(np.trace(cm) / cm.sum()),
+        "precision_per_class": prec,
+        "recall_per_class": rec,
+        "f1_per_class": f1,
+        "macro_f1": 0.5 * (f1[0] + f1[1]),
+        "undefined": undefined,
+    }
 
 
-def accuracy(cm: np.ndarray) -> float:
-    return float(np.trace(cm) / cm.sum())
-
-
-def precision(cm: np.ndarray, c: int) -> tuple[float, bool]:
-    """(value, defined); 0/0 yields (0.0, False)."""
-    tp, fp, _ = _counts(cm, c)
-    if tp + fp == 0:
-        return 0.0, False
-    return tp / (tp + fp), True
-
-
-def recall(cm: np.ndarray, c: int) -> tuple[float, bool]:
-    tp, _, fn = _counts(cm, c)
-    if tp + fn == 0:
-        return 0.0, False
-    return tp / (tp + fn), True
-
-
-def f1_per_class(cm: np.ndarray, c: int) -> float:
-    """2*TP / (2*TP + FP + FN); a zero denominator contributes 0."""
-    tp, fp, fn = _counts(cm, c)
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        return 0.0
-    return 2 * tp / denom
-
-
-def macro_f1(cm: np.ndarray) -> float:
-    return 0.5 * (f1_per_class(cm, 0) + f1_per_class(cm, 1))
+def decide(scores) -> np.ndarray:
+    """The fake-class decision: True where a score is >= 0.5."""
+    return np.asarray(scores) >= 0.5
 
 
 def roc_auc(labels, scores) -> tuple[np.ndarray, float]:
@@ -102,29 +98,12 @@ def roc_auc(labels, scores) -> tuple[np.ndarray, float]:
 
 
 def metric_report(labels, predictions, scores) -> dict:
-    """Assemble the metric report dictionary (values as fractions)."""
+    """``class_rates`` of the predictions with the AUC of the scores and the
+    confusion counts (values as fractions)."""
     cm = confusion(labels, predictions)
-    undefined = []
-    prec, rec = [], []
-    for c in (0, 1):
-        v, ok = precision(cm, c)
-        prec.append(v)
-        if not ok:
-            undefined.append(f"precision_{c}")
-        v, ok = recall(cm, c)
-        rec.append(v)
-        if not ok:
-            undefined.append(f"recall_{c}")
+    rates = class_rates(cm)
+    undefined = rates.pop("undefined")
     auc = roc_auc(labels, scores)[1] if cm.sum(axis=1).all() else None
     if auc is None:  # rows of one class have no ROC
         undefined.append("auc")
-    return {
-        "accuracy": accuracy(cm),
-        "precision_per_class": prec,
-        "recall_per_class": rec,
-        "f1_per_class": [f1_per_class(cm, 0), f1_per_class(cm, 1)],
-        "macro_f1": macro_f1(cm),
-        "auc": auc,
-        "confusion": cm.tolist(),
-        "undefined": undefined,
-    }
+    return {**rates, "auc": auc, "confusion": cm.tolist(), "undefined": undefined}

@@ -281,8 +281,8 @@ def run_evaluate(scores_path, split, out_path) -> dict:
     out = {"split": split, "n_samples": len(chosen)}
     for agent_key in ("agent1", "agent2"):
         scores = [r[agent_key] for r in chosen]
-        preds = [int(s >= 0.5) for s in scores]
-        out[agent_key] = metrics.metric_report(labels, preds, scores)
+        out[agent_key] = metrics.metric_report(labels, metrics.decide(scores),
+                                               scores)
     files.write_json(out_path, out)
     return out
 

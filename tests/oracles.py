@@ -434,6 +434,31 @@ def reference_adam_step(value, grad, m, v, t, eta, beta1, beta2, epsilon):
     value -= eta * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
 
 
+def replay_schedule(val_accs, eta, stop_patience=10, lr_patience=5, lr_factor=0.5):
+    """(lr column, epochs run) that the validation schedule gives a history
+    whose ``val_acc`` column is ``val_accs``, starting at rate ``eta``.
+
+    Kept as Keras's two callbacks keep it: EarlyStopping and
+    ReduceLROnPlateau each count stagnant epochs, an improvement resets both
+    counts, and a reduction resets the plateau count alone.
+    """
+    best, stop_wait, lr_wait = -math.inf, 0, 0
+    lrs = []
+    for acc in val_accs:
+        lrs.append(eta)
+        if acc > best:
+            best, stop_wait, lr_wait = acc, 0, 0
+            continue
+        stop_wait += 1
+        lr_wait += 1
+        if lr_wait >= lr_patience:
+            eta *= lr_factor
+            lr_wait = 0
+        if stop_wait >= stop_patience:
+            break
+    return lrs, len(lrs)
+
+
 def naive_affine_sample(pixels, matrix):
     """Per-pixel bilinear sampling of an inverse affine map, plain loops.
 

@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from deepagent import agents
-from deepagent.agents import TrainController
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import ConfigurationError, UsageError
 from deepagent.nn.checkpoint import load_checkpoint
@@ -15,7 +14,8 @@ from deepagent.nn.layers import BatchNorm
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
 
-from oracles import agent1_shape_chain, reference_adam_step, reference_agent1_probs
+from oracles import (agent1_shape_chain, reference_adam_step, reference_agent1_probs,
+                     replay_schedule)
 
 
 def relu(x):
@@ -347,7 +347,7 @@ class TestTrainAgent2:
     def test_training_loss_non_increasing_on_separable_fixture(self, monkeypatch):
         # a patience past the budget, so all 40 epochs are checked: the
         # default of 10 stops this run at epoch 19
-        monkeypatch.setattr(TrainController, "STOP_PATIENCE", 100)
+        monkeypatch.setattr(agents, "STOP_PATIENCE", 100)
         rng = np.random.default_rng(96)
         X, y = separable_features(rng, 60)
         model = agents.build_agent2(seed=42)
@@ -359,33 +359,52 @@ class TestTrainAgent2:
             assert after <= before * 1.05
 
 
-class TestTrainController:
+class TestValidationSchedule:
+    """``_fit``'s early stopping and rate reduction, run through Agent-2."""
+
+    @staticmethod
+    def history(seed, **config):
+        rng = np.random.default_rng(seed)
+        X, y = separable_features(rng, 40)
+        vX, vy = separable_features(rng, 20)
+        model = agents.build_agent2(seed=seed)
+        return agents.train_agent2(model, X, y, vX, vy, config=Agent2Config(**config))
+
     def test_schedule_is_the_keras_one(self):
-        assert (TrainController.STOP_PATIENCE, TrainController.LR_PATIENCE,
-                TrainController.LR_FACTOR) == (10, 5, 0.5)
-
-    def test_strictly_improving_never_stops(self):
-        ctl = TrainController()
-        for epoch in range(100):
-            stop, reduce = ctl.update(epoch / 100.0)
-            assert not stop and not reduce
-
-    def test_two_reductions_quarter_the_rate(self):
-        ctl = TrainController()
-        lr = 0.001
-        ctl.update(0.9)
-        for _ in range(2 * TrainController.LR_PATIENCE):
-            _, reduce = ctl.update(0.5)
-            if reduce:
-                lr *= TrainController.LR_FACTOR
-        assert lr == pytest.approx(0.25 * 0.001)
+        assert (agents.STOP_PATIENCE, agents.LR_PATIENCE,
+                agents.LR_FACTOR) == (10, 5, 0.5)
 
     def test_stops_after_patience_stagnant_epochs(self):
-        ctl = TrainController()
-        ctl.update(0.9)
-        patience = TrainController.STOP_PATIENCE
-        stops = [ctl.update(0.1)[0] for _ in range(patience)]
-        assert stops == [False] * (patience - 1) + [True]
+        # a rate of 1e-30 leaves the weights, so validation accuracy, fixed:
+        # epoch 1 is the best and the next 10 are stagnant
+        history = self.history(87, learning_rate=1e-30)
+        assert len({h["val_acc"] for h in history}) == 1
+        assert len(history) == 1 + agents.STOP_PATIENCE
+        assert [h["lr"] for h in history] == [1e-30] * 6 + [5e-31] * 5
+        assert replay_schedule([h["val_acc"] for h in history], 1e-30) == (
+            [h["lr"] for h in history], len(history))
+
+    def test_two_reductions_quarter_the_rate(self, monkeypatch):
+        monkeypatch.setattr(agents, "STOP_PATIENCE", 100)
+        history = self.history(87, learning_rate=1e-30, epochs=12)
+        assert len(history) == 12
+        assert history[-1]["lr"] == 2.5e-31
+
+    def test_improvement_resets_both_counts(self):
+        # this run improves after stagnant streaks of 5, 6 and 3 epochs,
+        # reduces the rate three times and stops early
+        history = self.history(94, learning_rate=1e-4, epochs=60)
+        accs, lrs = [h["val_acc"] for h in history], [h["lr"] for h in history]
+        best, stale, streaks = -1.0, 0, []
+        for acc in accs:
+            if acc > best:
+                streaks += [stale] if stale else []
+                best, stale = acc, 0
+            else:
+                stale += 1
+        assert streaks == [5, 6, 3]
+        assert min(lrs) == 1e-4 / 8 and len(history) < 60
+        assert replay_schedule(accs, 1e-4) == (lrs, len(history))
 
 
 class TestOneEpochReplay:

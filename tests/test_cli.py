@@ -619,7 +619,7 @@ class TestFailureModes:
         ("agent2.beta1", 0.9), ("agent2.beta2", 0.999), ("agent2.epsilon", 1e-7),
         ("frame_interval", 5), ("meta_dims", 2), ("mel_filters", 13),
         ("train_fraction", 0.7),
-        # the validation schedule is agents.TrainController's constants
+        # the validation schedule is the agents module's constants
         ("agent2.early_stop_patience", 10), ("agent2.lr_patience", 5),
         ("agent2.lr_factor", 0.5),
     ])

@@ -1,9 +1,11 @@
 """The cross-validated fusion loop over the N x 2 score matrix."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from deepagent import fusion
+from deepagent import files, fusion
 from deepagent.errors import UsageError
 from deepagent.forest import stratified_kfold
 from deepagent.nn.layers import Standardize
@@ -87,3 +89,18 @@ class TestFoldReport:
         assert "Infinity" not in text
         parsed = json.loads(text)
         assert parsed[0]["roc"][0][2] == "inf"
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # sha256 of the ``files.write_json`` bytes of a seeded 120-row fold
+        # report: a change to any fold value or key order changes the file
+        rng = np.random.default_rng(2702)
+        labels = np.array([0, 1] * 60)
+        scores = np.clip(np.column_stack([0.3 * labels + rng.uniform(0, 0.7, 120),
+                                          0.2 * labels + rng.uniform(0, 0.8, 120)]),
+                         0, 1)
+        rows = fusion.fold_report(
+            fusion.cross_validate_meta(scores, labels, folds=5, n_trees=15, seed=42))
+        path = tmp_path / "fold_report.json"
+        files.write_json(path, rows)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "129cfec44de07c55de2539873241472727f5467f62bc534967a9c8e9421f25a0")

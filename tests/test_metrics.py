@@ -1,10 +1,13 @@
-"""Confusion counts, F1 variants, ROC/AUC against the pairwise oracle."""
+"""Confusion counts, F1 variants, ROC/AUC against the pairwise oracle, and the
+report bytes pinned."""
+
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from deepagent import metrics
+from deepagent import files, metrics
 from deepagent.errors import UsageError
 
 from oracles import pairwise_auc
@@ -41,54 +44,55 @@ class TestConfusion:
             metrics.confusion([1, 0], [1])
 
 
+def rates(labels, predictions):
+    return metrics.class_rates(metrics.confusion(labels, predictions))
+
+
 class TestMacroF1:
     def test_perfect_is_one(self):
-        cm = metrics.confusion([1, 0, 1], [1, 0, 1])
-        assert metrics.macro_f1(cm) == 1.0
+        assert rates([1, 0, 1], [1, 0, 1])["macro_f1"] == 1.0
 
     def test_hand_count_half(self):
-        cm = metrics.confusion([1, 1, 0, 0], [1, 0, 1, 0])
-        npt.assert_allclose(metrics.macro_f1(cm), 0.5)
+        npt.assert_allclose(rates([1, 1, 0, 0], [1, 0, 1, 0])["macro_f1"], 0.5)
 
     def test_all_one_predictions_on_balanced(self):
-        cm = metrics.confusion([0, 0, 1, 1], [1, 1, 1, 1])
-        npt.assert_allclose(metrics.f1_per_class(cm, 1), 2.0 / 3.0)
-        assert metrics.f1_per_class(cm, 0) == 0.0
-        npt.assert_allclose(metrics.macro_f1(cm), 1.0 / 3.0)
+        r = rates([0, 0, 1, 1], [1, 1, 1, 1])
+        npt.assert_allclose(r["f1_per_class"][1], 2.0 / 3.0)
+        assert r["f1_per_class"][0] == 0.0
+        npt.assert_allclose(r["macro_f1"], 1.0 / 3.0)
 
     def test_invariant_under_simultaneous_label_swap(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             y = rng.integers(0, 2, 30)
             p = rng.integers(0, 2, 30)
-            a = metrics.macro_f1(metrics.confusion(y, p))
-            b = metrics.macro_f1(metrics.confusion(1 - y, 1 - p))
+            a = rates(y, p)["macro_f1"]
+            b = rates(1 - y, 1 - p)["macro_f1"]
             npt.assert_allclose(a, b, rtol=1e-12)
 
 
 class TestAccuracyPrecisionRecall:
     def test_perfect(self):
-        cm = metrics.confusion([1, 0], [1, 0])
-        assert metrics.accuracy(cm) == 1.0
-        assert metrics.precision(cm, 1) == (1.0, True)
-        assert metrics.recall(cm, 1) == (1.0, True)
+        r = rates([1, 0], [1, 0])
+        assert r["accuracy"] == 1.0
+        assert r["precision_per_class"][1] == 1.0 and "precision_1" not in r["undefined"]
+        assert r["recall_per_class"][1] == 1.0 and "recall_1" not in r["undefined"]
 
     def test_hand_count_values(self):
-        cm = metrics.confusion([1, 1, 0, 0], [1, 0, 1, 0])
-        assert metrics.precision(cm, 1)[0] == 0.5
-        assert metrics.recall(cm, 1)[0] == 0.5
+        r = rates([1, 1, 0, 0], [1, 0, 1, 0])
+        assert r["precision_per_class"][1] == 0.5
+        assert r["recall_per_class"][1] == 0.5
 
     def test_no_positive_predictions_flagged(self):
-        cm = metrics.confusion([1, 0], [0, 0])
-        value, defined = metrics.precision(cm, 1)
-        assert value == 0.0 and not defined
+        r = rates([1, 0], [0, 0])
+        assert r["precision_per_class"][1] == 0.0 and "precision_1" in r["undefined"]
 
     def test_accuracy_is_trace_over_n(self):
         rng = np.random.default_rng(42)
         y = rng.integers(0, 2, 200)
         p = rng.integers(0, 2, 200)
         cm = metrics.confusion(y, p)
-        assert metrics.accuracy(cm) == np.trace(cm) / 200
+        assert metrics.class_rates(cm)["accuracy"] == np.trace(cm) / 200
 
 
 class TestRocAuc:
@@ -148,3 +152,38 @@ class TestMetricReport:
     def test_one_class_auc_is_undefined(self):
         report = metrics.metric_report([1, 1], [1, 0], [0.9, 0.4])
         assert report["auc"] is None and "auc" in report["undefined"]
+
+
+class TestDecide:
+    def test_half_is_the_fake_class(self):
+        decided = metrics.decide([0.0, 0.4999999, 0.5, 1.0])
+        assert decided.tolist() == [False, False, True, True]
+
+
+# sha256 of the ``files.write_json`` bytes of ``seeded_reports()``: a change
+# to any value, key order or ``undefined`` order changes the evaluate file
+REPORTS_SHA256 = "fc755d82866ca36d55d825666cd2017a132d6fdf4c1fa38cef3f269f259d478e"
+
+
+def seeded_reports():
+    """Metric reports of hand cases (a 0/0 precision, a one-class split with
+    an undefined recall, one with every class-1 ratio undefined) and of
+    seeded splits predicted by ``decide``."""
+    rng = np.random.default_rng(2701)
+    cases = [([1, 0], [0, 0], [0.2, 0.3]), ([1, 1, 1], [1, 0, 1], [0.9, 0.4, 0.7]),
+             ([0, 0, 0], [0, 0, 0], [0.1, 0.2, 0.3])]
+    for n in (2, 5, 17, 64, 200):
+        labels = rng.integers(0, 2, n)
+        scores = np.round(np.clip(0.35 * labels + rng.uniform(0, 0.65, n), 0, 1), 2)
+        cases.append((labels.tolist(), metrics.decide(scores).astype(int).tolist(),
+                      scores.tolist()))
+    return [metrics.metric_report(*case) for case in cases]
+
+
+def test_metric_report_bytes_are_pinned(tmp_path):
+    reports = seeded_reports()
+    assert [r["undefined"] for r in reports[:3]] == [
+        ["precision_1"], ["recall_0", "auc"], ["precision_1", "recall_1", "auc"]]
+    path = tmp_path / "reports.json"
+    files.write_json(path, reports)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORTS_SHA256

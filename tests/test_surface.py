@@ -17,6 +17,9 @@ Every field of a package dataclass is read as an attribute somewhere in the
 package: a field nothing reads is state every constructor must fill for no
 behaviour.
 
+Every name a package module imports is used in that module: a deletion
+that leaves its import behind is caught here, with no linter installed.
+
 No package module uses ``os.environ``, ``os.getenv`` or ``os.putenv``: a
 run's settings come from its flags and its ``--config`` file alone, so an
 exported variable cannot change what a command does.
@@ -214,6 +217,28 @@ def test_every_parameter_is_set_by_the_package():
 def test_every_dataclass_field_is_read_in_the_package():
     unread = unread_dataclass_fields()
     assert unread == [], f"dataclass fields no package code reads: {unread}"
+
+
+def unused_imports():
+    """``file:line name`` per name a package module imports and never reads."""
+    unused = []
+    for path, tree in _package_trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                       for name in names if name not in used]
+    return unused
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert unused == [], f"imports no package code uses: {unused}"
 
 
 # the process environment, read or written
