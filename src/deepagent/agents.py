@@ -330,10 +330,11 @@ def save_agent(model: Agent, path) -> None:
 
 
 def _load_state(state, records, path) -> None:
-    """Check every record against the model's state (kind, shape, finite
-    values, a non-negative BatchNorm variance and a positive input sigma),
-    then copy them in: the records are views of the file's bytes, so this is
-    the one copy a load makes of them."""
+    """Check each record against the model's state (kind, shape, finite
+    values, a non-negative BatchNorm variance and a positive input sigma)
+    and copy it in before reading the next: the records are read from the
+    open checkpoint one at a time, so a load holds the state and one
+    record's bytes, and a fault leaves the rest unread."""
     if len(records) != len(state):
         # record 0 is the metadata, so the first missing or extra one is
         # numbered one past the shorter list
@@ -351,33 +352,36 @@ def _load_state(state, records, path) -> None:
             raise IngestionError(f"{path}: record {i}: negative variance in kind {kind}")
         if kind == ckpt.KIND_STD_SIGMA and (arr <= 0).any():
             raise IngestionError(f"{path}: record {i}: non-positive sigma in kind {kind}")
-    for (_, target), (_, arr) in zip(state, records):
         target[...] = arr
 
 
 def load_agent(path, kind: int | None = None) -> Agent:
     """Rebuild Agent-1 or Agent-2 from a checkpoint as a float64 net; the
     header's ``dtype_bits`` sets only the width the records were stored at.
-    Given ``kind`` (1 or 2), a checkpoint of the other agent raises a
-    ConfigurationError naming the path and its flag, ``--agent<kind>``."""
+    The file's structure is checked in full before the net is built, and
+    its records then stream into the net through one open handle, closed
+    on every path. Given ``kind`` (1 or 2), a checkpoint of the other agent
+    raises a ConfigurationError naming the path and its flag,
+    ``--agent<kind>``."""
     header, records = ckpt.load_checkpoint(path)
-    size = header["input_size"]
-    if kind is not None and header["model_kind"] != kind:
-        raise ConfigurationError(f"--agent{kind} {path}: holds an Agent-"
-                                 f"{header['model_kind']} checkpoint, expected "
-                                 f"Agent-{kind}")
-    # checked before building, so a corrupt size cannot size the layers
-    if header["model_kind"] == ckpt.MODEL_AGENT1:
-        if size not in AGENT1_SIZES:
-            raise IngestionError(
-                f"{path}: record 0: Agent-1 input size must be within "
-                f"[{AGENT1_SIZES[0]}, {AGENT1_SIZES[-1]}], got {size}")
-        model = build_agent1(seed=0, input_size=size)
-    else:  # load_checkpoint admits only the two model kinds
-        if size != FEATURE_DIM:
-            raise IngestionError(
-                f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
-                f"got {size}")
-        model = build_agent2(seed=0)
-    _load_state(model.net.state(), records, path)
+    with records:
+        size = header["input_size"]
+        if kind is not None and header["model_kind"] != kind:
+            raise ConfigurationError(f"--agent{kind} {path}: holds an Agent-"
+                                     f"{header['model_kind']} checkpoint, expected "
+                                     f"Agent-{kind}")
+        # checked before building, so a corrupt size cannot size the layers
+        if header["model_kind"] == ckpt.MODEL_AGENT1:
+            if size not in AGENT1_SIZES:
+                raise IngestionError(
+                    f"{path}: record 0: Agent-1 input size must be within "
+                    f"[{AGENT1_SIZES[0]}, {AGENT1_SIZES[-1]}], got {size}")
+            model = build_agent1(seed=0, input_size=size)
+        else:  # load_checkpoint admits only the two model kinds
+            if size != FEATURE_DIM:
+                raise IngestionError(
+                    f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
+                    f"got {size}")
+            model = build_agent2(seed=0)
+        _load_state(model.net.state(), records, path)
     return model

@@ -149,16 +149,20 @@ def resample(w: Waveform, target: int = TARGET_RATE) -> Waveform:
     x = np.pad(w.samples, len(reach))
     out = np.empty(int(round(len(w.samples) * target / w.sample_rate)))
     rows = max(1, RESAMPLE_VALUES // len(reach))
+    taps_for = None  # the phases the current taps were computed for
     for start in range(0, len(out), rows):
         k = np.arange(start, min(start + rows, len(out)))
         base, phase = np.divmod(k * down, up)
-        # one row of weights per fractional phase r / up the block uses
+        # one row of weights per fractional phase r / up the block uses,
+        # kept from the previous block when it used the same phases
         used, row = np.unique(phase, return_inverse=True)
-        d = (used[:, None] / up - reach) / half
-        taps = np.sinc(d * SINC_ZEROS) * np.i0(
-            KAISER_BETA * np.sqrt(np.clip(1.0 - d * d, 0.0, None)))
-        taps[np.abs(d) > 1.0] = 0.0
-        taps /= taps.sum(axis=1, keepdims=True)
+        if taps_for is None or not np.array_equal(used, taps_for):
+            d = (used[:, None] / up - reach) / half
+            taps = np.sinc(d * SINC_ZEROS) * np.i0(
+                KAISER_BETA * np.sqrt(np.clip(1.0 - d * d, 0.0, None)))
+            taps[np.abs(d) > 1.0] = 0.0
+            taps /= taps.sum(axis=1, keepdims=True)
+            taps_for = used
         out[k] = (x[base[:, None] + reach + len(reach)] * taps[row]).sum(axis=1)
     return Waveform(out, target)
 

@@ -42,35 +42,35 @@ def write_cache(path, entries: dict[str, np.ndarray]) -> None:
 
 
 def read_cache(path) -> dict[str, np.ndarray]:
-    reader = files.Reader(path, MAGIC, FORMAT_VERSION, "cache")
-    table = {}
-    for _ in range(reader.u32()):
-        start = reader.pos
-        try:
-            key = reader.take(reader.u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestionError(
-                f"{path}: key at byte {start + 4} is not valid UTF-8") from exc
-        if key in table:
-            raise IngestionError(
-                f"{path}: entry at byte {start} repeats key {key!r}")
-        width = reader.u32()
-        if width not in (4, 8):
-            raise IngestionError(
-                f"{path}: entry {key!r}: byte width {width} at byte {reader.pos - 4} "
-                "is not 4 or 8")
-        table[key] = (width, reader.dims(), reader.u64())
+    with files.Reader(path, MAGIC, FORMAT_VERSION, "cache") as reader:
+        table = {}
+        for _ in range(reader.u32()):
+            start = reader.pos
+            try:
+                key = reader.take(reader.u32()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestionError(
+                    f"{path}: key at byte {start + 4} is not valid UTF-8") from exc
+            if key in table:
+                raise IngestionError(
+                    f"{path}: entry at byte {start} repeats key {key!r}")
+            width = reader.u32()
+            if width not in (4, 8):
+                raise IngestionError(
+                    f"{path}: entry {key!r}: byte width {width} at byte {reader.pos - 4} "
+                    "is not 4 or 8")
+            table[key] = (width, reader.dims(), reader.u64())
 
-    out = {}
-    for key, (width, dims, offset) in table.items():
-        if offset != reader.pos:
-            raise IngestionError(
-                f"{path}: entry {key!r}: payload offset {offset} is not byte "
-                f"{reader.pos}, where the payload must start")
-        out[key] = reader.array(dims, width, f"entry {key!r}",
-                                f"payload for {key!r} at byte {offset} truncated")
-    reader.finish()
-    return out
+        out = {}
+        for key, (width, dims, offset) in table.items():
+            if offset != reader.pos:
+                raise IngestionError(
+                    f"{path}: entry {key!r}: payload offset {offset} is not byte "
+                    f"{reader.pos}, where the payload must start")
+            out[key] = reader.array(dims, width, f"entry {key!r}",
+                                    f"payload for {key!r} at byte {offset} truncated")
+        reader.finish()
+        return out
 
 
 def update_cache(path, new_entries: dict[str, np.ndarray]) -> None:

@@ -6,9 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from deepagent import agents
+from deepagent import agents, files
 from deepagent.config import Agent1Config, Agent2Config
-from deepagent.errors import ConfigurationError, UsageError
+from deepagent.errors import ConfigurationError, IngestionError, UsageError
 from deepagent.nn.checkpoint import load_checkpoint
 from deepagent.nn.layers import BatchNorm
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
@@ -550,6 +550,34 @@ class TestCheckpoints:
                                  f"{other} checkpoint, expected Agent-{kind}"):
             agents.load_agent(path, kind=kind)
 
+    @pytest.mark.parametrize("fault, kind, error", [
+        (None, None, None),
+        ("trailing", None, IngestionError),  # found in the structural pass
+        ("nan", None, IngestionError),       # found in record 3 of 10, mid-stream
+        (None, 1, ConfigurationError),       # an Agent-2 file given as Agent-1
+    ])
+    def test_a_load_opens_its_file_once_and_closes_it(self, tmp_path, monkeypatch,
+                                                      fault, kind, error):
+        model = agents.build_agent2(1)
+        if fault == "nan":
+            model.net.state()[2][1][0, 0] = np.nan
+        path = tmp_path / "agent.damc"
+        agents.save_agent(model, path)
+        if fault == "trailing":
+            path.write_bytes(path.read_bytes() + bytes(8))
+        opened = []
+
+        def tracked_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+        monkeypatch.setattr(files, "open", tracked_open, raising=False)
+        if error is None:
+            agents.load_agent(path, kind=kind)
+        else:
+            with pytest.raises(error):
+                agents.load_agent(path, kind=kind)
+        assert len(opened) == 1 and opened[0].closed
+
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)
         model = agents.build_agent1(seed=11, input_size=32)
@@ -610,7 +638,8 @@ class TestCheckpoints:
         assert all(p.value.dtype == np.float32 for p in model.net.params())
         path = tmp_path / "a1_f32.damc"
         agents.save_agent(model, path)
-        header, _ = load_checkpoint(path)
+        header, records = load_checkpoint(path)
+        records.close()
         assert header["dtype_bits"] == 32
         # every load computes in float64; the upcast keeps each value exactly
         back = agents.load_agent(path)

@@ -187,7 +187,7 @@ class TestWorkflow:
 def rewrite_checkpoint(src, dst, edit):
     """Copy a DAMC checkpoint, passing its records through ``edit``."""
     header, records = ckpt.load_checkpoint(src)
-    ckpt.save_checkpoint(dst, edit(records), model_kind=header["model_kind"],
+    ckpt.save_checkpoint(dst, edit(list(records)), model_kind=header["model_kind"],
                          input_size=header["input_size"],
                          dtype_bits=header["dtype_bits"])
 
@@ -287,7 +287,7 @@ class TestFailureModes:
     def test_checkpoint_negative_running_variance_exits_2(self, workspace, tmp_path,
                                                            capsys):
         # a negative variance would make every Agent-1 score NaN
-        records = ckpt.load_checkpoint(workspace["a1"])[1]
+        records = list(ckpt.load_checkpoint(workspace["a1"])[1])
         at = next(i for i, (kind, _) in enumerate(records) if kind == ckpt.KIND_BN_VAR)
 
         def poison(records):
@@ -367,13 +367,20 @@ class TestFailureModes:
                 in error["message"])
 
     def test_checkpoint_trailing_bytes_exit_2(self, workspace, tmp_path, capsys):
-        end = workspace["a2"].stat().st_size
-        bad = patched_copy(workspace["a2"], tmp_path / "long.damc",
-                           lambda blob: blob.extend(bytes(22)))
-        code, error = predict_error(workspace, bad, capsys)
-        assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"long.damc: 22 bytes of trailing data at byte {end}"
-                in error["message"])
+        # the file's structure is checked before the net is built, so the
+        # trailing bytes are named first even when record 1 (the input mean)
+        # is also a value short
+        short = tmp_path / "short_mu.damc"
+        rewrite_checkpoint(workspace["a2"], short, lambda records: [
+            (records[0][0], records[0][1][:-1])] + records[1:])
+        for src in (workspace["a2"], short):
+            end = src.stat().st_size
+            bad = patched_copy(src, tmp_path / "long.damc",
+                               lambda blob: blob.extend(bytes(22)))
+            code, error = predict_error(workspace, bad, capsys)
+            assert code == 2 and error["kind"] == "IngestionError"
+            assert (f"long.damc: 22 bytes of trailing data at byte {end}"
+                    in error["message"])
 
     @pytest.mark.parametrize("entries", [{}, {"a/feature": np.zeros(14)}],
                              ids=["no-entries", "one-entry"])

@@ -277,11 +277,15 @@ class TestAgent1StorageWidth:
         for path in runs:
             pipeline.run_train_agent1(records, cfg, path)
         assert runs[0].read_bytes() == runs[1].read_bytes()
-        assert load_checkpoint(runs[0])[0]["dtype_bits"] == 32
+        header, stored = load_checkpoint(runs[0])
+        stored.close()
+        assert header["dtype_bits"] == 32
 
         narrow = agents.load_agent(runs[0])
         agents.save_agent(narrow, tmp_path / "wide.damc")
-        assert load_checkpoint(tmp_path / "wide.damc")[0]["dtype_bits"] == 64
+        header, stored = load_checkpoint(tmp_path / "wide.damc")
+        stored.close()
+        assert header["dtype_bits"] == 64
         wide = agents.load_agent(tmp_path / "wide.damc")
         agent2 = agents.build_agent2(seed=6)
         entries = {f"{r.id}/feature": np.zeros(14) for r in records}
