@@ -329,42 +329,17 @@ def save_agent(model: Agent, path) -> None:
                          input_size=model.input_size, dtype_bits=bits)
 
 
-def _load_state(state, records, path) -> None:
-    """Check each record against the model's state (kind, shape, finite
-    values, a non-negative BatchNorm variance and a positive input sigma)
-    and copy it in before reading the next: the records are read from the
-    open checkpoint one at a time, so a load holds the state and one
-    record's bytes, and a fault leaves the rest unread."""
-    if len(records) != len(state):
-        # record 0 is the metadata, so the first missing or extra one is
-        # numbered one past the shorter list
-        raise IngestionError(
-            f"{path}: record {min(len(records), len(state)) + 1}: expected "
-            f"{len(state)} records after the metadata, found {len(records)}")
-    for i, ((kind, target), (got_kind, arr)) in enumerate(zip(state, records), 1):
-        if got_kind != kind or arr.shape != target.shape:
-            raise IngestionError(
-                f"{path}: record {i}: expected kind {kind} shape {target.shape}, "
-                f"found kind {got_kind} shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise IngestionError(f"{path}: record {i}: non-finite value in kind {kind}")
-        if kind == ckpt.KIND_BN_VAR and (arr < 0).any():
-            raise IngestionError(f"{path}: record {i}: negative variance in kind {kind}")
-        if kind == ckpt.KIND_STD_SIGMA and (arr <= 0).any():
-            raise IngestionError(f"{path}: record {i}: non-positive sigma in kind {kind}")
-        target[...] = arr
-
-
 def load_agent(path, kind: int | None = None) -> Agent:
     """Rebuild Agent-1 or Agent-2 from a checkpoint as a float64 net; the
     header's ``dtype_bits`` sets only the width the records were stored at.
-    The file's structure is checked in full before the net is built, and
-    its records then stream into the net through one open handle, closed
-    on every path. Given ``kind`` (1 or 2), a checkpoint of the other agent
-    raises a ConfigurationError naming the path and its flag,
-    ``--agent<kind>``."""
-    header, records = ckpt.load_checkpoint(path)
-    with records:
+    ``ckpt.load_checkpoint`` checks the file's structure in full before the
+    net is built from the header, then streams the records into the net.
+    Given ``kind`` (1 or 2), a checkpoint of the other agent raises a
+    ConfigurationError naming the path and its flag, ``--agent<kind>``."""
+    model = None
+
+    def build(header):
+        nonlocal model
         size = header["input_size"]
         if kind is not None and header["model_kind"] != kind:
             raise ConfigurationError(f"--agent{kind} {path}: holds an Agent-"
@@ -383,5 +358,7 @@ def load_agent(path, kind: int | None = None) -> Agent:
                     f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
                     f"got {size}")
             model = build_agent2(seed=0)
-        _load_state(model.net.state(), records, path)
+        return model.net.state()
+
+    ckpt.load_checkpoint(path, build)
     return model

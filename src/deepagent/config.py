@@ -120,7 +120,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         p = Path(path)
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable or bad JSON
             raise ConfigurationError(f"cannot read config {p}: {exc}") from exc
         # the file must be valid on its own, so its faults can name it
         try:

@@ -39,7 +39,7 @@ def load_manifest(path) -> list[SampleRecord]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable or bad JSON
         raise IngestionError(f"{path}: cannot read manifest: {exc}") from exc
     if not isinstance(raw, list):
         raise IngestionError(f"{path}: manifest must be a JSON array")

@@ -246,7 +246,7 @@ def _load_rows(path, problem) -> list[dict]:
     wrong with one row, or returns None."""
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise IngestionError(f"{path}: cannot read rows: {exc}") from None
     if not isinstance(rows, list):
         raise IngestionError(f"{path}: must be a JSON array of rows")

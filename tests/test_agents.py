@@ -9,7 +9,7 @@ import pytest
 from deepagent import agents, files
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
-from deepagent.nn.checkpoint import load_checkpoint
+from deepagent.nn import checkpoint as ckpt
 from deepagent.nn.layers import BatchNorm
 from deepagent.nn.losses import sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import Adam
@@ -578,6 +578,25 @@ class TestCheckpoints:
                 agents.load_agent(path, kind=kind)
         assert len(opened) == 1 and opened[0].closed
 
+    def test_a_mismatched_record_is_rejected_before_its_payload_is_read(
+            self, tmp_path, monkeypatch):
+        # record 2 of an Agent-2 checkpoint, the input sigma, stored as a bias
+        state = agents.build_agent2(1).net.state()
+        state[1] = (ckpt.KIND_CONV_BIAS, state[1][1])
+        path = tmp_path / "kind.damc"
+        ckpt.save_checkpoint(path, state, model_kind=ckpt.MODEL_AGENT2,
+                             input_size=14, dtype_bits=64)
+        read, array = [], files.Reader.array
+
+        def counted(reader, dims, width, label, truncated):
+            read.append(label)
+            return array(reader, dims, width, label, truncated)
+        monkeypatch.setattr(files.Reader, "array", counted)
+        with pytest.raises(IngestionError, match="kind.damc: record 2: expected kind "
+                                                 f"{ckpt.KIND_STD_SIGMA} shape"):
+            agents.load_agent(path)
+        assert read == ["record 0", "record 1"]
+
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)
         model = agents.build_agent1(seed=11, input_size=32)
@@ -614,10 +633,11 @@ class TestCheckpoints:
         agents.train_agent2(model, X, y, config=Agent2Config(epochs=2))
         path = tmp_path / "a2.damc"
         agents.save_agent(model, path)
-        # the standardization mean and sigma, then weights and bias of d1..d4
-        _, records = load_checkpoint(path)
-        assert [kind for kind, _ in records] == [9, 10, 7, 8, 7, 8, 7, 8, 7, 8]
-        back = agents.load_agent(path)
+        # the standardization mean and sigma, then weights and bias of d1..d4;
+        # a load checks each record's kind against the state, in file order
+        back = agents.build_agent2(seed=0)
+        ckpt.load_checkpoint(path, lambda header: back.net.state())
+        assert [kind for kind, _ in back.net.state()] == [9, 10, 7, 8, 7, 8, 7, 8, 7, 8]
         for (kind, a), (back_kind, b) in zip(model.net.state(), back.net.state()):
             assert kind == back_kind and a.tobytes() == b.tobytes()
 
@@ -638,8 +658,8 @@ class TestCheckpoints:
         assert all(p.value.dtype == np.float32 for p in model.net.params())
         path = tmp_path / "a1_f32.damc"
         agents.save_agent(model, path)
-        header, records = load_checkpoint(path)
-        records.close()
+        header = ckpt.load_checkpoint(path, lambda header: agents.build_agent1(
+            seed=0, input_size=header["input_size"]).net.state())
         assert header["dtype_bits"] == 32
         # every load computes in float64; the upcast keeps each value exactly
         back = agents.load_agent(path)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from deepagent import pipeline
+from deepagent import agents, pipeline
 from deepagent.audio import write_wav
 from deepagent.cache import read_cache, write_cache
 from deepagent.cli import main
@@ -185,11 +185,12 @@ class TestWorkflow:
 
 
 def rewrite_checkpoint(src, dst, edit):
-    """Copy a DAMC checkpoint, passing its records through ``edit``."""
-    header, records = ckpt.load_checkpoint(src)
-    ckpt.save_checkpoint(dst, edit(list(records)), model_kind=header["model_kind"],
-                         input_size=header["input_size"],
-                         dtype_bits=header["dtype_bits"])
+    """Copy a DAMC checkpoint at its stored width, passing its records, as
+    loaded into the net, through ``edit``."""
+    model = agents.load_agent(src)
+    bits = struct.unpack_from("<d", src.read_bytes(), DAMC_META + 16)[0]
+    ckpt.save_checkpoint(dst, edit(model.net.state()), model_kind=model.kind,
+                         input_size=model.input_size, dtype_bits=int(bits))
 
 
 def predict_error(workspace, agent2, capsys, cache=None, agent1=None):
@@ -287,7 +288,7 @@ class TestFailureModes:
     def test_checkpoint_negative_running_variance_exits_2(self, workspace, tmp_path,
                                                            capsys):
         # a negative variance would make every Agent-1 score NaN
-        records = list(ckpt.load_checkpoint(workspace["a1"])[1])
+        records = agents.load_agent(workspace["a1"]).net.state()
         at = next(i for i, (kind, _) in enumerate(records) if kind == ckpt.KIND_BN_VAR)
 
         def poison(records):
@@ -779,6 +780,29 @@ class TestFailureModes:
         assert code == 2 and error["kind"] == "IngestionError"
         assert f"{empty}: fold report holds no rows" in error["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
+
+    @pytest.mark.parametrize("flag, code, kind", [
+        ("--manifest", 2, "IngestionError"),
+        ("--config", 1, "ConfigurationError"),
+        ("--scores", 2, "IngestionError"),
+        ("--fold-report", 2, "IngestionError"),
+    ])
+    def test_deeply_nested_json_exits_naming_the_file(self, tmp_path, capsys,
+                                                      flag, code, kind):
+        # json.loads raises RecursionError, not ValueError, past its depth limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = str(tmp_path / "out.json")
+        argv = {"--manifest": ["extract", "--manifest", str(deep), "--out", out],
+                "--config": ["train", "agent1", "--manifest", str(deep),
+                             "--config", str(deep), "--out", out],
+                "--scores": ["evaluate", "--scores", str(deep), "--split", "all",
+                             "--out", out],
+                "--fold-report": ["report", "--fold-report", str(deep)]}[flag]
+        assert main(argv) == code
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == kind and str(deep) in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_failed_replace_keeps_previous_artifact(self, workspace, tmp_path,

@@ -7,13 +7,22 @@ raise either process's peak resident set. Each run is a fresh interpreter,
 and its own peak RSS comes from ``os.wait4`` in a small launcher
 interpreter: Linux carries a process's pre-exec peak across ``exec``, so a
 command forked straight from the test process would report the test
-process's resident set whenever that is the larger.
+process's resident set whenever that is the larger. Each command runs with
+glibc's mmap threshold fixed (``MALLOC_MMAP_THRESHOLD_``), so every array
+of 128 KiB or more is mapped on allocation and unmapped when freed. glibc's
+default raises that threshold after the first such array is freed, and
+later arrays then come from the heap, whose freed pages need not return:
+``train agent1`` on 40 videos then peaked at 82.3 or at 86.0 MiB as the
+fixture's path length changed, against 86.7 MiB on 200 videos, and 80.3-80.8
+against 81.3 MiB with the threshold fixed. Other allocators ignore it.
 
-Loading a checkpoint streams it into the built net: the records are
-read-only arrays read from the open file one at a time, and each is copied
-once, into the net, before the next is read, so ``tracemalloc``'s peak
-during ``agents.load_agent`` of a 224-px Agent-1 stays within the net's
-state, the largest record's bytes and ``LOAD_SLACK_MIB``.
+Loading a checkpoint streams it into the built net:
+``nn.checkpoint.load_checkpoint`` reads each record from the open file and
+copies it once, into the net, before it reads the next, so
+``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px Agent-1
+stays within the net's state, the largest record's bytes and
+``LOAD_SLACK_MIB``. ``files.Reader.array`` reads a payload as a read-only
+view of its own bytes, not a copy, as the DAFT cache's entries show.
 
 A convolution lowers its windows to a matrix one band of at most
 ``layers.BAND_VALUES`` values at a time, so ``tracemalloc``'s peak during
@@ -33,9 +42,9 @@ import pytest
 
 import deepagent
 from deepagent import agents, pipeline
+from deepagent.cache import read_cache, write_cache
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import load_manifest
-from deepagent.nn import checkpoint as ckpt
 from deepagent.nn import layers
 
 SRC = Path(deepagent.__file__).resolve().parents[1]
@@ -69,7 +78,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def peak_rss_mib(args, work: Path) -> float:
     """Peak RSS of ``deepagent ARGS`` run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), MALLOC_MMAP_THRESHOLD_="131072")
     with open(work / "stderr.txt", "w+b") as err:
         out = subprocess.run(
             [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "deepagent",
@@ -120,10 +129,7 @@ def test_agent1_load_peak_is_state_plus_one_record(tmp_path, dtype):
     stored = agents.build_agent1(3, input_size=224, dtype=dtype)
     path = tmp_path / "agent1.damc"
     agents.save_agent(stored, path)
-    records = list(ckpt.load_checkpoint(path)[1])
-    assert not any(arr.flags.owndata or arr.flags.writeable for _, arr in records)
-    record_bytes = max(arr.nbytes for _, arr in records)
-    del records
+    record_bytes = max(arr.nbytes for _, arr in stored.net.state())
     tracemalloc.start()
     try:
         loaded = agents.load_agent(path)
@@ -138,6 +144,14 @@ def test_agent1_load_peak_is_state_plus_one_record(tmp_path, dtype):
     for (_, got), (_, want) in zip(state, stored.net.state()):
         assert got.dtype == np.float64
         assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_cache_entries_are_read_only_views_of_their_payloads(tmp_path):
+    entries = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4, np.float32)}
+    write_cache(tmp_path / "c.daft", entries)
+    read = read_cache(tmp_path / "c.daft")
+    assert not any(arr.flags.owndata or arr.flags.writeable for arr in read.values())
+    assert all(read[key].tobytes() == arr.tobytes() for key, arr in entries.items())
 
 
 def test_agent1_forward_peak_is_one_band_plus_activations():

@@ -265,6 +265,13 @@ class TestStreamedAgent1Training:
             npt.assert_array_equal(got, want)
 
 
+def stored_bits(path) -> int:
+    """The width an Agent-1 checkpoint's records are stored at, from the
+    header of a load into a net built to its input size."""
+    return load_checkpoint(path, lambda header: agents.build_agent1(
+        seed=0, input_size=header["input_size"]).net.state())["dtype_bits"]
+
+
 class TestAgent1StorageWidth:
     """``train agent1`` stores 32-bit records, and every load computes in
     float64, so the width a checkpoint is stored at never changes a score."""
@@ -277,15 +284,11 @@ class TestAgent1StorageWidth:
         for path in runs:
             pipeline.run_train_agent1(records, cfg, path)
         assert runs[0].read_bytes() == runs[1].read_bytes()
-        header, stored = load_checkpoint(runs[0])
-        stored.close()
-        assert header["dtype_bits"] == 32
+        assert stored_bits(runs[0]) == 32
 
         narrow = agents.load_agent(runs[0])
         agents.save_agent(narrow, tmp_path / "wide.damc")
-        header, stored = load_checkpoint(tmp_path / "wide.damc")
-        stored.close()
-        assert header["dtype_bits"] == 64
+        assert stored_bits(tmp_path / "wide.damc") == 64
         wide = agents.load_agent(tmp_path / "wide.damc")
         agent2 = agents.build_agent2(seed=6)
         entries = {f"{r.id}/feature": np.zeros(14) for r in records}

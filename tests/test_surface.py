@@ -29,7 +29,10 @@ quietly drop a layer from the traced benchmark, and the tracer's
 ``forest.nodes`` count is the number of nodes the forest grower made.
 
 Every DAMC record kind but the metadata is declared in exactly one layer's
-``STATE``, so checkpoints hold no state defined outside the layers.
+``STATE``, so checkpoints hold no state defined outside the layers, and no
+package module but ``nn/layers.py`` and ``nn/checkpoint.py`` names a
+``KIND_*`` code, so the rules a record's values must meet live in the one
+checkpoint loader.
 
 Every layer with its own backward, and every head in ``nn/losses.py`` (a
 function of ``(logits, targets)``), is in the acceptance gradient suite, so
@@ -333,6 +336,22 @@ def test_every_checkpoint_kind_is_declared_in_one_layer_state():
     wrong = {name: declared.count(code) for name, code in kinds.items()
              if declared.count(code) != 1}
     assert wrong == {}, f"kinds not declared by exactly one layer STATE: {wrong}"
+
+
+# the modules that name DAMC record kinds: the layers declare them in
+# ``STATE``, and the checkpoint defines them and owns their value rules
+KIND_OWNERS = {"nn/layers.py", "nn/checkpoint.py"}
+
+
+def test_only_the_layers_and_the_checkpoint_name_a_record_kind():
+    named = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        if where not in KIND_OWNERS:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            named += [f"{where}:{n} {name}" for n, line in enumerate(lines, 1)
+                      for name in re.findall(r"\bKIND_\w+", line)]
+    assert named == [], f"record kinds named outside {sorted(KIND_OWNERS)}: {named}"
 
 
 def _config_defaults(obj, prefix=""):
