@@ -38,7 +38,7 @@ def write_cache(path, entries: dict[str, np.ndarray]) -> None:
         chunks += [files.pack("I", len(kb)), kb, files.pack(
             f"{2 + arr.ndim}IQ", arr.itemsize, arr.ndim, *arr.shape, offset)]
         offset += arr.nbytes
-    files.write_bytes(path, b"".join(chunks + [arr.tobytes() for _, arr in items]))
+    files.write_bytes(path, *chunks, *(arr for _, arr in items))
 
 
 def read_cache(path) -> dict[str, np.ndarray]:

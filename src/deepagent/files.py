@@ -21,14 +21,17 @@ import numpy as np
 from deepagent.errors import IngestionError
 
 
-def write_bytes(path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` through a temporary file and
-    ``os.replace``; a failure leaves the old file and no temporary one."""
+def write_bytes(path, *chunks) -> None:
+    """Replace ``path`` with ``chunks`` (bytes or C-contiguous arrays), each
+    written in turn to a temporary file that then replaces it by
+    ``os.replace``, so no chunk is copied and a failure leaves the old file
+    and no temporary one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -5,9 +5,10 @@ candidate feature per node (falling back to the remaining features in drawn
 order when the drawn one has no split within the node, so separable data is
 always grown to purity). Leaves hold a majority vote with ties going to
 class 1. The forest averages the tree votes; the decision rule,
-``metrics.decide``, maps 0.5 exactly to class 1. Inputs pass through an
-``nn.layers.Standardize`` (the layer Agent-2's net starts with) fit on the
-forest's training rows.
+``metrics.decide``, maps 0.5 exactly to class 1. Trees grow on and route
+the raw inputs: every threshold is the midpoint of two training values of
+its feature, and a split depends only on each feature's order, so no
+per-feature rescaling would change a prediction.
 
 All trees of a forest grow together, level by level. Each open node is a
 segment of (bootstrap row, node) entries, kept sorted by value for every
@@ -28,7 +29,6 @@ import numpy as np
 
 from deepagent.errors import UsageError
 from deepagent.metrics import decide
-from deepagent.nn.layers import Standardize
 
 
 @dataclass
@@ -183,12 +183,11 @@ def _link(feature, threshold, vote, left, right, n_trees: int) -> list[DecisionT
 @dataclass
 class ForestModel:
     trees: list[DecisionTree]
-    standardizer: Standardize
 
 
-def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
-                 seed: int = 0) -> ForestModel:
-    """Fit a ``Standardize`` on Z, then bag ``n_trees`` CART trees.
+def train_forest(Z: np.ndarray, y: np.ndarray, *, n_trees: int,
+                 seed: int) -> ForestModel:
+    """Bag ``n_trees`` CART trees on the rows of Z.
 
     Tree ``t`` gets its own rng, ``SeedSequence([seed, t])``, for its
     bootstrap draw and then for its feature orders; the trees grow together.
@@ -197,13 +196,11 @@ def train_forest(Z: np.ndarray, y: np.ndarray, n_trees: int = 100,
     y = np.asarray(y, dtype=int)
     if len(np.unique(y)) < 2:
         raise UsageError("forest training needs both classes present")
-    std = Standardize(Z.shape[1]).fit(Z)
-    Zs = std.forward(Z)
-    n = len(Zs)
+    n = len(Z)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t]))
             for t in range(n_trees)]
     rows = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-    return ForestModel(_link(*_grow(Zs, y, rows, rngs), n_trees), std)
+    return ForestModel(_link(*_grow(Z, y, rows, rngs), n_trees))
 
 
 def predict_forest_batch(model: ForestModel, Z: np.ndarray):
@@ -212,22 +209,22 @@ def predict_forest_batch(model: ForestModel, Z: np.ndarray):
     branches in one pass."""
     if not model.trees:
         raise UsageError("forest has no trained trees")
-    Zs = model.standardizer.forward(np.atleast_2d(np.asarray(Z, dtype=float)))
-    votes = np.zeros(len(Zs), dtype=int)
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    votes = np.zeros(len(Z), dtype=int)
     for tree in model.trees:
-        stack = [(tree.root, np.arange(len(Zs)))]
+        stack = [(tree.root, np.arange(len(Z)))]
         while stack:
             node, rows = stack.pop()
             if node.is_leaf:
                 votes[rows] += node.vote
                 continue
-            left = Zs[rows, node.feature] <= node.threshold
+            left = Z[rows, node.feature] <= node.threshold
             stack += [(node.left, rows[left]), (node.right, rows[~left])]
     probs = votes / len(model.trees)
     return probs, decide(probs).astype(int)
 
 
-def stratified_kfold(labels, k: int = 5, seed: int = 0):
+def stratified_kfold(labels, k: int, seed: int):
     """K disjoint (train, validation) index partitions preserving class mix.
 
     Within each class the indices are shuffled and split into k chunks

@@ -3,9 +3,8 @@
 Per video the two agents each contribute one score in [0, 1]; row i of the
 score matrix holds ``[agent1, agent2]`` for video i. Those rows, the
 level-0 outputs alone, feed a random forest evaluated under stratified
-K-fold cross-validation. The standardizer is fit on each fold's training
-split only. Each fold yields one JSON-ready row dict; ``fold_report``
-appends their mean.
+K-fold cross-validation; the trees split the raw scores. Each fold yields
+one JSON-ready row dict, and the report ends with their mean.
 """
 
 from __future__ import annotations
@@ -16,15 +15,12 @@ from deepagent.errors import UsageError
 from deepagent.forest import predict_forest_batch, stratified_kfold, train_forest
 from deepagent.metrics import class_rates, confusion, roc_auc
 
-# metric keys of a fold row, in report order; precision/recall are for the
-# fake class, the *_macro pair averages both classes
-_METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "auc",
-                "precision_macro", "recall_macro")
 
-
-def cross_validate_meta(scores, labels, *, folds: int = 5, n_trees: int = 100,
-                        seed: int = 42) -> list[dict]:
-    """One row per fold: the metrics as fractions plus the fold's ROC points."""
+def cross_validate_meta(scores, labels, *, folds: int, n_trees: int,
+                        seed: int) -> list[dict]:
+    """The fold report: one row per fold, with the metrics as fractions and
+    the fold's ROC points, then their mean row without ROC. Precision and
+    recall are for the fake class; the *_macro pair averages both classes."""
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
     if scores.shape != (len(y), 2):
@@ -52,12 +48,6 @@ def cross_validate_meta(scores, labels, *, folds: int = 5, n_trees: int = 100,
             "roc": [[fpr, tpr, thr if np.isfinite(thr) else str(thr)]
                     for fpr, tpr, thr in points.tolist()],
         })
-    return rows
-
-
-def fold_report(rows: list[dict]) -> list[dict]:
-    """The fold rows followed by their mean row (no ROC)."""
-    mean = {"fold": "mean"}
-    for key in _METRIC_KEYS:
-        mean[key] = float(np.mean([r[key] for r in rows]))
-    return rows + [mean]
+    mean = {key: float(np.mean([r[key] for r in rows]))
+            for key in rows[0] if key not in ("fold", "roc")}
+    return rows + [{"fold": "mean", **mean}]

@@ -54,8 +54,11 @@ def load_manifest(path) -> list[SampleRecord]:
 
     def resolve(rel, what, rid):
         p = base / rel
-        if not p.is_file():
-            problems.append(f"{rid}: missing {what} file {p}")
+        try:
+            if not p.is_file():
+                problems.append(f"{rid}: missing {what} file {p}")
+        except OSError as exc:  # e.g. a name too long, or no permission
+            problems.append(f"{rid}: cannot check {what} file {p}: {exc.strerror}")
         return p
 
     def optional(entry, key, what, rid):

@@ -58,9 +58,8 @@ def save_checkpoint(path, records, *, model_kind: int, input_size: int,
     width = dtype_bits // 8
     for i, (kind, arr) in enumerate([(KIND_META, meta), *records]):
         arr = np.ascontiguousarray(arr, dtype=f"<f{8 if i == 0 else width}")
-        chunks += [files.pack(f"{2 + arr.ndim}I", kind, arr.ndim, *arr.shape),
-                   arr.tobytes()]
-    files.write_bytes(path, b"".join(chunks))
+        chunks += [files.pack(f"{2 + arr.ndim}I", kind, arr.ndim, *arr.shape), arr]
+    files.write_bytes(path, *chunks)
 
 
 def load_checkpoint(path, build) -> dict:

@@ -219,13 +219,13 @@ def run_predict(records, config, agent1_path, agent2_path, cache_path,
 
 def run_fuse(records, config, agent1_path, agent2_path, cache_path,
              report_path) -> float:
-    """Score every video with both agents, cross-validate the fused model,
-    store the scores in the cache and write the fold report; returns the
-    mean macro F1."""
+    """Score every video with both agents, cross-validate the fused model on
+    the raw scores, store the scores in the cache and write the fold report
+    that ``fusion.cross_validate_meta`` returns; returns the mean macro F1."""
     scores = _score(records, config, agent1_path, agent2_path, cache_path)
-    report = fusion.fold_report(fusion.cross_validate_meta(
+    report = fusion.cross_validate_meta(
         scores, [r.label for r in records], folds=config.folds,
-        n_trees=config.forest_trees, seed=config.seed))
+        n_trees=config.forest_trees, seed=config.seed)
     update_cache(cache_path, {
         f"{r.id}/scores": row for r, row in zip(records, scores)})
     files.write_json(report_path, report)

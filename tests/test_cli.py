@@ -1,6 +1,7 @@
 """Command-line behavior: workflow order, artifacts, exit codes, error JSON."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -548,6 +549,23 @@ class TestFailureModes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2
         assert "record 0: must be a JSON object" in error["message"]
+
+    def test_uncheckable_frame_path_is_one_violation(self, workspace, tmp_path, capsys):
+        # a name past NAME_MAX makes Path.is_file raise ENAMETOOLONG rather
+        # than answer False; it must be reported beside the other violations
+        records = json.loads(workspace["manifest"].read_text())
+        records[0]["frames"] = ["f" * 300 + ".pgm"]
+        records[1]["id"] = records[0]["id"]
+        bad = workspace["manifest"].parent / "long_name.json"
+        bad.write_text(json.dumps(records))
+        code = main(["extract", "--manifest", str(bad),
+                     "--out", str(tmp_path / "c.daft")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert "long_name.json: 2 manifest violation(s)" in error["message"]
+        assert re.search(rf"{records[0]['id']}: cannot check frame file "
+                         rf"\S*/{'f' * 300}\.pgm: File name too long", error["message"])
+        assert f"duplicate id {records[0]['id']}" in error["message"]
 
     def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"

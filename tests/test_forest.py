@@ -1,4 +1,4 @@
-"""CART trees, bagged forest, input standardization, stratified K-fold."""
+"""CART trees, bagged forest, stratified K-fold."""
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +14,6 @@ from deepagent.forest import (
     stratified_kfold,
     train_forest,
 )
-from deepagent.nn.layers import Standardize
 
 from oracles import reference_grow, tree_vote
 
@@ -34,30 +33,6 @@ def as_tuples(node):
     if node.is_leaf:
         return ("leaf", node.vote)
     return (node.feature, node.threshold, as_tuples(node.left), as_tuples(node.right))
-
-
-class TestStandardizer:
-    def test_simple_column(self):
-        std = Standardize(1).fit(np.array([[1.0], [2.0], [3.0]]))
-        out = std.forward(np.array([[1.0], [2.0], [3.0]]))
-        npt.assert_allclose(out[:, 0], [-1.22474, 0.0, 1.22474], atol=1e-5)
-
-    def test_constant_column_guard(self):
-        std = Standardize(2).fit(np.array([[5.0, 1.0], [5.0, 2.0]]))
-        out = std.forward(np.array([[5.0, 1.5]]))
-        assert out[0, 0] == 0.0
-
-    def test_train_columns_centered(self):
-        rng = np.random.default_rng(50)
-        Z = rng.normal(loc=3.0, scale=2.0, size=(40, 2))
-        std = Standardize(Z.shape[1]).fit(Z)
-        out = std.forward(Z)
-        assert np.abs(out.mean(axis=0)).max() < 1e-12
-        npt.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(UsageError, match="empty"):
-            Standardize(2).fit(np.zeros((0, 2)))
 
 
 class TestDecisionTree:
@@ -146,14 +121,13 @@ class TestForest:
         y = (Z[:, 0] > 0).astype(int)
         model = train_forest(Z, y, n_trees=1, seed=9)
         probs, labels = predict_forest_batch(model, Z)
-        std = model.standardizer
         # tree t draws its bootstrap rows, then grows, from SeedSequence([seed, t])
         tree_rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
         idx = tree_rng.integers(0, len(Z), size=len(Z))
-        single = grow_tree(std.forward(Z)[idx], y[idx], tree_rng)
+        single = grow_tree(Z[idx], y[idx], tree_rng)
         assert as_tuples(single.root) == as_tuples(model.trees[0].root)
         for z, p in zip(Z, probs):
-            assert p == float(tree_vote(single.root, std.forward(z[None])[0]))
+            assert p == float(tree_vote(single.root, z))
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_every_tree_matches_tree_on_its_bootstrap_draw(self, d):
@@ -165,12 +139,33 @@ class TestForest:
         Z[:, -1] = np.round(Z[:, -1])
         y = rng.integers(0, 2, 60)
         model = train_forest(Z, y, n_trees=100, seed=13)
-        Zs = model.standardizer.forward(Z)
         for t, tree in enumerate(model.trees):
             tree_rng = np.random.default_rng(np.random.SeedSequence([13, t]))
             idx = tree_rng.integers(0, len(Z), size=len(Z))
-            single = grow_tree(Zs[idx], y[idx], tree_rng)
+            single = grow_tree(Z[idx], y[idx], tree_rng)
             assert as_tuples(single.root) == as_tuples(tree.root), f"tree {t}"
+
+    def test_thresholds_are_midpoints_of_raw_training_values(self):
+        # trees split the scores as given: no rescaling sits before them
+        rng = np.random.default_rng(14)
+        Z = np.round(rng.random((50, 2)), 2)
+        y = rng.integers(0, 2, 50)
+        model = train_forest(Z, y, n_trees=30, seed=6)
+        midpoints = []
+        for f in range(2):
+            values = np.unique(Z[:, f])
+            midpoints.append({(a + b) / 2.0 for i, a in enumerate(values)
+                              for b in values[i + 1:]})
+        inner = 0
+        for tree in model.trees:
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                if not node.is_leaf:
+                    assert node.threshold in midpoints[node.feature]
+                    inner += 1
+                    stack += [node.left, node.right]
+        assert inner > 30
 
     def test_unanimous_vote_gives_probability_one(self):
         Z = np.vstack([np.full((10, 2), -1.0) + np.random.default_rng(6).normal(0, .01, (10,2)),
@@ -189,8 +184,7 @@ class TestForest:
         for _ in range(50):
             z = rng.normal(size=2)
             prob, label = predict_one(model, z)
-            zs = model.standardizer.forward(z[None])[0]
-            votes = [tree_vote(t.root, zs) for t in model.trees]
+            votes = [tree_vote(t.root, z) for t in model.trees]
             assert prob == sum(votes) / 17
             assert label == int(prob >= 0.5)
 
@@ -210,10 +204,9 @@ class TestForest:
         assert prob < 0.5 and label == 0
 
     def test_adding_positive_tree_never_decreases_probability(self):
-        std = Standardize(2).fit(np.array([[0.0, 0.0], [1.0, 1.0]]))
         rng = np.random.default_rng(10)
         votes = [TreeNode(vote=int(v)) for v in rng.integers(0, 2, 9)]
-        model = ForestModel([DecisionTree(n) for n in votes], std)
+        model = ForestModel([DecisionTree(n) for n in votes])
         before, _ = predict_one(model, np.array([0.5, 0.5]))
         model.trees.append(DecisionTree(TreeNode(vote=1)))
         after, _ = predict_one(model, np.array([0.5, 0.5]))
@@ -224,7 +217,7 @@ class TestForest:
             train_forest(np.zeros((4, 2)), np.ones(4, dtype=int), n_trees=2, seed=0)
 
     def test_empty_forest_rejected(self):
-        model = ForestModel([], Standardize(2).fit(np.zeros((2, 2))))
+        model = ForestModel([])
         with pytest.raises(UsageError):
             predict_one(model, np.zeros(2))
 

@@ -7,8 +7,6 @@ import pytest
 
 from deepagent import files, fusion
 from deepagent.errors import UsageError
-from deepagent.forest import stratified_kfold
-from deepagent.nn.layers import Standardize
 
 
 def make_scores(n, rng, separable):
@@ -48,31 +46,26 @@ class TestCrossValidate:
         labels = np.array([0, 1] * 5)
         for scores in (np.zeros((9, 2)), np.zeros((10, 3)), np.zeros(10)):
             with pytest.raises(UsageError, match="N x 2"):
-                fusion.cross_validate_meta(scores, labels, folds=2, n_trees=1)
+                fusion.cross_validate_meta(scores, labels, folds=2, n_trees=1, seed=0)
 
-    def test_standardizer_fit_on_training_split_only(self):
-        # train columns center to ~0 under the fold's standardizer while the
-        # validation columns generally do not
+    def test_column_scaling_changes_no_row(self):
+        # a tree split depends on each column's order and midpoints alone;
+        # scaling by a power of two keeps every midpoint comparison exact
         rng = np.random.default_rng(65)
-        Z = rng.normal(loc=2.0, size=(50, 2))
-        y = np.array([0, 1] * 25)
-        off_center = 0
-        for train_idx, val_idx in stratified_kfold(y, 5, seed=9):
-            std = Standardize(2).fit(Z[train_idx])
-            train_means = std.forward(Z[train_idx]).mean(axis=0)
-            val_means = std.forward(Z[val_idx]).mean(axis=0)
-            assert np.abs(train_means).max() < 1e-12
-            if np.abs(val_means).max() > 1e-6:
-                off_center += 1
-        assert off_center >= 4
+        labels = np.array([0, 1] * 30)
+        scores = np.column_stack([0.3 * labels + rng.uniform(0, 0.7, 60),
+                                  rng.uniform(0, 1, 60)])
+        plain = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=15, seed=4)
+        scaled = fusion.cross_validate_meta(scores * [8.0, 0.25], labels, folds=5,
+                                            n_trees=15, seed=4)
+        assert plain == scaled
 
 
 class TestFoldReport:
     def test_rows_plus_mean(self):
         rng = np.random.default_rng(66)
         scores, labels = make_scores(40, rng, separable=True)
-        rows = fusion.fold_report(
-            fusion.cross_validate_meta(scores, labels, folds=5, n_trees=9, seed=2))
+        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=9, seed=2)
         assert len(rows) == 6
         assert rows[-1]["fold"] == "mean"
         assert "roc" in rows[0] and "roc" not in rows[-1]
@@ -83,8 +76,7 @@ class TestFoldReport:
         import json
         rng = np.random.default_rng(67)
         scores, labels = make_scores(20, rng, separable=True)
-        rows = fusion.fold_report(
-            fusion.cross_validate_meta(scores, labels, folds=5, n_trees=5, seed=3))
+        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=5, seed=3)
         text = json.dumps(rows)
         assert "Infinity" not in text
         parsed = json.loads(text)
@@ -98,8 +90,7 @@ class TestFoldReport:
         scores = np.clip(np.column_stack([0.3 * labels + rng.uniform(0, 0.7, 120),
                                           0.2 * labels + rng.uniform(0, 0.8, 120)]),
                          0, 1)
-        rows = fusion.fold_report(
-            fusion.cross_validate_meta(scores, labels, folds=5, n_trees=15, seed=42))
+        rows = fusion.cross_validate_meta(scores, labels, folds=5, n_trees=15, seed=42)
         path = tmp_path / "fold_report.json"
         files.write_json(path, rows)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (

@@ -19,6 +19,7 @@ from deepagent.nn.layers import (
     MaxPool2D,
     Param,
     ReLU,
+    Standardize,
 )
 from deepagent.nn.losses import LOG_FLOOR, sigmoid, sigmoid_bce, softmax, softmax_cce
 from deepagent.nn.optim import CHUNK, Adam
@@ -465,6 +466,30 @@ class TestDropout:
         out = layer.forward(x, train=True)
         survivors = out[out != 0]
         npt.assert_allclose(survivors, 1.0 / 0.7)
+
+
+class TestStandardizer:
+    def test_simple_column(self):
+        std = Standardize(1).fit(np.array([[1.0], [2.0], [3.0]]))
+        out = std.forward(np.array([[1.0], [2.0], [3.0]]))
+        npt.assert_allclose(out[:, 0], [-1.22474, 0.0, 1.22474], atol=1e-5)
+
+    def test_constant_column_guard(self):
+        std = Standardize(2).fit(np.array([[5.0, 1.0], [5.0, 2.0]]))
+        out = std.forward(np.array([[5.0, 1.5]]))
+        assert out[0, 0] == 0.0
+
+    def test_train_columns_centered(self):
+        rng = np.random.default_rng(50)
+        Z = rng.normal(loc=3.0, scale=2.0, size=(40, 2))
+        std = Standardize(Z.shape[1]).fit(Z)
+        out = std.forward(Z)
+        assert np.abs(out.mean(axis=0)).max() < 1e-12
+        npt.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(UsageError, match="empty"):
+            Standardize(2).fit(np.zeros((0, 2)))
 
 
 class TestLosses:

@@ -16,6 +16,11 @@ later arrays then come from the heap, whose freed pages need not return:
 fixture's path length changed, against 86.7 MiB on 200 videos, and 80.3-80.8
 against 81.3 MiB with the threshold fixed. Other allocators ignore it.
 
+Saving a checkpoint writes each record from the net's own arrays
+(``files.write_bytes`` takes the chunks in turn), so ``tracemalloc``'s peak
+during ``agents.save_agent`` of a 224-px Agent-1 stays under
+``SAVE_PEAK_MIB``, whatever the net's size.
+
 Loading a checkpoint streams it into the built net:
 ``nn.checkpoint.load_checkpoint`` reads each record from the open file and
 copies it once, into the net, before it reads the next, so
@@ -59,6 +64,12 @@ FLATNESS_MIB = 4.0
 # init draws are duplicated before the load overwrites them, and 12.0 MiB
 # (float64) or 6.3 MiB (float32) when the load holds the whole file
 LOAD_SLACK_MIB = 2.0
+
+# allowed allocation peak of saving a float64 224-px Agent-1 (15.8 MiB of
+# state): each record goes from the net to the file as it stands, and a
+# save reads 0.01 MiB; copying each record and joining the copies reads
+# 31.7 MiB
+SAVE_PEAK_MIB = 1.0
 
 # allowed allocation peak of a float64 224-px Agent-1 forward beyond one
 # im2col band and the largest layer input plus output: it reads -2.6 MiB,
@@ -122,6 +133,17 @@ def test_predict_peak_rss_does_not_grow_with_the_dataset(tmp_path):
         manifest = gen_fixtures(tmp_path / f"fx{n}", n, 1.0, 1.0, seed=1)
         peaks[n] = predict_peak_rss_mib(manifest, manifest.parent)
     assert peaks[200] - peaks[40] <= FLATNESS_MIB, peaks
+
+
+def test_agent1_save_copies_no_record(tmp_path):
+    model = agents.build_agent1(3, input_size=224)
+    tracemalloc.start()
+    try:
+        agents.save_agent(model, tmp_path / "agent1.damc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < SAVE_PEAK_MIB, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

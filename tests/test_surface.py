@@ -321,7 +321,7 @@ def test_traced_forest_node_count_is_the_growers():
     model = forest.train_forest(Z, y, n_trees=20, seed=5)
     rngs = [np.random.default_rng(np.random.SeedSequence([5, t])) for t in range(20)]
     rows = np.stack([r.integers(0, 80, size=80) for r in rngs])
-    grown = forest._grow(model.standardizer.forward(Z), y, rows, rngs)
+    grown = forest._grow(Z, y, rows, rngs)
     counters = {tracer.FOREST_NODES: 0}
     tracer._forest_nodes(counters, (Z, y), model)
     assert counters[tracer.FOREST_NODES] == len(grown[0]) > 20 * 2
