@@ -58,8 +58,9 @@ AGENT1_SIZES = range(11, 225)
 
 # input values per inference forward, in scoring and in validation: 16
 # Agent-1 frames at desk scale (64 px) and one at 224, so a forward holds
-# about one desk-scale batch's activations plus one im2col band (16 frames
-# at 224 would hold a 24 MB conv1 output); 14,043 Agent-2 feature rows
+# one input slice, about one desk-scale batch's activations and one 1 MiB
+# im2col band (16 frames at 224 would hold a 24 MB conv1 output); 14,043
+# Agent-2 feature rows
 FORWARD_VALUES = 16 * 64 * 64 * 3
 
 # the dtype ``train agent1`` trains Agent-1 in, as Keras does by default
@@ -170,7 +171,8 @@ def forward_rows(model: Agent) -> int:
 def logits(model: Agent, rows) -> np.ndarray:
     """Inference-mode logits of ``rows`` (an array, or a ``pipeline.FrameSet``
     that reads them from disk), forwarded ``forward_rows(model)`` rows at a
-    time in the model dtype; no rows still run one empty forward."""
+    time in the model dtype, one slice held at a time; no rows still run one
+    empty forward."""
     width = forward_rows(model)
     out = []
     for start in range(0, max(len(rows), 1), width):
@@ -178,6 +180,8 @@ def logits(model: Agent, rows) -> np.ndarray:
         if batch.shape[1:] != model.row_shape:
             raise UsageError(f"rows must be {model.row_shape}, got {batch.shape[1:]}")
         out.append(model.net.forward(batch, train=False))
+        # freed before the next slice is read, not after
+        del batch
     return np.concatenate(out)
 
 

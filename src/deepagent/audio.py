@@ -15,6 +15,7 @@ and feature assembly zero-fills it.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -193,11 +194,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank() -> np.ndarray:
     """``N_COEFFS x n_bins`` triangular weights over ``stft``'s
     ``FRAME_LENGTH // 2 + 1`` bins, one filter per cepstral coefficient,
     with peaks equally spaced on the mel scale from 0 Hz to the Nyquist
-    frequency of ``TARGET_RATE``."""
+    frequency of ``TARGET_RATE``. Built once per process; every call
+    returns the same read-only array."""
     n_bins = FRAME_LENGTH // 2 + 1
     f_max = TARGET_RATE / 2.0
     points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), N_COEFFS + 2))
@@ -208,6 +211,7 @@ def mel_filterbank() -> np.ndarray:
         rising = (bin_hz - left) / max(center - left, 1e-12)
         falling = (right - bin_hz) / max(right - center, 1e-12)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    weights.flags.writeable = False
     return weights
 
 

@@ -12,11 +12,11 @@ positions they read through its transpose, ``_fold`` (Dumoulin & Visin,
 arXiv:1603.07285). Each ``forward`` takes its output size from
 ``out_shape``.
 
-Conv's forward, in both modes, copies its windows into an im2col matrix
-one band of at most ``BAND_VALUES`` values at a time, and each band's GEMM
-writes its slice of the output (Chetlur et al., arXiv:1410.0759). Train
-mode caches the padded input, and backward lowers it again, whole, for the
-kernel gradient: recompute instead of store (Chen et al.,
+Conv's forward, in both modes and either dtype, copies its windows into an
+im2col matrix one band of at most ``BAND_BYTES`` at a time, and each band's
+GEMM writes its slice of the output (Chetlur et al., arXiv:1410.0759).
+Train mode caches the padded input, and backward lowers it again, whole,
+for the kernel gradient: recompute instead of store (Chen et al.,
 arXiv:1604.06174).
 
 Each layer lists its persistent arrays once, in ``STATE``, paired with their
@@ -39,8 +39,8 @@ import numpy as np
 from deepagent.errors import ConfigurationError, UsageError
 from deepagent.nn import checkpoint as ckpt
 
-# window values per im2col band of a Conv2D forward (4 MiB in float64)
-BAND_VALUES = 2 ** 19
+# window bytes per im2col band of a Conv2D forward, in either dtype
+BAND_BYTES = 2 ** 20
 
 
 class Param:
@@ -123,18 +123,19 @@ def _split(count, most):
     return list(zip(edges, edges[1:]))
 
 
-def _bands(n, oh, row_values):
+def _bands(n, oh, row_values, itemsize):
     """Index tuples that split an (N, OH, ...) array into bands of at most
-    ``BAND_VALUES`` window values, given ``row_values`` per output row:
-    near-equal groups of whole samples while one sample fits, otherwise
-    near-equal runs of one sample's rows. A GEMM of a few rows may round
-    differently from the whole-matrix product, so no band is a sliver:
-    where there are several, each holds more than a third of
-    ``BAND_VALUES`` (or one row that alone exceeds it)."""
-    if oh * row_values <= BAND_VALUES:
-        return [(slice(lo, hi),) for lo, hi in _split(n, BAND_VALUES // (oh * row_values))]
+    ``BAND_BYTES`` of window values, given ``row_values`` per output row and
+    ``itemsize`` bytes per value: near-equal groups of whole samples while
+    one sample fits, otherwise near-equal runs of one sample's rows. A GEMM
+    of a few rows may round differently from the whole-matrix product, so
+    no band is a sliver: where there are several, each holds more than a
+    third of ``BAND_BYTES`` (or one row that alone exceeds it)."""
+    most = BAND_BYTES // itemsize
+    if oh * row_values <= most:
+        return [(slice(lo, hi),) for lo, hi in _split(n, most // (oh * row_values))]
     return [(i, slice(lo, hi)) for i in range(n)
-            for lo, hi in _split(oh, max(1, BAND_VALUES // row_values))]
+            for lo, hi in _split(oh, max(1, most // row_values))]
 
 
 class Conv2D(Layer):
@@ -193,7 +194,7 @@ class Conv2D(Layer):
         windows = _windows(x, k, s, oh, ow)
         kmat = self.kernel.value.reshape(k * k * c, oc)
         out = np.empty((n, oh, ow, oc), dtype=np.result_type(x, kmat))
-        for at in _bands(n, oh, ow * k * k * c):
+        for at in _bands(n, oh, ow * k * k * c, x.itemsize):
             np.matmul(windows[at].reshape(-1, k * k * c), kmat,
                       out=out[at].reshape(-1, oc))
         out += self.bias.value

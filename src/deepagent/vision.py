@@ -141,7 +141,7 @@ def _affine_sample(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     source coordinates are clipped to the image before interpolation.
     """
     h, w, c = pixels.shape
-    ys, xs = np.mgrid[0:h, 0:w]
+    xs, ys = np.arange(w), np.arange(h)[:, None]
     src_x = matrix[0, 0] * xs + matrix[0, 1] * ys + matrix[0, 2]
     src_y = matrix[1, 0] * xs + matrix[1, 1] * ys + matrix[1, 2]
     src_x = np.clip(src_x, 0.0, w - 1.0)
@@ -150,13 +150,17 @@ def _affine_sample(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     y0 = np.floor(src_y).astype(int)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (src_x - x0)[..., None]
-    fy = (src_y - y0)[..., None]
+    # weights repeated over the channels and corners gathered as flat runs,
+    # so each product runs over h * w * c values, not c at a time
+    fx = np.repeat(src_x - x0, c)
+    fy = np.repeat(src_y - y0, c)
     flat = pixels.reshape(h * w, c)
+    corner = lambda rows, cols: flat.take(rows + cols, axis=0).reshape(-1)
     row0, row1 = y0 * w, y1 * w
-    top = flat.take(row0 + x0, axis=0) * (1 - fx) + flat.take(row0 + x1, axis=0) * fx
-    bottom = flat.take(row1 + x0, axis=0) * (1 - fx) + flat.take(row1 + x1, axis=0) * fx
-    return top * (1 - fy) + bottom * fy
+    gx = 1 - fx
+    top = corner(row0, x0) * gx + corner(row0, x1) * fx
+    bottom = corner(row1, x0) * gx + corner(row1, x1) * fx
+    return (top * (1 - fy) + bottom * fy).reshape(h, w, c)
 
 
 def augment(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

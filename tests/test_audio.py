@@ -223,6 +223,12 @@ class TestMelFilterbank:
         with pytest.raises(ConfigurationError):
             audio.mel_energies(np.ones((2, 101)), audio.mel_filterbank())
 
+    def test_one_shared_read_only_filterbank(self):
+        weights = audio.mel_filterbank()
+        assert audio.mel_filterbank() is weights
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+
 
 class TestMfcc:
     def test_constant_energies(self):

@@ -241,11 +241,15 @@ def assert_epoch_matches_formula_layers(data_seed, model_seed, side, batch_size,
 
 # (batch, side, in channels, out channels, kernel, stride, padding) of a
 # conv whose forward takes several im2col bands, and the samples or output
-# rows of each band
+# rows of each band, per dtype
 BANDED_CONVS = {
-    "224x1-row-bands": ((1, 224, 3, 64, 11, 4, "valid"), [18, 18, 18]),
-    "64x16-sample-groups": ((16, 64, 3, 64, 11, 4, "valid"), [6, 5, 5]),
-    "same-5x5-short-last-row-band": ((2, 26, 64, 128, 5, 1, "same"), [9, 9, 8] * 2),
+    "224x1-row-bands": ((1, 224, 3, 64, 11, 4, "valid"),
+                        {np.float32: [11, 11, 11, 11, 10], np.float64: [6] * 9}),
+    "64x16-sample-groups": ((16, 64, 3, 64, 11, 4, "valid"),
+                            {np.float32: [3, 3, 2, 3, 3, 2], np.float64: [1] * 16}),
+    "same-5x5-short-last-row-band": ((2, 26, 64, 128, 5, 1, "same"),
+                                     {np.float32: [6, 5, 5, 5, 5] * 2,
+                                      np.float64: ([3] * 8 + [2]) * 2}),
 }
 
 
@@ -266,8 +270,8 @@ class TestTrainPathsMatchFormulas:
             layer.bias.value[...] = bias
         x = rng.normal(size=(n, side, side, cin)).astype(dtype)
         oh = got.out_shape(x.shape[1:])[0]
-        bands = layers._bands(n, oh, oh * k * k * cin)
-        assert [at[-1].stop - at[-1].start for at in bands] == band_sizes
+        bands = layers._bands(n, oh, oh * k * k * cin, x.itemsize)
+        assert [at[-1].stop - at[-1].start for at in bands] == band_sizes[dtype]
         out = got.forward(x, train=True)
         assert out.dtype == dtype
         assert out.tobytes() == want.forward(x, train=True).tobytes()
@@ -319,9 +323,11 @@ class TestTrainPathsMatchFormulas:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_banded_training_epoch_keeps_every_weight_bit(self, dtype):
-        # at 64 px conv1's forward takes three sample groups of the batch of
-        # 16 and two of the last batch of 8
-        assert len(layers._bands(16, 14, 14 * 11 * 11 * 3)) == 3
+        # at 64 px conv1's forward takes six sample groups of the batch of 16
+        # and three of the last batch of 8 in float32, one band per sample
+        # in float64
+        bands = layers._bands(16, 14, 14 * 11 * 11 * 3, np.dtype(dtype).itemsize)
+        assert len(bands) == {np.float32: 6, np.float64: 16}[dtype]
         assert_epoch_matches_formula_layers(53, 7, 64, 16, dtype)
 
 

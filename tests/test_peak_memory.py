@@ -29,10 +29,15 @@ stays within the net's state, the largest record's bytes and
 ``LOAD_SLACK_MIB``. ``files.Reader.array`` reads a payload as a read-only
 view of its own bytes, not a copy, as the DAFT cache's entries show.
 
+Scoring reads its frames one ``agents.forward_rows`` slice at a time, and
+``agents.logits`` drops each slice before it reads the next, so
+``tracemalloc``'s peak while scoring several frames at 224 px stays within
+``SLICE_SLACK_MIB`` of the peak while scoring one.
+
 A convolution lowers its windows to a matrix one band of at most
-``layers.BAND_VALUES`` values at a time, so ``tracemalloc``'s peak during
-one 224-px Agent-1 forward stays within one band, the largest input plus
-output of a layer, and ``FORWARD_SLACK_MIB``.
+``layers.BAND_BYTES`` at a time, so ``tracemalloc``'s peak during one
+224-px Agent-1 forward, in either dtype, stays within one band, the largest
+input plus output of a layer, and ``FORWARD_SLACK_MIB``.
 """
 
 import math
@@ -48,9 +53,11 @@ import pytest
 import deepagent
 from deepagent import agents, pipeline
 from deepagent.cache import read_cache, write_cache
+from deepagent.config import PipelineConfig
 from deepagent.fixtures import gen_fixtures
-from deepagent.manifest import load_manifest
+from deepagent.manifest import SampleRecord, load_manifest
 from deepagent.nn import layers
+from deepagent.vision import save_frame
 
 SRC = Path(deepagent.__file__).resolve().parents[1]
 
@@ -71,9 +78,16 @@ LOAD_SLACK_MIB = 2.0
 # 31.7 MiB
 SAVE_PEAK_MIB = 1.0
 
-# allowed allocation peak of a float64 224-px Agent-1 forward beyond one
-# im2col band and the largest layer input plus output: it reads -2.6 MiB,
-# and +2.9 MiB when conv1 lowers every window into one 8.5 MB matrix
+# allowed allocation peak of scoring four 224-px frames beyond scoring one:
+# it reads 0.002 MiB, and 1.15 MiB, one frame's float64 slice, when
+# ``agents.logits`` holds each slice while it reads the next
+SLICE_SLACK_MIB = 0.25
+
+# allowed allocation peak of a 224-px Agent-1 forward beyond one im2col
+# band and the largest layer input plus output: it reads -0.9 MiB in
+# float64 and -0.8 MiB in float32, +0.4 MiB in float64 with bands of 2^19
+# values (4 MiB), and +5.8 (float64) or +2.4 MiB (float32) when conv1
+# lowers every window into one matrix
 FORWARD_SLACK_MIB = 1.0
 
 
@@ -176,9 +190,36 @@ def test_cache_entries_are_read_only_views_of_their_payloads(tmp_path):
     assert all(read[key].tobytes() == arr.tobytes() for key, arr in entries.items())
 
 
-def test_agent1_forward_peak_is_one_band_plus_activations():
+def test_agent1_scoring_holds_one_slice(tmp_path):
     model = agents.build_agent1(3, input_size=224)
-    x = np.random.default_rng(0).random((1, 224, 224, 3))
+    assert agents.forward_rows(model) == 1
+    # 480 x 360 source frames, so that reading and resizing a slice, not
+    # forwarding it, sets the peak, and a slice held through the next read
+    # shows in it
+    rng = np.random.default_rng(0)
+    paths = [tmp_path / f"f{i}.ppm" for i in range(4)]
+    for path in paths:
+        save_frame(path, rng.integers(0, 256, (360, 480, 3)).astype(float))
+    cfg = PipelineConfig(frame_policy="even", m=len(paths))
+    peaks = []
+    for count in (1, len(paths)):
+        video = SampleRecord("v", 0, paths[:count], split="test")
+        frames = pipeline.FrameSet([video], cfg, model.input_size)
+        tracemalloc.start()
+        try:
+            agents.logits(model, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    over_mib = (peaks[1] - peaks[0]) / 2 ** 20
+    assert over_mib <= SLICE_SLACK_MIB, over_mib
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_agent1_forward_peak_is_one_band_plus_activations(dtype):
+    model = agents.build_agent1(3, input_size=224, dtype=dtype)
+    x = np.random.default_rng(0).random((1, 224, 224, 3)).astype(dtype)
     model.net.forward(x)
     shapes = [x.shape[1:]]
     for layer in model.net.layers:
@@ -190,5 +231,5 @@ def test_agent1_forward_peak_is_one_band_plus_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    over_mib = (peak - (layers.BAND_VALUES + activations) * x.itemsize) / 2 ** 20
+    over_mib = (peak - layers.BAND_BYTES - activations * x.itemsize) / 2 ** 20
     assert over_mib <= FORWARD_SLACK_MIB, over_mib
