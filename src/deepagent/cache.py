@@ -1,76 +1,69 @@
-"""Binary feature cache keyed by string ids.
+"""Feature cache keyed by string ids, stored as one JSON object.
 
-Layout: magic "DAFT", format version (u32 LE), entry count (u32 LE), then
-the entry table -- per entry: id length (u32) + UTF-8 id bytes, dtype code
-(u32, byte width), rank (u32), dims (u32 each), payload offset (u64 LE from
-file start) -- followed by the raw little-endian IEEE-754 payloads, back to
-back in table order from the end of the table. Writes are sorted by id so
-identical content produces identical bytes, and replace the file whole
-(``files.write_bytes``). Reading goes through ``files.Reader`` in that one
-order, so dims too large for the file fail as a truncated payload; it also
-rejects a key that is not UTF-8, a key that repeats an earlier entry's, a
-byte width other than 4 or 8, a payload offset that is not the byte where
-the previous payload (or the table) ends, and bytes after the last payload
-(or after the header, with no entries), naming the byte offset.
+The object maps each key (``<id>/feature``, and ``<id>/scores`` after
+``fuse``) to its list of float64 values. Python writes each float as its
+shortest repr, which reads back to the same float64, so a round-trip is
+bit-exact. Writes sort the keys, so identical content produces identical
+bytes, and replace the file whole (``files.write_json``). Reading returns
+1-D float64 arrays; text that is not UTF-8 or not JSON or nests too deep, a
+top level that is not an object, a repeated key and a value that is not a
+list of finite numbers a float64 can hold are ingestion faults naming the
+file, and the key where there is one.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from deepagent import files
 from deepagent.errors import IngestionError
 
-MAGIC = b"DAFT"
-FORMAT_VERSION = 1
-
 
 def write_cache(path, entries: dict[str, np.ndarray]) -> None:
-    """Write the id -> float array mapping; float64 unless given float32."""
-    items = []
-    for key in sorted(entries):
-        arr = np.asarray(entries[key])
-        width = 4 if arr.dtype == np.float32 else 8
-        items.append((key.encode("utf-8"), np.ascontiguousarray(arr, dtype=f"<f{width}")))
-    offset = 12 + sum(4 + len(kb) + 8 + 4 * arr.ndim + 8 for kb, arr in items)
-    chunks = [MAGIC, files.pack("2I", FORMAT_VERSION, len(items))]
-    for kb, arr in items:
-        chunks += [files.pack("I", len(kb)), kb, files.pack(
-            f"{2 + arr.ndim}IQ", arr.itemsize, arr.ndim, *arr.shape, offset)]
-        offset += arr.nbytes
-    files.write_bytes(path, *chunks, *(arr for _, arr in items))
+    """Write the id -> float64 vector mapping."""
+    files.write_json(path, {key: np.asarray(entries[key], dtype=np.float64).tolist()
+                            for key in sorted(entries)})
+
+
+def _floats(value) -> np.ndarray | None:
+    """``value`` as a float64 vector, or None unless it is a list of finite
+    numbers a float64 can hold."""
+    # type(), not isinstance(): a boolean is no number here
+    if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
+        return None
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer float() cannot convert
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def read_cache(path) -> dict[str, np.ndarray]:
-    with files.Reader(path, MAGIC, FORMAT_VERSION, "cache") as reader:
-        table = {}
-        for _ in range(reader.u32()):
-            start = reader.pos
-            try:
-                key = reader.take(reader.u32()).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise IngestionError(
-                    f"{path}: key at byte {start + 4} is not valid UTF-8") from exc
-            if key in table:
-                raise IngestionError(
-                    f"{path}: entry at byte {start} repeats key {key!r}")
-            width = reader.u32()
-            if width not in (4, 8):
-                raise IngestionError(
-                    f"{path}: entry {key!r}: byte width {width} at byte {reader.pos - 4} "
-                    "is not 4 or 8")
-            table[key] = (width, reader.dims(), reader.u64())
-
+    def unique(pairs):
         out = {}
-        for key, (width, dims, offset) in table.items():
-            if offset != reader.pos:
-                raise IngestionError(
-                    f"{path}: entry {key!r}: payload offset {offset} is not byte "
-                    f"{reader.pos}, where the payload must start")
-            out[key] = reader.array(dims, width, f"entry {key!r}",
-                                    f"payload for {key!r} at byte {offset} truncated")
-        reader.finish()
+        for key, value in pairs:
+            if key in out:
+                raise IngestionError(f"{path}: repeats key {key!r}")
+            out[key] = value
         return out
+
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise IngestionError(f"{path}: cannot read cache: {exc}") from None
+    if not isinstance(data, dict):
+        raise IngestionError(f"{path}: cache must be a JSON object")
+    out = {}
+    for key, value in data.items():
+        out[key] = _floats(value)
+        if out[key] is None:
+            raise IngestionError(
+                f"{path}: entry {key!r} must be a list of finite float64 numbers")
+    return out
 
 
 def update_cache(path, new_entries: dict[str, np.ndarray]) -> None:

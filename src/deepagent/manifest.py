@@ -80,7 +80,9 @@ def load_manifest(path) -> list[SampleRecord]:
                             f"record {i}: id must be a non-empty string, got {rid!r}")
             rid = f"<record {i}>"
         elif any("\ud800" <= ch <= "\udfff" for ch in rid):
-            # a lone surrogate is legal JSON but no UTF-8 cache key
+            # a lone surrogate is legal JSON, but ids reach every JSON
+            # artifact, and RFC 8259 (8.2) calls unpaired surrogates
+            # non-interoperable
             problems.append(f"record {i}: id must be encodable as UTF-8, got {rid!r}")
             rid = f"<record {i}>"
         elif rid in seen:

@@ -10,9 +10,11 @@ dtype_bits]`` as float64; it tells the loader how to rebuild the
 architecture and how wide the remaining payloads are. Metadata that is not
 three whole numbers, a model kind other than Agent-1/Agent-2 or a width
 other than 32/64 bits is an ingestion fault naming the file and record 0.
-``load_checkpoint`` is the one reader, over one open ``files.Reader``.
-It first checks the structure -- the metadata, every record's dims against
-the payload bounds, then the end of the file -- reading the metadata's 24
+DAMC is the package's one binary format, and this module holds all of
+its framing: ``save_checkpoint`` writes it and ``Reader`` reads it, over
+one open file handle. ``load_checkpoint`` is the one loader. It first
+checks the structure -- the metadata, every record's dims against the
+payload bounds, then the end of the file -- reading the metadata's 24
 payload bytes and seeking past every other payload, so dims too large for
 the file fail as a truncated payload and bytes after the last record fail
 naming the byte where they start. Only then does it build the targets the
@@ -25,6 +27,10 @@ leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
+
+import math
+import os
+import struct
 
 import numpy as np
 
@@ -50,15 +56,90 @@ MODEL_AGENT1 = 1
 MODEL_AGENT2 = 2
 
 
+class Reader:
+    """Little-endian reads over one DAMC file from its open handle ``fh``,
+    from byte ``pos``; the size comes from ``os.fstat``, so no read stages
+    the whole file, and a payload can be skipped and read later.
+
+    Opening checks the magic and the format version. A read that runs past
+    the end of the file is an :class:`IngestionError` naming the file and
+    the byte where it began. The caller opens and closes the handle.
+    """
+
+    def __init__(self, fh, path):
+        self.fh, self.path, self.pos = fh, path, 0
+        self.size = os.fstat(fh.fileno()).st_size
+        if self.size < 4 or self.take(4) != MAGIC:
+            raise IngestionError(f"{path}: not a DAMC checkpoint (bad magic at byte 0)")
+        found = self.u32()
+        if found != FORMAT_VERSION:
+            raise IngestionError(f"{path}: unsupported checkpoint version {found}")
+
+    def seek(self, pos: int) -> None:
+        self.fh.seek(pos)
+        self.pos = pos
+
+    def take(self, size: int) -> bytes:
+        # short when it runs past the end, or the file shrank after it was opened
+        data = self.fh.read(size) if self.pos + size <= self.size else b""
+        if len(data) != size:
+            raise IngestionError(f"{self.path}: truncated checkpoint at byte {self.pos}")
+        self.pos += size
+        return data
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def dims(self) -> tuple[int, ...]:
+        """A u32 rank followed by that many u32 dims."""
+        return tuple(self.u32() for _ in range(self.u32()))
+
+    def _payload(self, dims, width: int, idx: int) -> int:
+        """The byte size of record ``idx``'s ``<f{width}`` payload of shape
+        ``dims`` at ``pos``. The element count is a Python int, so dims of
+        any size that describe more data than the file holds fail as a
+        truncated payload; an empty axis beside axes numpy cannot index
+        fails naming the record."""
+        n = math.prod(dims)
+        if self.pos + n * width > self.size:
+            raise IngestionError(f"{self.path}: truncated payload at byte {self.pos}")
+        if n == 0:
+            try:
+                np.empty(0, dtype=f"<f{width}").reshape(dims)
+            except ValueError:
+                raise IngestionError(f"{self.path}: record {idx}: dims {dims} at byte "
+                                     f"{self.pos} describe no array") from None
+        return n * width
+
+    def skip_array(self, dims, width: int, idx: int) -> None:
+        """Check record ``idx``'s payload at ``pos`` as ``_payload`` does
+        and seek past it, reading none of its bytes."""
+        self.seek(self.pos + self._payload(dims, width, idx))
+
+    def array(self, dims, width: int, idx: int) -> np.ndarray:
+        """Record ``idx``'s ``<f{width}`` payload of shape ``dims`` read from
+        ``pos``, checked as ``_payload`` does: a read-only view of its own
+        payload bytes, so the file's other bytes are never held."""
+        data = self.take(self._payload(dims, width, idx))
+        return np.frombuffer(data, dtype=f"<f{width}").reshape(dims)
+
+    def finish(self) -> None:
+        """Fault when the file goes on past the last byte read or skipped."""
+        if self.size > self.pos:
+            raise IngestionError(
+                f"{self.path}: {self.size - self.pos} bytes of trailing data "
+                f"at byte {self.pos}, after the checkpoint")
+
+
 def save_checkpoint(path, records, *, model_kind: int, input_size: int,
                     dtype_bits: int) -> None:
     """Write ``records`` (list of (kind, array)) preceded by a meta record."""
     meta = np.array([model_kind, input_size, dtype_bits], dtype="<f8")
-    chunks = [MAGIC, files.pack("2I", FORMAT_VERSION, len(records) + 1)]
+    chunks = [MAGIC, struct.pack("<2I", FORMAT_VERSION, len(records) + 1)]
     width = dtype_bits // 8
     for i, (kind, arr) in enumerate([(KIND_META, meta), *records]):
         arr = np.ascontiguousarray(arr, dtype=f"<f{8 if i == 0 else width}")
-        chunks += [files.pack(f"{2 + arr.ndim}I", kind, arr.ndim, *arr.shape), arr]
+        chunks += [struct.pack(f"<{2 + arr.ndim}I", kind, arr.ndim, *arr.shape), arr]
     files.write_bytes(path, *chunks)
 
 
@@ -69,12 +150,13 @@ def load_checkpoint(path, build) -> dict:
     hold finite values, a BatchNorm variance must not be negative and an
     input sigma must be positive. A fault names the file and the record,
     and the file is closed on every path."""
-    with files.Reader(path, MAGIC, FORMAT_VERSION, "checkpoint") as reader:
+    with open(path, "rb") as fh:
+        reader = Reader(fh, path)
         count = reader.u32()
         if count == 0:
             raise IngestionError(f"{path}: record count 0: no metadata record")
         kind, dims = reader.u32(), reader.dims()
-        arr = reader.array(dims, 8, "record 0", f"truncated payload at byte {reader.pos}")
+        arr = reader.array(dims, 8, 0)
         if (kind != KIND_META or arr.shape != (3,) or not np.isfinite(arr).all()
                 or (arr != np.round(arr)).any()):
             raise IngestionError(
@@ -96,8 +178,7 @@ def load_checkpoint(path, build) -> dict:
         for idx in range(1, count):
             kind, dims = reader.u32(), reader.dims()
             spans.append((kind, dims, reader.pos))
-            reader.skip_array(dims, width, f"record {idx}",
-                              f"truncated payload at byte {reader.pos}")
+            reader.skip_array(dims, width, idx)
         reader.finish()
 
         state = build(header)
@@ -113,8 +194,7 @@ def load_checkpoint(path, build) -> dict:
                     f"{path}: record {idx}: expected kind {kind} shape {target.shape}, "
                     f"found kind {found} shape {dims}")
             reader.seek(at)
-            arr = reader.array(dims, width, f"record {idx}",
-                               f"truncated payload at byte {at}")
+            arr = reader.array(dims, width, idx)
             fault = ("non-finite value" if not np.isfinite(arr).all() else
                      "negative variance" if kind == KIND_BN_VAR and (arr < 0).any() else
                      "non-positive sigma" if kind == KIND_STD_SIGMA and (arr <= 0).any()

@@ -163,9 +163,6 @@ def _feature_matrix(entries, records, cache_path) -> np.ndarray:
             raise IngestionError(
                 f"{cache_path}: entry {key!r} has shape {entries[key].shape}, "
                 f"expected ({semantic.FEATURE_DIM},)")
-        if not np.isfinite(entries[key]).all():
-            # extract only writes finite features
-            raise IngestionError(f"{cache_path}: entry {key!r} holds non-finite values")
         rows.append(entries[key])
     return np.stack(rows) if rows else np.zeros((0, semantic.FEATURE_DIM))
 

@@ -224,22 +224,22 @@ def e2e_run(tmp_path_factory):
         ["gen-fixtures", "--out", str(fx), "--n", "200",
          "--strength", "1.0", "--gap", "1.0", "--seed", "42"],
         ["extract", "--manifest", str(fx / "manifest.json"),
-         "--out", str(root / "cache.daft")],
+         "--out", str(root / "cache.json")],
         ["train", "agent1", "--manifest", str(fx / "manifest.json"),
          "--out", str(root / "agent1.damc"), "--desk-scale", "--epochs", "12"],
         ["train", "agent2", "--manifest", str(fx / "manifest.json"),
-         "--cache", str(root / "cache.daft"), "--out", str(root / "agent2.damc")],
+         "--cache", str(root / "cache.json"), "--out", str(root / "agent2.damc")],
         ["predict", "--manifest", str(fx / "manifest.json"),
          "--agent1", str(root / "agent1.damc"),
          "--agent2", str(root / "agent2.damc"),
-         "--cache", str(root / "cache.daft"),
+         "--cache", str(root / "cache.json"),
          "--out", str(root / "scores.json")],
         ["evaluate", "--scores", str(root / "scores.json"), "--split", "test",
          "--out", str(root / "metrics.json")],
         ["fuse", "--manifest", str(fx / "manifest.json"),
          "--agent1", str(root / "agent1.damc"),
          "--agent2", str(root / "agent2.damc"),
-         "--cache", str(root / "cache.daft"),
+         "--cache", str(root / "cache.json"),
          "--out", str(root / "fold_report.json")],
         ["report", "--fold-report", str(root / "fold_report.json"),
          "--out", str(root / "report.txt"), "--roc-dir", str(root / "roc")],
@@ -261,16 +261,16 @@ def test_criterion_7_end_to_end(e2e_run, tmp_path):
         ["gen-fixtures", "--out", str(fx0), "--n", "100",
          "--strength", "0.0", "--gap", "0.0", "--seed", "42"],
         ["extract", "--manifest", str(fx0 / "manifest.json"),
-         "--out", str(tmp_path / "cache0.daft")],
+         "--out", str(tmp_path / "cache0.json")],
         ["train", "agent1", "--manifest", str(fx0 / "manifest.json"),
          "--out", str(tmp_path / "a1.damc"), "--desk-scale", "--epochs", "4"],
         ["train", "agent2", "--manifest", str(fx0 / "manifest.json"),
-         "--cache", str(tmp_path / "cache0.daft"),
+         "--cache", str(tmp_path / "cache0.json"),
          "--out", str(tmp_path / "a2.damc")],
         ["fuse", "--manifest", str(fx0 / "manifest.json"),
          "--agent1", str(tmp_path / "a1.damc"),
          "--agent2", str(tmp_path / "a2.damc"),
-         "--cache", str(tmp_path / "cache0.daft"),
+         "--cache", str(tmp_path / "cache0.json"),
          "--out", str(tmp_path / "fold0.json")],
     ):
         assert main(args) == 0
@@ -291,16 +291,16 @@ def test_criterion_8_determinism(tmp_path):
             ["gen-fixtures", "--out", str(fx), "--n", "40",
              "--strength", "1.0", "--gap", "1.0", "--seed", "42"],
             ["extract", "--manifest", str(fx / "manifest.json"),
-             "--out", str(root / "cache.daft")],
+             "--out", str(root / "cache.json")],
             ["train", "agent1", "--manifest", str(fx / "manifest.json"),
              "--out", str(root / "agent1.damc"), "--desk-scale", "--epochs", "3"],
             ["train", "agent2", "--manifest", str(fx / "manifest.json"),
-             "--cache", str(root / "cache.daft"),
+             "--cache", str(root / "cache.json"),
              "--out", str(root / "agent2.damc")],
             ["fuse", "--manifest", str(fx / "manifest.json"),
              "--agent1", str(root / "agent1.damc"),
              "--agent2", str(root / "agent2.damc"),
-             "--cache", str(root / "cache.daft"),
+             "--cache", str(root / "cache.json"),
              "--out", str(root / "fold_report.json")],
         ):
             assert main(args) == 0
@@ -310,7 +310,7 @@ def test_criterion_8_determinism(tmp_path):
     run(r1)
     run(r2)
     ok = True
-    for name in ("agent1.damc", "agent2.damc", "fold_report.json", "cache.daft"):
+    for name in ("agent1.damc", "agent2.damc", "fold_report.json", "cache.json"):
         ok &= (r1 / name).read_bytes() == (r2 / name).read_bytes()
     report_line(8, "byte-identical reports and checkpoints across runs", ok)
 

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from deepagent import agents, files
+from deepagent import agents
 from deepagent.config import Agent1Config, Agent2Config
 from deepagent.errors import ConfigurationError, IngestionError, UsageError
 from deepagent.nn import checkpoint as ckpt
@@ -570,7 +570,7 @@ class TestCheckpoints:
         def tracked_open(*args, **kwargs):
             opened.append(open(*args, **kwargs))
             return opened[-1]
-        monkeypatch.setattr(files, "open", tracked_open, raising=False)
+        monkeypatch.setattr(ckpt, "open", tracked_open, raising=False)
         if error is None:
             agents.load_agent(path, kind=kind)
         else:
@@ -586,16 +586,19 @@ class TestCheckpoints:
         path = tmp_path / "kind.damc"
         ckpt.save_checkpoint(path, state, model_kind=ckpt.MODEL_AGENT2,
                              input_size=14, dtype_bits=64)
-        read, array = [], files.Reader.array
+        read, arrays, array = [], [], ckpt.Reader.array
 
-        def counted(reader, dims, width, label, truncated):
-            read.append(label)
-            return array(reader, dims, width, label, truncated)
-        monkeypatch.setattr(files.Reader, "array", counted)
+        def counted(reader, dims, width, idx):
+            read.append(f"record {idx}")
+            arrays.append(array(reader, dims, width, idx))
+            return arrays[-1]
+        monkeypatch.setattr(ckpt.Reader, "array", counted)
         with pytest.raises(IngestionError, match="kind.damc: record 2: expected kind "
                                                  f"{ckpt.KIND_STD_SIGMA} shape"):
             agents.load_agent(path)
         assert read == ["record 0", "record 1"]
+        # each record is a read-only view of its own payload bytes, not a copy
+        assert not any(arr.flags.owndata or arr.flags.writeable for arr in arrays)
 
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)

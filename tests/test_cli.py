@@ -22,7 +22,7 @@ def workspace(tmp_path_factory):
     assert main(["gen-fixtures", "--out", str(fx), "--n", "12",
                  "--strength", "1.0", "--gap", "1.0", "--seed", "42"]) == 0
     manifest = fx / "manifest.json"
-    cache = root / "cache.daft"
+    cache = root / "cache.json"
     assert main(["extract", "--manifest", str(manifest),
                  "--out", str(cache)]) == 0
     a1 = root / "agent1.damc"
@@ -73,7 +73,7 @@ def reported(workspace, fused):
 class TestWorkflow:
     def test_extract_populates_cache(self, workspace, tmp_path):
         # its own cache: fuse adds score entries to the workspace's
-        cache = tmp_path / "cache.daft"
+        cache = tmp_path / "cache.json"
         assert main(["extract", "--manifest", str(workspace["manifest"]),
                      "--out", str(cache)]) == 0
         entries = read_cache(cache)
@@ -210,9 +210,21 @@ def patched_copy(src, dst, patch):
     return dst
 
 
-# a DAFT file's first entry starts after magic, version and count; a DAMC
-# file's metadata payload after magic, version, count, kind, rank and dim
-DAFT_FIRST_KEY = 16
+def cached_value_as(workspace, dst, literal):
+    """Write the workspace's cache to ``dst`` with value 5 of one feature
+    spelt as the JSON text ``literal``; return that feature's key."""
+    entries = read_cache(workspace["cache"])
+    key = sorted(k for k in entries if k.endswith("/feature"))[2]
+    entries[key][5] = 0.123456789  # a value no other feature holds
+    write_cache(dst, entries)
+    text = dst.read_text(encoding="utf-8")
+    assert text.count("0.123456789") == 1
+    dst.write_text(text.replace("0.123456789", literal), encoding="utf-8")
+    return key
+
+
+# a DAMC file's metadata payload starts after magic, version, count, kind,
+# rank and dim
 DAMC_META = 24
 
 
@@ -335,38 +347,27 @@ class TestFailureModes:
         assert ("bits.damc: record 0: dtype_bits must be 32 or 64, got 12"
                 in error["message"])
 
-    def test_cache_byte_width_not_4_or_8_exits_2(self, workspace, tmp_path, capsys):
-        klen = struct.unpack_from("<I", workspace["cache"].read_bytes(), 12)[0]
-        at = DAFT_FIRST_KEY + klen
-        bad = patched_copy(workspace["cache"], tmp_path / "width.daft",
-                           lambda b: struct.pack_into("<I", b, at, 3))
-        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
-        assert code == 2 and error["kind"] == "IngestionError"
-        assert "width.daft: entry" in error["message"]
-        assert f"byte width 3 at byte {at} is not 4 or 8" in error["message"]
-
     def test_cache_key_not_utf8_exits_2(self, workspace, tmp_path, capsys):
+        # the first key's first character becomes a byte no UTF-8 text holds
         def patch(blob):
-            blob[DAFT_FIRST_KEY] = 0xFF
-        bad = patched_copy(workspace["cache"], tmp_path / "key.daft", patch)
+            blob[blob.index(b'"')] = 0xFF
+        bad = patched_copy(workspace["cache"], tmp_path / "key.json", patch)
         code, error = predict_error(workspace, workspace["a2"], capsys, bad)
         assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"key.daft: key at byte {DAFT_FIRST_KEY} is not valid UTF-8"
-                in error["message"])
+        assert "key.json: cannot read cache:" in error["message"]
+        assert "can't decode byte 0xff" in error["message"]
 
     def test_cache_key_repeated_exits_2(self, workspace, tmp_path, capsys):
         # the second entry's id 'b/feature' becomes a second 'a/feature'
-        second = DAFT_FIRST_KEY + len(b"a/feature") + 4 + 4 + 4 + 8
-        write_cache(tmp_path / "ab.daft", {"a/feature": np.zeros(14),
+        write_cache(tmp_path / "ab.json", {"a/feature": np.zeros(14),
                                            "b/feature": np.ones(14)})
 
         def patch(blob):
-            blob[second + 4] = ord("a")
-        bad = patched_copy(tmp_path / "ab.daft", tmp_path / "twice.daft", patch)
+            blob[blob.index(b'"b/feature"') + 1] = ord("a")
+        bad = patched_copy(tmp_path / "ab.json", tmp_path / "twice.json", patch)
         code, error = predict_error(workspace, workspace["a2"], capsys, bad)
         assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"twice.daft: entry at byte {second} repeats key 'a/feature'"
-                in error["message"])
+        assert "twice.json: repeats key 'a/feature'" in error["message"]
 
     def test_checkpoint_trailing_bytes_exit_2(self, workspace, tmp_path, capsys):
         # the file's structure is checked before the net is built, so the
@@ -387,58 +388,31 @@ class TestFailureModes:
     @pytest.mark.parametrize("entries", [{}, {"a/feature": np.zeros(14)}],
                              ids=["no-entries", "one-entry"])
     def test_cache_trailing_bytes_exit_2(self, workspace, tmp_path, capsys, entries):
-        write_cache(tmp_path / "c.daft", entries)
-        end = (tmp_path / "c.daft").stat().st_size
-        bad = patched_copy(tmp_path / "c.daft", tmp_path / "long.daft",
-                           lambda blob: blob.extend(b"DAFT"))
+        write_cache(tmp_path / "c.json", entries)
+        end = (tmp_path / "c.json").stat().st_size
+        bad = patched_copy(tmp_path / "c.json", tmp_path / "long.json",
+                           lambda blob: blob.extend(b"{}"))
         code, error = predict_error(workspace, workspace["a2"], capsys, bad)
         assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"long.daft: 4 bytes of trailing data at byte {end}"
-                in error["message"])
+        assert "long.json: cannot read cache: Extra data: line " in error["message"]
+        assert f"(char {end})" in error["message"]
 
-    def test_cache_payload_offset_out_of_order_exits_2(self, workspace, tmp_path,
-                                                      capsys):
-        # payloads follow the table back to back; an offset into the header
-        # would read header bytes as the sample's feature
-        blob = workspace["cache"].read_bytes()
-        at, key = 12, b""
-        while key != b"fake_0000/feature":
-            klen = struct.unpack_from("<I", blob, at)[0]
-            key = blob[at + 4:at + 4 + klen]
-            rank = struct.unpack_from("<I", blob, at + 8 + klen)[0]
-            at += 4 + klen + 8 + 4 * rank + 8
-        start = struct.unpack_from("<Q", blob, at - 8)[0]
-        bad = patched_copy(workspace["cache"], tmp_path / "offset.daft",
-                           lambda b: struct.pack_into("<Q", b, at - 8, 0))
+    def test_cache_not_an_object_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "rows.json"
+        bad.write_text('[{"id": "fake_0000", "feature": []}]\n', encoding="utf-8")
         code, error = predict_error(workspace, workspace["a2"], capsys, bad)
         assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"offset.daft: entry 'fake_0000/feature': payload offset 0 is not "
-                f"byte {start}") in error["message"]
+        assert "rows.json: cache must be a JSON object" in error["message"]
 
     def test_cached_feature_of_wrong_width_exits_2(self, workspace, tmp_path, capsys):
         entries = read_cache(workspace["cache"])
         key = sorted(k for k in entries if k.endswith("/feature"))[3]
         entries[key] = entries[key][:13]
-        bad = tmp_path / "narrow.daft"
+        bad = tmp_path / "narrow.json"
         write_cache(bad, entries)
         code, error = predict_error(workspace, workspace["a2"], capsys, bad)
         assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"narrow.daft: entry {key!r} has shape (13,), expected (14,)"
-                in error["message"])
-
-    def test_cache_entry_dims_overflowing_int64_exit_2(self, workspace, tmp_path,
-                                                       capsys):
-        # (2**32 - 1)**2 elements wrap around in int64; the count must not
-        key = b"x/feature"
-        at = 12 + 4 + len(key) + 4 + 4 + 8 + 8
-        bad = tmp_path / "huge.daft"
-        bad.write_bytes(b"".join([
-            b"DAFT", struct.pack("<II", 1, 1), struct.pack("<I", len(key)), key,
-            struct.pack("<IIII", 8, 2, 2**32 - 1, 2**32 - 1), struct.pack("<Q", at),
-            bytes(16)]))
-        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
-        assert code == 2 and error["kind"] == "IngestionError"
-        assert (f"huge.daft: payload for 'x/feature' at byte {at} truncated"
+        assert (f"narrow.json: entry {key!r} has shape (13,), expected (14,)"
                 in error["message"])
 
     def test_checkpoint_record_dims_overflowing_int64_exit_2(self, workspace, tmp_path,
@@ -483,21 +457,25 @@ class TestFailureModes:
         assert ("big.damc: record 0: Agent-1 input size must be within [11, 224], "
                 "got 4096") in error["message"]
 
-    def test_non_finite_cached_feature_exits_2(self, workspace, tmp_path, capsys):
-        entries = read_cache(workspace["cache"])
-        key = sorted(k for k in entries if k.endswith("/feature"))[2]
-        entries[key] = entries[key].copy()
-        entries[key][5] = np.nan
-        bad = tmp_path / "nan.daft"
-        write_cache(bad, entries)
-        code, error = predict_error(workspace, workspace["a2"], capsys, bad)
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "1e400", "1" + "0" * 400, '"0.5"', "true", "[0.5]",
+    ], ids=["nan", "infinity", "float-overflow", "int-overflow", "string", "boolean",
+            "nested-list"])
+    def test_non_finite_cached_feature_exits_2(self, workspace, tmp_path, capsys,
+                                               literal):
+        # an integer float() cannot convert raises OverflowError, which must
+        # be an ingestion fault (exit 2), not a numeric one (exit 3)
+        key = cached_value_as(workspace, tmp_path / "nan.json", literal)
+        code, error = predict_error(workspace, workspace["a2"], capsys,
+                                    tmp_path / "nan.json")
         assert code == 2 and error["kind"] == "IngestionError"
-        assert f"nan.daft: entry {key!r} holds non-finite values" in error["message"]
+        assert (f"nan.json: entry {key!r} must be a list of finite float64 numbers"
+                in error["message"])
 
     def test_wrongly_typed_manifest_fields_exit_2(self, workspace, tmp_path, capsys):
         records = json.loads(workspace["manifest"].read_text())
-        # legal JSON, but a lone surrogate has no UTF-8 encoding for the
-        # cache to write
+        # legal JSON, but ids reach every JSON artifact, and RFC 8259 (8.2)
+        # calls a lone surrogate non-interoperable
         records.append({**records[0], "id": "\ud800x"})
         records[0]["frames"] = None
         records[1]["frames"] = records[1]["frames"][0]
@@ -519,7 +497,7 @@ class TestFailureModes:
         bad = workspace["manifest"].parent / "wrong_types.json"
         bad.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(bad),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         ids = [r["id"] for r in records]
@@ -545,7 +523,7 @@ class TestFailureModes:
         bad = tmp_path / "bad.json"
         bad.write_text("[5]")
         code = main(["extract", "--manifest", str(bad),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2
         assert "record 0: must be a JSON object" in error["message"]
@@ -559,7 +537,7 @@ class TestFailureModes:
         bad = workspace["manifest"].parent / "long_name.json"
         bad.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(bad),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         assert "long_name.json: 2 manifest violation(s)" in error["message"]
@@ -571,7 +549,7 @@ class TestFailureModes:
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'[{"id": "caf\xe9"}]')
         code = main(["extract", "--manifest", str(bad),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         assert "latin1.json: cannot read manifest" in error["message"]
@@ -581,7 +559,7 @@ class TestFailureModes:
         empty = tmp_path / "empty.json"
         empty.write_text("[]")
         argv = {"extract": ["extract", "--manifest", str(empty),
-                            "--out", str(tmp_path / "c.daft")],
+                            "--out", str(tmp_path / "cache.json")],
                 "fuse": ["fuse", "--manifest", str(empty),
                          "--agent1", str(workspace["a1"]),
                          "--agent2", str(workspace["a2"]),
@@ -662,14 +640,14 @@ class TestFailureModes:
     @pytest.mark.parametrize("args, what", [
         (["extract", "--manifest", "m.json"],
          "deepagent extract: the following arguments are required: --out"),
-        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+        (["train", "agent2", "--manifest", "m.json", "--cache", "cache.json",
           "--out", "a.damc", "--seed", "abc"],
          "argument --seed: invalid int value: 'abc'"),
         (["train", "agent3", "--manifest", "m.json", "--out", "a.damc"],
          "argument agent: invalid choice: 'agent3'"),
-        (["extract", "--manifest", "m.json", "--out", "c.daft", "--meta-dims", "4"],
+        (["extract", "--manifest", "m.json", "--out", "cache.json", "--meta-dims", "4"],
          "unrecognized arguments: --meta-dims 4"),
-        (["extract", "--manifest", "m.json", "--out", "c.daft", "--mel-filters", "13"],
+        (["extract", "--manifest", "m.json", "--out", "cache.json", "--mel-filters", "13"],
          "unrecognized arguments: --mel-filters 13"),
     ])
     def test_argument_fault_exits_1_with_json_error(self, capsys, args, what):
@@ -679,30 +657,30 @@ class TestFailureModes:
         assert what in error["message"]
 
     @pytest.mark.parametrize("args, flag", [
-        (["extract", "--manifest", "m.json", "--out", "c.daft", "--seed", "1"],
+        (["extract", "--manifest", "m.json", "--out", "cache.json", "--seed", "1"],
          "--seed 1"),
-        (["extract", "--manifest", "m.json", "--out", "c.daft", "--config", "c.json"],
+        (["extract", "--manifest", "m.json", "--out", "cache.json", "--config", "c.json"],
          "--config c.json"),
         (["predict", "--manifest", "m.json", "--agent1", "a1.damc",
-          "--agent2", "a2.damc", "--cache", "c.daft", "--out", "s.json",
+          "--agent2", "a2.damc", "--cache", "cache.json", "--out", "s.json",
           "--desk-scale"], "--desk-scale"),
         (["fuse", "--manifest", "m.json", "--agent1", "a1.damc",
-          "--agent2", "a2.damc", "--cache", "c.daft", "--out", "r.json",
+          "--agent2", "a2.damc", "--cache", "cache.json", "--out", "r.json",
           "--desk-scale"], "--desk-scale"),
         (["train", "agent1", "--manifest", "m.json", "--out", "a1.damc",
           "--cache", "x"], "--cache x"),
-        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+        (["train", "agent2", "--manifest", "m.json", "--cache", "cache.json",
           "--out", "a2.damc", "--desk-scale"], "--desk-scale"),
-        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+        (["train", "agent2", "--manifest", "m.json", "--cache", "cache.json",
           "--out", "a2.damc", "--frame-policy", "even"], "--frame-policy even"),
         # predict draws no random numbers: splits come from the manifest
         (["predict", "--manifest", "m.json", "--agent1", "a1.damc",
-          "--agent2", "a2.damc", "--cache", "c.daft", "--out", "s.json",
+          "--agent2", "a2.damc", "--cache", "cache.json", "--out", "s.json",
           "--seed", "1"], "--seed 1"),
         # the history always goes beside the checkpoint
         (["train", "agent1", "--manifest", "m.json", "--out", "a1.damc",
           "--history", "h.json"], "--history h.json"),
-        (["train", "agent2", "--manifest", "m.json", "--cache", "c.daft",
+        (["train", "agent2", "--manifest", "m.json", "--cache", "cache.json",
           "--out", "a2.damc", "--history", "h.json"], "--history h.json"),
     ])
     def test_flag_the_command_does_not_read_exits_1(self, capsys, args, flag):
@@ -855,7 +833,7 @@ class TestFailureModes:
         bad = workspace["manifest"].parent / "audio_only.json"
         bad.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(bad),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2
         assert f"{records[0]['id']}: needs at least one frame" in error["message"]
@@ -873,7 +851,7 @@ class TestFailureModes:
         manifest = fx / f"fast_{rate}.json"
         manifest.write_text(json.dumps(records))
         code = main(["extract", "--manifest", str(manifest),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         error = json.loads(capsys.readouterr().err)["error"]
         assert code == 2 and error["kind"] == "IngestionError"
         assert (f"{fast}: sample rate {rate} Hz is above 384000 Hz at byte 24"
@@ -925,7 +903,7 @@ class TestFailureModes:
 
     def test_train_agent2_without_cache_exits_1(self, workspace, capsys):
         code = main(["train", "agent2", "--manifest", str(workspace["manifest"]),
-                     "--cache", str(workspace["root"] / "missing.daft"),
+                     "--cache", str(workspace["root"] / "missing.json"),
                      "--out", str(workspace["root"] / "x.damc")])
         err = capsys.readouterr().err
         assert code == 1
@@ -944,7 +922,7 @@ class TestFailureModes:
         bad = tmp_path / "bad.json"
         bad.write_text("[{\"id\": \"x\", \"label\": 9, \"frames\": []}]")
         code = main(["extract", "--manifest", str(bad),
-                     "--out", str(tmp_path / "c.daft")])
+                     "--out", str(tmp_path / "cache.json")])
         err = capsys.readouterr().err
         assert code == 2
         assert json.loads(err)["error"]["exit_code"] == 2
@@ -957,7 +935,7 @@ class TestFailureModes:
 
     def test_idempotent_extract(self, workspace):
         # rerunning the command overwrites byte-identical output
-        cache2 = workspace["root"] / "cache2.daft"
+        cache2 = workspace["root"] / "cache2.json"
         main(["extract", "--manifest", str(workspace["manifest"]),
               "--out", str(cache2)])
         first = read_cache(workspace["cache"])

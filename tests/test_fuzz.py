@@ -1,11 +1,12 @@
 """Fuzzed input files through the CLI: a fault never crashes a command.
 
-Each example copies one valid input (DAMC checkpoint, DAFT cache, WAV
-track, PPM frame, ASR sidecar text, manifest, config file, scores file or
-fold report), truncates it, appends bytes to it or replaces one byte with
-a different value, and runs ``cli.main`` in-process on it. A fault can
-leave the file well-formed (a flipped pixel, weight, sample or config
-digit, or text appended to a sidecar), and then the command may succeed.
+Each example copies one valid input (DAMC checkpoint, JSON feature cache,
+WAV track, PPM frame, ASR sidecar text, manifest, config file, scores file
+or fold report), truncates it, appends bytes to it or replaces one byte
+with a different value, and runs ``cli.main`` in-process on it. A fault
+can leave the file well-formed (a flipped pixel, weight, sample, feature or
+config digit, or text appended to a sidecar), and then the command may
+succeed.
 Otherwise it must exit 1 (usage or configuration) or 2 (ingestion) with
 an error message naming the faulty file; exit 3 is for numeric failures,
 never for a bad input file.
@@ -50,14 +51,14 @@ def inputs(tmp_path_factory):
     (root / "config.json").write_text(
         json.dumps({"seed": 1, "folds": 5, "agent2": {"epochs": 5}}), encoding="utf-8")
     assert run(["extract", "--manifest", str(root / "manifest.json"),
-                "--out", str(root / "cache.daft")])[0] == 0
+                "--out", str(root / "cache.json")])[0] == 0
     agents.save_agent(agents.build_agent1(0, input_size=16), root / "agent1.damc")
     agents.save_agent(agents.build_agent2(0), root / "agent2.damc")
     assert run(predict(root, out="valid_scores.json"))[0] == 0
     (root / "fuse_config.json").write_text(
         json.dumps({"folds": 3, "forest_trees": 5}), encoding="utf-8")
-    (root / "fuse_cache.daft").write_bytes((root / "cache.daft").read_bytes())
-    fuse = predict(root, cache="fuse_cache.daft", out="valid_report.json")
+    (root / "fuse_cache.json").write_bytes((root / "cache.json").read_bytes())
+    fuse = predict(root, cache="fuse_cache.json", out="valid_report.json")
     assert run(["fuse", *fuse[1:], "--config", str(root / "fuse_config.json")])[0] == 0
     return root
 
@@ -70,7 +71,7 @@ def run(argv):
     return code, err.getvalue()
 
 
-def predict(root, agent2="agent2.damc", cache="cache.daft", out="scores.json"):
+def predict(root, agent2="agent2.damc", cache="cache.json", out="scores.json"):
     return ["predict", "--manifest", str(root / "manifest.json"),
             "--agent1", str(root / "agent1.damc"), "--agent2", str(root / agent2),
             "--cache", str(root / cache), "--out", str(root / out)]
@@ -78,13 +79,14 @@ def predict(root, agent2="agent2.damc", cache="cache.daft", out="scores.json"):
 
 def extract(root, manifest="manifest.json"):
     return ["extract", "--manifest", str(root / manifest),
-            "--out", str(root / "out.daft")]
+            "--out", str(root / "out_cache.json")]
 
 
 # input kind -> (valid file, name the fault is written to, command reading it)
 CASES = {
     "damc": ("agent2.damc", "fuzzed.damc", lambda r: predict(r, agent2="fuzzed.damc")),
-    "daft": ("cache.daft", "fuzzed.daft", lambda r: predict(r, cache="fuzzed.daft")),
+    "cache": ("cache.json", "fuzzed_cache.json",
+              lambda r: predict(r, cache="fuzzed_cache.json")),
     "wav": ("s0.wav", "s0.wav", extract),
     "sidecar": ("s0.asr.txt", "s0.asr.txt", extract),
     "ppm": ("s0.ppm", "s0.ppm", predict),

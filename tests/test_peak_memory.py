@@ -26,8 +26,9 @@ Loading a checkpoint streams it into the built net:
 copies it once, into the net, before it reads the next, so
 ``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px Agent-1
 stays within the net's state, the largest record's bytes and
-``LOAD_SLACK_MIB``. ``files.Reader.array`` reads a payload as a read-only
-view of its own bytes, not a copy, as the DAFT cache's entries show.
+``LOAD_SLACK_MIB``. ``nn.checkpoint.Reader.array`` reads a payload as a
+read-only view of its own bytes, not a copy (``test_agents.py`` checks
+each record it returns).
 
 Scoring reads its frames one ``agents.forward_rows`` slice at a time, and
 ``agents.logits`` drops each slice before it reads the next, so
@@ -52,7 +53,6 @@ import pytest
 
 import deepagent
 from deepagent import agents, pipeline
-from deepagent.cache import read_cache, write_cache
 from deepagent.config import PipelineConfig
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import SampleRecord, load_manifest
@@ -123,13 +123,13 @@ def train_peak_rss_mib(manifest, work: Path) -> float:
 
 def predict_peak_rss_mib(manifest, work: Path) -> float:
     """Peak RSS of ``predict`` with seeded desk-scale checkpoints."""
-    pipeline.run_extract(load_manifest(manifest), work / "cache.daft")
+    pipeline.run_extract(load_manifest(manifest), work / "cache.json")
     agents.save_agent(agents.build_agent1(1, input_size=64), work / "agent1.damc")
     agents.save_agent(agents.build_agent2(1), work / "agent2.damc")
     return peak_rss_mib(["predict", "--manifest", manifest,
                          "--agent1", work / "agent1.damc",
                          "--agent2", work / "agent2.damc",
-                         "--cache", work / "cache.daft",
+                         "--cache", work / "cache.json",
                          "--out", work / "scores.json"], work)
 
 
@@ -180,14 +180,6 @@ def test_agent1_load_peak_is_state_plus_one_record(tmp_path, dtype):
     for (_, got), (_, want) in zip(state, stored.net.state()):
         assert got.dtype == np.float64
         assert got.tobytes() == want.astype(np.float64).tobytes()
-
-
-def test_cache_entries_are_read_only_views_of_their_payloads(tmp_path):
-    entries = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4, np.float32)}
-    write_cache(tmp_path / "c.daft", entries)
-    read = read_cache(tmp_path / "c.daft")
-    assert not any(arr.flags.owndata or arr.flags.writeable for arr in read.values())
-    assert all(read[key].tobytes() == arr.tobytes() for key, arr in entries.items())
 
 
 def test_agent1_scoring_holds_one_slice(tmp_path):

@@ -24,6 +24,12 @@ No package module uses ``os.environ``, ``os.getenv`` or ``os.putenv``: a
 run's settings come from its flags and its ``--config`` file alone, so an
 exported variable cannot change what a command does.
 
+Every ``open`` call in the package passes a binary mode or ``encoding=``,
+and every ``read_text`` and ``write_text`` call passes ``encoding=``: the
+JSON artifacts, manifests and sidecars are UTF-8 whatever the locale. This
+is read from the source, not from ``-X warn_default_encoding``, because the
+tests' own file reads and their plugins warn under that flag.
+
 Every callable the benchmark's tracer wraps exists, so a rename cannot
 quietly drop a layer from the traced benchmark, and the tracer's
 ``forest.nodes`` count is the number of nodes the forest grower made.
@@ -268,6 +274,35 @@ def environment_uses():
 def test_package_reads_no_environment():
     uses = environment_uses()
     assert uses == [], f"package code using the environment: {uses}"
+
+
+def text_io_without_encoding():
+    """``file:line call`` per package call that opens a file as text in the
+    locale's encoding: ``open`` without a binary mode or ``encoding=``, or
+    ``read_text``/``write_text`` without ``encoding=``."""
+    found = []
+    for path, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in ("open", "read_text", "write_text"):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            if "encoding" in keywords:
+                continue
+            mode = keywords.get("mode", node.args[1] if len(node.args) > 1 else None)
+            if (name == "open" and isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str) and "b" in mode.value):
+                continue
+            found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    return found
+
+
+def test_text_files_are_opened_with_an_encoding():
+    found = text_io_without_encoding()
+    assert found == [], f"text opened in the locale's encoding: {found}"
 
 
 def _bench_tracer():
