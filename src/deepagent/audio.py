@@ -8,9 +8,11 @@ at 8 kHz when downsampling) -> short-time magnitude spectra (25 ms Hann window,
 ``FRAME_LENGTH``/``HOP`` samples per frame and hop, ``N_COEFFS`` filters
 spanning 0 Hz to the Nyquist frequency of ``TARGET_RATE``, and as many
 coefficients. Spectrograms are plain ``frames x bins`` magnitude matrices
-and the filterbank an ``N_COEFFS x bins`` weight matrix. Missing or
-too-short audio never raises from :func:`embed_audio`; it returns None,
-and feature assembly zero-fills it.
+and the filterbank an ``N_COEFFS x bins`` weight matrix. Each input rule
+has one owner: ``read_wav`` bounds the sample rate, so ``resample``
+converts any rate it passes to 16 kHz only, and :func:`embed_audio`
+returns None for missing or too-short audio (feature assembly zero-fills
+it), so ``stft`` always sees at least one frame.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deepagent.errors import ConfigurationError, IngestionError, UsageError
+from deepagent.errors import ConfigurationError, IngestionError
 
 TARGET_RATE = 16000
 MIN_RATE = 8000
@@ -126,29 +128,27 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
         fh.write(hdr + body)
 
 
-def resample(w: Waveform, target: int = TARGET_RATE) -> Waveform:
-    """Band-limited resampling to ``target`` Hz (J. O. Smith, *Digital Audio
-    Resampling*).
+def resample(w: Waveform) -> Waveform:
+    """Band-limited resampling to ``TARGET_RATE`` (J. O. Smith, *Digital
+    Audio Resampling*); ``read_wav`` bounds the source rate.
 
-    Output sample k lies at input position t = k * rate / target. It is the
-    sum of the input samples within ``SINC_ZEROS`` zero crossings of t,
-    each weighted by a Kaiser-windowed sinc evaluated at its fractional
+    Output sample k lies at input position t = k * rate / TARGET_RATE. It
+    is the sum of the input samples within ``SINC_ZEROS`` zero crossings of
+    t, each weighted by a Kaiser-windowed sinc evaluated at its fractional
     distance from t. The sinc's cutoff is the lower of the two Nyquist
     frequencies, so downsampling removes content above the target's
     instead of aliasing it into the band. Each output's weights sum to one
-    (unit gain at 0 Hz), and the input is zero beyond its ends. Equal rates
-    return a copy.
+    (unit gain at 0 Hz), and the input is zero beyond its ends. A
+    ``TARGET_RATE`` source is returned as it is.
     """
-    if w.sample_rate < MIN_RATE:
-        raise UsageError(f"source rate must be >= {MIN_RATE} Hz, got {w.sample_rate}")
-    if w.sample_rate == target:
-        return Waveform(w.samples.copy(), target)
-    g = np.gcd(w.sample_rate, target)
-    up, down = target // g, w.sample_rate // g  # output k sits at k * down / up
+    if w.sample_rate == TARGET_RATE:
+        return w
+    g = np.gcd(w.sample_rate, TARGET_RATE)
+    up, down = TARGET_RATE // g, w.sample_rate // g  # output k at k * down / up
     half = SINC_ZEROS * max(down / up, 1.0)     # kernel half-width, input samples
     reach = np.arange(-int(half), int(half) + 2)
     x = np.pad(w.samples, len(reach))
-    out = np.empty(int(round(len(w.samples) * target / w.sample_rate)))
+    out = np.empty(int(round(len(w.samples) * TARGET_RATE / w.sample_rate)))
     rows = max(1, RESAMPLE_VALUES // len(reach))
     taps_for = None  # the phases the current taps were computed for
     for start in range(0, len(out), rows):
@@ -165,7 +165,7 @@ def resample(w: Waveform, target: int = TARGET_RATE) -> Waveform:
             taps /= taps.sum(axis=1, keepdims=True)
             taps_for = used
         out[k] = (x[base[:, None] + reach + len(reach)] * taps[row]).sum(axis=1)
-    return Waveform(out, target)
+    return Waveform(out, TARGET_RATE)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -177,9 +177,6 @@ def stft(w: Waveform) -> np.ndarray:
     """``frames x (FRAME_LENGTH // 2 + 1)`` magnitude spectrogram over
     Hann-windowed frames (no padding)."""
     x = np.asarray(w.samples, dtype=np.float64)
-    if len(x) < FRAME_LENGTH:
-        raise UsageError(
-            f"signal of {len(x)} samples is shorter than one {FRAME_LENGTH}-sample frame")
     n_frames = (len(x) - FRAME_LENGTH) // HOP + 1
     window = hann_window(FRAME_LENGTH)
     idx = np.arange(FRAME_LENGTH)[None, :] + HOP * np.arange(n_frames)[:, None]
@@ -245,8 +242,7 @@ def embed_audio(w: Waveform | None) -> np.ndarray | None:
     absent or shorter than one analysis frame."""
     if w is None or len(w.samples) == 0:
         return None
-    if w.sample_rate != TARGET_RATE:
-        w = resample(w, TARGET_RATE)
+    w = resample(w)
     if len(w.samples) < FRAME_LENGTH:
         return None
     return mfcc(mel_energies(stft(w), mel_filterbank())).mean(axis=0)

@@ -4,17 +4,15 @@ The object maps each key (``<id>/feature``, and ``<id>/scores`` after
 ``fuse``) to its list of float64 values. Python writes each float as its
 shortest repr, which reads back to the same float64, so a round-trip is
 bit-exact. Writes sort the keys, so identical content produces identical
-bytes, and replace the file whole (``files.write_json``). Reading returns
-1-D float64 arrays; text that is not UTF-8 or not JSON or nests too deep, a
-top level that is not an object, a repeated key and a value that is not a
-list of finite numbers a float64 can hold are ingestion faults naming the
-file, and the key where there is one.
+bytes, and replace the file whole (``files.write_json``). Reading parses
+through ``files.read_json``, which owns the faults of the text, and returns
+1-D float64 arrays; a top level that is not an object and a value that is
+not a list of finite numbers a float64 can hold are ingestion faults naming
+the file, and the key where there is one. ``update_cache`` merges into a
+cache that exists.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -42,19 +40,7 @@ def _floats(value) -> np.ndarray | None:
 
 
 def read_cache(path) -> dict[str, np.ndarray]:
-    def unique(pairs):
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                raise IngestionError(f"{path}: repeats key {key!r}")
-            out[key] = value
-        return out
-
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"),
-                          object_pairs_hook=unique)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise IngestionError(f"{path}: cannot read cache: {exc}") from None
+    data = files.read_json(path, "cache")
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: cache must be a JSON object")
     out = {}
@@ -67,10 +53,7 @@ def read_cache(path) -> dict[str, np.ndarray]:
 
 
 def update_cache(path, new_entries: dict[str, np.ndarray]) -> None:
-    """Merge entries into an existing cache file (or create it)."""
-    try:
-        current = read_cache(path)
-    except FileNotFoundError:
-        current = {}
+    """Merge entries into an existing cache file."""
+    current = read_cache(path)
     current.update(new_entries)
     write_cache(path, current)

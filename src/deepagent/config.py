@@ -3,8 +3,10 @@
 Resolution order: built-in defaults, then the JSON config file named by
 ``--config``, then command-line flags; no environment variable takes part.
 A config file must be valid on its own; its read, key, type and bound errors
-name the file. Each bounded key declares its bound once, on its field, as
-the text its fault shows; ``validate`` checks every field against it.
+name the file, and a ``files.read_json`` fault (a repeated key, say) exits
+1 as a configuration error. Each bounded key declares its bound once, on
+its field, as the text its fault shows; ``validate`` checks every field
+against it.
 Adam's decay rates and epsilon are the constants of ``nn.optim.Adam`` and
 both agents' early-stopping and rate schedule the ``agents`` constants
 ``STOP_PATIENCE``, ``LR_PATIENCE`` and ``LR_FACTOR``, not config keys, and a record's split is
@@ -13,12 +15,12 @@ manifest data (``fixtures.assign_splits``), not config.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from deepagent.errors import ConfigurationError
+from deepagent import files
+from deepagent.errors import ConfigurationError, IngestionError
 
 
 def _key(default, bound: str):
@@ -118,11 +120,11 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
         p = Path(path)
-        try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:  # unreadable or bad JSON
-            raise ConfigurationError(f"cannot read config {p}: {exc}") from exc
         # the file must be valid on its own, so its faults can name it
+        try:
+            data = files.read_json(p, "config")
+        except IngestionError as exc:  # a config fault, not an input's
+            raise ConfigurationError(f"config {exc}") from None
         try:
             if not isinstance(data, dict):
                 raise ConfigurationError("must be a JSON object")

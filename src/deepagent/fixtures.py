@@ -14,11 +14,11 @@ function of the seed: same call, byte-identical files.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from deepagent import files
 from deepagent.audio import write_wav
 from deepagent.errors import IngestionError, UsageError
 from deepagent.vision import save_frame
@@ -174,6 +174,5 @@ def gen_fixtures(out_dir, n_samples: int, artifact_strength: float,
         })
 
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    files.write_json(manifest_path, entries)
     return manifest_path

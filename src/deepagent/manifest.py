@@ -9,10 +9,10 @@ up front and reports every violation at once, before any compute starts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from deepagent import files
 from deepagent.errors import IngestionError
 
 SPLITS = ("train", "val", "test")
@@ -37,10 +37,7 @@ def is_label(value) -> bool:
 def load_manifest(path) -> list[SampleRecord]:
     """Parse and validate a manifest; paths resolve against its directory."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable or bad JSON
-        raise IngestionError(f"{path}: cannot read manifest: {exc}") from exc
+    raw = files.read_json(path, "manifest")
     if not isinstance(raw, list):
         raise IngestionError(f"{path}: manifest must be a JSON array")
     if not raw:

@@ -9,12 +9,13 @@ frame source: ``train agent1`` hands the train and val splits to the agent
 as ``FrameSet``s, and ``score_samples``, shared by ``predict`` and
 ``fuse``, scores one ``FrameSet`` of every video's frames. Each is read from
 disk one batch or ``agents.forward_rows`` slice at a time, so no command
-holds more than one batch of frames.
+holds more than one batch of frames. Input rules are checked where the
+input is read, once: ``load_manifest`` gives every record a frame, and
+``files.read_json`` owns the faults of the scores and fold-report text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -56,8 +57,6 @@ class FrameSet:
                  size: int):
         paths, labels, counts = [], [], []
         for record in records:
-            if not record.frames:
-                raise UsageError(f"{record.id}: sample has no frames")
             chosen = select_frame_indices(len(record.frames), config)
             paths += [record.frames[i] for i in chosen]
             labels += [record.label] * len(chosen)
@@ -241,10 +240,7 @@ def _number(value, low=-math.inf, high=math.inf) -> bool:
 def _load_rows(path, problem) -> list[dict]:
     """The JSON array of objects in ``path``; ``problem(row)`` names what is
     wrong with one row, or returns None."""
-    try:
-        rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise IngestionError(f"{path}: cannot read rows: {exc}") from None
+    rows = files.read_json(path, "rows")
     if not isinstance(rows, list):
         raise IngestionError(f"{path}: must be a JSON array of rows")
     for i, row in enumerate(rows):

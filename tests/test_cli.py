@@ -777,6 +777,7 @@ class TestFailureModes:
         assert f"{empty}: fold report holds no rows" in error["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
 
+    @pytest.mark.parametrize("body", ["deep", "repeated-key"])
     @pytest.mark.parametrize("flag, code, kind", [
         ("--manifest", 2, "IngestionError"),
         ("--config", 1, "ConfigurationError"),
@@ -784,21 +785,36 @@ class TestFailureModes:
         ("--fold-report", 2, "IngestionError"),
     ])
     def test_deeply_nested_json_exits_naming_the_file(self, tmp_path, capsys,
-                                                      flag, code, kind):
-        # json.loads raises RecursionError, not ValueError, past its depth limit
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000 + "]" * 100_000)
+                                                      flag, code, kind, body):
+        # json.loads raises RecursionError, not ValueError, past its depth
+        # limit, and keeps the last of a repeated key's values; each body
+        # below is valid but for its repeated key (the manifest's record
+        # would read as fake)
+        key, text = {
+            "--manifest": ("label", '[{"id": "v0", "label": 0, "frames": ["f.pgm"],'
+                                    ' "split": "train", "label": 1}]'),
+            "--config": ("seed", '{"seed": 1, "seed": 2}'),
+            "--scores": ("label", '[{"id": "v0", "label": 0, "split": "test",'
+                                  ' "agent1": 0.5, "agent2": 0.5, "label": 1}]'),
+            "--fold-report": ("f1", '[{"fold": "mean", "accuracy": 0.5, "precision": 0.5,'
+                                    ' "recall": 0.5, "f1": 0.5, "auc": 0.5, "f1": 1.0}]'),
+        }[flag] if body == "repeated-key" else (None, "[" * 100_000 + "]" * 100_000)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        (tmp_path / "f.pgm").write_bytes(b"")
         out = str(tmp_path / "out.json")
-        argv = {"--manifest": ["extract", "--manifest", str(deep), "--out", out],
-                "--config": ["train", "agent1", "--manifest", str(deep),
-                             "--config", str(deep), "--out", out],
-                "--scores": ["evaluate", "--scores", str(deep), "--split", "all",
+        argv = {"--manifest": ["extract", "--manifest", str(bad), "--out", out],
+                "--config": ["train", "agent1", "--manifest", str(bad),
+                             "--config", str(bad), "--out", out],
+                "--scores": ["evaluate", "--scores", str(bad), "--split", "all",
                              "--out", out],
-                "--fold-report": ["report", "--fold-report", str(deep)]}[flag]
+                "--fold-report": ["report", "--fold-report", str(bad)]}[flag]
         assert main(argv) == code
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["kind"] == kind and str(deep) in error["message"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+        assert error["kind"] == kind and str(bad) in error["message"]
+        if key is not None:
+            assert f"{bad}: repeats key '{key}'" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "f.pgm"]
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_failed_replace_keeps_previous_artifact(self, workspace, tmp_path,

@@ -40,6 +40,9 @@ package module but ``nn/layers.py`` and ``nn/checkpoint.py`` names a
 ``KIND_*`` code, so the rules a record's values must meet live in the one
 checkpoint loader.
 
+No package module but ``files.py`` calls ``json.load`` or ``json.loads``,
+so every JSON input meets the same read, depth and repeated-key rules.
+
 Every layer with its own backward, and every head in ``nn/losses.py`` (a
 function of ``(logits, targets)``), is in the acceptance gradient suite, so
 no gradient that training runs goes unchecked by finite differences.
@@ -387,6 +390,31 @@ def test_only_the_layers_and_the_checkpoint_name_a_record_kind():
             named += [f"{where}:{n} {name}" for n, line in enumerate(lines, 1)
                       for name in re.findall(r"\bKIND_\w+", line)]
     assert named == [], f"record kinds named outside {sorted(KIND_OWNERS)}: {named}"
+
+
+def json_parses():
+    """``file:line name`` per package use of ``json.load`` or
+    ``json.loads``, as an attribute or imported from ``json``."""
+    uses = []
+    for path, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            uses += [f"{path.relative_to(SRC).as_posix()}:{node.lineno} {name}"
+                     for name in names if name in ("load", "loads")]
+    return uses
+
+
+def test_only_files_parses_json():
+    # files.read_json owns the faults of every JSON input: unreadable,
+    # not UTF-8, not JSON, too deep, or a repeated key
+    uses = [use for use in json_parses() if not use.startswith("files.py:")]
+    assert uses == [], f"JSON parsed outside files.read_json: {uses}"
 
 
 def _config_defaults(obj, prefix=""):
