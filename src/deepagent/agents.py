@@ -336,8 +336,8 @@ def save_agent(model: Agent, path) -> None:
 def load_agent(path, kind: int | None = None) -> Agent:
     """Rebuild Agent-1 or Agent-2 from a checkpoint as a float64 net; the
     header's ``dtype_bits`` sets only the width the records were stored at.
-    ``ckpt.load_checkpoint`` checks the file's structure in full before the
-    net is built from the header, then streams the records into the net.
+    ``ckpt.load_checkpoint`` reads the file in one pass: it checks the
+    header, builds the net from it, then streams the records into the net.
     Given ``kind`` (1 or 2), a checkpoint of the other agent raises a
     ConfigurationError naming the path and its flag, ``--agent<kind>``."""
     model = None

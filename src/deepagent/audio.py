@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deepagent.errors import ConfigurationError, IngestionError
+from deepagent.errors import IngestionError
 
 TARGET_RATE = 16000
 MIN_RATE = 8000
@@ -212,13 +212,10 @@ def mel_filterbank() -> np.ndarray:
     return weights
 
 
-def mel_energies(magnitudes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-frame filterbank energies: weighted sums of the power spectrum."""
-    if weights.shape[1] != magnitudes.shape[1]:
-        raise ConfigurationError(
-            f"filterbank has {weights.shape[1]} bins, spectrogram has "
-            f"{magnitudes.shape[1]}")
-    return magnitudes ** 2 @ weights.T
+def mel_energies(magnitudes: np.ndarray) -> np.ndarray:
+    """Per-frame ``mel_filterbank`` energies: weighted sums of the power
+    spectrum of ``stft``'s magnitudes."""
+    return magnitudes ** 2 @ mel_filterbank().T
 
 
 def mfcc(energies: np.ndarray) -> np.ndarray:
@@ -245,4 +242,4 @@ def embed_audio(w: Waveform | None) -> np.ndarray | None:
     w = resample(w)
     if len(w.samples) < FRAME_LENGTH:
         return None
-    return mfcc(mel_energies(stft(w), mel_filterbank())).mean(axis=0)
+    return mfcc(mel_energies(stft(w))).mean(axis=0)

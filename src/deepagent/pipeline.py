@@ -185,13 +185,21 @@ def score_samples(records, agent1_model, agent2_model, cache_entries,
     without repeating the flag. Every video's frames form one ``FrameSet``,
     scored in ``agents.forward_rows`` slices, so memory is set by one slice;
     ``ends`` splits the frame scores back into videos. Agent-2 scores the
-    stacked N x 14 features.
+    stacked N x 14 features. Finite weights can still overflow, so a score
+    that is not finite raises FloatingPointError (exit 3) naming the agent
+    and the sample.
     """
     X = _feature_matrix(cache_entries, records, cache_path)
     frames = FrameSet(records, config, agent1_model.input_size)
     probs = agents.predict_frames(agent1_model, frames)
     agent1 = [agents.score_video(p) for p in np.split(probs, frames.ends)[:-1]]
-    return np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
+    scores = np.column_stack([agent1, agents.predict_agent2(agent2_model, X)])
+    bad = np.argwhere(~np.isfinite(scores))
+    if len(bad):
+        row, col = bad[0]
+        raise FloatingPointError(f"agent{col + 1} scores sample {records[row].id!r} "
+                                 f"as {scores[row, col]}, not a finite score")
+    return scores
 
 
 def _score(records, config, agent1_path, agent2_path, cache_path) -> np.ndarray:

@@ -519,6 +519,39 @@ class TestPredictAgent2:
                             rtol=0, atol=1e-12)
 
 
+def logged_reads(monkeypatch):
+    """Make ``nn.checkpoint`` open files through a wrapper that logs each
+    ``read`` as (offset, bytes returned) and fails on ``seek``; return the
+    log."""
+    reads = []
+
+    class LoggedFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def read(self, size):
+            at = self.fh.tell()
+            data = self.fh.read(size)
+            reads.append((at, len(data)))
+            return data
+
+        def seek(self, *args):
+            raise AssertionError("a checkpoint load seeks")
+
+    monkeypatch.setattr(ckpt, "open", lambda *args: LoggedFile(open(*args)),
+                        raising=False)
+    return reads
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("build, sha256", [
         (lambda: agents.build_agent1(1, input_size=64),
@@ -552,7 +585,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("fault, kind, error", [
         (None, None, None),
-        ("trailing", None, IngestionError),  # found in the structural pass
+        ("trailing", None, IngestionError),  # found after the last record
         ("nan", None, IngestionError),       # found in record 3 of 10, mid-stream
         (None, 1, ConfigurationError),       # an Agent-2 file given as Agent-1
     ])
@@ -578,6 +611,34 @@ class TestCheckpoints:
                 agents.load_agent(path, kind=kind)
         assert len(opened) == 1 and opened[0].closed
 
+    @pytest.mark.parametrize("build", [
+        lambda seed: agents.build_agent1(seed, input_size=32), agents.build_agent2,
+    ], ids=["agent1", "agent2"])
+    def test_a_load_reads_every_byte_once_in_order(self, tmp_path, monkeypatch, build):
+        model = build(1)
+        path = tmp_path / "agent.damc"
+        agents.save_agent(model, path)
+        reads = logged_reads(monkeypatch)
+        back, copied = build(2), []
+
+        class Logged(np.ndarray):
+            """A target view that logs each array copied into it."""
+            def __setitem__(self, key, value):
+                copied.append(value)
+                super().__setitem__(key, value)
+
+        ckpt.load_checkpoint(path, lambda header: [
+            (kind, target.view(Logged)) for kind, target in back.net.state()])
+        # one forward pass: each read starts where the last ended, with no seek
+        ends = np.cumsum([0] + [size for _, size in reads])
+        assert [at for at, _ in reads] == list(ends[:-1])
+        assert ends[-1] == path.stat().st_size
+        for (_, a), (_, b) in zip(model.net.state(), back.net.state()):
+            assert a.tobytes() == b.tobytes()
+        # each record is a read-only view of its own payload bytes, not a copy
+        assert len(copied) == len(model.net.state())
+        assert not any(arr.flags.owndata or arr.flags.writeable for arr in copied)
+
     def test_a_mismatched_record_is_rejected_before_its_payload_is_read(
             self, tmp_path, monkeypatch):
         # record 2 of an Agent-2 checkpoint, the input sigma, stored as a bias
@@ -586,19 +647,14 @@ class TestCheckpoints:
         path = tmp_path / "kind.damc"
         ckpt.save_checkpoint(path, state, model_kind=ckpt.MODEL_AGENT2,
                              input_size=14, dtype_bits=64)
-        read, arrays, array = [], [], ckpt.Reader.array
-
-        def counted(reader, dims, width, idx):
-            read.append(f"record {idx}")
-            arrays.append(array(reader, dims, width, idx))
-            return arrays[-1]
-        monkeypatch.setattr(ckpt.Reader, "array", counted)
+        reads = logged_reads(monkeypatch)
         with pytest.raises(IngestionError, match="kind.damc: record 2: expected kind "
                                                  f"{ckpt.KIND_STD_SIGMA} shape"):
             agents.load_agent(path)
-        assert read == ["record 0", "record 1"]
-        # each record is a read-only view of its own payload bytes, not a copy
-        assert not any(arr.flags.owndata or arr.flags.writeable for arr in arrays)
+        # the file header, record 0 (3 values), record 1 (14 values), then
+        # record 2's kind, rank and one dim: its payload is never read
+        at, size = reads[-1]
+        assert at + size == 12 + (12 + 3 * 8) + (12 + 14 * 8) + 12
 
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)

@@ -228,6 +228,16 @@ def cached_value_as(workspace, dst, literal):
 DAMC_META = 24
 
 
+def mean_only_damc(path, dims):
+    """Write an Agent-2 DAMC file whose record count says 11 but which holds
+    only the metadata and a record 1 (the input mean) of ``dims`` over 16
+    payload bytes; return the path and the byte its payload starts at."""
+    meta = struct.pack("<III", 0, 1, 3) + struct.pack("<3d", 2.0, 14.0, 64.0)
+    record = struct.pack(f"<{2 + len(dims)}I", ckpt.KIND_STD_MU, len(dims), *dims)
+    path.write_bytes(b"DAMC" + struct.pack("<II", 1, 11) + meta + record + bytes(16))
+    return path, 12 + len(meta) + len(record)
+
+
 class TestFailureModes:
     # an Agent-2 checkpoint holds mu, sigma and four dense layers: 10 records
     def test_checkpoint_missing_record_exits_2(self, workspace, tmp_path, capsys):
@@ -347,6 +357,31 @@ class TestFailureModes:
         assert ("bits.damc: record 0: dtype_bits must be 32 or 64, got 12"
                 in error["message"])
 
+    # the overflow itself warns; the test is that no NaN score is written
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["predict", "fuse"])
+    def test_finite_weights_that_overflow_exit_3_writing_nothing(
+            self, workspace, tmp_path, capsys, command):
+        # every Agent-2 dense weight is +-1e300: finite, so the load passes
+        model, rng = agents.build_agent2(1), np.random.default_rng(0)
+        for kind, weights in model.net.state():
+            if kind == ckpt.KIND_DENSE_W:
+                weights[...] = np.where(rng.random(weights.shape) < 0.5, 1e300, -1e300)
+        huge = tmp_path / "huge.damc"
+        agents.save_agent(model, huge)
+        cache = tmp_path / "cache.json"
+        cache.write_bytes(workspace["cache"].read_bytes())
+        out = tmp_path / "out.json"
+        code = main([command, "--manifest", str(workspace["manifest"]),
+                     "--agent1", str(workspace["a1"]), "--agent2", str(huge),
+                     "--cache", str(cache), "--out", str(out)])
+        error = json.loads(capsys.readouterr().err)["error"]
+        first = json.loads(workspace["manifest"].read_text())[0]["id"]
+        assert code == 3 and error["kind"] == "FloatingPointError"
+        assert f"agent2 scores sample {first!r} as nan" in error["message"]
+        assert not out.exists()
+        assert cache.read_bytes() == workspace["cache"].read_bytes()
+
     def test_cache_key_not_utf8_exits_2(self, workspace, tmp_path, capsys):
         # the first key's first character becomes a byte no UTF-8 text holds
         def patch(blob):
@@ -370,20 +405,21 @@ class TestFailureModes:
         assert "twice.json: repeats key 'a/feature'" in error["message"]
 
     def test_checkpoint_trailing_bytes_exit_2(self, workspace, tmp_path, capsys):
-        # the file's structure is checked before the net is built, so the
-        # trailing bytes are named first even when record 1 (the input mean)
-        # is also a value short
+        # the file is read in one pass, so when record 1 (the input mean) is
+        # also a value short, its shape is named before the trailing bytes
         short = tmp_path / "short_mu.damc"
         rewrite_checkpoint(workspace["a2"], short, lambda records: [
             (records[0][0], records[0][1][:-1])] + records[1:])
-        for src in (workspace["a2"], short):
+        for src, fault in [
+                (workspace["a2"], "22 bytes of trailing data at byte {end}"),
+                (short, f"record 1: expected kind {ckpt.KIND_STD_MU} shape (14,), "
+                        f"found kind {ckpt.KIND_STD_MU} shape (13,)")]:
             end = src.stat().st_size
             bad = patched_copy(src, tmp_path / "long.damc",
                                lambda blob: blob.extend(bytes(22)))
             code, error = predict_error(workspace, bad, capsys)
             assert code == 2 and error["kind"] == "IngestionError"
-            assert (f"long.damc: 22 bytes of trailing data at byte {end}"
-                    in error["message"])
+            assert f"long.damc: {fault.format(end=end)}" in error["message"]
 
     @pytest.mark.parametrize("entries", [{}, {"a/feature": np.zeros(14)}],
                              ids=["no-entries", "one-entry"])
@@ -417,14 +453,19 @@ class TestFailureModes:
 
     def test_checkpoint_record_dims_overflowing_int64_exit_2(self, workspace, tmp_path,
                                                              capsys):
-        meta = struct.pack("<III", 0, 1, 3) + struct.pack("<3d", 2.0, 14.0, 64.0)
-        record = struct.pack("<IIII", ckpt.KIND_STD_MU, 2, 2**32 - 1, 2**32 - 1)
-        bad = tmp_path / "huge.damc"
-        bad.write_bytes(b"DAMC" + struct.pack("<II", 1, 2) + meta + record + bytes(16))
-        at = 12 + len(meta) + len(record)
+        # dims are checked against the net before any payload byte is read
+        bad, _ = mean_only_damc(tmp_path / "huge.damc", (2**32 - 1, 2**32 - 1))
         code, error = predict_error(workspace, bad, capsys)
         assert code == 2 and error["kind"] == "IngestionError"
-        assert f"huge.damc: truncated payload at byte {at}" in error["message"]
+        assert (f"huge.damc: record 1: expected kind {ckpt.KIND_STD_MU} shape (14,), "
+                f"found kind {ckpt.KIND_STD_MU} shape (4294967295, 4294967295)"
+                in error["message"])
+
+    def test_checkpoint_payload_cut_short_exit_2(self, workspace, tmp_path, capsys):
+        bad, at = mean_only_damc(tmp_path / "cut.damc", (14,))
+        code, error = predict_error(workspace, bad, capsys)
+        assert code == 2 and error["kind"] == "IngestionError"
+        assert f"cut.damc: truncated payload at byte {at}" in error["message"]
 
     def test_checkpoint_metadata_not_whole_numbers_exits_2(self, workspace, tmp_path,
                                                            capsys):

@@ -26,9 +26,8 @@ Loading a checkpoint streams it into the built net:
 copies it once, into the net, before it reads the next, so
 ``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px Agent-1
 stays within the net's state, the largest record's bytes and
-``LOAD_SLACK_MIB``. ``nn.checkpoint.Reader.array`` reads a payload as a
-read-only view of its own bytes, not a copy (``test_agents.py`` checks
-each record it returns).
+``LOAD_SLACK_MIB``. It reads a payload as a read-only view of its own
+bytes, not a copy (``test_agents.py`` checks each record it copies in).
 
 Scoring reads its frames one ``agents.forward_rows`` slice at a time, and
 ``agents.logits`` drops each slice before it reads the next, so
