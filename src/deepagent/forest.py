@@ -205,22 +205,20 @@ def train_forest(Z: np.ndarray, y: np.ndarray, *, n_trees: int,
 
 def predict_forest_batch(model: ForestModel, Z: np.ndarray):
     """(vote-fraction probabilities, labels) per row of Z; a label is 1 iff
-    its probability is >= 0.5. Each tree routes row-index sets down its
-    branches in one pass."""
+    its probability is >= 0.5. Each row walks down each tree from its root
+    to the leaf that votes for it."""
     if not model.trees:
         raise UsageError("forest has no trained trees")
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    votes = np.zeros(len(Z), dtype=int)
-    for tree in model.trees:
-        stack = [(tree.root, np.arange(len(Z)))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                votes[rows] += node.vote
-                continue
-            left = Z[rows, node.feature] <= node.threshold
-            stack += [(node.left, rows[left]), (node.right, rows[~left])]
-    probs = votes / len(model.trees)
+    votes = []
+    for z in np.atleast_2d(np.asarray(Z, dtype=float)).tolist():
+        vote = 0
+        for tree in model.trees:
+            node = tree.root
+            while node.vote < 0:
+                node = node.left if z[node.feature] <= node.threshold else node.right
+            vote += node.vote
+        votes.append(vote)
+    probs = np.array(votes, dtype=int) / len(model.trees)
     return probs, decide(probs).astype(int)
 
 

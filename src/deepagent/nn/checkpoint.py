@@ -15,8 +15,8 @@ its framing: ``save_checkpoint`` writes it and ``load_checkpoint``, the
 one loader, reads it front to back in one pass over one open file handle.
 It checks the magic, the version and the metadata, builds the targets the
 records load into and checks the record count against them. Each record's
-kind and dims must then match its target before any of its payload bytes
-are read; the payload is read, checked and copied in before the next
+rank must then match its target's before any of its dims are read, and its
+kind and dims before any of its payload bytes are read; the payload is read, checked and copied in before the next
 record is read, so a load never holds more than one record's bytes beside
 its targets. A payload that runs past the end of the file fails as a
 truncated payload, and bytes after the last record fail naming the byte
@@ -89,9 +89,12 @@ def load_checkpoint(path, build) -> dict:
         def u32() -> int:
             return struct.unpack("<I", take(4))[0]
 
-        def head() -> tuple[int, tuple[int, ...]]:
-            """A record's kind code, then a u32 rank and that many u32 dims."""
-            return u32(), tuple(u32() for _ in range(u32()))
+        def head(ndim: int) -> tuple[int, int, tuple[int, ...]]:
+            """A record's kind code and u32 rank, then that many u32 dims,
+            but none when the rank is not its target's ``ndim``: that rank
+            is already a mismatch, whatever dims follow."""
+            kind, rank = u32(), u32()
+            return kind, rank, tuple(u32() for _ in range(rank if rank == ndim else 0))
 
         if size < 4 or take(4) != MAGIC:
             raise IngestionError(f"{path}: not a DAMC checkpoint (bad magic at byte 0)")
@@ -102,7 +105,7 @@ def load_checkpoint(path, build) -> dict:
         if count == 0:
             raise IngestionError(f"{path}: record count 0: no metadata record")
         meta = (np.frombuffer(take(24, "payload"), dtype="<f8")
-                if head() == (KIND_META, (3,)) else None)
+                if head(1) == (KIND_META, 1, (3,)) else None)
         if meta is None or not np.isfinite(meta).all() or (meta != np.round(meta)).any():
             raise IngestionError(
                 f"{path}: record 0: metadata must be three whole numbers")
@@ -128,11 +131,12 @@ def load_checkpoint(path, build) -> dict:
                 f"{path}: record {min(count - 1, len(state)) + 1}: expected "
                 f"{len(state)} records after the metadata, found {count - 1}")
         for idx, (kind, target) in enumerate(state, 1):
-            found, dims = head()
+            found, rank, dims = head(target.ndim)
             if found != kind or dims != target.shape:
                 raise IngestionError(
                     f"{path}: record {idx}: expected kind {kind} shape {target.shape}, "
-                    f"found kind {found} shape {dims}")
+                    f"found kind {found} "
+                    + (f"shape {dims}" if rank == target.ndim else f"rank {rank}"))
             # a read-only view of the record's own payload bytes, not a copy
             arr = np.frombuffer(take(target.size * width, "payload"),
                                 dtype=f"<f{width}").reshape(dims)

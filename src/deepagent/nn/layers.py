@@ -15,9 +15,11 @@ arXiv:1603.07285). Each ``forward`` takes its output size from
 Conv's forward, in both modes and either dtype, copies its windows into an
 im2col matrix one band of at most ``BAND_BYTES`` at a time, and each band's
 GEMM writes its slice of the output (Chetlur et al., arXiv:1410.0759).
-Train mode caches the padded input, and backward lowers it again, whole,
-for the kernel gradient: recompute instead of store (Chen et al.,
-arXiv:1604.06174).
+Train mode caches the padded input, and backward lowers it again band by
+band, over the forward's bands: each band adds its share of the kernel
+gradient and folds its window gradients into the input gradient, so no
+pass holds more than a band of the matrix or of its gradient: recompute
+instead of store (Chen et al., arXiv:1604.06174).
 
 Each layer lists its persistent arrays once, in ``STATE``, paired with their
 checkpoint kind codes; trainable parameters, checkpoints and weight
@@ -39,7 +41,7 @@ import numpy as np
 from deepagent.errors import ConfigurationError, UsageError
 from deepagent.nn import checkpoint as ckpt
 
-# window bytes per im2col band of a Conv2D forward, in either dtype
+# window bytes per im2col band of a Conv2D forward or backward, in either dtype
 BAND_BYTES = 2 ** 20
 
 
@@ -103,15 +105,15 @@ def _windows(x, k, s, oh, ow):
         strides=(sn, sh * s, sw * s, sh, sw, sc), writeable=False)
 
 
-def _fold(dwin, shape, s):
-    """Transpose of ``_windows``: an array of ``shape`` in which each input
-    position sums the (N, OH, OW, k, k, C) window gradients that read it."""
-    _, oh, ow, k, _, _ = dwin.shape
-    out = np.zeros(shape, dtype=dwin.dtype)
+def _fold(dwin, out, s):
+    """Transpose of ``_windows``: add the (..., OH, OW, k, k, C) window
+    gradients ``dwin`` onto ``out``, the (..., H, W, C) view whose first row
+    and column the first window starts at, so that each input position sums
+    the window gradients that read it, in (row, column) offset order."""
+    oh, ow, k = dwin.shape[-5:-2]
     for m in range(k):
         for q in range(k):
-            out[:, m:m + oh * s:s, q:q + ow * s:s, :] += dwin[:, :, :, m, q, :]
-    return out
+            out[..., m:m + oh * s:s, q:q + ow * s:s, :] += dwin[..., m, q, :]
 
 
 def _split(count, most):
@@ -204,20 +206,34 @@ class Conv2D(Layer):
 
     def backward(self, grad, input_grad=True):
         padded, (h, w) = self._take_cache()
-        n, oh, ow, _ = grad.shape
-        k, c = self.kernel_size, self.in_channels
-        gmat = grad.reshape(n * oh * ow, self.out_channels)
-        cols = _windows(padded, k, self.stride, oh, ow).reshape(n * oh * ow, k * k * c)
-        self.kernel.grad = (cols.T @ gmat).reshape(self.kernel.value.shape)
-        # dcols has the im2col copy's shape: freeing the copy first lets
-        # dcols take its memory instead of raising the step's peak
-        del cols
-        self.bias.grad = gmat.sum(axis=0)
+        n, oh, ow, oc = grad.shape
+        k, s, c = self.kernel_size, self.stride, self.in_channels
+        windows = _windows(padded, k, s, oh, ow)
+        kmat = self.kernel.value.reshape(k * k * c, oc)
+        dkernel = part = None
+        dx_pad = (np.zeros(padded.shape, dtype=np.result_type(grad, kmat))
+                  if input_grad else None)
+        # the forward's bands, last first: a row band's input rows overlap
+        # the next band's, and each position then sums its window gradients
+        # in the whole fold's order
+        for at in reversed(_bands(n, oh, ow * k * k * c, padded.itemsize)):
+            band = windows[at]
+            gband = grad[at].reshape(-1, oc)
+            cols = band.reshape(-1, k * k * c)
+            if dkernel is None:
+                dkernel = cols.T @ gband
+            else:
+                part = np.matmul(cols.T, gband, out=part)
+                dkernel += part
+            del cols
+            if input_grad:
+                # one sample's output rows lo:hi read its input rows from lo * s
+                into = dx_pad[at[0], at[1].start * s:] if len(at) == 2 else dx_pad[at]
+                _fold((gband @ kmat.T).reshape(band.shape), into, s)
+        self.kernel.grad = dkernel.reshape(self.kernel.value.shape)
+        self.bias.grad = grad.reshape(-1, oc).sum(axis=0)
         if not input_grad:
             return None
-        kmat = self.kernel.value.reshape(k * k * c, self.out_channels)
-        dcols = (gmat @ kmat.T).reshape(n, oh, ow, k, k, c)
-        dx_pad = _fold(dcols, padded.shape, self.stride)
         pt, pl = (padded.shape[1] - h) // 2, (padded.shape[2] - w) // 2
         return dx_pad[:, pt:pt + h, pl:pl + w, :]
 

@@ -1,6 +1,7 @@
 """Agent construction, training behavior, prediction, and checkpoints."""
 
 import hashlib
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -655,6 +656,28 @@ class TestCheckpoints:
         # record 2's kind, rank and one dim: its payload is never read
         at, size = reads[-1]
         assert at + size == 12 + (12 + 3 * 8) + (12 + 14 * 8) + 12
+
+    def test_a_corrupt_rank_is_rejected_before_any_dim_is_read(self, tmp_path,
+                                                                monkeypatch):
+        # a 224-px Agent-1 (16.6 MB) whose record 1, conv1's kernel, claims
+        # rank 2^32 - 1: reading that many dims would crawl through the rest
+        # of the file before it failed as truncated
+        path = tmp_path / "rank.damc"
+        agents.save_agent(agents.build_agent1(1, input_size=224), path)
+        blob = bytearray(path.read_bytes())
+        # after the file header, record 0 (3 values) and record 1's kind
+        struct.pack_into("<I", blob, 12 + (12 + 3 * 8) + 4, 2 ** 32 - 1)
+        path.write_bytes(blob)
+        reads = logged_reads(monkeypatch)
+        with pytest.raises(IngestionError) as raised:
+            agents.load_agent(path)
+        assert raised.value.exit_code == 2
+        assert (f"rank.damc: record 1: expected kind {ckpt.KIND_CONV_KERNEL} shape "
+                f"(11, 11, 3, 64), found kind {ckpt.KIND_CONV_KERNEL} rank 4294967295"
+                in str(raised.value))
+        # the file header, record 0, then record 1's kind and rank: no dim
+        at, size = reads[-1]
+        assert at + size == 12 + (12 + 3 * 8) + 8
 
     def test_agent1_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(89)

@@ -223,9 +223,12 @@ def tied_pool_inputs(rng, dtype):
 DTYPES = [np.float32, np.float64]
 
 
-def assert_epoch_matches_formula_layers(data_seed, model_seed, side, batch_size, dtype):
+def assert_epoch_matches_formula_layers(data_seed, model_seed, side, batch_size, dtype,
+                                        tol=None):
     """One Agent-1 epoch on 24 seeded frames gives the same history and
-    every state bit with the package layers and with oracles.py's."""
+    every state bit with the package layers and with oracles.py's; with
+    ``tol``, a (loss, state) pair, the losses agree to that relative
+    tolerance and every state value to that absolute one instead."""
     rng = np.random.default_rng(data_seed)
     frames = rng.random((24, side, side, 3))
     labels = np.array([0, 1] * 12)
@@ -234,10 +237,29 @@ def assert_epoch_matches_formula_layers(data_seed, model_seed, side, batch_size,
               for _ in range(2)]
     with_formula_layers(models[1])
     histories = [agents.train_agent1(m, frames, labels, config=cfg) for m in models]
-    assert histories[0] == histories[1]
+    if tol is None:
+        assert histories[0] == histories[1]
+    else:
+        assert len(histories[0]) == len(histories[1])
+        for got, want in zip(*histories):
+            assert got.pop("train_loss") == pytest.approx(want.pop("train_loss"),
+                                                          rel=tol[0])
+            assert got == want
     for (_, a), (_, b) in zip(models[0].net.state(), models[1].net.state()):
         assert a.dtype == b.dtype == dtype
-        assert a.tobytes() == b.tobytes()
+        if tol is None:
+            assert a.tobytes() == b.tobytes()
+        else:
+            npt.assert_allclose(a, b, rtol=0, atol=tol[1])
+
+
+def assert_close_to_max(got, want, rel):
+    """Every value of ``got`` within ``rel`` times the largest magnitude in
+    ``want`` of its counterpart there."""
+    assert got.dtype == want.dtype
+    gap = np.abs(got.astype(np.float64) - want).max()
+    assert gap <= rel * np.abs(want).max(), (gap, np.abs(want).max())
+
 
 # (batch, side, in channels, out channels, kernel, stride, padding) of a
 # conv whose forward takes several im2col bands, and the samples or output
@@ -252,11 +274,40 @@ BANDED_CONVS = {
                                       np.float64: ([3] * 8 + [2]) * 2}),
 }
 
+# (batch, side, in channels, out channels, kernel, stride, padding) of a
+# conv whose forward and backward each take one band in either dtype
+ONE_BAND_CONVS = {
+    "32x2-valid": (2, 32, 3, 64, 11, 4, "valid"),
+    "same-3x3": (4, 12, 16, 32, 3, 1, "same"),
+}
+
+# allowed gap, relative to the oracle's largest magnitude, of a banded
+# backward's kernel and input gradients: each band adds its share of the
+# kernel gradient's sum over output positions, so that sum rounds in
+# another order, and a band's input gradient GEMM may round its rows
+# differently from the whole product. On BANDED_CONVS, at one and at two
+# OpenBLAS threads, the kernel gradient reads at most 5.3e-7 (float32) and
+# 1.1e-15 (float64), and the input gradient 0 (float32) and 2.3e-16
+# (float64); a fold in first-band-first order reads 2.6e-7 for the float32
+# input gradient
+BANDED_GRAD_REL = {np.float32: 2e-6, np.float64: 5e-15}
+
+# allowed (relative train-loss, absolute state) gaps after one 64-px epoch
+# whose convs take several bands: it reads at most 7.5e-7 and 2.8e-5 in
+# float32, and 1.2e-16 and 9.8e-12 in float64, at one and at two OpenBLAS
+# threads. Adam normalizes each gradient, so a conv bias whose gradient
+# nearly cancels moves by a large share of its step (1e-4, the learning
+# rate) on a last-bit change of that gradient: the float32 state gap is
+# conv1's bias
+BANDED_EPOCH_TOL = {np.float32: (5e-6, 1e-4), np.float64: (1e-14, 1e-10)}
+
 
 class TestTrainPathsMatchFormulas:
     """The banded convolution, the train-mode max pool and batch norm give
     the same bits as the whole-matrix im2col convolution, the
-    argmax/one-hot pool and the textbook batch-norm formulas in oracles.py."""
+    argmax/one-hot pool and the textbook batch-norm formulas in oracles.py;
+    a backward over several bands gives the convolution's kernel and input
+    gradients within ``BANDED_GRAD_REL``."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("case", list(BANDED_CONVS))
@@ -276,6 +327,23 @@ class TestTrainPathsMatchFormulas:
         assert out.dtype == dtype
         assert out.tobytes() == want.forward(x, train=True).tobytes()
         assert got.forward(x).tobytes() == out.tobytes()
+        g = rng.normal(size=out.shape).astype(dtype)
+        assert_close_to_max(got.backward(g), want.backward(g), BANDED_GRAD_REL[dtype])
+        assert_close_to_max(got.kernel.grad, want.kernel.grad, BANDED_GRAD_REL[dtype])
+        assert got.bias.grad.tobytes() == want.bias.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", list(ONE_BAND_CONVS))
+    def test_one_band_conv_keeps_every_bit(self, case, dtype):
+        n, side, cin, cout, k, stride, padding = ONE_BAND_CONVS[case]
+        got, want = (cls(cin, cout, k, stride, padding, rng=np.random.default_rng(3),
+                         dtype=dtype) for cls in (Conv2D, Im2colConv2D))
+        rng = np.random.default_rng(59)
+        x = rng.normal(size=(n, side, side, cin)).astype(dtype)
+        oh = got.out_shape(x.shape[1:])[0]
+        assert len(layers._bands(n, oh, oh * k * k * cin, x.itemsize)) == 1
+        out = got.forward(x, train=True)
+        assert out.tobytes() == want.forward(x, train=True).tobytes()
         g = rng.normal(size=out.shape).astype(dtype)
         assert got.backward(g).tobytes() == want.backward(g).tobytes()
         for a, b in zip(got.params(), want.params()):
@@ -319,16 +387,18 @@ class TestTrainPathsMatchFormulas:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_one_training_epoch_keeps_every_weight_bit(self, dtype):
+        # at 32 px and batch 8 every conv's forward and backward take one band
         assert_epoch_matches_formula_layers(43, 5, 32, 8, dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_banded_training_epoch_keeps_every_weight_bit(self, dtype):
+    def test_banded_training_epoch_matches_within_tolerance(self, dtype):
         # at 64 px conv1's forward takes six sample groups of the batch of 16
         # and three of the last batch of 8 in float32, one band per sample
         # in float64
         bands = layers._bands(16, 14, 14 * 11 * 11 * 3, np.dtype(dtype).itemsize)
         assert len(bands) == {np.float32: 6, np.float64: 16}[dtype]
-        assert_epoch_matches_formula_layers(53, 7, 64, 16, dtype)
+        assert_epoch_matches_formula_layers(53, 7, 64, 16, dtype,
+                                            tol=BANDED_EPOCH_TOL[dtype])
 
 
 class TestBatchNorm:

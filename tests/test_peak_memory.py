@@ -37,7 +37,12 @@ Scoring reads its frames one ``agents.forward_rows`` slice at a time, and
 A convolution lowers its windows to a matrix one band of at most
 ``layers.BAND_BYTES`` at a time, so ``tracemalloc``'s peak during one
 224-px Agent-1 forward, in either dtype, stays within one band, the largest
-input plus output of a layer, and ``FORWARD_SLACK_MIB``.
+input plus output of a layer, and ``FORWARD_SLACK_MIB``. Its backward walks
+the same bands, lowering each again from the cached input, so the peak of
+one 224-px conv backward stays within two bands, the layer's input and
+output, its kernel gradient and one band's share of it, and
+``BACKWARD_SLACK_MIB``; and ``train agent1`` at the default 224-px geometry
+and batch 16 peaks under ``TRAIN_224_PEAK_MIB``.
 """
 
 import math
@@ -90,6 +95,20 @@ SLICE_SLACK_MIB = 0.25
 FORWARD_SLACK_MIB = 1.0
 
 
+# allowed allocation peak of a 224-px conv backward on two samples beyond
+# two im2col bands, the layer's input and output, and two kernel-sized
+# arrays: on Agent-1's conv1 and conv2 it reads -3.9 to -1.5 MiB in either
+# dtype, and 4.7 to 12.0 MiB when the backward lowers every window into one
+# matrix and forms the whole matrix's gradient
+BACKWARD_SLACK_MIB = 0.5
+
+# the peak RSS ``train agent1`` at 224 px and batch 16 must stay under,
+# with glibc's default mmap threshold: it reads about 165 MiB, and 233-243
+# MiB when each conv backward holds its whole im2col matrix and its
+# gradient
+TRAIN_224_PEAK_MIB = 200.0
+
+
 # runs its arguments as a command and prints the exit code and the peak
 # RSS in KiB (ru_maxrss on Linux) of that command alone
 LAUNCHER = """
@@ -100,9 +119,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def peak_rss_mib(args, work: Path) -> float:
+def peak_rss_mib(args, work: Path, fixed_mmap_threshold=True) -> float:
     """Peak RSS of ``deepagent ARGS`` run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), MALLOC_MMAP_THRESHOLD_="131072")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if fixed_mmap_threshold:
+        env["MALLOC_MMAP_THRESHOLD_"] = "131072"
     with open(work / "stderr.txt", "w+b") as err:
         out = subprocess.run(
             [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "deepagent",
@@ -224,3 +245,38 @@ def test_agent1_forward_peak_is_one_band_plus_activations(dtype):
         tracemalloc.stop()
     over_mib = (peak - layers.BAND_BYTES - activations * x.itemsize) / 2 ** 20
     assert over_mib <= FORWARD_SLACK_MIB, over_mib
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("index", [0, 1], ids=["conv1", "conv2"])
+def test_agent1_conv_backward_peak_is_two_bands_plus_its_arrays(index, dtype):
+    model = agents.build_agent1(3, input_size=224, dtype=dtype)
+    shape = (224, 224, 3)
+    convs = []
+    for layer in model.net.layers:
+        if isinstance(layer, layers.Conv2D):
+            convs.append((layer, shape))
+        shape = layer.out_shape(shape)
+    conv, shape = convs[index]
+    rng = np.random.default_rng(0)
+    x = rng.random((2, *shape)).astype(dtype)
+    out = conv.forward(x, train=True)
+    grad = rng.random(out.shape).astype(dtype)
+    tracemalloc.start()
+    try:
+        conv.backward(grad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = x.nbytes + out.nbytes + 2 * conv.kernel.value.nbytes
+    over_mib = (peak - 2 * layers.BAND_BYTES - arrays) / 2 ** 20
+    assert over_mib <= BACKWARD_SLACK_MIB, over_mib
+
+
+def test_train_agent1_at_224_peaks_under_the_target(tmp_path):
+    # ten videos put 16 frames in the train split: one batch of 16
+    manifest = gen_fixtures(tmp_path / "fx", 10, 1.0, 1.0, seed=1)
+    peak = peak_rss_mib(["train", "agent1", "--manifest", manifest,
+                         "--out", tmp_path / "agent1.damc", "--epochs", "1"],
+                        tmp_path, fixed_mmap_threshold=False)
+    assert peak < TRAIN_224_PEAK_MIB, peak

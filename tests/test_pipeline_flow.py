@@ -1,12 +1,17 @@
 """Pipeline helpers: frame selection, preprocessing, scoring and training
 glue."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import deepagent
 from deepagent import agents, pipeline
 from deepagent.config import load_config
 from deepagent.fixtures import gen_fixtures
@@ -14,6 +19,8 @@ from deepagent.manifest import SampleRecord, by_split, load_manifest
 from deepagent.nn.checkpoint import load_checkpoint
 from deepagent.nn.losses import softmax
 from deepagent.vision import save_frame
+
+SRC = Path(deepagent.__file__).resolve().parents[1]
 
 
 def write_frames(tmp_path, count, size=16, channels=3):
@@ -286,6 +293,33 @@ class TestAgent1StorageWidth:
             pipeline.score_samples(records, model, agent2, entries, cfg)
             for model in (narrow, wide))
         assert narrow_scores.tobytes() == wide_scores.tobytes()
+
+
+class TestPredictBytesAcrossBlasThreads:
+    """Inference bytes do not depend on the BLAS thread count: ``predict``
+    from one checkpoint writes the same ``scores.json`` with OpenBLAS on one
+    thread and on two. Agent-1 training does not have that property (its
+    conv backward's long reductions split differently), so no test claims
+    it."""
+
+    @pytest.mark.parametrize("size", [64, 224])
+    def test_predict_writes_the_same_bytes_at_one_and_two_threads(self, tmp_path, size):
+        manifest = gen_fixtures(tmp_path / "fx", 6, 1.0, 1.0, seed=3)
+        pipeline.run_extract(load_manifest(manifest), tmp_path / "cache.json")
+        agents.save_agent(agents.build_agent1(1, input_size=size), tmp_path / "a1.damc")
+        agents.save_agent(agents.build_agent2(1), tmp_path / "a2.damc")
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"scores_{threads}.json"
+            # the variable is set for the child alone
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "deepagent", "predict", "--manifest", str(manifest),
+                 "--agent1", str(tmp_path / "a1.damc"), "--agent2", str(tmp_path / "a2.damc"),
+                 "--cache", str(tmp_path / "cache.json"), "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL, check=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestRenderTable:
