@@ -219,14 +219,17 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
     casts it to the model dtype. ``encode`` turns labels into the head's
     targets. Each batch of the ``stream``-seeded shuffle runs a train-mode
     forward to the logits; ``head`` gives the loss and the logit gradient
-    that is backpropagated, and Adam applies and drops the step's gradients.
+    that is backpropagated, one Adam step fused into the backward: each
+    layer's gradients are applied and dropped as soon as its backward
+    returns.
     ``transform`` rewrites each batch first (augmentation).
     A net holding batch norm skips batches of fewer than two rows.
     A non-empty validation set is scored by ``logits`` after every epoch, in
-    slices of ``forward_rows(model)`` rows; a new best accuracy snapshots the
-    weights, stale epochs reduce the rate and stop early on the
-    ``LR_PATIENCE``/``STOP_PATIENCE`` schedule, and the best-validation
-    weights are restored. Without one, training runs the full epoch budget.
+    slices of ``forward_rows(model)`` rows; a new best accuracy copies the
+    weights into one snapshot, allocated at the first, stale epochs reduce
+    the rate and stop early on the ``LR_PATIENCE``/``STOP_PATIENCE``
+    schedule, and the best-validation weights are restored. Without one,
+    training runs the full epoch budget.
     """
     net = model.net
     targets = encode(labels)
@@ -253,8 +256,7 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
             loss, probs, grad = head(net.forward(batch, train=True), targets[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            net.backward(grad)
-            opt.step()
+            net.backward(grad, opt)
             losses.append(loss)
             correct += int((decide(probs[:, -1]) == labels[idx]).sum())
             seen += len(idx)
@@ -274,7 +276,10 @@ def _fit(model, X, labels, val_X, val_labels, cfg, head, encode, stream, *,
         row["val_acc"] = float((decide(probs[:, -1]) == val_labels).mean())
         if row["val_acc"] > best_acc:
             best_acc, stale = row["val_acc"], 0
-            best = [arr.copy() for _, arr in net.state()]
+            if best is None:
+                best = [np.empty_like(arr) for _, arr in net.state()]
+            for (_, arr), saved in zip(net.state(), best):
+                np.copyto(saved, arr)
             continue
         stale += 1
         if stale % LR_PATIENCE == 0:

@@ -4,8 +4,8 @@ Layers operate on batches only (``N x H x W x C`` for spatial layers,
 ``N x F`` for dense ones) and cache whatever backward needs, but only when
 ``train=True``; inference passes leave no state behind and are safe to run
 concurrently on frozen weights. Every backward takes its cache through
-``Layer._take_cache``, which drops it, so a step's cached activations are
-freed before the optimizer step, and raises a ``UsageError`` when no
+``Layer._take_cache``, which drops it, so each layer's cached activations
+are freed as the backward passes it, and raises a ``UsageError`` when no
 train-mode forward left one. Conv and max pooling share one window view,
 ``_windows``; conv's backward sums window gradients back onto the input
 positions they read through its transpose, ``_fold`` (Dumoulin & Visin,
@@ -31,7 +31,10 @@ this step (``Param.grad``, None between steps, read and dropped by
 ``input_grad=False`` a layer may skip forming it and return None;
 :class:`Sequential` asks this of its first layer that holds parameters and
 runs no backward below it, because nothing reads the gradient with respect
-to the network input.
+to the network input. Given an optimizer, ``Sequential.backward`` steps each
+layer's parameters as soon as that layer's backward returns, so a parameter
+gradient lives for one layer's update, and the net holds one layer's
+gradients at a time (Lv et al., arXiv:2306.09782).
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ BAND_BYTES = 2 ** 20
 
 
 class Param:
-    """Named trainable array and the gradient of the current step, which a
-    backward sets and ``Adam.step`` consumes; None in between."""
+    """Named trainable array and the gradient of the current step, which
+    its layer's backward sets and ``Adam.step`` consumes, in a fused
+    backward before the layer below runs its backward; None in between."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -480,12 +484,22 @@ class Sequential(Layer):
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad):
+    def backward(self, grad, opt=None):
         """Set every parameter gradient; nothing reads the gradient
         with respect to the network input, so backward stops at the first
-        layer that holds parameters, without forming its input gradient."""
+        layer that holds parameters, without forming its input gradient.
+
+        Given an optimizer, the backward is one step of it (``opt.advance``):
+        each layer's parameters are stepped, and their gradients dropped, as
+        soon as that layer's backward has formed its input gradient from the
+        old weights, so one layer's gradients are alive at a time."""
         first = next(i for i, layer in enumerate(self.layers) if layer.params())
-        for layer in self.layers[:first:-1]:
-            grad = layer.backward(grad)
-        self.layers[first].backward(grad, input_grad=False)
+        if opt is not None:
+            opt.advance()
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            layer = self.layers[i]
+            grad = layer.backward(grad, input_grad=i > first)
+            params = layer.params()
+            if opt is not None and params:
+                opt.step(params)
 

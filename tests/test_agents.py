@@ -467,6 +467,50 @@ class TestOneEpochReplay:
         self.assert_same_state(trained, replayed)
 
 
+class TestGradientLifetime:
+    """Training steps each layer as soon as its backward returns, so no
+    more than one layer's parameter gradients are set at any moment."""
+
+    @staticmethod
+    def most_layers_holding_gradients(model, train):
+        """Runs ``train()`` and returns the largest number of layers whose
+        ``Param.grad`` was set when any layer's backward returned."""
+        trained = [layer for layer in model.net.layers if layer.params()]
+        most = 0
+
+        def watch(layer):
+            backward = layer.backward
+
+            def watched(grad, input_grad=True):
+                nonlocal most
+                out = backward(grad, input_grad)
+                held = sum(any(p.grad is not None for p in t.params()) for t in trained)
+                most = max(most, held)
+                return out
+
+            layer.backward = watched
+
+        for layer in model.net.layers:
+            watch(layer)
+        train()
+        assert all(p.grad is None for p in model.net.params())
+        return most
+
+    def test_agent1(self):
+        frames, labels = separable_frames(np.random.default_rng(63), 4, size=32)
+        model = agents.build_agent1(seed=4, input_size=32)
+        most = self.most_layers_holding_gradients(model, lambda: agents.train_agent1(
+            model, frames, labels, config=Agent1Config(epochs=1, augment=False)))
+        assert most == 1
+
+    def test_agent2(self):
+        X, y = separable_features(np.random.default_rng(64), 16)
+        model = agents.build_agent2(seed=4)
+        most = self.most_layers_holding_gradients(model, lambda: agents.train_agent2(
+            model, X, y, config=Agent2Config(epochs=1)))
+        assert most == 1
+
+
 class TestPredictAgent2:
     def test_range_and_determinism(self):
         rng = np.random.default_rng(87)

@@ -12,6 +12,7 @@ from deepagent.audio import write_wav
 from deepagent.cache import read_cache, write_cache
 from deepagent.cli import main
 from deepagent.nn import checkpoint as ckpt
+from deepagent.nn import layers
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +382,27 @@ class TestFailureModes:
         assert f"agent2 scores sample {first!r} as nan" in error["message"]
         assert not out.exists()
         assert cache.read_bytes() == workspace["cache"].read_bytes()
+
+    def test_non_finite_gradient_exits_3_writing_no_checkpoint(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # conv1 is the last layer the fused backward steps: every layer
+        # above it has already stepped when its NaN kernel gradient is found
+        backward = layers.Conv2D.backward
+
+        def nan_conv1_kernel(self, grad, input_grad=True):
+            dx = backward(self, grad, input_grad)
+            if self.kernel.name == "conv1.kernel":
+                self.kernel.grad[0, 0, 0, 0] = np.nan
+            return dx
+
+        monkeypatch.setattr(layers.Conv2D, "backward", nan_conv1_kernel)
+        out = tmp_path / "agent1.damc"
+        code = main(["train", "agent1", "--manifest", str(workspace["manifest"]),
+                     "--out", str(out), "--desk-scale", "--epochs", "1"])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert code == 3 and error["kind"] == "TrainingError"
+        assert error["message"] == "non-finite gradient for conv1.kernel"
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_key_not_utf8_exits_2(self, workspace, tmp_path, capsys):
         # the first key's first character becomes a byte no UTF-8 text holds

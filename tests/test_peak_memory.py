@@ -43,6 +43,11 @@ one 224-px conv backward stays within two bands, the layer's input and
 output, its kernel gradient and one band's share of it, and
 ``BACKWARD_SLACK_MIB``; and ``train agent1`` at the default 224-px geometry
 and batch 16 peaks under ``TRAIN_224_PEAK_MIB``.
+
+Training keeps one best-validation snapshot of the weights, allocated at
+the first improvement and copied into at each later one, so
+``tracemalloc``'s peak of a run whose every epoch improves stays within
+``SNAPSHOT_SLACK_MIB`` of the same run that improves only at its first.
 """
 
 import math
@@ -57,7 +62,7 @@ import pytest
 
 import deepagent
 from deepagent import agents, pipeline
-from deepagent.config import PipelineConfig
+from deepagent.config import Agent1Config, PipelineConfig
 from deepagent.fixtures import gen_fixtures
 from deepagent.manifest import SampleRecord, load_manifest
 from deepagent.nn import layers
@@ -103,10 +108,18 @@ FORWARD_SLACK_MIB = 1.0
 BACKWARD_SLACK_MIB = 0.5
 
 # the peak RSS ``train agent1`` at 224 px and batch 16 must stay under,
-# with glibc's default mmap threshold: it reads about 165 MiB, and 233-243
-# MiB when each conv backward holds its whole im2col matrix and its
-# gradient
+# with glibc's default mmap threshold: it reads about 142 MiB, about 165
+# MiB when the backward holds every parameter gradient until one Adam
+# step, and 233-243 MiB when each conv backward also holds its whole
+# im2col matrix and its gradient
 TRAIN_224_PEAK_MIB = 200.0
+
+# allowed growth of the allocation peak of three training epochs that each
+# improve validation accuracy over three that improve only at the first:
+# it reads 0.00 MiB, and 5.0 MiB (of a 7.9 MiB float32 Agent-1 state) when
+# each improvement copies the weights into a new snapshot while the
+# previous one is alive
+SNAPSHOT_SLACK_MIB = 0.5
 
 
 # runs its arguments as a command and prints the exit code and the peak
@@ -280,3 +293,37 @@ def test_train_agent1_at_224_peaks_under_the_target(tmp_path):
                          "--out", tmp_path / "agent1.damc", "--epochs", "1"],
                         tmp_path, fixed_mmap_threshold=False)
     assert peak < TRAIN_224_PEAK_MIB, peak
+
+
+def test_best_weights_snapshot_is_copied_in_place(monkeypatch):
+    rng = np.random.default_rng(0)
+    frames, labels = rng.uniform(size=(8, 11, 11, 3)), np.array([0, 1] * 4)
+    val_labels = np.array([0, 1, 0])
+
+    def train_peak_mib(improving):
+        """Peak of three epochs on the same steps; validation scores the
+        first k rows right at epoch k, or only the first row every epoch."""
+        epochs = []
+
+        def scripted_logits(model, rows):
+            epochs.append(None)
+            right = np.arange(len(val_labels)) < (len(epochs) if improving else 1)
+            return np.eye(2)[np.where(right, val_labels, 1 - val_labels)]
+
+        monkeypatch.setattr(agents, "logits", scripted_logits)
+        model = agents.build_agent1(1, input_size=11, dtype=np.float32)
+        cfg = Agent1Config(epochs=3, batch_size=4, augment=False)
+        tracemalloc.start()
+        try:
+            history = agents.train_agent1(model, frames, labels, frames[:3],
+                                          val_labels, config=cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        accs = [row["val_acc"] for row in history]
+        assert [b > a for a, b in zip(accs, accs[1:])] == [improving] * 2
+        return peak / 2 ** 20
+
+    train_peak_mib(False)  # a first run also imports numpy submodules lazily
+    over_mib = train_peak_mib(True) - train_peak_mib(False)
+    assert over_mib <= SNAPSHOT_SLACK_MIB, over_mib
