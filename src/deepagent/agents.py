@@ -14,7 +14,9 @@ inference forward, in prediction and in validation, runs through
 
 ``train agent1`` trains (and validates) Agent-1 in ``AGENT1_TRAIN_DTYPE``;
 ``load_agent`` always builds the float64 net, so prediction and fusion
-forward in float64 at either stored width.
+forward in float64 at either stored width. It builds the net with no seed:
+the layers are zero-filled, no generator is made and no weight is drawn,
+since the checkpoint writes every persistent array.
 
 Both agents train in one Adam epoch loop, with the head's loss gradient
 taken at the logits, on one validation schedule (``STOP_PATIENCE``,
@@ -78,12 +80,13 @@ LR_FACTOR = 0.5
 @dataclass
 class Agent:
     """A net plus its checkpoint metadata: DAMC model kind, input side
-    (Agent-1) or width (Agent-2), and dtype."""
+    (Agent-1) or width (Agent-2), and dtype; ``seed`` is the one its weights,
+    dropout and training draw from, None for a net built to be loaded into."""
 
     net: Sequential
     kind: int
     input_size: int
-    seed: int
+    seed: int | None
     dtype: type = np.float64
 
     @property
@@ -93,14 +96,26 @@ class Agent:
         return (s, s, 3) if self.kind == ckpt.MODEL_AGENT1 else (s,)
 
 
-def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent:
+def _generators(seed: int | None, stream: int, n_dropout: int):
+    """The weight generator, ``SeedSequence([seed, stream])``, and one
+    generator per dropout layer, ``SeedSequence([seed, stream + 1, i])``;
+    with ``seed`` None, all None, so the layers draw nothing."""
+    if seed is None:
+        return None, [None] * n_dropout
+    return (np.random.default_rng(np.random.SeedSequence([seed, stream])),
+            [np.random.default_rng(np.random.SeedSequence([seed, stream + 1, i]))
+             for i in range(n_dropout)])
+
+
+def build_agent1(seed: int | None, input_size: int = 224, dtype=np.float64) -> Agent:
     """Five conv blocks -> GAP -> 1024 -> 512 -> 2 logits.
 
     ``input_size`` 224 is the reference geometry; smaller inputs keep the
     same stack but clamp a pool window that no longer fits (desk-scale runs).
+    A seed draws He-uniform weights; ``seed=None`` builds zero-filled layers
+    from no generator, for ``load_agent`` to stream a checkpoint into.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    drop_rng = lambda i: np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
+    rng, drop_rngs = _generators(seed, 1, 2)
 
     layers: list = []
     shape = (input_size, input_size, 3)
@@ -132,28 +147,28 @@ def build_agent1(seed: int, input_size: int = 224, dtype=np.float64) -> Agent:
     add(GlobalAvgPool())
     add(Dense(shape[0], 1024, rng=rng, dtype=dtype, name="fc1"))
     add(ReLU())
-    add(Dropout(0.5, rng=drop_rng(0)))
+    add(Dropout(0.5, rng=drop_rngs[0]))
     add(BatchNorm(1024, dtype=dtype, name="bn_fc1"))
     add(Dense(1024, 512, rng=rng, dtype=dtype, name="fc2"))
     add(ReLU())
-    add(Dropout(0.5, rng=drop_rng(1)))
+    add(Dropout(0.5, rng=drop_rngs[1]))
     add(Dense(512, 2, rng=rng, dtype=dtype, init="xavier", name="out"))
     return Agent(Sequential(layers), ckpt.MODEL_AGENT1, input_size, seed, dtype)
 
 
-def build_agent2(seed: int) -> Agent:
+def build_agent2(seed: int | None) -> Agent:
     """Input standardization, then a dense stack with dropout 0.2 after the
-    first two layers and one logit."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    drop_rng = lambda i: np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
+    first two layers and one logit; ``seed=None`` builds it as
+    ``build_agent1`` does, zero-filled and drawing nothing."""
+    rng, drop_rngs = _generators(seed, 3, 2)
     layers = [
         Standardize(FEATURE_DIM),
         Dense(FEATURE_DIM, 128, rng=rng, name="d1"),
         ReLU(),
-        Dropout(0.2, rng=drop_rng(0)),
+        Dropout(0.2, rng=drop_rngs[0]),
         Dense(128, 64, rng=rng, name="d2"),
         ReLU(),
-        Dropout(0.2, rng=drop_rng(1)),
+        Dropout(0.2, rng=drop_rngs[1]),
         Dense(64, 32, rng=rng, name="d3"),
         ReLU(),
         Dense(32, 1, rng=rng, init="xavier", name="d4"),
@@ -343,6 +358,8 @@ def load_agent(path, kind: int | None = None) -> Agent:
     header's ``dtype_bits`` sets only the width the records were stored at.
     ``ckpt.load_checkpoint`` reads the file in one pass: it checks the
     header, builds the net from it, then streams the records into the net.
+    The net is built with ``seed=None``: zero-filled, from no generator, so
+    a load draws no random numbers and never imports ``numpy.random``.
     Given ``kind`` (1 or 2), a checkpoint of the other agent raises a
     ConfigurationError naming the path and its flag, ``--agent<kind>``."""
     model = None
@@ -360,13 +377,13 @@ def load_agent(path, kind: int | None = None) -> Agent:
                 raise IngestionError(
                     f"{path}: record 0: Agent-1 input size must be within "
                     f"[{AGENT1_SIZES[0]}, {AGENT1_SIZES[-1]}], got {size}")
-            model = build_agent1(seed=0, input_size=size)
+            model = build_agent1(seed=None, input_size=size)
         else:  # load_checkpoint admits only the two model kinds
             if size != FEATURE_DIM:
                 raise IngestionError(
                     f"{path}: record 0: Agent-2 input width must be {FEATURE_DIM}, "
                     f"got {size}")
-            model = build_agent2(seed=0)
+            model = build_agent2(seed=None)
         return model.net.state()
 
     ckpt.load_checkpoint(path, build)

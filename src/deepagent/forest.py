@@ -31,8 +31,11 @@ from deepagent.errors import UsageError
 from deepagent.metrics import decide
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
+    """One node of a linked tree; slotted, since ``_link`` makes one per
+    grown node, thousands per forest."""
+
     feature: int = -1
     threshold: float = 0.0
     left: "TreeNode | None" = None
@@ -44,7 +47,7 @@ class TreeNode:
         return self.vote >= 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionTree:
     root: TreeNode
 

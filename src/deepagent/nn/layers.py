@@ -144,12 +144,23 @@ def _bands(n, oh, row_values, itemsize):
             for lo, hi in _split(oh, max(1, most // row_values))]
 
 
+def _uniform(rng, fan, shape, dtype):
+    """Weights of ``shape`` uniform in +-sqrt(6 / fan), drawn from ``rng`` in
+    float64 and cast to ``dtype``; zero-filled, with nothing drawn, when
+    ``rng`` is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    limit = np.sqrt(6.0 / fan)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
+
+
 class Conv2D(Layer):
     """2-D convolution, channels-last, 'valid' or 'same' zero padding.
 
     The kernel is ``k x k x in_channels x out_channels``; weights are
     He-uniform from the supplied rng (the layers are ReLU-activated), biases
-    start at zero.
+    start at zero. With ``rng=None`` the kernel is zero-filled and nothing
+    is drawn: the layer is built for a checkpoint to be loaded into.
     """
 
     STATE = (("kernel", ckpt.KIND_CONV_KERNEL), ("bias", ckpt.KIND_CONV_BIAS))
@@ -168,9 +179,9 @@ class Conv2D(Layer):
         self.stride = stride
         self.padding = padding
         k = kernel_size
-        limit = np.sqrt(6.0 / (k * k * in_channels))
-        kernel = rng.uniform(-limit, limit, size=(k, k, in_channels, out_channels))
-        self.kernel = Param(f"{name}.kernel", kernel.astype(dtype, copy=False))
+        kernel = _uniform(rng, k * k * in_channels, (k, k, in_channels, out_channels),
+                          dtype)
+        self.kernel = Param(f"{name}.kernel", kernel)
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
 
     def out_shape(self, shape):
@@ -400,7 +411,9 @@ class GlobalAvgPool(Layer):
 
 
 class Dense(Layer):
-    """Affine map ``x @ W + b`` with W of shape in x out."""
+    """Affine map ``x @ W + b`` with W of shape in x out: He-uniform (or,
+    with ``init="xavier"``, Xavier-uniform) from the supplied rng, zero-filled
+    and never drawn with ``rng=None``; the bias starts at zero."""
 
     STATE = (("weights", ckpt.KIND_DENSE_W), ("bias", ckpt.KIND_DENSE_B))
 
@@ -409,9 +422,8 @@ class Dense(Layer):
         self.in_width = in_width
         self.out_width = out_width
         fan = in_width + out_width if init == "xavier" else in_width
-        limit = np.sqrt(6.0 / fan)
-        w = rng.uniform(-limit, limit, size=(in_width, out_width))
-        self.weights = Param(f"{name}.weights", w.astype(dtype, copy=False))
+        self.weights = Param(f"{name}.weights",
+                             _uniform(rng, fan, (in_width, out_width), dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_width, dtype=dtype))
 
     def out_shape(self, shape):
@@ -448,7 +460,9 @@ class ReLU(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: zero units with probability p at train time and
-    scale survivors by 1/(1-p); inference is the identity map."""
+    scale survivors by 1/(1-p); inference is the identity map. Built with
+    ``rng=None`` (for a checkpoint to be loaded into), it runs inference
+    only: a train-mode forward raises a UsageError."""
 
     def __init__(self, p, *, rng):
         if not 0.0 <= p < 1.0:
@@ -459,6 +473,8 @@ class Dropout(Layer):
     def forward(self, x, train=False):
         if not train:
             return x
+        if self.rng is None:
+            raise UsageError("dropout built without an rng cannot train")
         mask = self.rng.random(x.shape) >= self.p
         scale = 1.0 / (1.0 - self.p)
         self._cache = (mask, scale)

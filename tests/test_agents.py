@@ -611,6 +611,28 @@ class TestCheckpoints:
         agents.save_agent(build(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("build", [
+        lambda: agents.build_agent1(1, input_size=32), lambda: agents.build_agent2(1),
+    ], ids=["agent1", "agent2"])
+    def test_a_load_draws_no_random_numbers(self, tmp_path, monkeypatch, build, bits):
+        stored = build()
+        if stored.kind == ckpt.MODEL_AGENT2:
+            stored.net.layers[0].fit(np.arange(28.0).reshape(2, 14) ** 2)
+        path = tmp_path / "agent.damc"
+        ckpt.save_checkpoint(path, stored.net.state(), model_kind=stored.kind,
+                             input_size=stored.input_size, dtype_bits=bits)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a checkpoint load made a generator")
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = agents.load_agent(path)
+        width = np.float32 if bits == 32 else np.float64
+        pairs = list(zip(loaded.net.state(), stored.net.state(), strict=True))
+        for (kind, got), (want_kind, want) in pairs:
+            assert kind == want_kind and got.dtype == np.float64
+            assert got.tobytes() == want.astype(width).astype(np.float64).tobytes()
+
     @pytest.mark.parametrize("kind", [1, 2])
     def test_load_of_the_other_kind_raises_before_building(self, tmp_path,
                                                            monkeypatch, kind):

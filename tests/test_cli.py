@@ -1,12 +1,17 @@
 """Command-line behavior: workflow order, artifacts, exit codes, error JSON."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepagent
 from deepagent import agents, pipeline
 from deepagent.audio import write_wav
 from deepagent.cache import read_cache, write_cache
@@ -103,6 +108,21 @@ class TestWorkflow:
             assert 0.0 <= row["agent1"] <= 1.0
             assert 0.0 <= row["agent2"] <= 1.0
             assert row["split"] in ("train", "val", "test")
+
+    def test_predict_never_imports_numpy_random(self, workspace, tmp_path):
+        # a fresh interpreter, since this one has imported numpy.random:
+        # a checkpoint load builds its nets from no generator
+        script = ("import sys; from deepagent.cli import main; "
+                  "code = main(sys.argv[1:]); "
+                  "print(code, 'numpy.random' in sys.modules)")
+        args = ["predict", "--manifest", workspace["manifest"],
+                "--agent1", workspace["a1"], "--agent2", workspace["a2"],
+                "--cache", workspace["cache"], "--out", tmp_path / "scores.json"]
+        src = Path(deepagent.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split("\n")[-2] == "0 False", out
 
     def test_fuse_writes_fold_report_and_scores_into_cache(self, workspace):
         report = workspace["root"] / "fold_report.json"

@@ -71,6 +71,13 @@ class TestDecisionTree:
         tree = grow_tree(X, y, np.random.default_rng(4))
         assert tree.root.is_leaf and tree.root.vote == 1
 
+    def test_linked_nodes_carry_no_instance_dict(self):
+        # ``_link`` makes one node per grown node, thousands per forest
+        tree = grow_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
+                         np.random.default_rng(1))
+        for node in (tree, tree.root, tree.root.left, tree.root.right):
+            assert not hasattr(node, "__dict__")
+
 
 def random_split_set(rng):
     """Small labeled set mixing the cases a threshold search can get wrong:

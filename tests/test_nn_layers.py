@@ -536,6 +536,13 @@ class TestDropout:
         with pytest.raises(ConfigurationError):
             Dropout(1.0, rng=np.random.default_rng(0))
 
+    def test_without_rng_infers_and_refuses_to_train(self):
+        x = np.ones(10)
+        layer = Dropout(0.5, rng=None)
+        npt.assert_array_equal(layer.forward(x, train=False), x)
+        with pytest.raises(UsageError, match="without an rng"):
+            layer.forward(x, train=True)
+
     def test_layer_matches_functional_semantics(self):
         layer = Dropout(0.3, rng=np.random.default_rng(11))
         x = np.ones(1000)

@@ -21,11 +21,11 @@ Saving a checkpoint writes each record from the net's own arrays
 during ``agents.save_agent`` of a 224-px Agent-1 stays under
 ``SAVE_PEAK_MIB``, whatever the net's size.
 
-Loading a checkpoint streams it into the built net:
-``nn.checkpoint.load_checkpoint`` reads each record from the open file and
-copies it once, into the net, before it reads the next, so
-``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px Agent-1
-stays within the net's state, the largest record's bytes and
+Loading a checkpoint streams it into the built net, which is zero-filled
+and draws no weights: ``nn.checkpoint.load_checkpoint`` reads each record
+from the open file and copies it once, into the net, before it reads the
+next, so ``tracemalloc``'s peak during ``agents.load_agent`` of a 224-px
+Agent-1 stays within the net's state, the largest record's bytes and
 ``LOAD_SLACK_MIB``. It reads a payload as a read-only view of its own
 bytes, not a copy (``test_agents.py`` checks each record it copies in).
 
@@ -77,7 +77,7 @@ FLATNESS_MIB = 4.0
 
 # allowed allocation peak of a checkpoint load beyond the net's state and
 # its largest record's bytes: it reads 0.6 MiB, 4.0 MiB when the float64
-# init draws are duplicated before the load overwrites them, and 12.0 MiB
+# initial weights are duplicated before the load overwrites them, and 12.0 MiB
 # (float64) or 6.3 MiB (float32) when the load holds the whole file
 LOAD_SLACK_MIB = 2.0
 
